@@ -44,7 +44,6 @@ double g_point_timeout_s = 0.0;
 bool g_fail_fast = false;
 bool g_nogoods = false;
 bool g_lns = false;
-bool g_packed_layout = true;
 std::string g_connect;
 bool g_no_reuse = false;
 size_t g_max_configs = 0;
@@ -110,16 +109,6 @@ initHarness(int *argc, char **argv)
             g_nogoods = true;
         else if (std::strcmp(arg, "--lns") == 0)
             g_lns = true;
-        else if (std::strncmp(arg, "--layout=", 9) == 0) {
-            const char *layout = arg + 9;
-            if (std::strcmp(layout, "legacy") == 0)
-                g_packed_layout = false;
-            else if (std::strcmp(layout, "packed") == 0)
-                g_packed_layout = true;
-            else
-                fatal("--layout must be 'packed' or 'legacy', "
-                      "got '%s'", layout);
-        }
         else if (std::strncmp(arg, "--connect=", 10) == 0)
             g_connect = arg + 10;
         else if (std::strncmp(arg, "--coordinator=", 14) == 0)
@@ -234,12 +223,6 @@ useLns()
     return g_lns;
 }
 
-bool
-packedLayout()
-{
-    return g_packed_layout;
-}
-
 const std::string &
 connectAddress()
 {
@@ -309,7 +292,6 @@ validationEngine(double solver_seconds)
     options.solver.deterministicSearch = g_deterministic_search;
     options.solver.useNogoods = g_nogoods;
     options.solver.lns = g_lns;
-    options.solver.packedLayout = g_packed_layout;
     // Rerun near-optimality misses with 4x the budget, as the paper
     // does for its validation experiments.
     options.escalations = 1;
@@ -328,7 +310,6 @@ explorationOptions(double solver_seconds)
     options.engine.solver.deterministicSearch = g_deterministic_search;
     options.engine.solver.useNogoods = g_nogoods;
     options.engine.solver.lns = g_lns;
-    options.engine.solver.packedLayout = g_packed_layout;
     options.engine.pointTimeoutS = g_point_timeout_s;
     options.failFast = g_fail_fast;
     return options;

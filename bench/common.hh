@@ -57,11 +57,6 @@ namespace bench {
  *                       with destroy/repair large-neighborhood
  *                       search (see cp/lns.hh) when tightening the
  *                       greedy incumbent.
- *   --layout=L          solver-core memory layout: 'packed' (the
- *                       default SoA slab + arena scratch) or
- *                       'legacy' (the AoS baseline). Both explore
- *                       bit-identical trees; solver_micro sweeps one
- *                       against the other.
  *   --connect=ADDR      route sweeps to a running hilpd daemon at
  *                       ADDR (unix:/path or tcp:host:port) instead
  *                       of evaluating in-process; see runSweep().
@@ -124,9 +119,6 @@ bool useNogoods();
 
 /** True when --lns was passed. */
 bool useLns();
-
-/** False when --layout=legacy was passed (default: packed). */
-bool packedLayout();
 
 /** The --connect address ("" = evaluate in-process). */
 const std::string &connectAddress();

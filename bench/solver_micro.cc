@@ -36,13 +36,6 @@ using Clock = std::chrono::steady_clock;
 constexpr int kRepeats = 5;
 /** Repeats per thread count in the parallel-search sweep. */
 constexpr int kSweepRepeats = 3;
-
-/**
- * Layout sweep repetitions per layout. Higher than the feature
- * sweeps' because the packed-vs-legacy ratio gates check.sh and has
- * to hold up under ambient machine noise.
- */
-constexpr int kLayoutRepeats = 5;
 constexpr int kSweepThreads[] = {1, 2, 4, 8};
 
 struct Instance
@@ -132,7 +125,6 @@ makeInstances()
         instance.options.threads = hilp::bench::solverThreads();
         instance.options.deterministicSearch =
             hilp::bench::deterministicSearch();
-        instance.options.packedLayout = hilp::bench::packedLayout();
     }
     return instances;
 }
@@ -363,149 +355,6 @@ verifyFeatureSweep(const std::vector<FeatureSweep> &sweeps)
     return sound;
 }
 
-struct LayoutSweepEntry
-{
-    std::string layout;
-    double medianS = 0.0;
-    double speedup = 1.0; //!< Legacy median / this median.
-    cp::Time makespan = 0;
-    cp::Time lowerBound = 0;
-    double gap = 0.0;
-    cp::SolveStatus status = cp::SolveStatus::NoSolution;
-    int64_t nodes = 0;
-    int64_t backtracks = 0;
-    int64_t scratchBytes = 0;
-    int64_t arenaRewinds = 0;
-};
-
-struct LayoutSweep
-{
-    std::string name;
-    double targetGap = 0.0;
-    double maxSeconds = 0.0;
-    std::vector<LayoutSweepEntry> entries;
-};
-
-/**
- * Memory-layout sweep over every pinned instance: the same pure
- * branch-and-bound solve (no-goods and LNS off, one thread, so the
- * tree shape is deterministic) with the legacy AoS profile and
- * per-node heap scratch vs the packed layout - arena-backed trail,
- * SoA profile slab, and allocation-free search loops. The layouts
- * are pure memory-representation changes, so both runs must explore
- * the bit-identical tree; the speedup column against the legacy run
- * is the headline number for the cache-conscious core, and the
- * packed run's scratch growth divided by its node count shows the
- * steady-state bytes allocated per node (zero once the pools warm
- * up).
- */
-std::vector<LayoutSweep>
-measureLayoutSweep(const std::vector<Instance> &instances)
-{
-    static const char *kLayouts[] = {"legacy", "packed"};
-
-    std::vector<LayoutSweep> sweeps;
-    for (const Instance &instance : instances) {
-        LayoutSweep sweep;
-        sweep.name = instance.name;
-        sweep.targetGap = instance.options.targetGap;
-        sweep.maxSeconds = instance.options.maxSeconds;
-        // Interleave the layouts' repetitions (legacy, packed,
-        // legacy, packed, ...) so ambient load drift hits both
-        // layouts symmetrically instead of biasing whichever block
-        // happened to run while the machine was busy.
-        std::vector<double> times[2];
-        LayoutSweepEntry entries[2];
-        for (int rep = 0; rep < kLayoutRepeats; ++rep) {
-            for (int li = 0; li < 2; ++li) {
-                cp::SolverOptions options = instance.options;
-                options.useNogoods = false;
-                options.lns = false;
-                options.threads = 1;
-                options.packedLayout = li == 1;
-                LayoutSweepEntry &entry = entries[li];
-                entry.layout = kLayouts[li];
-                cp::Solver solver(options);
-                Clock::time_point t0 = Clock::now();
-                cp::Result result = solver.solve(instance.model);
-                times[li].push_back(std::chrono::duration<double>(
-                    Clock::now() - t0).count());
-                entry.makespan = result.makespan;
-                entry.lowerBound = result.lowerBound;
-                entry.gap = result.gap();
-                entry.status = result.status;
-                entry.nodes = result.stats.nodes;
-                entry.backtracks = result.stats.backtracks;
-                entry.scratchBytes = result.stats.scratchBytes;
-                entry.arenaRewinds = result.stats.arenaRewinds;
-            }
-        }
-        for (int li = 0; li < 2; ++li) {
-            std::sort(times[li].begin(), times[li].end());
-            entries[li].medianS = times[li][times[li].size() / 2];
-        }
-        for (int li = 0; li < 2; ++li) {
-            entries[li].speedup = entries[li].medianS > 0.0
-                ? entries[0].medianS / entries[li].medianS : 1.0;
-            sweep.entries.push_back(std::move(entries[li]));
-        }
-        sweeps.push_back(std::move(sweep));
-    }
-    return sweeps;
-}
-
-/**
- * The layout sweep's bit-identity gate. A memory layout is not
- * allowed to change what the solver computes: makespan and status
- * must match between the legacy and packed runs, always. Node and
- * backtrack counts must match too whenever neither run was cut off
- * by the wall clock (a deadline can land mid-node, so counts of
- * clock-limited runs differ by scheduling noise; the rigorous
- * tree-identity check on deterministic models lives in
- * tests/cp/test_search.cc).
- */
-bool
-verifyLayoutSweep(const std::vector<LayoutSweep> &sweeps)
-{
-    bool sound = true;
-    for (const LayoutSweep &sweep : sweeps) {
-        const LayoutSweepEntry &legacy = sweep.entries.front();
-        double slowest = 0.0;
-        for (const LayoutSweepEntry &e : sweep.entries)
-            slowest = std::max(slowest, e.medianS);
-        bool untimed = slowest < 0.8 * sweep.maxSeconds;
-        for (const LayoutSweepEntry &e : sweep.entries) {
-            if (e.makespan != legacy.makespan ||
-                e.status != legacy.status) {
-                std::fprintf(stderr,
-                             "LAYOUT SWEEP UNSOUND: %s with %s "
-                             "layout got makespan %d (%s), legacy "
-                             "got %d (%s)\n",
-                             sweep.name.c_str(), e.layout.c_str(),
-                             e.makespan, cp::toString(e.status),
-                             legacy.makespan,
-                             cp::toString(legacy.status));
-                sound = false;
-            }
-            if (untimed && (e.nodes != legacy.nodes ||
-                            e.backtracks != legacy.backtracks)) {
-                std::fprintf(stderr,
-                             "LAYOUT SWEEP TREE MISMATCH: %s with "
-                             "%s layout explored %lld nodes / %lld "
-                             "backtracks, legacy %lld / %lld\n",
-                             sweep.name.c_str(), e.layout.c_str(),
-                             static_cast<long long>(e.nodes),
-                             static_cast<long long>(e.backtracks),
-                             static_cast<long long>(legacy.nodes),
-                             static_cast<long long>(
-                                 legacy.backtracks));
-                sound = false;
-            }
-        }
-    }
-    return sound;
-}
-
 struct TraceOverhead
 {
     double disabledS = 0.0;
@@ -604,7 +453,7 @@ measureTelemetryOverhead(const Instance &instance)
     // ratio, which a busy block on one side would silently skew.
     std::vector<double> off_times;
     std::vector<double> on_times;
-    for (int rep = 0; rep < kLayoutRepeats; ++rep) {
+    for (int rep = 0; rep < kRepeats; ++rep) {
         off_times.push_back(run(false));
         on_times.push_back(run(true));
     }
@@ -625,8 +474,7 @@ emitReport(const std::vector<Measurement> &measurements,
            const TraceOverhead &overhead,
            const TelemetryOverhead &telemetry,
            const std::vector<ThreadSweep> &sweeps,
-           const std::vector<FeatureSweep> &features,
-           const std::vector<LayoutSweep> &layouts)
+           const std::vector<FeatureSweep> &features)
 {
     bench::banner(
         "Solver microbenchmark - pinned instances",
@@ -664,6 +512,7 @@ emitReport(const std::vector<Measurement> &measurements,
 
     Json instances = Json::array();
     int64_t total_nodes = 0;
+    int64_t total_scratch = 0;
     double total_median_s = 0.0;
     for (const Measurement &m : measurements) {
         Json entry = Json::object();
@@ -692,6 +541,7 @@ emitReport(const std::vector<Measurement> &measurements,
         entry.set("propagators", std::move(propagators));
         instances.append(std::move(entry));
         total_nodes += m.result.stats.nodes;
+        total_scratch += m.result.stats.scratchBytes;
         total_median_s += m.medianS;
     }
     Json report = Json::object();
@@ -703,6 +553,16 @@ emitReport(const std::vector<Measurement> &measurements,
     totals.set("median_s", Json::number(total_median_s));
     totals.set("nodes", Json::number(total_nodes));
     report.set("totals", std::move(totals));
+    if (total_nodes > 0) {
+        // Search scratch grown during the tree walks, amortized over
+        // their nodes: ~0 once the arenas and slabs have warmed up.
+        double per_node = static_cast<double>(total_scratch) /
+                          static_cast<double>(total_nodes);
+        report.set("alloc_bytes_per_node", Json::number(per_node));
+        std::printf("search heap growth per node (pool warm-up "
+                    "amortized over %lld nodes): %.4f bytes\n",
+                    static_cast<long long>(total_nodes), per_node);
+    }
 
     if (!sweeps.empty()) {
         Table sweep_table({"instance", "threads", "median (ms)",
@@ -838,92 +698,6 @@ emitReport(const std::vector<Measurement> &measurements,
         }
     }
 
-    if (!layouts.empty()) {
-        Table layout_table({"instance", "layout", "median (ms)",
-                            "speedup", "nodes", "scratch B",
-                            "status"});
-        layout_table.setAlign(0, Table::Align::Left);
-        layout_table.setAlign(1, Table::Align::Left);
-        Json layout_json = Json::array();
-        double explore_product = 1.0;
-        int explore_count = 0;
-        int64_t packed_scratch = 0;
-        int64_t packed_nodes = 0;
-        for (const LayoutSweep &sweep : layouts) {
-            Json entry = Json::object();
-            entry.set("name", Json::string(sweep.name));
-            entry.set("target_gap", Json::number(sweep.targetGap));
-            Json rows = Json::array();
-            for (const LayoutSweepEntry &e : sweep.entries) {
-                layout_table.addRow(
-                    RowBuilder()
-                        .cell(sweep.name)
-                        .cell(e.layout)
-                        .cell(e.medianS * 1e3, 2)
-                        .cell(e.speedup, 2)
-                        .cell(e.nodes)
-                        .cell(e.scratchBytes)
-                        .cell(std::string(cp::toString(e.status)))
-                        .take());
-                Json row = Json::object();
-                row.set("layout", Json::string(e.layout));
-                row.set("median_s", Json::number(e.medianS));
-                row.set("speedup", Json::number(e.speedup));
-                row.set("makespan_steps", Json::number(
-                    static_cast<int64_t>(e.makespan)));
-                row.set("lower_bound_steps", Json::number(
-                    static_cast<int64_t>(e.lowerBound)));
-                row.set("gap", Json::number(e.gap));
-                row.set("status", Json::string(
-                    cp::toString(e.status)));
-                row.set("nodes", Json::number(e.nodes));
-                row.set("backtracks", Json::number(e.backtracks));
-                row.set("scratch_bytes", Json::number(
-                    e.scratchBytes));
-                row.set("arena_rewinds", Json::number(
-                    e.arenaRewinds));
-                rows.append(std::move(row));
-                if (e.layout == "packed") {
-                    packed_scratch += e.scratchBytes;
-                    packed_nodes += e.nodes;
-                    // The explore-class gate rates instances where
-                    // the base run actually searched (same policy as
-                    // the feature sweep's headline number).
-                    if (sweep.targetGap > 0.0 &&
-                        sweep.entries.front().nodes > 0) {
-                        explore_product *= e.speedup;
-                        ++explore_count;
-                    }
-                }
-            }
-            entry.set("entries", std::move(rows));
-            layout_json.append(std::move(entry));
-        }
-        bench::section("memory layout sweep (packed vs legacy)");
-        layout_table.print();
-        report.set("layout_sweep", std::move(layout_json));
-        if (explore_count > 0) {
-            double explore = std::pow(
-                explore_product, 1.0 / explore_count);
-            report.set("speedup_layout_explore",
-                       Json::number(explore));
-            std::printf("packed-layout explore-class speedup "
-                        "(geomean over %d searched instances): "
-                        "%.2fx\n", explore_count, explore);
-        }
-        if (packed_nodes > 0) {
-            double per_node = static_cast<double>(packed_scratch) /
-                static_cast<double>(packed_nodes);
-            report.set("alloc_bytes_per_node",
-                       Json::number(per_node));
-            std::printf("packed-layout heap growth per node (pool "
-                        "warm-up amortized over %lld nodes): %.4f "
-                        "bytes\n",
-                        static_cast<long long>(packed_nodes),
-                        per_node);
-        }
-    }
-
     double ratio = overhead.disabledS > 0.0
         ? overhead.enabledS / overhead.disabledS : 1.0;
     Json trace_overhead = Json::object();
@@ -983,22 +757,17 @@ BENCHMARK(BM_SolveExplore)->Unit(benchmark::kMillisecond)->Iterations(3);
 int
 main(int argc, char **argv)
 {
-    // --no-thread-sweep skips the 1/2/4/8-thread scaling pass,
-    // --no-feature-sweep the nogood/LNS feature matrix, and
-    // --no-layout-sweep the packed-vs-legacy memory-layout pass
-    // (used by quick smoke runs, e.g. the trace check in
-    // scripts/check.sh).
+    // --no-thread-sweep skips the 1/2/4/8-thread scaling pass and
+    // --no-feature-sweep the nogood/LNS feature matrix (used by quick
+    // smoke runs, e.g. the trace check in scripts/check.sh).
     bool thread_sweep = true;
     bool feature_sweep = true;
-    bool layout_sweep = true;
     int kept = 1;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--no-thread-sweep") == 0)
             thread_sweep = false;
         else if (std::strcmp(argv[i], "--no-feature-sweep") == 0)
             feature_sweep = false;
-        else if (std::strcmp(argv[i], "--no-layout-sweep") == 0)
-            layout_sweep = false;
         else
             argv[kept++] = argv[i];
     }
@@ -1021,22 +790,16 @@ main(int argc, char **argv)
     std::vector<FeatureSweep> features;
     if (feature_sweep)
         features = measureFeatureSweep(instances);
-    std::vector<LayoutSweep> layouts;
-    if (layout_sweep)
-        layouts = measureLayoutSweep(instances);
-    emitReport(measurements, overhead, telemetry, sweeps, features,
-               layouts);
+    emitReport(measurements, overhead, telemetry, sweeps, features);
     if (!verifyFeatureSweep(features))
         return 1;
-    if (!verifyLayoutSweep(layouts))
-        return 1;
     // Telemetry overhead gate. The original budget (3% warn / 10%
-    // fail) was derived against a ~780 ms probe solve; the packed
-    // memory layout roughly halved that baseline, so the *same*
-    // absolute instrumentation cost (~25 ms of ring writes and
-    // metric updates per 500k-node request) now reads about twice
-    // as large relative. Re-derived against the faster baseline:
-    // warn past 8%, fail past 15% - the absolute budget is
+    // fail) was derived against a ~780 ms probe solve; the
+    // cache-conscious solver core roughly halved that baseline, so
+    // the *same* absolute instrumentation cost (~25 ms of ring
+    // writes and metric updates per 500k-node request) now reads
+    // about twice as large relative. Re-derived against the faster
+    // baseline: warn past 8%, fail past 15% - the absolute budget is
     // unchanged.
     if (telemetry.ratio() > 1.15) {
         std::fprintf(stderr,

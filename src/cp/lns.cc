@@ -104,7 +104,6 @@ lnsImprove(const Model &model, const ScheduleVec &incumbent,
         limits.targetGap = options.targetGap;
         limits.lowerBound = options.lowerBound;
         limits.useNogoods = options.useNogoods;
-        limits.packedLayout = options.packedLayout;
         SearchResult r = branchAndBound(model, &result.schedule, limits);
         ++result.polishes;
         result.polishNodes += r.nodes;

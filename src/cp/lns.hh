@@ -61,8 +61,6 @@ struct LnsOptions
     Time lowerBound = 0;
     /** Let the polish B&B use no-good recording. */
     bool useNogoods = true;
-    /** Memory layout for the polish B&B (see SearchLimits). */
-    bool packedLayout = true;
 };
 
 /** Outcome of an LNS pass. */

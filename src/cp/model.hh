@@ -53,7 +53,7 @@ struct Mode
     std::vector<double> usage;
     /**
      * Model-wide dense mode index, assigned by Model::addTask in
-     * task/mode order. The packed Profile keys its precomputed
+     * task/mode order. The Profile keys its precomputed
      * per-mode resource-unit rows on it; -1 on modes never added to
      * a model (those fall back to per-query conversion).
      */

@@ -40,7 +40,10 @@ nogoodCode(int task, int mode, Time start)
 NogoodStore::NogoodStore(size_t capacity)
 {
     size_t buckets = 256; // floor: 1024 entries at 4 ways.
-    while (buckets * kWays < capacity)
+    // Stop doubling before buckets * kWays can overflow: an absurd
+    // capacity then fails the allocation below instead of spinning.
+    while (buckets * kWays < capacity &&
+           buckets <= SIZE_MAX / (2 * kWays))
         buckets *= 2;
     bucketMask_ = buckets - 1;
     entries_.assign(buckets * kWays, Entry{});

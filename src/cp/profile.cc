@@ -67,10 +67,9 @@ fromUnits(Units units)
            static_cast<double>(kUnitScale);
 }
 
-Profile::Profile(const Model &model, bool packed)
+Profile::Profile(const Model &model)
     : model_(model),
-      horizon_(model.horizon()),
-      packed_(packed)
+      horizon_(model.horizon())
 {
     hilp_assert(horizon_ > 0);
     const int nr = model.numResources();
@@ -80,12 +79,6 @@ Profile::Profile(const Model &model, bool packed)
     unitsScratch_.resize(static_cast<size_t>(nr), 0);
     nzScratch_.reserve(static_cast<size_t>(nr));
     sweepScratch_.resize(static_cast<size_t>(nr));
-
-    if (!packed_) {
-        resources_.assign(static_cast<size_t>(nr), {Segment{0, 0}});
-        groups_.resize(static_cast<size_t>(model.numGroups()));
-        return;
-    }
 
     // Slab regions sized for the common case (a full schedule
     // contributes at most two breakpoints per task and one interval
@@ -160,8 +153,7 @@ Profile::modeRow(const Mode &mode, const Units **units,
         *nnz = modeNzLen_[mode.id];
         return;
     }
-    // Hand-built mode (never added to a model): convert per query,
-    // exactly like the legacy layout does.
+    // Hand-built mode (never added to a model): convert per query.
     nzScratch_.clear();
     for (int r = 0; r < nr; ++r) {
         unitsScratch_[r] = toUnits(mode.usage[r]);
@@ -199,180 +191,14 @@ Profile::modeSweepRow(const Mode &mode, const int32_t **nz,
 size_t
 Profile::heapBytes() const
 {
-    if (packed_) {
-        return segStart_.capacity() * sizeof(Time) +
-               segLevel_.capacity() * sizeof(Units) +
-               ivStart_.capacity() * sizeof(Time) +
-               ivEnd_.capacity() * sizeof(Time) +
-               modeUnits_.capacity() * sizeof(Units) +
-               nzRes_.capacity() * sizeof(int32_t) +
-               nzLimit_.capacity() * sizeof(Units);
-    }
-    size_t bytes = 0;
-    for (const std::vector<Segment> &segs : resources_)
-        bytes += segs.capacity() * sizeof(Segment);
-    for (const std::vector<Interval> &busy : groups_)
-        bytes += busy.capacity() * sizeof(Interval);
-    return bytes;
+    return segStart_.capacity() * sizeof(Time) +
+           segLevel_.capacity() * sizeof(Units) +
+           ivStart_.capacity() * sizeof(Time) +
+           ivEnd_.capacity() * sizeof(Time) +
+           modeUnits_.capacity() * sizeof(Units) +
+           nzRes_.capacity() * sizeof(int32_t) +
+           nzLimit_.capacity() * sizeof(Units);
 }
-
-// ---------------------------------------------------------------
-// Legacy (AoS) layout.
-// ---------------------------------------------------------------
-
-size_t
-Profile::segmentAt(int r, Time step) const
-{
-    const std::vector<Segment> &segs = resources_[r];
-    // Last segment whose start is <= step.
-    auto it = std::upper_bound(
-        segs.begin(), segs.end(), step,
-        [](Time s, const Segment &seg) { return s < seg.start; });
-    hilp_assert(it != segs.begin());
-    return static_cast<size_t>(it - segs.begin()) - 1;
-}
-
-void
-Profile::addUsage(int r, Time start, Time end, Units delta)
-{
-    if (delta == 0 || start >= end)
-        return;
-    std::vector<Segment> &segs = resources_[r];
-
-    // Ensure a breakpoint at start.
-    size_t i = segmentAt(r, start);
-    if (segs[i].start != start) {
-        segs.insert(segs.begin() + static_cast<ptrdiff_t>(i) + 1,
-                    Segment{start, segs[i].level});
-        ++i;
-    }
-    // Last segment starting before end.
-    size_t j = i;
-    while (j + 1 < segs.size() && segs[j + 1].start < end)
-        ++j;
-    // Ensure a breakpoint at end (the tail keeps the old level).
-    Time j_end = j + 1 < segs.size() ? segs[j + 1].start : horizon_;
-    if (j_end > end) {
-        segs.insert(segs.begin() + static_cast<ptrdiff_t>(j) + 1,
-                    Segment{end, segs[j].level});
-    }
-    for (size_t k = i; k <= j; ++k)
-        segs[k].level += delta;
-
-    // Restore canonical form at the two junctions. Interior
-    // junctions cannot collapse: both sides moved by the same delta.
-    if (j + 1 < segs.size() && segs[j + 1].level == segs[j].level)
-        segs.erase(segs.begin() + static_cast<ptrdiff_t>(j) + 1);
-    if (i > 0 && segs[i].level == segs[i - 1].level)
-        segs.erase(segs.begin() + static_cast<ptrdiff_t>(i));
-}
-
-Time
-Profile::groupBlock(int g, Time start, Time end) const
-{
-    const std::vector<Interval> &busy = groups_[g];
-    // First busy interval still open at (or after) start.
-    auto it = std::upper_bound(
-        busy.begin(), busy.end(), start,
-        [](Time s, const Interval &iv) { return s < iv.end; });
-    if (it != busy.end() && it->start < end)
-        return it->end;
-    return -1;
-}
-
-Time
-Profile::resourceBlock(int r, Units need, Time start, Time end) const
-{
-    if (need <= 0)
-        return -1;
-    const Units limit = capUnits_[r] + kCapacitySlack - need;
-    const std::vector<Segment> &segs = resources_[r];
-    for (size_t i = segmentAt(r, start);
-         i < segs.size() && segs[i].start < end; ++i) {
-        if (segs[i].level > limit)
-            return i + 1 < segs.size() ? segs[i + 1].start : horizon_;
-    }
-    return -1;
-}
-
-bool
-Profile::fitsLegacy(const Mode &mode, Time start) const
-{
-    Time end = start + mode.duration;
-    if (mode.group != kNoGroup &&
-        groupBlock(mode.group, start, end) >= 0)
-        return false;
-    for (int r = 0; r < model_.numResources(); ++r)
-        if (resourceBlock(r, toUnits(mode.usage[r]), start, end) >= 0)
-            return false;
-    return true;
-}
-
-Time
-Profile::earliestStartLegacy(const Mode &mode, Time est) const
-{
-    const int num_resources = model_.numResources();
-    for (int r = 0; r < num_resources; ++r)
-        unitsScratch_[r] = toUnits(mode.usage[r]);
-
-    Time start = est;
-    while (start + mode.duration <= horizon_) {
-        Time end = start + mode.duration;
-        // No window that contains any step of a blocking interval or
-        // over-capacity segment can be feasible, so restart the scan
-        // directly after the whole blocker - this is what makes the
-        // query jump instead of stepping.
-        Time bump = mode.group != kNoGroup
-            ? groupBlock(mode.group, start, end) : -1;
-        if (bump < 0) {
-            for (int r = 0; r < num_resources && bump < 0; ++r)
-                bump = resourceBlock(r, unitsScratch_[r], start, end);
-        }
-        if (bump < 0)
-            return start;
-        hilp_assert(bump > start);
-        start = bump;
-    }
-    return -1;
-}
-
-void
-Profile::placeLegacy(const Mode &mode, Time start)
-{
-    Time end = start + mode.duration;
-    if (mode.group != kNoGroup) {
-        std::vector<Interval> &busy = groups_[mode.group];
-        auto it = std::lower_bound(
-            busy.begin(), busy.end(), start,
-            [](const Interval &iv, Time s) { return iv.start < s; });
-        hilp_assert(it == busy.end() || it->start >= end);
-        hilp_assert(it == busy.begin() || (it - 1)->end <= start);
-        busy.insert(it, Interval{start, end});
-    }
-    for (int r = 0; r < model_.numResources(); ++r)
-        addUsage(r, start, end, toUnits(mode.usage[r]));
-}
-
-void
-Profile::removeLegacy(const Mode &mode, Time start)
-{
-    Time end = start + mode.duration;
-    if (mode.group != kNoGroup) {
-        std::vector<Interval> &busy = groups_[mode.group];
-        auto it = std::lower_bound(
-            busy.begin(), busy.end(), start,
-            [](const Interval &iv, Time s) { return iv.start < s; });
-        hilp_assert(it != busy.end() && it->start == start &&
-                    it->end == end);
-        busy.erase(it);
-    }
-    for (int r = 0; r < model_.numResources(); ++r)
-        addUsage(r, start, end, -toUnits(mode.usage[r]));
-}
-
-// ---------------------------------------------------------------
-// Packed (SoA slab) layout.
-// ---------------------------------------------------------------
 
 void
 Profile::growResource(int r)
@@ -426,7 +252,7 @@ Profile::growGroup(int g)
 }
 
 Time
-Profile::groupBlockPacked(int g, Time start, Time end) const
+Profile::groupBlock(int g, Time start, Time end) const
 {
     const Time *ivs = ivStart_.data() + grpOff_[g];
     const Time *ive = ivEnd_.data() + grpOff_[g];
@@ -439,8 +265,7 @@ Profile::groupBlockPacked(int g, Time start, Time end) const
 }
 
 Time
-Profile::resourceBlockPacked(int r, Units need, Time start,
-                             Time end) const
+Profile::resourceBlock(int r, Units need, Time start, Time end) const
 {
     const Units limit = capUnits_[r] + kCapacitySlack - need;
     const Time *starts = segStart_.data() + resOff_[r];
@@ -455,7 +280,7 @@ Profile::resourceBlockPacked(int r, Units need, Time start,
 }
 
 void
-Profile::addUsagePacked(int r, Time start, Time end, Units delta)
+Profile::addUsage(int r, Time start, Time end, Units delta)
 {
     if (delta == 0 || start >= end)
         return;
@@ -486,9 +311,10 @@ Profile::addUsagePacked(int r, Time start, Time end, Units delta)
         --len;
     };
 
-    // Mirrors the legacy addUsage step for step (see above): ensure
-    // breakpoints at start and end, shift the covered levels, then
-    // restore canonical form at the two junctions.
+    // Ensure breakpoints at start and end (the tail keeps the old
+    // level), shift the covered levels, then restore canonical form
+    // at the two junctions. Interior junctions cannot collapse: both
+    // sides moved by the same delta.
     int32_t i = gallopLast(starts, len, start);
     if (starts[i] != start) {
         insert_at(i + 1, start, levels[i]);
@@ -510,10 +336,6 @@ Profile::addUsagePacked(int r, Time start, Time end, Units delta)
     resLen_[r] = len;
 }
 
-// ---------------------------------------------------------------
-// Public contract (dispatches on the layout).
-// ---------------------------------------------------------------
-
 bool
 Profile::fits(const Mode &mode, Time start) const
 {
@@ -522,18 +344,16 @@ Profile::fits(const Mode &mode, Time start) const
         return false;
     if (mode.duration == 0)
         return true;
-    if (!packed_)
-        return fitsLegacy(mode, start);
     Time end = start + mode.duration;
     if (mode.group != kNoGroup &&
-        groupBlockPacked(mode.group, start, end) >= 0)
+        groupBlock(mode.group, start, end) >= 0)
         return false;
     const Units *units;
     const int32_t *nz;
     int32_t nnz;
     modeRow(mode, &units, &nz, &nnz);
     for (int32_t k = 0; k < nnz; ++k)
-        if (resourceBlockPacked(nz[k], units[nz[k]], start, end) >= 0)
+        if (resourceBlock(nz[k], units[nz[k]], start, end) >= 0)
             return false;
     return true;
 }
@@ -544,8 +364,6 @@ Profile::earliestStart(const Mode &mode, Time est) const
     hilp_assert(est >= 0);
     if (mode.duration == 0)
         return est <= horizon_ ? est : -1;
-    if (!packed_)
-        return earliestStartLegacy(mode, est);
 
     const int32_t *nz;
     const Units *limits;
@@ -557,13 +375,14 @@ Profile::earliestStart(const Mode &mode, Time est) const
     if (start + dur > horizon_)
         return -1;
 
-    // Monotone-cursor sweep. The candidate start only ever moves
-    // forward, so each resource's containing segment (and the group's
-    // first still-open interval) is located once at entry and then
-    // advanced in-place; a bump never re-searches from the front the
-    // way the legacy jump-scan does. The returned start is the least
-    // feasible one - independent of blocker iteration order - which
-    // keeps the two layouts bit-identical.
+    // Monotone-cursor sweep. No window that contains any step of a
+    // blocking interval or over-capacity segment can be feasible, so
+    // a bump restarts the scan directly after the whole blocker. The
+    // candidate start only ever moves forward, so each resource's
+    // containing segment (and the group's first still-open interval)
+    // is located once at entry and then advanced in-place; a bump
+    // never re-searches from the front. The returned start is the
+    // least feasible one - independent of blocker iteration order.
     const Time *gs = nullptr;
     const Time *ge = nullptr;
     int32_t glen = 0;
@@ -625,9 +444,8 @@ Profile::earliestStart(const Mode &mode, Time est) const
                     // Adaptive ordering: the binding resource (the
                     // shared power cap, typically) tends to bump
                     // again, so front-load it and spare the other
-                    // cursors. The returned start is unchanged -
-                    // the sweep's fixpoint is blocker-order
-                    // independent - so trees stay bit-identical.
+                    // cursors. The returned start is unchanged: the
+                    // sweep's fixpoint is blocker-order independent.
                     if (k != 0)
                         std::swap(sweepScratch_[0], sweepScratch_[k]);
                     break;
@@ -649,10 +467,6 @@ Profile::place(const Mode &mode, Time start)
     hilp_assert(start >= 0 && start + mode.duration <= horizon_);
     if (mode.duration == 0)
         return;
-    if (!packed_) {
-        placeLegacy(mode, start);
-        return;
-    }
     Time end = start + mode.duration;
     if (mode.group != kNoGroup) {
         const int g = mode.group;
@@ -678,7 +492,7 @@ Profile::place(const Mode &mode, Time start)
     int32_t nnz;
     modeRow(mode, &units, &nz, &nnz);
     for (int32_t k = 0; k < nnz; ++k)
-        addUsagePacked(nz[k], start, end, units[nz[k]]);
+        addUsage(nz[k], start, end, units[nz[k]]);
 }
 
 void
@@ -687,10 +501,6 @@ Profile::remove(const Mode &mode, Time start)
     hilp_assert(start >= 0 && start + mode.duration <= horizon_);
     if (mode.duration == 0)
         return;
-    if (!packed_) {
-        removeLegacy(mode, start);
-        return;
-    }
     Time end = start + mode.duration;
     if (mode.group != kNoGroup) {
         const int g = mode.group;
@@ -713,7 +523,7 @@ Profile::remove(const Mode &mode, Time start)
     int32_t nnz;
     modeRow(mode, &units, &nz, &nnz);
     for (int32_t k = 0; k < nnz; ++k)
-        addUsagePacked(nz[k], start, end, -units[nz[k]]);
+        addUsage(nz[k], start, end, -units[nz[k]]);
 }
 
 double
@@ -726,8 +536,6 @@ Units
 Profile::usageUnits(int r, Time step) const
 {
     hilp_assert(step >= 0 && step < horizon_);
-    if (!packed_)
-        return resources_[r][segmentAt(r, step)].level;
     const Time *starts = segStart_.data() + resOff_[r];
     return segLevel_[resOff_[r] +
                      gallopLast(starts, resLen_[r], step)];
@@ -737,13 +545,6 @@ bool
 Profile::groupBusy(int g, Time step) const
 {
     hilp_assert(step >= 0 && step < horizon_);
-    if (!packed_) {
-        const std::vector<Interval> &busy = groups_[g];
-        auto it = std::upper_bound(
-            busy.begin(), busy.end(), step,
-            [](Time s, const Interval &iv) { return s < iv.end; });
-        return it != busy.end() && it->start <= step;
-    }
     const Time *ivs = ivStart_.data() + grpOff_[g];
     const Time *ive = ivEnd_.data() + grpOff_[g];
     const int32_t len = grpLen_[g];

@@ -11,28 +11,18 @@
  * intervals/segments instead of advancing one step past each
  * conflicting step.
  *
- * Two memory layouts implement the same contract bit-for-bit:
- *
- *  - packed (the default): one structure-of-arrays slab — flat
- *    contiguous start[]/level[] arrays with per-resource offset
- *    ranges (groups likewise), searched with branch-light galloping,
- *    plus per-mode resource-unit rows precomputed once (keyed on
- *    Mode::id) so the hot earliestStart path never converts doubles.
- *  - legacy: the historical vector-of-vectors AoS layout, retained
- *    as the measured baseline for the solver_micro layout sweep and
- *    as a second differential oracle.
- *
- * Every query answers identically in both layouts (the blocker-jump
- * scan's result is independent of which blocker bumps it), so search
- * trees built on either are bit-identical — the layout choice is
- * purely a performance knob.
+ * The storage is one structure-of-arrays slab: flat contiguous
+ * start[]/level[] arrays with per-resource offset ranges (groups
+ * likewise), searched with branch-light galloping, plus per-mode
+ * resource-unit rows precomputed once (keyed on Mode::id) so the hot
+ * earliestStart path never converts doubles.
  *
  * Resource levels are held in scaled integer units (see toUnits),
  * so place()/remove() round-trips are *exact*: no floating-point
  * drift can accumulate across the millions of place/remove cycles a
  * branch-and-bound search performs. The same units are used by the
- * dense Timetable, which survives as the brute-force reference
- * implementation for differential tests.
+ * dense Timetable, the brute-force reference implementation the
+ * differential tests (tests/oracles) hold the Profile against.
  */
 
 #ifndef HILP_CP_PROFILE_HH
@@ -73,12 +63,8 @@ double fromUnits(Units units);
 class Profile
 {
   public:
-    /**
-     * Build an empty profile for the model's resources/groups.
-     * `packed` selects the SoA slab layout (default) over the legacy
-     * AoS one; results are identical either way.
-     */
-    explicit Profile(const Model &model, bool packed = true);
+    /** Build an empty profile for the model's resources/groups. */
+    explicit Profile(const Model &model);
 
     /**
      * Earliest start >= est at which the given mode fits: the whole
@@ -109,61 +95,27 @@ class Profile
     /** The model's horizon. */
     Time horizon() const { return horizon_; }
 
-    /** True when this profile uses the packed SoA slab layout. */
-    bool packedLayout() const { return packed_; }
-
     /** Breakpoints currently stored for resource r (diagnostics). */
     size_t breakpoints(int r) const
     {
-        return packed_ ? static_cast<size_t>(resLen_[r])
-                       : resources_[r].size();
+        return static_cast<size_t>(resLen_[r]);
     }
 
     /** Busy intervals currently stored for group g (diagnostics). */
     size_t intervals(int g) const
     {
-        return packed_ ? static_cast<size_t>(grpLen_[g])
-                       : groups_[g].size();
+        return static_cast<size_t>(grpLen_[g]);
     }
 
     /**
-     * Heap bytes currently committed to occupancy storage (slab or
-     * vector capacities). Sampled around a search, the growth is the
+     * Heap bytes currently committed to occupancy storage (the slab
+     * capacities). Sampled around a search, the growth is the
      * profile's contribution to scratch allocation — near zero in
-     * steady state for both layouts.
+     * steady state.
      */
     size_t heapBytes() const;
 
   private:
-    /**
-     * One piece of a piecewise-constant usage function: `level`
-     * holds from `start` until the next segment's start (or the
-     * horizon for the last segment). Invariants: segments are sorted,
-     * the first always starts at 0, and adjacent segments have
-     * different levels (canonical form), so an exact place/remove
-     * round-trip restores the identical representation.
-     */
-    struct Segment
-    {
-        Time start;
-        Units level;
-    };
-
-    /** A busy interval [start, end) of a disjunctive group. */
-    struct Interval
-    {
-        Time start;
-        Time end;
-    };
-
-    // -- Legacy (AoS) helpers. ------------------------------------
-
-    /** Index of the segment of resource r containing step. */
-    size_t segmentAt(int r, Time step) const;
-
-    /** Add delta to resource r over [start, end), keeping canon. */
-    void addUsage(int r, Time start, Time end, Units delta);
-
     /**
      * First candidate start after a group conflict in [start, end):
      * the end of the first busy interval of g intersecting the
@@ -178,18 +130,13 @@ class Profile
      */
     Time resourceBlock(int r, Units need, Time start, Time end) const;
 
-    Time earliestStartLegacy(const Mode &mode, Time est) const;
-    bool fitsLegacy(const Mode &mode, Time start) const;
-    void placeLegacy(const Mode &mode, Time start);
-    void removeLegacy(const Mode &mode, Time start);
-
-    // -- Packed (SoA slab) helpers. -------------------------------
-
-    /** Same contracts as the legacy helpers, on the flat slab. */
-    Time groupBlockPacked(int g, Time start, Time end) const;
-    Time resourceBlockPacked(int r, Units need, Time start,
-                             Time end) const;
-    void addUsagePacked(int r, Time start, Time end, Units delta);
+    /**
+     * Add delta to resource r over [start, end). A resource's
+     * segments stay canonical: sorted, the first starting at 0, and
+     * adjacent levels distinct, so an exact place/remove round-trip
+     * restores the identical representation.
+     */
+    void addUsage(int r, Time start, Time end, Units delta);
 
     /** Grow resource r's slab region (rebuilds the slab). */
     void growResource(int r);
@@ -215,9 +162,8 @@ class Profile
 
     const Model &model_;
     Time horizon_;
-    bool packed_;
 
-    /** Per-resource capacity in units (both layouts). */
+    /** Per-resource capacity in units. */
     std::vector<Units> capUnits_;
     /** Scratch: per-resource units for id-less modes. */
     mutable std::vector<Units> unitsScratch_;
@@ -242,15 +188,12 @@ class Profile
     /** Scratch: earliestStart's active sweep cursors. */
     mutable std::vector<SweepCursor> sweepScratch_;
 
-    // Legacy layout.
-    /** resources_[r]: canonical sorted segments covering [0, horizon). */
-    std::vector<std::vector<Segment>> resources_;
-    /** groups_[g]: sorted, disjoint busy intervals. */
-    std::vector<std::vector<Interval>> groups_;
-
-    // Packed layout: one slab per array family, with per-resource
-    // (per-group) offset/length/capacity ranges. Regions grow by
-    // doubling, which rebuilds the slab — rare after warm-up.
+    // One slab per array family, with per-resource (per-group)
+    // offset/length/capacity ranges. Within a resource's range,
+    // segment i holds level segLevel_[i] from segStart_[i] until the
+    // next segment's start (or the horizon); a group's busy
+    // intervals [ivStart_, ivEnd_) are sorted and disjoint. Regions
+    // grow by doubling, which rebuilds the slab — rare after warm-up.
     std::vector<int32_t> resOff_, resLen_, resCap_;
     std::vector<Time> segStart_;
     std::vector<Units> segLevel_;

@@ -405,8 +405,8 @@ makeEnergeticPropagator(const Model &model)
     return std::make_unique<EnergeticPropagator>(model);
 }
 
-PropagationEngine::PropagationEngine(const Model &model, bool packed)
-    : profile_(model, packed),
+PropagationEngine::PropagationEngine(const Model &model)
+    : profile_(model),
       trail_(&stateArena_),
       queue_(&stateArena_)
 {}

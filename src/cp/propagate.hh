@@ -5,7 +5,7 @@
  * with trail-based exact undo.
  *
  * Historically the branch-and-bound search fused all of its bound and
- * feasibility reasoning into the recursion (Searcher::nodeBound):
+ * feasibility reasoning into the recursion (one nodeBound pass):
  * resource-energy accounting, disjunctive-group load, and the
  * critical-path pass were inlined and hand-undone on backtrack. This
  * layer extracts each rule into a Propagator:
@@ -139,8 +139,7 @@ std::unique_ptr<Propagator> makeEnergeticPropagator(const Model &model);
 class PropagationEngine
 {
   public:
-    /** `packed` selects the Profile layout (see Profile). */
-    explicit PropagationEngine(const Model &model, bool packed = true);
+    explicit PropagationEngine(const Model &model);
 
     /** Register a propagator (fixpoint runs them in add order). */
     void add(std::unique_ptr<Propagator> propagator);

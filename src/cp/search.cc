@@ -1,17 +1,26 @@
 #include "search.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
+#include <limits>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "bounds.hh"
 #include "nogood.hh"
-#include "parallel_search.hh"
 #include "profile.hh"
 #include "propagate.hh"
 #include "support/arena.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "support/str.hh"
 #include "support/trace.hh"
 
 namespace hilp {
@@ -21,105 +30,528 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Sentinel "no bound known" value (empty aggregator). */
+constexpr Time kInfTime = std::numeric_limits<Time>::max();
+
+/** Default frontier split depth when SearchLimits::splitDepth is 0. */
+constexpr int kAutoSplitDepth = 4;
+
 /**
- * With tracing enabled, one progress instant is emitted per this
- * many search nodes (power of two) so the timeline shows how deep
- * into the tree the search is without an event per node.
+ * Local nodes between checks of the shared node/time budgets. The
+ * global node counter advances in these increments, so opportunistic
+ * searches may overshoot maxNodes by up to threads * kBudgetBatch
+ * nodes. Private budgets (one thread, deterministic crews) are exact.
  */
+constexpr int64_t kBudgetBatch = 64;
+
+/** Nodes between wall-clock polls of a private budget (power of 2). */
+constexpr int64_t kClockPoll = 1024;
+
+/** One trace instant per this many local nodes (power of two). */
 constexpr int64_t kNodeTraceSample = 8192;
 
+/** Starved-worker polls before parking on the condition variable. */
+constexpr int kIdleSpinIters = 64;
+
+/** Parked-wait backoff bounds (exponential doubling between). */
+constexpr int64_t kIdleSleepMinUs = 64;
+constexpr int64_t kIdleSleepMaxUs = 1024;
+
+/** One branching decision on the path from the root. */
+struct Decision
+{
+    int task;
+    int mode;
+    Time start;
+};
+
 /**
- * All mutable search state lives here. The search owns the branching
- * decisions (eligible set, assignment, branch order); everything
- * about bounds and feasibility is delegated to the propagation
- * engine, which runs its propagators to fixpoint per node and
- * unwinds placements exactly through its trail.
+ * A subtree of the search, identified by its decision prefix, plus a
+ * certified lower bound on the makespan of every schedule inside it.
  */
-class Searcher
+struct Subproblem
+{
+    std::vector<Decision> prefix;
+    Time bound = 0;
+};
+
+/**
+ * The globally best schedule. The makespan is a lock-free atomic so
+ * every pruning test is one acquire load; the schedule itself is
+ * published under a mutex by whichever worker wins the CAS, so the
+ * stored schedule always matches the lowest makespan published so
+ * far.
+ */
+class SharedIncumbent
 {
   public:
-    Searcher(const Model &model, const ScheduleVec *warm_start,
-             const SearchLimits &limits)
-        : model_(model),
-          limits_(limits),
-          engine_(model, limits.packedLayout),
-          packed_(limits.packedLayout),
-          cp_(criticalPathData(model)),
-          startTime_(Clock::now())
+    SharedIncumbent(Time initial_ub, const ScheduleVec *warm)
+        : ub_(initial_ub)
     {
-        engine_.add(makeTimetablePropagator(model));
-        engine_.add(makeDisjunctivePropagator(model));
-        engine_.add(makePrecedencePropagator(model));
-        if (limits.energeticReasoning)
-            engine_.add(makeEnergeticPropagator(model));
-
-        const int n = model.numTasks();
-        if (!packed_) {
-            // Legacy path: per-depth preallocated scratch frames, so
-            // a node never allocates either. Depth never exceeds the
-            // task count.
-            size_t max_modes = 1;
-            for (int t = 0; t < n; ++t)
-                max_modes = std::max(max_modes,
-                                     model.task(t).modes.size());
-            frames_.resize(static_cast<size_t>(n) + 1);
-            for (Frame &frame : frames_) {
-                frame.tasks.reserve(static_cast<size_t>(n));
-                frame.options.reserve(max_modes);
-            }
-        }
-        assign_.assign(n, Assignment{});
-        end_.assign(n, 0);
-        est_.assign(n, 0);
-        remainingPreds_.assign(n, 0);
-        for (int t = 0; t < n; ++t) {
-            remainingPreds_[t] =
-                static_cast<int>(model.predecessors(t).size()) +
-                static_cast<int>(model.lagPredecessors(t).size());
-        }
-        eligiblePos_.assign(n, -1);
-        for (int t = 0; t < n; ++t)
-            if (remainingPreds_[t] == 0)
-                addEligible(t);
-
-        if (limits.useNogoods)
-            nogoods_.reset(new NogoodStore(limits.nogoodCapacity));
-
-        ub_ = model.horizon() + 1;
-        if (warm_start) {
-            result_.foundSolution = true;
-            result_.best = *warm_start;
-            result_.bestMakespan = warm_start->makespan(model);
-            ub_ = result_.bestMakespan;
+        if (warm) {
+            best_ = *warm;
+            warmStarted_ = true;
         }
     }
 
-    SearchResult
-    run()
+    Time ub() const { return ub_.load(std::memory_order_acquire); }
+
+    bool
+    found() const
     {
-        trace::Span span("cp.search",
-                         trace::Arg::intArg("tasks", model_.numTasks()));
-        // Heap growth across the tree walk is the search's true
-        // scratch-allocation cost: everything committed up front
-        // (frames, slabs, arena warm-up) is excluded, so a steady
-        // state of zero reports as zero.
-        int64_t scratch_before = scratchHeapBytes();
-        if (gapReached())
-            stop_ = true;
-        else
-            dfs(0);
-        result_.exhausted = !stop_ && !limitHit_;
-        result_.propagators = engine_.stats();
-        result_.scratchBytes = scratchHeapBytes() - scratch_before;
-        result_.arenaHighWater = static_cast<int64_t>(
+        return warmStarted_ ||
+               improvements_.load(std::memory_order_acquire) > 0;
+    }
+
+    int64_t
+    improvements() const
+    {
+        return improvements_.load(std::memory_order_acquire);
+    }
+
+    /**
+     * Install a strictly better incumbent. Returns false when a
+     * concurrent offer is at least as good.
+     */
+    bool
+    offer(Time makespan, const std::vector<Assignment> &assign)
+    {
+        Time cur = ub_.load(std::memory_order_relaxed);
+        while (makespan < cur) {
+            if (!ub_.compare_exchange_weak(cur, makespan,
+                                           std::memory_order_acq_rel))
+                continue;
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                // Two winning CAS-es can publish out of order; keep
+                // the schedule matching the lowest makespan.
+                if (!published_ || makespan < publishedMakespan_) {
+                    best_.tasks = assign;
+                    publishedMakespan_ = makespan;
+                    published_ = true;
+                }
+            }
+            improvements_.fetch_add(1, std::memory_order_acq_rel);
+            return true;
+        }
+        return false;
+    }
+
+    /** The best schedule. Only call after the workers have joined. */
+    const ScheduleVec &best() const { return best_; }
+
+  private:
+    std::atomic<Time> ub_;
+    std::atomic<int64_t> improvements_{0};
+    std::mutex mutex_;
+    ScheduleVec best_;
+    Time publishedMakespan_ = 0;
+    bool published_ = false;
+    bool warmStarted_ = false;
+};
+
+/**
+ * Multiset of the lower bounds of every queued or in-flight
+ * subproblem. Its minimum is a certified lower bound on anything the
+ * remaining search can still find, so
+ * max(externalLB, min(incumbent, min())) is a sound global lower
+ * bound for the targetGap stop — typically much tighter than the
+ * external bound alone once the easy subtrees finish. Operations are
+ * per-subproblem (coarse), so the mutex sees little contention.
+ */
+class BoundAggregator
+{
+  public:
+    void
+    add(Time bound)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        bounds_.insert(bound);
+    }
+
+    void
+    remove(Time bound)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = bounds_.find(bound);
+        hilp_assert(it != bounds_.end());
+        bounds_.erase(it);
+    }
+
+    /** Smallest registered bound, or kInfTime when none remain. */
+    Time
+    min() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return bounds_.empty() ? kInfTime : *bounds_.begin();
+    }
+
+  private:
+    mutable std::mutex mutex_;
+    std::multiset<Time> bounds_;
+};
+
+/**
+ * A per-worker deque with the Chase–Lev ownership discipline: the
+ * owner pushes and pops at the bottom (depth-first order), thieves
+ * take half from the top — the shallowest prefixes, i.e. the largest
+ * subtrees. Guarded by a mutex: subproblems are coarse (a worker
+ * touches the deque once per subtree, not per node), so lock traffic
+ * is negligible next to the search itself.
+ */
+class WorkDeque
+{
+  public:
+    void
+    push(Subproblem &&sub)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        queue_.push_back(std::move(sub));
+    }
+
+    bool
+    pop(Subproblem *out)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (queue_.empty())
+            return false;
+        *out = std::move(queue_.back());
+        queue_.pop_back();
+        return true;
+    }
+
+    /** Move the top half (at least one) of the deque into *out. */
+    size_t
+    steal(std::vector<Subproblem> *out)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        size_t take = (queue_.size() + 1) / 2;
+        for (size_t i = 0; i < take; ++i) {
+            out->push_back(std::move(queue_.front()));
+            queue_.pop_front();
+        }
+        return take;
+    }
+
+  private:
+    std::mutex mutex_;
+    std::deque<Subproblem> queue_;
+};
+
+/** Everything the workers share. */
+struct Shared
+{
+    const Model &model;
+    const SearchLimits &limits;
+    int threads;
+    /**
+     * Workers steal subproblems and prune against the shared
+     * incumbent (threads >= 2, not deterministic). Otherwise every
+     * worker keeps a private incumbent, private no-goods, and an
+     * exact node budget.
+     */
+    bool opportunistic;
+    CriticalPathData cp;
+    SharedIncumbent incumbent;
+    BoundAggregator aggregator;
+    /** One per opportunistic worker; empty in the other modes. */
+    std::vector<WorkDeque> deques;
+    Clock::time_point startTime;
+    int splitDepth;
+    /**
+     * Spill children once `pending` (queued + in-flight) drops below
+     * this. With some worker idle, in-flight == threads - idle, so
+     * the condition fires when fewer subproblems queue than workers
+     * starve.
+     */
+    int64_t lowWater;
+
+    /**
+     * Subproblems queued on any deque *or* claimed and still being
+     * processed. A claimed subproblem stays counted until process()
+     * returns, so once this counter reads 0 no unexplored work can
+     * exist anywhere: new subproblems are only published from inside
+     * process() (whose own subproblem is still counted), which makes
+     * 0 an absorbing state and a single acquire load of it a sound
+     * termination test — no multi-variable snapshot needed.
+     */
+    std::atomic<int64_t> pending{0};
+    /**
+     * Workers currently looking for work. Drives the spill
+     * heuristic only; termination rests on `pending` alone.
+     */
+    std::atomic<int> idle{0};
+    /** The target gap was reached; everyone unwinds. */
+    std::atomic<bool> gapStop{false};
+    /** A node or wall-clock budget was hit; everyone unwinds. */
+    std::atomic<bool> limitHit{false};
+    /** All subproblems are done and every worker is idle. */
+    std::atomic<bool> allDone{false};
+    /** Batched global node count for budget checks. */
+    std::atomic<int64_t> nodesApprox{0};
+
+    /**
+     * No-good store shared by the opportunistic workers (a recorded
+     * bound is valid for every worker: it is certified either by
+     * propagation or against the shared incumbent, which only
+     * decreases — see nogood.hh). Null when disabled and for
+     * private-incumbent workers, which keep private stores so their
+     * node counts stay reproducible.
+     */
+    std::unique_ptr<NogoodStore> nogoods;
+
+    /** Parking lot for starving workers (see Worker::waitForWork). */
+    std::mutex waitMutex;
+    std::condition_variable waitCv;
+
+    /**
+     * Wake parked workers: new work was published or a stop flag was
+     * set. The empty critical section serializes with a waiter
+     * between its predicate check and its wait, so a notification
+     * cannot fall into that gap; the timed wait bounds the cost of
+     * any race this cheap handshake still leaves.
+     */
+    void
+    wake()
+    {
+        { std::lock_guard<std::mutex> lock(waitMutex); }
+        waitCv.notify_all();
+    }
+
+    Shared(const Model &model_in, const SearchLimits &limits_in,
+           Time initial_ub, const ScheduleVec *warm, int threads_in)
+        : model(model_in),
+          limits(limits_in),
+          threads(threads_in),
+          opportunistic(threads_in > 1 && !limits_in.deterministic),
+          cp(criticalPathData(model_in)),
+          incumbent(initial_ub, warm),
+          deques(opportunistic ? static_cast<size_t>(threads_in) : 0),
+          startTime(Clock::now()),
+          splitDepth(limits_in.splitDepth > 0 ? limits_in.splitDepth
+                                              : kAutoSplitDepth),
+          lowWater(threads_in)
+    {
+        if (limits_in.useNogoods && opportunistic)
+            nogoods.reset(new NogoodStore(limits_in.nogoodCapacity));
+    }
+
+    /** True once the wall-clock budget or the deadline has passed. */
+    bool
+    expired() const
+    {
+        Clock::time_point now = Clock::now();
+        return now >= limits.deadline ||
+               std::chrono::duration<double>(now - startTime).count() >=
+                   limits.maxSeconds;
+    }
+};
+
+/**
+ * True when an incumbent of makespan `ub` already satisfies the
+ * target gap against the external lower bound.
+ */
+bool
+gapReached(Time ub, const SearchLimits &limits)
+{
+    if (limits.targetGap <= 0.0)
+        return false;
+    if (ub <= 0)
+        return true;
+    double gap = static_cast<double>(ub - limits.lowerBound) /
+                 static_cast<double>(ub);
+    return gap <= limits.targetGap;
+}
+
+/**
+ * One worker: a private propagation engine plus the branching state,
+ * driven from the root (single thread), by the shared deques
+ * (opportunistic mode), or by a statically assigned slice of the
+ * frontier (deterministic mode). Every mode branches through the same
+ * dfs(), so the union of the subtrees covers the same schedule space
+ * and the returned optima agree (the differential test in
+ * tests/cp/test_parallel_search.cc holds this).
+ */
+class Worker
+{
+  public:
+    Worker(Shared &shared, int id)
+        : shared_(shared),
+          model_(shared.model),
+          limits_(shared.limits),
+          id_(id),
+          private_(!shared.opportunistic),
+          n_(shared.model.numTasks()),
+          engine_(shared.model)
+    {
+        engine_.add(makeTimetablePropagator(model_));
+        engine_.add(makeDisjunctivePropagator(model_));
+        engine_.add(makePrecedencePropagator(model_));
+        if (limits_.energeticReasoning)
+            engine_.add(makeEnergeticPropagator(model_));
+
+        assign_.assign(n_, Assignment{});
+        end_.assign(n_, 0);
+        est_.assign(n_, 0);
+        remainingPreds_.assign(n_, 0);
+        for (int t = 0; t < n_; ++t) {
+            remainingPreds_[t] =
+                static_cast<int>(model_.predecessors(t).size()) +
+                static_cast<int>(model_.lagPredecessors(t).size());
+        }
+        eligiblePos_.assign(n_, -1);
+        for (int t = 0; t < n_; ++t)
+            if (remainingPreds_[t] == 0)
+                addEligible(t);
+        path_.reserve(static_cast<size_t>(n_));
+
+        privUb_ = shared.incumbent.ub();
+        privFound_ = shared.incumbent.found();
+        nodeBudget_ = limits_.maxNodes;
+
+        if (shared.nogoods) {
+            nogoods_ = shared.nogoods.get();
+        } else if (limits_.useNogoods) {
+            // A private store keeps this worker's pruning a function
+            // of its own tree (or frontier slice) only.
+            privateNogoods_.reset(
+                new NogoodStore(limits_.nogoodCapacity));
+            nogoods_ = privateNogoods_.get();
+        }
+        scratchBaseline_ = scratchHeapBytes();
+    }
+
+    // -- Telemetry, read by the driver after the join. ------------
+    int64_t nodes() const { return nodes_; }
+    int64_t backtracks() const { return backtracks_; }
+    int64_t solutions() const { return solutions_; }
+    int64_t steals() const { return steals_; }
+    int64_t published() const { return published_; }
+    int64_t nogoodHits() const { return nogoodHits_; }
+    int64_t nogoodsRecorded() const { return nogoodsRecorded_; }
+    std::vector<PropagatorStats> propagators() const
+    { return engine_.stats(); }
+
+    /** Scratch heap growth since construction (steady state: 0). */
+    int64_t scratchBytes() const
+    { return scratchHeapBytes() - scratchBaseline_; }
+
+    int64_t arenaHighWater() const
+    {
+        return static_cast<int64_t>(
             nodeArena_.highWater() +
             engine_.stateArena().highWater());
-        result_.arenaRewinds = nodeArena_.rewinds() +
-                               engine_.stateArena().rewinds();
-        span.arg(trace::Arg::intArg("nodes", result_.nodes));
-        span.arg(trace::Arg::intArg("backtracks", result_.backtracks));
-        flushMetrics();
-        return result_;
+    }
+
+    int64_t arenaRewinds() const
+    {
+        return nodeArena_.rewinds() +
+               engine_.stateArena().rewinds();
+    }
+
+    int64_t arenaHeapBytes() const
+    {
+        return static_cast<int64_t>(
+            nodeArena_.heapBytes() +
+            engine_.stateArena().heapBytes());
+    }
+
+    // -- Private incumbent (single-thread and deterministic). -----
+    bool privateFound() const { return privFound_; }
+    Time privateUb() const { return privUb_; }
+    const ScheduleVec &privateBest() const { return privBest_; }
+    ptrdiff_t privateBestSub() const { return privBestSub_; }
+    bool stoppedOnGap() const { return localStop_; }
+    bool stoppedOnLimit() const { return localLimit_; }
+
+    /** Seed the private incumbent (deterministic worker startup). */
+    void
+    seedPrivate(Time ub, bool found)
+    {
+        privUb_ = ub;
+        privFound_ = found;
+    }
+
+    /** Cap this worker's node count (deterministic budgeting). */
+    void setNodeBudget(int64_t budget) { nodeBudget_ = budget; }
+
+    /** Single-thread mode: search the whole tree from the root. */
+    void
+    searchFromRoot()
+    {
+        dfs(0, std::max<Time>(0, limits_.lowerBound));
+    }
+
+    /**
+     * Serially enumerate the frontier at exactly `depth`: run the
+     * search from the root, but capture every surviving node with
+     * `depth` placements as a subproblem instead of descending into
+     * it. Complete schedules above the frontier become (private)
+     * incumbents. Returns with the worker back at the root state.
+     */
+    void
+    generateFrontier(int depth, std::vector<Subproblem> *out)
+    {
+        collect_ = out;
+        collectDepth_ = depth;
+        searchFromRoot();
+        collect_ = nullptr;
+    }
+
+    /** Opportunistic mode: pop, steal, search, spill, repeat. */
+    void
+    runOpportunistic()
+    {
+        trace::Span span("cp.search.worker",
+                         trace::Arg::intArg("worker", id_));
+        while (!abortRequested()) {
+            Subproblem sub;
+            if (shared_.deques[id_].pop(&sub)) {
+                process(sub);
+                continue;
+            }
+            if (trySteal(&sub)) {
+                process(sub);
+                continue;
+            }
+            if (!waitForWork(&sub))
+                break;
+            process(sub);
+        }
+        // Flush the node-count remainder of the last batch.
+        shared_.nodesApprox.fetch_add(nodes_ & (kBudgetBatch - 1),
+                                      std::memory_order_relaxed);
+        span.arg(trace::Arg::intArg("nodes", nodes_));
+        span.arg(trace::Arg::intArg("steals", steals_));
+    }
+
+    /**
+     * Deterministic mode: process frontier[i] for every
+     * i == id (mod threads), in index order, against the private
+     * incumbent only.
+     */
+    void
+    runDeterministic(const std::vector<Subproblem> &frontier)
+    {
+        trace::Span span("cp.search.worker",
+                         trace::Arg::intArg("worker", id_));
+        for (size_t i = static_cast<size_t>(id_);
+             i < frontier.size();
+             i += static_cast<size_t>(shared_.threads)) {
+            if (localStop_ || localLimit_)
+                break;
+            // Poll the wall-clock budgets between subproblems too:
+            // nodeAdmission only polls every kClockPoll nodes
+            // *inside* a subtree, so a frontier of cheap subproblems
+            // could otherwise coast past the deadline.
+            if (shared_.expired()) {
+                localLimit_ = true;
+                break;
+            }
+            curSub_ = static_cast<ptrdiff_t>(i);
+            process(frontier[i]);
+        }
+        span.arg(trace::Arg::intArg("nodes", nodes_));
     }
 
   private:
@@ -147,100 +579,111 @@ class Searcher
         eligiblePos_[t] = -1;
     }
 
-    /** True when the incumbent already satisfies the target gap. */
-    bool
-    gapReached() const
+    /**
+     * Commit one decision: the engine updates the profile, every
+     * propagator's incremental state, and the trail.
+     */
+    Time
+    apply(const Decision &d)
     {
-        if (!result_.foundSolution || limits_.targetGap <= 0.0)
-            return false;
-        if (result_.bestMakespan <= 0)
-            return true;
-        double gap =
-            static_cast<double>(result_.bestMakespan - limits_.lowerBound) /
-            static_cast<double>(result_.bestMakespan);
-        return gap <= limits_.targetGap;
+        const Mode &mode = model_.task(d.task).modes[
+            static_cast<size_t>(d.mode)];
+        engine_.place(d.task, mode, d.start);
+        assign_[d.task] = {d.mode, d.start};
+        end_[d.task] = d.start + mode.duration;
+        hash_ ^= nogoodCode(d.task, d.mode, d.start);
+        ++scheduled_;
+        removeEligible(d.task);
+        for (int s : model_.successors(d.task))
+            if (--remainingPreds_[s] == 0)
+                addEligible(s);
+        path_.push_back(d);
+        return end_[d.task];
     }
 
-    /** Periodically poll the wall-clock and node budgets. */
-    bool
-    limitsExceeded()
+    void
+    undo()
     {
-        if (result_.nodes >= limits_.maxNodes) {
-            limitHit_ = true;
-            return true;
+        hilp_assert(!path_.empty());
+        const Decision &d = path_.back();
+        int t = d.task;
+        hash_ ^= nogoodCode(d.task, d.mode, d.start);
+        path_.pop_back();
+        for (int s : model_.successors(t))
+            if (remainingPreds_[s]++ == 0)
+                removeEligible(s);
+        addEligible(t);
+        --scheduled_;
+        assign_[t] = Assignment{};
+        end_[t] = 0;
+        engine_.undo();
+    }
+
+    /** The upper bound this worker prunes against right now. */
+    Time
+    currentUb() const
+    {
+        return private_ ? privUb_ : shared_.incumbent.ub();
+    }
+
+    bool
+    abortRequested() const
+    {
+        if (private_)
+            return localStop_ || localLimit_;
+        return shared_.gapStop.load(std::memory_order_relaxed) ||
+               shared_.limitHit.load(std::memory_order_relaxed) ||
+               shared_.allDone.load(std::memory_order_relaxed);
+    }
+
+    /**
+     * Per-node accounting: counts the node and checks the node and
+     * wall-clock budgets. Returns true when the search must unwind.
+     */
+    bool
+    nodeAdmission()
+    {
+        ++nodes_;
+        if (trace::enabled() &&
+            (nodes_ & (kNodeTraceSample - 1)) == 0)
+            trace::instant("cp.nodes",
+                           trace::Arg::intArg("nodes", nodes_));
+        if (private_) {
+            // A private budget is exact: the node count is checked on
+            // every node, so a run stops at precisely its budget.
+            if (nodes_ >= nodeBudget_ ||
+                ((nodes_ & (kClockPoll - 1)) == 0 && shared_.expired()))
+                localLimit_ = true;
+            return localStop_ || localLimit_;
         }
-        if ((result_.nodes & 1023) == 0) {
-            Clock::time_point now = Clock::now();
-            double elapsed = std::chrono::duration<double>(
-                now - startTime_).count();
-            if (elapsed >= limits_.maxSeconds ||
-                now >= limits_.deadline) {
-                limitHit_ = true;
-                return true;
+        if ((nodes_ & (kBudgetBatch - 1)) == 0) {
+            int64_t global = shared_.nodesApprox.fetch_add(
+                kBudgetBatch, std::memory_order_relaxed) +
+                kBudgetBatch;
+            if (global >= limits_.maxNodes || shared_.expired()) {
+                shared_.limitHit.store(true,
+                                       std::memory_order_relaxed);
+                shared_.wake();
             }
         }
-        return false;
+        return abortRequested();
     }
 
-    /**
-     * Flush per-search totals into the process-wide metrics registry.
-     * Done once per run (not per node) so metrics collection costs
-     * nothing measurable on the search hot path.
-     */
+    /** A complete schedule: offer it as the new incumbent. */
     void
-    flushMetrics()
+    offer(Time makespan)
     {
-        metrics::counter("cp.search.nodes").add(result_.nodes);
-        metrics::counter("cp.search.backtracks").add(result_.backtracks);
-        metrics::counter("cp.search.solutions").add(result_.solutions);
-        int64_t invocations = 0;
-        int64_t prunings = 0;
-        for (const PropagatorStats &stats : result_.propagators) {
-            invocations += stats.invocations;
-            prunings += stats.prunings;
+        if (private_) {
+            if (privFound_ && makespan >= privUb_)
+                return;
+            privUb_ = makespan;
+            privFound_ = true;
+            privBest_.tasks = assign_;
+            privBestSub_ = curSub_;
+        } else if (!shared_.incumbent.offer(makespan, assign_)) {
+            return;
         }
-        metrics::counter("cp.propagations").add(invocations);
-        metrics::counter("cp.prunings").add(prunings);
-        if (nogoods_) {
-            metrics::counter("cp.nogood.hits").add(result_.nogoodHits);
-            metrics::counter("cp.nogood.recorded")
-                .add(result_.nogoodsRecorded);
-        }
-        metrics::gauge("hilp.arena.bytes").set(static_cast<double>(
-            nodeArena_.heapBytes() +
-            engine_.stateArena().heapBytes()));
-        metrics::gauge("hilp.arena.highwater").set(
-            static_cast<double>(result_.arenaHighWater));
-        metrics::counter("hilp.arena.rewinds")
-            .add(result_.arenaRewinds);
-    }
-
-    /**
-     * Heap bytes currently committed to search scratch: the node and
-     * engine-state arenas, the profile's occupancy storage, and (on
-     * the legacy path) the per-depth frames.
-     */
-    int64_t
-    scratchHeapBytes() const
-    {
-        size_t bytes = nodeArena_.heapBytes() +
-                       engine_.stateArena().heapBytes() +
-                       engine_.profile().heapBytes();
-        for (const Frame &frame : frames_) {
-            bytes += frame.tasks.capacity() * sizeof(int);
-            bytes += frame.options.capacity() * sizeof(Option);
-        }
-        return static_cast<int64_t>(bytes);
-    }
-
-    void
-    recordIncumbent(Time makespan)
-    {
-        result_.foundSolution = true;
-        result_.best.tasks = assign_;
-        result_.bestMakespan = makespan;
-        ub_ = makespan;
-        ++result_.solutions;
+        ++solutions_;
         if (trace::enabled()) {
             double gap = makespan > 0
                 ? static_cast<double>(makespan - limits_.lowerBound) /
@@ -250,71 +693,147 @@ class Searcher
                            trace::Arg::intArg("makespan", makespan),
                            trace::Arg::numArg("gap", gap));
         }
-        if (gapReached())
-            stop_ = true;
+        if (!private_)
+            sharedGapCheck();
+        else if (privateGapReached())
+            localStop_ = true;
     }
 
-    void
-    dfs(Time makespan)
+    /** Target-gap test of the private incumbent (external bound). */
+    bool
+    privateGapReached() const
     {
-        ++result_.nodes;
-        if ((result_.nodes & (kNodeTraceSample - 1)) == 0)
-            TRACE_INSTANT("cp.nodes",
-                          trace::Arg::intArg("nodes", result_.nodes));
-        if (stop_ || limitsExceeded())
+        return privFound_ && gapReached(privUb_, limits_);
+    }
+
+    /**
+     * Opportunistic targetGap stop against the aggregated global
+     * lower bound: the optimum is at least
+     * min(incumbent, min over remaining subtree bounds), and at
+     * least the external bound.
+     */
+    void
+    sharedGapCheck()
+    {
+        if (limits_.targetGap <= 0.0 ||
+            !shared_.incumbent.found())
             return;
-        const int n = model_.numTasks();
-        if (scheduled_ == n) {
-            recordIncumbent(makespan);
+        Time ub = shared_.incumbent.ub();
+        if (ub <= 0) {
+            shared_.gapStop.store(true, std::memory_order_relaxed);
+            shared_.wake();
+            return;
+        }
+        Time remaining = shared_.aggregator.min();
+        if (remaining == kInfTime)
+            return; // Everything explored; exhaustion handles it.
+        Time lb = std::max(limits_.lowerBound,
+                           std::min(ub, remaining));
+        double gap = static_cast<double>(ub - lb) /
+                     static_cast<double>(ub);
+        if (gap <= limits_.targetGap) {
+            shared_.gapStop.store(true, std::memory_order_relaxed);
+            shared_.wake();
+        }
+    }
+
+    /**
+     * Spill policy: publish children as stealable subproblems above
+     * the split depth, and anywhere while workers are starving.
+     */
+    bool
+    shouldSpill() const
+    {
+        if (private_)
+            return false;
+        if (scheduled_ < shared_.splitDepth)
+            return true;
+        return shared_.idle.load(std::memory_order_relaxed) > 0 &&
+               shared_.pending.load(std::memory_order_relaxed) <
+                   shared_.lowWater;
+    }
+
+    /** Publish one child of the current node onto the own deque. */
+    void
+    publish(const Decision &d, Time bound)
+    {
+        Subproblem sub;
+        sub.prefix.reserve(path_.size() + 1);
+        sub.prefix = path_;
+        sub.prefix.push_back(d);
+        sub.bound = bound;
+        shared_.aggregator.add(bound);
+        shared_.pending.fetch_add(1, std::memory_order_relaxed);
+        shared_.deques[id_].push(std::move(sub));
+        ++published_;
+        if (shared_.idle.load(std::memory_order_relaxed) > 0)
+            shared_.wake();
+    }
+
+    /**
+     * The search recursion: branch over the eligible tasks and their
+     * feasible options, capture the frontier (collect_) or spill
+     * children for stealing where the mode asks for it.
+     */
+    void
+    dfs(Time makespan, Time inherited_bound)
+    {
+        if (collect_ && scheduled_ == collectDepth_ &&
+            scheduled_ < n_) {
+            collect_->push_back(
+                Subproblem{path_, inherited_bound});
+            return;
+        }
+        if (nodeAdmission())
+            return;
+        if (scheduled_ == n_) {
+            offer(makespan);
             return;
         }
         // A recorded no-good proves every completion of this
         // placement set is >= its bound; prune when that cannot beat
-        // the incumbent.
+        // the incumbent this worker sees right now.
         if (nogoods_ && scheduled_ > 0) {
             Time known = nogoods_->lookup(hash_);
-            if (known != NogoodStore::kNoBound && known >= ub_) {
-                ++result_.nogoodHits;
+            if (known != NogoodStore::kNoBound &&
+                known >= currentUb()) {
+                ++nogoodHits_;
                 return;
             }
         }
-        PropagationContext ctx{model_, cp_, assign_, end_,
-                               makespan, limits_.lowerBound, ub_,
+        Time ub = currentUb();
+        PropagationContext ctx{model_, shared_.cp, assign_, end_,
+                               makespan, limits_.lowerBound, ub,
                                est_};
         Time node_bound = engine_.fixpoint(ctx);
-        if (node_bound >= ub_) {
-            // The propagators certified this bound against any
-            // completion of the placements, so it can be recorded.
-            if (nogoods_ && scheduled_ > 0) {
+        if (node_bound >= ub) {
+            // Certified by propagation alone. Skipped during
+            // frontier capture only to keep generation free of
+            // store-order effects.
+            if (nogoods_ && scheduled_ > 0 && !collect_) {
                 nogoods_->record(hash_, node_bound, scheduled_);
-                ++result_.nogoodsRecorded;
+                ++nogoodsRecorded_;
             }
             return;
         }
 
         // Branch over all eligible tasks, longest tail first. The
         // branch order and per-task option lists live in arena
-        // scratch released wholesale when the node unwinds (packed
-        // layout) or in this depth's preallocated frame (legacy
-        // layout) — either way no node allocates in steady state.
+        // scratch released wholesale when the node unwinds, so no
+        // node allocates in steady state.
         const size_t num_branch = eligible_.size();
-        support::Arena::Scope scope(packed_ ? &nodeArena_ : nullptr);
-        Frame *frame = packed_ ? nullptr : &frames_[scheduled_];
-        int *branch_tasks;
-        if (packed_) {
-            branch_tasks = nodeArena_.allocArray<int>(num_branch);
-        } else {
-            frame->tasks.resize(num_branch);
-            branch_tasks = frame->tasks.data();
-        }
+        support::Arena::Scope scope(nodeArena_);
+        int *branch_tasks = nodeArena_.allocArray<int>(num_branch);
         std::copy(eligible_.begin(), eligible_.end(), branch_tasks);
         std::sort(branch_tasks, branch_tasks + num_branch,
                   [this](int a, int b) {
-                      if (cp_.tail[a] != cp_.tail[b])
-                          return cp_.tail[a] > cp_.tail[b];
+                      if (shared_.cp.tail[a] != shared_.cp.tail[b])
+                          return shared_.cp.tail[a] >
+                                 shared_.cp.tail[b];
                       return a < b;
                   });
 
+        bool spill = shouldSpill();
         const Profile &profile = engine_.profile();
         for (size_t bi = 0; bi < num_branch; ++bi) {
             int t = branch_tasks[bi];
@@ -329,23 +848,19 @@ class Searcher
             const Task &task = model_.task(t);
             // Enumerate feasible (mode, start) options; sort by
             // completion time so promising branches go first.
-            Option *options;
-            if (packed_) {
-                options = nodeArena_.allocArray<Option>(
-                    task.modes.size());
-            } else {
-                frame->options.resize(task.modes.size());
-                options = frame->options.data();
-            }
+            Option *options =
+                nodeArena_.allocArray<Option>(task.modes.size());
             size_t num_options = 0;
-            Time tail_after = cp_.tail[t] - model_.minDuration(t);
+            Time tail_after =
+                shared_.cp.tail[t] - model_.minDuration(t);
+            ub = currentUb();
             for (size_t m = 0; m < task.modes.size(); ++m) {
                 const Mode &mode = task.modes[m];
                 Time start = profile.earliestStart(mode, est);
                 if (start < 0)
                     continue;
                 Time complete = start + mode.duration;
-                if (complete + tail_after >= ub_)
+                if (complete + tail_after >= ub)
                     continue; // Cannot beat the incumbent.
                 options[num_options++] =
                     {static_cast<int>(m), start, complete};
@@ -357,50 +872,140 @@ class Searcher
 
             for (size_t oi = 0; oi < num_options; ++oi) {
                 const Option &opt = options[oi];
-                const Mode &mode = task.modes[opt.mode];
-                // Apply: the engine updates the profile, every
-                // propagator's incremental state, and the trail.
-                engine_.place(t, mode, opt.start);
-                assign_[t] = {opt.mode, opt.start};
-                end_[t] = opt.complete;
-                hash_ ^= nogoodCode(t, opt.mode, opt.start);
-                ++scheduled_;
-                size_t eligible_size = eligible_.size();
-                removeEligible(t);
-                for (int s : model_.successors(t))
-                    if (--remainingPreds_[s] == 0)
-                        addEligible(s);
-
-                dfs(std::max(makespan, opt.complete));
-
-                // Undo.
-                for (int s : model_.successors(t))
-                    if (remainingPreds_[s]++ == 0)
-                        removeEligible(s);
-                addEligible(t);
-                hilp_assert(eligible_.size() == eligible_size);
-                --scheduled_;
-                hash_ ^= nogoodCode(t, opt.mode, opt.start);
-                assign_[t] = Assignment{};
-                end_[t] = 0;
-                engine_.undo();
-
-                if (stop_ || limitHit_)
+                Decision d{t, opt.mode, opt.start};
+                Time child_bound = std::max(
+                    node_bound,
+                    static_cast<Time>(opt.complete + tail_after));
+                if (spill) {
+                    publish(d, child_bound);
+                    continue;
+                }
+                apply(d);
+                dfs(std::max(makespan, opt.complete), child_bound);
+                undo();
+                if (abortRequested())
                     return;
-                // Re-check the prune: the incumbent may have improved.
-                if (opt.complete + tail_after >= ub_)
+                // Re-check the prune: the incumbent may have
+                // improved (here or on another worker).
+                if (opt.complete + tail_after >= currentUb())
                     break; // Options are completion-sorted.
             }
         }
-        // Fully explored (budget stops return early above): every
-        // completion of this placement set was enumerated or pruned
-        // against an incumbent >= the current one, and the incumbent
-        // only decreases, so "completions >= ub_" holds forever.
-        if (nogoods_ && scheduled_ > 0) {
-            nogoods_->record(hash_, ub_, scheduled_);
-            ++result_.nogoodsRecorded;
+        // Record only when this node's subtree was really explored:
+        // not when children were spilled for stealing or captured
+        // into a frontier, and not on a budget/gap unwind (those
+        // return early above). The bound is the incumbent at *this*
+        // moment; it only decreases afterwards, so the no-good stays
+        // valid for every other worker too.
+        if (nogoods_ && scheduled_ > 0 && !spill && !collect_) {
+            nogoods_->record(hash_, currentUb(), scheduled_);
+            ++nogoodsRecorded_;
         }
-        ++result_.backtracks;
+        ++backtracks_;
+    }
+
+    /** Replay a subproblem's prefix, search it, and unwind. */
+    void
+    process(const Subproblem &sub)
+    {
+        // `sub.bound >= currentUb()` means the subtree is already
+        // pruned by a better incumbent; otherwise search it.
+        if (sub.bound < currentUb()) {
+            Time makespan = 0;
+            for (const Decision &d : sub.prefix)
+                makespan = std::max(makespan, apply(d));
+            dfs(makespan, sub.bound);
+            for (size_t i = 0; i < sub.prefix.size(); ++i)
+                undo();
+        }
+        if (!private_) {
+            shared_.aggregator.remove(sub.bound);
+            // Only now does the subproblem leave the in-flight set:
+            // any children it spilled are already counted, so
+            // `pending` can never read 0 while work is unexplored.
+            shared_.pending.fetch_sub(1, std::memory_order_acq_rel);
+            sharedGapCheck();
+        }
+    }
+
+    /**
+     * Take the top half of some victim's deque: the extra
+     * subproblems queue locally, the first (shallowest, so largest)
+     * is returned for immediate processing.
+     */
+    bool
+    trySteal(Subproblem *out)
+    {
+        for (int i = 1; i < shared_.threads; ++i) {
+            int victim = (id_ + i) % shared_.threads;
+            std::vector<Subproblem> stolen;
+            if (shared_.deques[victim].steal(&stolen) == 0)
+                continue;
+            ++steals_;
+            *out = std::move(stolen.front());
+            for (size_t k = stolen.size(); k > 1; --k)
+                shared_.deques[id_].push(
+                    std::move(stolen[k - 1]));
+            return true;
+        }
+        return false;
+    }
+
+    /**
+     * Nothing to do right now: advertise idleness (spill heuristic)
+     * and wait until work appears or the tree is exhausted.
+     * `pending` counts claimed subproblems until their process()
+     * returns, so a single load of 0 proves completion — there is no
+     * idle-count handshake for a claim to race against. Waiting
+     * spins briefly, then parks on the shared condition variable
+     * with an exponentially growing timed wait (work can be
+     * in-flight on other workers with nothing stealable for long
+     * stretches, and burning a core on yield() would hold a
+     * ThreadBudget slot the sweep pool could use).
+     */
+    bool
+    waitForWork(Subproblem *out)
+    {
+        shared_.idle.fetch_add(1, std::memory_order_acq_rel);
+        bool got = false;
+        int spins = 0;
+        int64_t sleep_us = kIdleSleepMinUs;
+        while (!abortRequested()) {
+            if (shared_.pending.load(std::memory_order_acquire) ==
+                0) {
+                shared_.allDone.store(true,
+                                      std::memory_order_release);
+                shared_.wake();
+                break;
+            }
+            // Poll the wall-clock budgets while starving: a parked
+            // worker otherwise only learns of the deadline from a
+            // busy worker's nodeAdmission, and when every busy
+            // worker is deep inside a slow propagation fixpoint the
+            // cut can arrive arbitrarily late.
+            if (shared_.expired()) {
+                shared_.limitHit.store(true,
+                                       std::memory_order_relaxed);
+                shared_.wake();
+                break;
+            }
+            if (shared_.deques[id_].pop(out) || trySteal(out)) {
+                got = true;
+                break;
+            }
+            if (++spins <= kIdleSpinIters) {
+                std::this_thread::yield();
+                continue;
+            }
+            std::unique_lock<std::mutex> lock(shared_.waitMutex);
+            if (!abortRequested() &&
+                shared_.pending.load(std::memory_order_acquire) > 0)
+                shared_.waitCv.wait_for(
+                    lock, std::chrono::microseconds(sleep_us));
+            sleep_us = std::min(sleep_us * 2, kIdleSleepMaxUs);
+        }
+        shared_.idle.fetch_sub(1, std::memory_order_acq_rel);
+        return got;
     }
 
     /** One feasible (mode, start) branch choice for a task. */
@@ -411,28 +1016,34 @@ class Searcher
         Time complete;
     };
 
-    /** Legacy-layout per-depth scratch (preallocated in the ctor). */
-    struct Frame
+    /**
+     * Heap bytes currently committed to this worker's scratch: the
+     * node and engine-state arenas and the profile's occupancy slabs.
+     */
+    int64_t
+    scratchHeapBytes() const
     {
-        std::vector<int> tasks;
-        std::vector<Option> options;
-    };
+        return static_cast<int64_t>(nodeArena_.heapBytes() +
+                                    engine_.stateArena().heapBytes() +
+                                    engine_.profile().heapBytes());
+    }
 
+    Shared &shared_;
     const Model &model_;
     const SearchLimits &limits_;
-    PropagationEngine engine_;
-    const bool packed_;
-    CriticalPathData cp_;
-    Clock::time_point startTime_;
+    const int id_;
+    /** Private incumbent, no-goods and exact node budget. */
+    const bool private_;
+    const int n_;
 
+    PropagationEngine engine_;
     /**
-     * Packed-layout per-node scratch: every dfs() call opens a Scope
-     * and the whole node's scratch releases as one pointer rewind,
-     * including on the early-exit paths.
+     * Per-node scratch: every dfs() call opens a Scope and the whole
+     * node's scratch releases as one pointer rewind, including on the
+     * early-exit paths.
      */
     support::Arena nodeArena_;
-    std::vector<Frame> frames_;
-
+    int64_t scratchBaseline_ = 0;
     std::vector<Assignment> assign_;
     std::vector<Time> end_;
     /** Earliest-start scratch shared with the propagators. */
@@ -441,17 +1052,272 @@ class Searcher
     std::vector<int> eligible_;
     /** Position of each task inside eligible_, or -1 when absent. */
     std::vector<int> eligiblePos_;
+    std::vector<Decision> path_;
     int scheduled_ = 0;
+
+    // Frontier capture (deterministic generation).
+    std::vector<Subproblem> *collect_ = nullptr;
+    int collectDepth_ = 0;
 
     /** Zobrist key of the current placement set (see nogood.hh). */
     uint64_t hash_ = 0;
-    std::unique_ptr<NogoodStore> nogoods_;
+    /** Shared or private store; null when no-goods are disabled. */
+    NogoodStore *nogoods_ = nullptr;
+    std::unique_ptr<NogoodStore> privateNogoods_;
+    int64_t nogoodHits_ = 0;
+    int64_t nogoodsRecorded_ = 0;
 
-    Time ub_ = 0;
-    bool stop_ = false;
-    bool limitHit_ = false;
-    SearchResult result_;
+    // Private incumbent (single-thread and deterministic modes).
+    Time privUb_ = 0;
+    bool privFound_ = false;
+    ScheduleVec privBest_;
+    ptrdiff_t privBestSub_ = -1;
+    ptrdiff_t curSub_ = -1;
+    bool localStop_ = false;
+    bool localLimit_ = false;
+    int64_t nodeBudget_ = 0;
+
+    int64_t nodes_ = 0;
+    int64_t backtracks_ = 0;
+    int64_t solutions_ = 0;
+    int64_t steals_ = 0;
+    int64_t published_ = 0;
 };
+
+/** Fold one worker's counters into the result. */
+void
+mergeWorker(SearchResult &result, const Worker &worker,
+            int64_t *arena_heap)
+{
+    result.nodes += worker.nodes();
+    result.backtracks += worker.backtracks();
+    result.solutions += worker.solutions();
+    result.steals += worker.steals();
+    result.subproblems += worker.published();
+    result.nogoodHits += worker.nogoodHits();
+    result.nogoodsRecorded += worker.nogoodsRecorded();
+    result.scratchBytes += worker.scratchBytes();
+    result.arenaHighWater += worker.arenaHighWater();
+    result.arenaRewinds += worker.arenaRewinds();
+    *arena_heap += worker.arenaHeapBytes();
+    mergePropagatorStats(result.propagators, worker.propagators());
+}
+
+/**
+ * Adopt a private-incumbent worker's best schedule. The worker's
+ * view already includes the warm start, so only a strict improvement
+ * over it carries a schedule.
+ */
+void
+adoptPrivateBest(SearchResult &result, const Worker &worker)
+{
+    if (worker.privateFound() &&
+        (!result.foundSolution ||
+         worker.privateUb() < result.bestMakespan)) {
+        result.foundSolution = true;
+        result.bestMakespan = worker.privateUb();
+        result.best = worker.privateBest();
+    }
+}
+
+/** Per-search metrics flush, once per search (not per node). */
+void
+flushMetrics(const SearchResult &result, bool use_nogoods,
+             int64_t arena_heap)
+{
+    metrics::counter("cp.search.nodes").add(result.nodes);
+    metrics::counter("cp.search.backtracks").add(result.backtracks);
+    metrics::counter("cp.search.solutions").add(result.solutions);
+    if (result.threadsUsed > 1) {
+        metrics::counter("cp.par.searches").add(1);
+        metrics::counter("cp.par.steals").add(result.steals);
+        metrics::counter("cp.par.subproblems").add(result.subproblems);
+    }
+    if (use_nogoods) {
+        metrics::counter("cp.nogood.hits").add(result.nogoodHits);
+        metrics::counter("cp.nogood.recorded")
+            .add(result.nogoodsRecorded);
+    }
+    int64_t invocations = 0;
+    int64_t prunings = 0;
+    for (const PropagatorStats &stats : result.propagators) {
+        invocations += stats.invocations;
+        prunings += stats.prunings;
+    }
+    metrics::counter("cp.propagations").add(invocations);
+    metrics::counter("cp.prunings").add(prunings);
+    metrics::gauge("hilp.arena.bytes")
+        .set(static_cast<double>(arena_heap));
+    metrics::gauge("hilp.arena.highwater")
+        .set(static_cast<double>(result.arenaHighWater));
+    metrics::counter("hilp.arena.rewinds").add(result.arenaRewinds);
+}
+
+/**
+ * Deterministic frontier: iterative deepening until the frontier is
+ * wide enough to keep the crew busy (or the tree stops widening).
+ * An explicit SearchLimits::splitDepth pins the depth instead.
+ */
+std::vector<Subproblem>
+buildFrontier(Worker &generator, const SearchLimits &limits,
+              int threads, int num_tasks)
+{
+    std::vector<Subproblem> frontier;
+    if (limits.splitDepth > 0) {
+        generator.generateFrontier(
+            std::min(limits.splitDepth, num_tasks), &frontier);
+        return frontier;
+    }
+    size_t target = static_cast<size_t>(threads) * 4;
+    for (int depth = 1; depth <= num_tasks; ++depth) {
+        std::vector<Subproblem> candidate;
+        generator.generateFrontier(depth, &candidate);
+        if (generator.stoppedOnLimit() || generator.stoppedOnGap())
+            return candidate;
+        bool grew = candidate.size() > frontier.size();
+        frontier = std::move(candidate);
+        if (frontier.size() >= target || frontier.empty())
+            break;
+        if (depth > 1 && !grew)
+            break; // The tree is not widening; stop deepening.
+    }
+    return frontier;
+}
+
+/** Single thread: one private-incumbent worker from the root. */
+SearchResult
+runSerial(Shared &shared, SearchResult result, int64_t *arena_heap)
+{
+    Worker worker(shared, 0);
+    worker.searchFromRoot();
+    mergeWorker(result, worker, arena_heap);
+    adoptPrivateBest(result, worker);
+    result.exhausted =
+        !worker.stoppedOnLimit() && !worker.stoppedOnGap();
+    return result;
+}
+
+SearchResult
+runDeterministic(const Model &model, const SearchLimits &limits,
+                 Shared &shared, SearchResult result,
+                 int64_t *arena_heap)
+{
+    int threads = shared.threads;
+    Worker generator(shared, 0);
+    std::vector<Subproblem> frontier =
+        buildFrontier(generator, limits, threads, model.numTasks());
+
+    // The generation pass may have solved the whole tree (all
+    // leaves shallower than the frontier, or everything pruned).
+    bool generation_done = frontier.empty() ||
+        generator.stoppedOnLimit() || generator.stoppedOnGap();
+    if (generation_done) {
+        mergeWorker(result, generator, arena_heap);
+        adoptPrivateBest(result, generator);
+        result.exhausted = !generator.stoppedOnLimit() &&
+                           !generator.stoppedOnGap();
+        return result;
+    }
+
+    // Register the frontier for telemetry parity.
+    result.subproblems += static_cast<int64_t>(frontier.size());
+
+    std::vector<std::unique_ptr<Worker>> workers;
+    workers.reserve(static_cast<size_t>(threads) - 1);
+    for (int w = 1; w < threads; ++w) {
+        workers.push_back(std::make_unique<Worker>(shared, w));
+        workers.back()->seedPrivate(generator.privateUb(),
+                                    generator.privateFound());
+    }
+    // Reproducible budgeting: every worker gets an equal slice of
+    // the node budget, the generator keeps what it already spent
+    // plus its slice.
+    int64_t slice = std::max<int64_t>(1, limits.maxNodes / threads);
+    generator.setNodeBudget(generator.nodes() + slice);
+    for (auto &worker : workers)
+        worker->setNodeBudget(slice);
+
+    std::vector<std::thread> crew;
+    crew.reserve(workers.size());
+    for (size_t w = 0; w < workers.size(); ++w) {
+        Worker *worker = workers[w].get();
+        crew.emplace_back([worker, &frontier, w] {
+            trace::setThreadName(format("cp-worker-%zu", w + 1));
+            worker->runDeterministic(frontier);
+        });
+    }
+    generator.runDeterministic(frontier);
+    for (std::thread &thread : crew)
+        thread.join();
+
+    // Deterministic merge: best makespan, ties to the earliest
+    // frontier index (the generator's pre-frontier finds count as
+    // index -1).
+    const Worker *winner = &generator;
+    for (const auto &worker : workers) {
+        if (!worker->privateFound())
+            continue;
+        if (!winner->privateFound() ||
+            worker->privateUb() < winner->privateUb() ||
+            (worker->privateUb() == winner->privateUb() &&
+             worker->privateBestSub() < winner->privateBestSub()))
+            winner = worker.get();
+    }
+    bool limit = generator.stoppedOnLimit();
+    bool gap_stop = generator.stoppedOnGap();
+    for (const auto &worker : workers) {
+        limit = limit || worker->stoppedOnLimit();
+        gap_stop = gap_stop || worker->stoppedOnGap();
+        mergeWorker(result, *worker, arena_heap);
+    }
+    adoptPrivateBest(result, *winner);
+    mergeWorker(result, generator, arena_heap);
+    result.exhausted = !limit && !gap_stop;
+    return result;
+}
+
+SearchResult
+runOpportunistic(const SearchLimits &limits, Shared &shared,
+                 SearchResult result, int64_t *arena_heap)
+{
+    int threads = shared.threads;
+    Subproblem root;
+    root.bound = std::max<Time>(0, limits.lowerBound);
+    shared.aggregator.add(root.bound);
+    shared.pending.store(1, std::memory_order_relaxed);
+    shared.deques[0].push(std::move(root));
+
+    std::vector<std::unique_ptr<Worker>> workers;
+    workers.reserve(static_cast<size_t>(threads));
+    for (int w = 0; w < threads; ++w)
+        workers.push_back(std::make_unique<Worker>(shared, w));
+
+    std::vector<std::thread> crew;
+    crew.reserve(static_cast<size_t>(threads) - 1);
+    for (int w = 1; w < threads; ++w) {
+        Worker *worker = workers[static_cast<size_t>(w)].get();
+        crew.emplace_back([worker, w] {
+            trace::setThreadName(format("cp-worker-%d", w));
+            worker->runOpportunistic();
+        });
+    }
+    workers[0]->runOpportunistic();
+    for (std::thread &thread : crew)
+        thread.join();
+
+    for (const auto &worker : workers)
+        mergeWorker(result, *worker, arena_heap);
+    if (shared.incumbent.found()) {
+        result.foundSolution = true;
+        result.bestMakespan = shared.incumbent.ub();
+        if (shared.incumbent.improvements() > 0)
+            result.best = shared.incumbent.best();
+    }
+    result.exhausted =
+        !shared.gapStop.load(std::memory_order_acquire) &&
+        !shared.limitHit.load(std::memory_order_acquire);
+    return result;
+}
 
 } // anonymous namespace
 
@@ -459,13 +1325,58 @@ SearchResult
 branchAndBound(const Model &model, const ScheduleVec *warm_start,
                const SearchLimits &limits)
 {
-    // threads <= 1 keeps the historical serial searcher, bit for
-    // bit: identical node counts, identical incumbent sequence.
-    if (limits.threads <= 1) {
-        Searcher searcher(model, warm_start, limits);
-        return searcher.run();
+    const int threads = std::max(1, limits.threads);
+    trace::Span span("cp.search",
+                     trace::Arg::intArg("tasks", model.numTasks()));
+    if (threads > 1)
+        span.arg(trace::Arg::intArg("threads", threads));
+
+    Time initial_ub = model.horizon() + 1;
+    if (warm_start)
+        initial_ub = warm_start->makespan(model);
+    Shared shared(model, limits, initial_ub, warm_start, threads);
+
+    SearchResult result;
+    result.threadsUsed = threads;
+    if (warm_start) {
+        result.foundSolution = true;
+        result.best = *warm_start;
+        result.bestMakespan = initial_ub;
     }
-    return parallelBranchAndBound(model, warm_start, limits);
+
+    int64_t arena_heap = 0;
+    if (result.foundSolution && gapReached(initial_ub, limits)) {
+        // A warm start already inside the target gap means no tree
+        // walk at all; the telemetry still names every propagator.
+        Worker idle(shared, 0);
+        mergeWorker(result, idle, &arena_heap);
+        result.exhausted = false;
+    } else if (threads == 1) {
+        result = runSerial(shared, std::move(result), &arena_heap);
+    } else if (Clock::now() >= limits.deadline ||
+               limits.maxSeconds <= 0.0) {
+        // A deadline that has already passed (or a zero wall-clock
+        // budget) cuts a crew before it starts. Without this check a
+        // tiny warm-started tree can exhaust within the first budget
+        // batch - before any worker polls the clock - and a run the
+        // caller cut would then claim `exhausted`, which the solver
+        // treats as an optimality proof.
+        result.exhausted = false;
+    } else if (limits.deterministic) {
+        result = runDeterministic(model, limits, shared,
+                                  std::move(result), &arena_heap);
+    } else {
+        result = runOpportunistic(limits, shared, std::move(result),
+                                  &arena_heap);
+    }
+
+    span.arg(trace::Arg::intArg("nodes", result.nodes));
+    if (threads > 1)
+        span.arg(trace::Arg::intArg("steals", result.steals));
+    else
+        span.arg(trace::Arg::intArg("backtracks", result.backtracks));
+    flushMetrics(result, limits.useNogoods, arena_heap);
+    return result;
 }
 
 } // namespace cp

@@ -9,6 +9,52 @@
  * argument for serial schedule generation), so exhausting the tree
  * proves optimality. Pruning uses the incumbent upper bound against
  * per-node critical-path bounds.
+ *
+ * One worker implementation walks the tree. Each worker owns a
+ * propagation engine and trail plus the branching state (eligible
+ * set, assignment, Zobrist key), and branches the same way
+ * everywhere: eligible tasks sorted longest tail first, options
+ * sorted by completion, the completion-plus-tail prune. How many
+ * workers run and how they share work is the only thing the
+ * thread count changes:
+ *
+ *  - threads <= 1: one worker searches the whole tree from the root
+ *    against a private incumbent. There is no frontier, no deque and
+ *    no crew thread; the node budget is exact (checked on every
+ *    node), so node counts and incumbents are reproducible.
+ *  - Opportunistic (threads >= 2): the tree is decomposed into
+ *    *subproblems* - decision prefixes from the root - that a crew
+ *    of workers searches.
+ *     - Frontier splitting: nodes above SearchLimits::splitDepth are
+ *       expanded into child subproblems pushed onto the owning
+ *       worker's deque instead of being recursed into; deeper nodes
+ *       also spill their children whenever other workers are
+ *       starving, so one hard subtree cannot serialize the crew.
+ *     - Chase-Lev-style deques: the owner pushes and pops at the
+ *       bottom (depth-first order, so a deque holds roughly the
+ *       siblings along the current path), thieves steal half from
+ *       the top - the shallowest, largest subtrees.
+ *     - Shared incumbent: the best makespan is a CAS-updated atomic
+ *       every worker prunes against; the schedule itself is
+ *       published under a mutex by whichever worker wins the CAS.
+ *     - Bound aggregation: every queued or in-flight subproblem
+ *       keeps its certified lower bound registered in a global
+ *       aggregator, so the targetGap stop can use min(incumbent, min
+ *       over remaining subtrees) as a sound global lower bound
+ *       instead of only the weaker external bound.
+ *  - Deterministic (threads >= 2, SearchLimits::deterministic):
+ *    trades pruning power for reproducibility. The frontier is
+ *    generated serially at a fixed depth and assigned round-robin;
+ *    workers keep private incumbents (no stealing, no sharing), and
+ *    the results merge by (makespan, subproblem index). A
+ *    deterministic run that completes within its node budget is
+ *    exactly reproducible for a given thread count.
+ *
+ * Every mode returns the same optimal makespans and the same
+ * exhausted/foundSolution statuses; only node counts differ (pruning
+ * happens in a different order). See tests/cp/test_parallel_search.cc
+ * for the differential guarantee and tests/cp/test_search.cc for the
+ * pinned single-thread trees.
  */
 
 #ifndef HILP_CP_SEARCH_HH
@@ -61,11 +107,11 @@ struct SearchLimits
     bool energeticReasoning = false;
     /**
      * Worker threads for the branch-and-bound tree walk. 1 (the
-     * default) runs the serial searcher, bit-identical to the
-     * historical behavior; larger values run the work-stealing
-     * parallel search (see parallel_search.hh), which explores a
-     * different node set but returns the same optimal makespans and
-     * the same exhausted/foundSolution statuses.
+     * default) runs one worker from the root with exact budgets;
+     * larger values run the work-stealing crew (see the file
+     * comment), which explores a different node set but returns the
+     * same optimal makespans and the same exhausted/foundSolution
+     * statuses.
      */
     int threads = 1;
     /**
@@ -80,7 +126,7 @@ struct SearchLimits
     /**
      * Tree depth down to which the parallel search splits nodes into
      * stealable subproblems instead of recursing. 0 picks a default;
-     * ignored by the serial path.
+     * ignored when threads <= 1.
      */
     int splitDepth = 0;
     /**
@@ -88,21 +134,13 @@ struct SearchLimits
      * bounds for visited placement sets and prune transpositions.
      * Preserves optimality and exhaustion statuses but changes node
      * counts, so it is opt-in. The opportunistic parallel search
-     * shares one store across workers; the serial and deterministic
-     * searches use private stores and stay exactly reproducible.
+     * shares one store across workers; the single-thread and
+     * deterministic searches use private stores and stay exactly
+     * reproducible.
      */
     bool useNogoods = false;
     /** Entry budget for the no-good store (rounded up to 2^k). */
     size_t nogoodCapacity = 1 << 16;
-    /**
-     * Memory layout of the solver core. true (the default) uses the
-     * packed SoA profile slab plus arena-backed per-node scratch;
-     * false keeps the legacy AoS profile and per-depth preallocated
-     * scratch frames. Both explore bit-identical search trees — the
-     * flag exists so the solver_micro layout sweep can measure one
-     * against the other.
-     */
-    bool packedLayout = true;
 };
 
 /** Outcome of the branch-and-bound search. */
@@ -132,14 +170,14 @@ struct SearchResult
     int64_t nogoodsRecorded = 0;
     /**
      * Heap bytes the search scratch grew by *during* the tree walk
-     * (arenas, profile slabs, preallocated frames). Near zero in
-     * steady state: all scratch is committed up front or during the
-     * first few nodes of warm-up.
+     * (arenas and profile slabs). Near zero in steady state: all
+     * scratch is committed up front or during the first few nodes of
+     * warm-up.
      */
     int64_t scratchBytes = 0;
     /** Peak live bytes across the search's arenas (all workers). */
     int64_t arenaHighWater = 0;
-    /** Arena rewinds performed (≈ node count on the packed layout). */
+    /** Arena rewinds performed (about one per expanded node). */
     int64_t arenaRewinds = 0;
     /**
      * Per-propagator telemetry, aggregated (by rule name) across

@@ -130,7 +130,6 @@ Solver::solve(const Model &model, const ScheduleVec *hint) const
                     lns.targetGap = options_.targetGap;
                     lns.lowerBound = result.lowerBound;
                     lns.useNogoods = options_.useNogoods;
-                    lns.packedLayout = options_.packedLayout;
                     const ScheduleVec &seed_schedule =
                         hint_ok && hint_makespan < greedy.makespan
                             ? *hint
@@ -178,7 +177,6 @@ Solver::solve(const Model &model, const ScheduleVec *hint) const
     limits.splitDepth = options_.splitDepth;
     limits.useNogoods = options_.useNogoods;
     limits.nogoodCapacity = options_.nogoodCapacity;
-    limits.packedLayout = options_.packedLayout;
 
     // threads == 0 means "borrow what the machine has to spare":
     // the caller's own thread is implicitly budgeted, extra workers

@@ -90,9 +90,10 @@ struct SolverOptions
      */
     bool energeticReasoning = false;
     /**
-     * Branch-and-bound worker threads. 1 (the default) keeps the
-     * historical serial search, bit for bit. Larger values run the
-     * work-stealing parallel search. 0 sizes the crew from the
+     * Branch-and-bound worker threads. 1 (the default) runs one
+     * worker from the root with an exact node budget, so node counts
+     * are reproducible. Larger values run the work-stealing parallel
+     * search (see search.hh). 0 sizes the crew from the
      * process-wide ThreadBudget: the solve borrows whatever slots
      * are currently free (degrading gracefully to serial when a DSE
      * sweep is using the machine) and returns them afterwards.
@@ -118,12 +119,6 @@ struct SolverOptions
     bool useNogoods = false;
     /** Entry budget for the no-good store (rounded up to 2^k). */
     size_t nogoodCapacity = 1 << 16;
-    /**
-     * Solver-core memory layout (see SearchLimits::packedLayout).
-     * Both settings explore bit-identical trees; false selects the
-     * legacy layout, kept as the measured baseline.
-     */
-    bool packedLayout = true;
     /**
      * Replace the pre-search hill climb with destroy/repair LNS
      * around the greedy incumbent (see lns.hh): stronger incumbents

@@ -26,6 +26,22 @@ intOr(const Json &object, const char *key, int64_t fallback)
     return value && value->isNumber() ? value->intValue() : fallback;
 }
 
+/**
+ * Caps on the options that size an allocation or spawn threads. A
+ * remote client's values are used as sent, so an unchecked capacity
+ * could hang the no-good store's sizing loop, and a thread count
+ * spawn that many workers per sweep or per solve.
+ */
+constexpr int64_t kMaxThreads = 256;
+constexpr int64_t kMaxNogoodCapacity = int64_t{1} << 22;
+constexpr int64_t kMaxGreedyRestarts = int64_t{1} << 16;
+
+bool
+inRange(int64_t value, int64_t lo, int64_t hi)
+{
+    return value >= lo && value <= hi;
+}
+
 bool
 boolOr(const Json &object, const char *key, bool fallback)
 {
@@ -207,8 +223,10 @@ parseEngineOptions(const Json &json, EngineOptions *out,
             numberOr(*sjson, "target_gap", solver.targetGap);
         solver.useLpBound =
             boolOr(*sjson, "use_lp_bound", solver.useLpBound);
-        solver.greedyRestarts = static_cast<int>(
-            intOr(*sjson, "greedy_restarts", solver.greedyRestarts));
+        // Range-checked as int64 before narrowing, so an
+        // out-of-range value cannot wrap into an accepted one.
+        int64_t greedy_restarts =
+            intOr(*sjson, "greedy_restarts", solver.greedyRestarts);
         solver.lnsIterations = static_cast<int>(
             intOr(*sjson, "lns_iterations", solver.lnsIterations));
         solver.seed = static_cast<uint64_t>(
@@ -220,8 +238,7 @@ parseEngineOptions(const Json &json, EngineOptions *out,
         solver.energeticReasoning =
             boolOr(*sjson, "energetic_reasoning",
                    solver.energeticReasoning);
-        solver.threads = static_cast<int>(
-            intOr(*sjson, "threads", solver.threads));
+        int64_t threads = intOr(*sjson, "threads", solver.threads);
         solver.deterministicSearch =
             boolOr(*sjson, "deterministic_search",
                    solver.deterministicSearch);
@@ -229,17 +246,23 @@ parseEngineOptions(const Json &json, EngineOptions *out,
             intOr(*sjson, "split_depth", solver.splitDepth));
         solver.useNogoods =
             boolOr(*sjson, "use_nogoods", solver.useNogoods);
-        solver.nogoodCapacity = static_cast<size_t>(
+        int64_t nogood_capacity =
             intOr(*sjson, "nogood_capacity",
-                  static_cast<int64_t>(solver.nogoodCapacity)));
+                  static_cast<int64_t>(solver.nogoodCapacity));
         solver.lns = boolOr(*sjson, "lns", solver.lns);
         solver.lnsPolishNodes =
             intOr(*sjson, "lns_polish_nodes", solver.lnsPolishNodes);
-        if (solver.maxNodes <= 0 || solver.maxSeconds <= 0.0) {
+        if (solver.maxNodes <= 0 || solver.maxSeconds <= 0.0 ||
+            !inRange(greedy_restarts, 0, kMaxGreedyRestarts) ||
+            !inRange(threads, 0, kMaxThreads) ||
+            !inRange(nogood_capacity, 0, kMaxNogoodCapacity)) {
             if (error)
                 *error = "solver options out of range";
             return false;
         }
+        solver.greedyRestarts = static_cast<int>(greedy_restarts);
+        solver.threads = static_cast<int>(threads);
+        solver.nogoodCapacity = static_cast<size_t>(nogood_capacity);
     }
     return true;
 }
@@ -410,8 +433,14 @@ parseSweepParams(const Json &json, Request *out, std::string *error)
         if (engine &&
             !parseEngineOptions(*engine, &out->options.engine, error))
             return false;
-        out->options.threads = static_cast<int>(
-            intOr(*options, "threads", out->options.threads));
+        int64_t threads =
+            intOr(*options, "threads", out->options.threads);
+        if (!inRange(threads, 0, kMaxThreads)) {
+            if (error)
+                *error = "sweep options out of range";
+            return false;
+        }
+        out->options.threads = static_cast<int>(threads);
         out->options.reuse =
             boolOr(*options, "reuse", out->options.reuse);
         out->options.failFast =

@@ -156,29 +156,22 @@ class Arena
     /** Release everything; blocks stay cached for reuse. */
     void reset();
 
-    /** RAII checkpoint/rewind. A null arena makes it a no-op. */
+    /** RAII checkpoint/rewind. */
     class Scope
     {
       public:
-        explicit Scope(Arena *arena)
-            : arena_(arena)
-        {
-            if (arena_)
-                mark_ = arena_->checkpoint();
-        }
+        explicit Scope(Arena &arena)
+            : arena_(arena), mark_(arena.checkpoint())
+        {}
 
-        ~Scope()
-        {
-            if (arena_)
-                arena_->rewind(mark_);
-        }
+        ~Scope() { arena_.rewind(mark_); }
 
         Scope(const Scope &) = delete;
         Scope &operator=(const Scope &) = delete;
 
       private:
-        Arena *arena_;
-        Checkpoint mark_{};
+        Arena &arena_;
+        Checkpoint mark_;
     };
 
     /** Live bytes (allocated and not yet rewound). */

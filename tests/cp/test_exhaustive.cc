@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cp/exhaustive.hh"
+#include "oracles/exhaustive.hh"
 #include "cp/solver.hh"
 #include "support/random.hh"
 

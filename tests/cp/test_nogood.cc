@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,6 +60,14 @@ TEST(Nogood, CodesDifferAcrossPlacements)
             for (Time start = 0; start < 16; ++start)
                 codes.insert(nogoodCode(task, mode, start));
     EXPECT_EQ(codes.size(), 8u * 3u * 16u);
+}
+
+TEST(Nogood, AbsurdCapacityFailsInsteadOfSpinning)
+{
+    // SIZE_MAX is what a negative capacity wraps to. The sizing loop
+    // must stop doubling before its bucket count overflows, so the
+    // oversized allocation fails cleanly instead of looping forever.
+    EXPECT_THROW(NogoodStore store(SIZE_MAX), std::length_error);
 }
 
 TEST(Nogood, EvictionDropsDeepestEntryInFullBucket)

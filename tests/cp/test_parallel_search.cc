@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential tests for the work-stealing parallel branch-and-bound
- * against the serial searcher. With targetGap == 0 both must prove
+ * against the single-thread search. With targetGap == 0 both must prove
  * the same optimum (or the same infeasibility): the parallel search
  * explores a different node set, but the set of schedules covered is
  * identical, so foundSolution / exhausted / bestMakespan must match
@@ -487,7 +487,7 @@ TEST(ParallelSearch, AlreadyExpiredDeadlineStillReturnsIncumbent)
 
 TEST(ParallelSearch, SerialPathIgnoresParallelKnobs)
 {
-    // threads == 1 must route to the serial searcher no matter what
+    // threads == 1 must run the single-worker search no matter what
     // the parallel-only knobs say.
     Model m = twoDeviceModel();
     SearchLimits limits;

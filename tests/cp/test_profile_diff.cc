@@ -7,14 +7,10 @@
  * per-step usage, and group busyness. The dense table is the
  * obviously-correct reference; any disagreement is a Profile bug.
  *
- * The Profile runs in both of its layouts — packed (SoA slab,
- * galloping search, precomputed mode rows) and legacy (AoS
- * baseline) — against the same oracle, so the test also holds the
- * two layouts bit-identical to each other. Half the probed modes are
- * registered with the model (exercising the precomputed Mode::id
- * rows and the slab's region growth under many placements), half are
- * hand-built copies with id == -1 (exercising the per-query
- * conversion fallback).
+ * Half the probed modes are registered with the model (exercising the
+ * precomputed Mode::id rows and the slab's region growth under many
+ * placements), half are hand-built copies with id == -1 (exercising
+ * the per-query conversion fallback).
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +19,7 @@
 
 #include "cp/model.hh"
 #include "cp/profile.hh"
-#include "cp/timetable.hh"
+#include "oracles/timetable.hh"
 #include "support/random.hh"
 #include "support/str.hh"
 
@@ -31,42 +27,44 @@ namespace hilp {
 namespace cp {
 namespace {
 
-/** Compare the complete observable state of all implementations. */
+/**
+ * Number of maximal constant-usage runs of resource r in the dense
+ * table: a canonical Profile stores exactly one breakpoint per run.
+ */
+size_t
+usageRuns(const Model &m, const Timetable &table, int r)
+{
+    size_t runs = 1;
+    for (Time s = 1; s < m.horizon(); ++s)
+        if (table.usageUnits(r, s) != table.usageUnits(r, s - 1))
+            ++runs;
+    return runs;
+}
+
+/** Compare the complete observable state of both implementations. */
 void
-expectSameState(const Model &m, const Profile &packed,
-                const Profile &legacy, const Timetable &table,
-                int step)
+expectSameState(const Model &m, const Profile &profile,
+                const Timetable &table, int step)
 {
     for (Time s = 0; s < m.horizon(); ++s) {
         for (int r = 0; r < m.numResources(); ++r) {
-            ASSERT_EQ(packed.usageUnits(r, s),
+            ASSERT_EQ(profile.usageUnits(r, s),
                       table.usageUnits(r, s))
-                << "packed usage mismatch r=" << r << " t=" << s
-                << " at op " << step;
-            ASSERT_EQ(legacy.usageUnits(r, s),
-                      table.usageUnits(r, s))
-                << "legacy usage mismatch r=" << r << " t=" << s
+                << "usage mismatch r=" << r << " t=" << s
                 << " at op " << step;
         }
         for (int g = 0; g < m.numGroups(); ++g) {
-            ASSERT_EQ(packed.groupBusy(g, s), table.groupBusy(g, s))
-                << "packed group mismatch g=" << g << " t=" << s
-                << " at op " << step;
-            ASSERT_EQ(legacy.groupBusy(g, s), table.groupBusy(g, s))
-                << "legacy group mismatch g=" << g << " t=" << s
+            ASSERT_EQ(profile.groupBusy(g, s), table.groupBusy(g, s))
+                << "group mismatch g=" << g << " t=" << s
                 << " at op " << step;
         }
     }
-    // Representation invariant parity: a place/remove round-trip
-    // leaves both layouts in canonical form, so the breakpoint and
-    // interval counts agree too.
+    // Representation invariant: place/remove round-trips keep the
+    // profile canonical (adjacent segments differ in level), so its
+    // breakpoint count is the dense table's count of usage runs.
     for (int r = 0; r < m.numResources(); ++r)
-        ASSERT_EQ(packed.breakpoints(r), legacy.breakpoints(r))
+        ASSERT_EQ(profile.breakpoints(r), usageRuns(m, table, r))
             << "breakpoint count mismatch r=" << r << " at op "
-            << step;
-    for (int g = 0; g < m.numGroups(); ++g)
-        ASSERT_EQ(packed.intervals(g), legacy.intervals(g))
-            << "interval count mismatch g=" << g << " at op "
             << step;
 }
 
@@ -114,10 +112,7 @@ TEST_P(ProfileDiff, AgreesWithDenseTimetable)
                            : &modes[i]);
     }
 
-    Profile packed(m);
-    Profile legacy(m, /*packed=*/false);
-    ASSERT_TRUE(packed.packedLayout());
-    ASSERT_FALSE(legacy.packedLayout());
+    Profile profile(m);
     Timetable table(m);
     std::vector<std::pair<const Mode *, Time>> active;
 
@@ -128,17 +123,13 @@ TEST_P(ProfileDiff, AgreesWithDenseTimetable)
                 rng.uniformInt(0, 15))];
             Time est = static_cast<Time>(
                 rng.uniformInt(0, m.horizon()));
-            Time expected = table.earliestStart(probe, est);
-            ASSERT_EQ(packed.earliestStart(probe, est), expected)
-                << "packed earliestStart mismatch at op " << step;
-            ASSERT_EQ(legacy.earliestStart(probe, est), expected)
-                << "legacy earliestStart mismatch at op " << step;
+            ASSERT_EQ(profile.earliestStart(probe, est),
+                      table.earliestStart(probe, est))
+                << "earliestStart mismatch at op " << step;
             Time at = static_cast<Time>(
                 rng.uniformInt(0, m.horizon()));
-            ASSERT_EQ(packed.fits(probe, at), table.fits(probe, at))
-                << "packed fits mismatch at op " << step;
-            ASSERT_EQ(legacy.fits(probe, at), table.fits(probe, at))
-                << "legacy fits mismatch at op " << step;
+            ASSERT_EQ(profile.fits(probe, at), table.fits(probe, at))
+                << "fits mismatch at op " << step;
         }
 
         if (active.size() < 10 && rng.chance(0.6)) {
@@ -147,11 +138,9 @@ TEST_P(ProfileDiff, AgreesWithDenseTimetable)
             Time est = static_cast<Time>(
                 rng.uniformInt(0, m.horizon() - 1));
             Time start = table.earliestStart(mode, est);
-            ASSERT_EQ(packed.earliestStart(mode, est), start);
-            ASSERT_EQ(legacy.earliestStart(mode, est), start);
+            ASSERT_EQ(profile.earliestStart(mode, est), start);
             if (start >= 0) {
-                packed.place(mode, start);
-                legacy.place(mode, start);
+                profile.place(mode, start);
                 table.place(mode, start);
                 active.emplace_back(&mode, start);
             }
@@ -159,17 +148,16 @@ TEST_P(ProfileDiff, AgreesWithDenseTimetable)
             size_t pick = static_cast<size_t>(rng.uniformInt(
                 0, static_cast<int64_t>(active.size()) - 1));
             auto [mode, start] = active[pick];
-            packed.remove(*mode, start);
-            legacy.remove(*mode, start);
+            profile.remove(*mode, start);
             table.remove(*mode, start);
             active.erase(active.begin() +
                          static_cast<ptrdiff_t>(pick));
         }
 
         if (step % 25 == 0)
-            expectSameState(m, packed, legacy, table, step);
+            expectSameState(m, profile, table, step);
     }
-    expectSameState(m, packed, legacy, table, 500);
+    expectSameState(m, profile, table, 500);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProfileDiff,

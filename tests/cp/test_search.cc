@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "cp/list_scheduler.hh"
 #include "cp/model.hh"
 #include "cp/search.hh"
@@ -189,50 +192,169 @@ randomModel(uint64_t seed)
     return m;
 }
 
-class SearchLayout : public ::testing::TestWithParam<uint64_t>
+/** Node budget of the pinned runs that are not budget-limited. */
+constexpr int64_t kUnbounded = 500000;
+
+/** One recorded single-thread branch-and-bound run. */
+struct PinnedRun
+{
+    uint64_t seed;
+    bool nogoods;
+    int64_t maxNodes;
+    int64_t nodes;
+    int64_t backtracks;
+    int64_t solutions;
+    Time bestMakespan;
+    bool exhausted;
+    /** The best schedule as space-separated "mode@start" pairs. */
+    const char *schedule;
+};
+
+/**
+ * Single-thread search results on the random models: exact node,
+ * backtrack and solution counts (a solution is a strict incumbent
+ * improvement), the exhaustion flag, and the best schedule. The
+ * 1000-node budget is deliberately not a multiple of the
+ * opportunistic workers' 64-node batch, so a batched budget check
+ * would overshoot it.
+ */
+const PinnedRun kPinnedRuns[] = {
+    {1, false, kUnbounded, 37, 6, 1, 8, true, "0@0 0@2 0@0 0@3 0@2 0@5"},
+    {1, false, 1000, 37, 6, 1, 8, true, "0@0 0@2 0@0 0@3 0@2 0@5"},
+    {1, true, kUnbounded, 37, 6, 1, 8, true, "0@0 0@2 0@0 0@3 0@2 0@5"},
+    {1, true, 1000, 37, 6, 1, 8, true, "0@0 0@2 0@0 0@3 0@2 0@5"},
+    {2, false, kUnbounded, 40, 7, 1, 7, true, "0@0 1@0 0@3 1@4 1@2 1@0 0@4"},
+    {2, false, 1000, 40, 7, 1, 7, true, "0@0 1@0 0@3 1@4 1@2 1@0 0@4"},
+    {2, true, kUnbounded, 40, 7, 1, 7, true, "0@0 1@0 0@3 1@4 1@2 1@0 0@4"},
+    {2, true, 1000, 40, 7, 1, 7, true, "0@0 1@0 0@3 1@4 1@2 1@0 0@4"},
+    {3, false, kUnbounded, 1309, 1249, 2, 8, true, "0@0 0@0 1@5 0@4 2@1 2@4 0@2 0@6"},
+    {3, false, 1000, 1000, 955, 2, 8, false, "0@0 0@0 1@5 0@4 2@1 2@4 0@2 0@6"},
+    {3, true, kUnbounded, 403, 223, 2, 8, true, "0@0 0@0 1@5 0@4 2@1 2@4 0@2 0@6"},
+    {3, true, 1000, 403, 223, 2, 8, true, "0@0 0@0 1@5 0@4 2@1 2@4 0@2 0@6"},
+    {4, false, kUnbounded, 1225, 1075, 2, 11, true, "0@0 0@0 0@0 0@2 0@8 1@8 0@4"},
+    {4, false, 1000, 1000, 879, 2, 11, false, "0@0 0@0 0@0 0@2 0@8 1@8 0@4"},
+    {4, true, kUnbounded, 264, 156, 2, 11, true, "0@0 0@0 0@0 0@2 0@8 1@8 0@4"},
+    {4, true, 1000, 264, 156, 2, 11, true, "0@0 0@0 0@0 0@2 0@8 1@8 0@4"},
+    {5, false, kUnbounded, 98, 78, 1, 8, true, "1@0 0@0 1@1 1@2 0@2 1@4 0@4 0@4"},
+    {5, false, 1000, 98, 78, 1, 8, true, "1@0 0@0 1@1 1@2 0@2 1@4 0@4 0@4"},
+    {5, true, kUnbounded, 75, 40, 1, 8, true, "1@0 0@0 1@1 1@2 0@2 1@4 0@4 0@4"},
+    {5, true, 1000, 75, 40, 1, 8, true, "1@0 0@0 1@1 1@2 0@2 1@4 0@4 0@4"},
+    {6, false, kUnbounded, 486, 444, 2, 8, true, "0@0 0@0 0@2 2@2 0@4 1@6 0@4 1@7"},
+    {6, false, 1000, 486, 444, 2, 8, true, "0@0 0@0 0@2 2@2 0@4 1@6 0@4 1@7"},
+    {6, true, kUnbounded, 171, 95, 2, 8, true, "0@0 0@0 0@2 2@2 0@4 1@6 0@4 1@7"},
+    {6, true, 1000, 171, 95, 2, 8, true, "0@0 0@0 0@2 2@2 0@4 1@6 0@4 1@7"},
+    {7, false, kUnbounded, 430, 279, 1, 5, true, "0@0 2@2 1@3 0@2 0@0 1@4"},
+    {7, false, 1000, 430, 279, 1, 5, true, "0@0 2@2 1@3 0@2 0@0 1@4"},
+    {7, true, kUnbounded, 196, 75, 1, 5, true, "0@0 2@2 1@3 0@2 0@0 1@4"},
+    {7, true, 1000, 196, 75, 1, 5, true, "0@0 2@2 1@3 0@2 0@0 1@4"},
+    {8, false, kUnbounded, 25, 7, 1, 7, true, "0@0 0@0 1@0 0@3 1@3 2@5 0@6"},
+    {8, false, 1000, 25, 7, 1, 7, true, "0@0 0@0 1@0 0@3 1@3 2@5 0@6"},
+    {8, true, kUnbounded, 25, 7, 1, 7, true, "0@0 0@0 1@0 0@3 1@3 2@5 0@6"},
+    {8, true, 1000, 25, 7, 1, 7, true, "0@0 0@0 1@0 0@3 1@3 2@5 0@6"},
+    {9, false, kUnbounded, 126, 113, 1, 6, true, "0@0 1@5 0@2 0@0 0@3 0@3"},
+    {9, false, 1000, 126, 113, 1, 6, true, "0@0 1@5 0@2 0@0 0@3 0@3"},
+    {9, true, kUnbounded, 93, 50, 1, 6, true, "0@0 1@5 0@2 0@0 0@3 0@3"},
+    {9, true, 1000, 93, 50, 1, 6, true, "0@0 1@5 0@2 0@0 0@3 0@3"},
+    {10, false, kUnbounded, 2282, 2109, 1, 10, true, "2@6 0@4 0@0 2@4 1@0 0@7 0@9 0@7"},
+    {10, false, 1000, 1000, 920, 1, 10, false, "2@6 0@4 0@0 2@4 1@0 0@7 0@9 0@7"},
+    {10, true, kUnbounded, 1089, 594, 1, 10, true, "2@6 0@4 0@0 2@4 1@0 0@7 0@9 0@7"},
+    {10, true, 1000, 1000, 534, 1, 10, false, "2@6 0@4 0@0 2@4 1@0 0@7 0@9 0@7"},
+    {11, false, kUnbounded, 2042, 1956, 2, 8, true, "0@0 2@3 1@5 1@6 0@3 0@3 1@7 1@0"},
+    {11, false, 1000, 1000, 963, 2, 8, false, "0@0 2@3 1@5 1@6 0@3 0@3 1@7 1@0"},
+    {11, true, kUnbounded, 421, 181, 2, 8, true, "0@0 2@3 1@5 1@6 0@3 0@3 1@7 1@0"},
+    {11, true, 1000, 421, 181, 2, 8, true, "0@0 2@3 1@5 1@6 0@3 0@3 1@7 1@0"},
+    {12, false, kUnbounded, 101, 76, 1, 6, true, "0@3 0@0 0@5 2@0 2@3"},
+    {12, false, 1000, 101, 76, 1, 6, true, "0@3 0@0 0@5 2@0 2@3"},
+    {12, true, kUnbounded, 79, 38, 1, 6, true, "0@3 0@0 0@5 2@0 2@3"},
+    {12, true, 1000, 79, 38, 1, 6, true, "0@3 0@0 0@5 2@0 2@3"},
+};
+
+std::string
+scheduleString(const ScheduleVec &schedule)
+{
+    std::string out;
+    for (const Assignment &a : schedule.tasks)
+        out += format("%s%d@%d", out.empty() ? "" : " ", a.mode,
+                      a.start);
+    return out;
+}
+
+/** Stable test-name suffix, e.g. "seed3_nogoods_budget". */
+void
+PrintTo(const PinnedRun &run, std::ostream *os)
+{
+    *os << format("seed%llu_%s_%s",
+                  static_cast<unsigned long long>(run.seed),
+                  run.nogoods ? "nogoods" : "plain",
+                  run.maxNodes == kUnbounded ? "unbounded" : "budget");
+}
+
+class SearchPinned : public ::testing::TestWithParam<PinnedRun>
 {};
 
 /**
- * The packed (arena + SoA slab) and legacy layouts are pure memory-
- * layout changes: both must explore the *bit-identical* search tree.
- * Compare every observable of the two runs on random models.
+ * threads == 1 must reproduce the recorded trees bit for bit:
+ * node, backtrack and solution counts, the exhaustion flag, and the
+ * exact best schedule.
  */
-TEST_P(SearchLayout, PackedAndLegacyExploreIdenticalTrees)
+TEST_P(SearchPinned, SerialSearchMatchesRecordedTree)
 {
-    Model m = randomModel(GetParam());
-    SearchLimits packed;
-    packed.packedLayout = true;
-    SearchLimits legacy;
-    legacy.packedLayout = false;
-    SearchResult p = branchAndBound(m, nullptr, packed);
-    SearchResult l = branchAndBound(m, nullptr, legacy);
+    const PinnedRun &pin = GetParam();
+    Model m = randomModel(pin.seed);
+    SearchLimits limits;
+    limits.maxNodes = pin.maxNodes;
+    limits.maxSeconds = 1e9; // Node-limited only, on any machine.
+    limits.useNogoods = pin.nogoods;
+    SearchResult r = branchAndBound(m, nullptr, limits);
 
-    EXPECT_EQ(p.foundSolution, l.foundSolution);
-    EXPECT_EQ(p.exhausted, l.exhausted);
-    EXPECT_EQ(p.bestMakespan, l.bestMakespan);
-    EXPECT_EQ(p.nodes, l.nodes);
-    EXPECT_EQ(p.backtracks, l.backtracks);
-    EXPECT_EQ(p.solutions, l.solutions);
-    if (p.foundSolution) {
-        ASSERT_EQ(p.best.tasks.size(), l.best.tasks.size());
-        for (size_t i = 0; i < p.best.tasks.size(); ++i) {
-            EXPECT_EQ(p.best.tasks[i].mode, l.best.tasks[i].mode);
-            EXPECT_EQ(p.best.tasks[i].start, l.best.tasks[i].start);
-        }
-    }
-    // The packed run rewinds its node arena as it backtracks, and
-    // the scratch growth during the walk is bounded by the one-time
-    // pool warm-up (steady state allocates nothing per node).
-    if (p.nodes > 0) {
-        EXPECT_GT(p.arenaRewinds, 0);
-        EXPECT_GT(p.arenaHighWater, 0);
-    }
-    EXPECT_GE(p.scratchBytes, 0);
-    EXPECT_GE(l.scratchBytes, 0);
+    ASSERT_TRUE(r.foundSolution);
+    EXPECT_EQ(r.nodes, pin.nodes);
+    EXPECT_EQ(r.backtracks, pin.backtracks);
+    EXPECT_EQ(r.solutions, pin.solutions);
+    EXPECT_EQ(r.bestMakespan, pin.bestMakespan);
+    EXPECT_EQ(r.exhausted, pin.exhausted);
+    EXPECT_EQ(scheduleString(r.best), pin.schedule);
+    EXPECT_EQ(r.threadsUsed, 1);
+    // The walk rewinds its node arena as it backtracks, and steady
+    // state allocates nothing per node.
+    EXPECT_GT(r.arenaRewinds, 0);
+    EXPECT_GT(r.arenaHighWater, 0);
+    EXPECT_GE(r.scratchBytes, 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SearchLayout,
-                         ::testing::Range<uint64_t>(1, 13));
+/**
+ * The single-thread walk is a deterministic DFS, so a larger node
+ * budget explores a superset prefix of the same tree and must never
+ * return a worse incumbent. A search that let a non-improving leaf
+ * replace its incumbent (raising the bound it prunes against) fails
+ * this at the budgets where that leaf is the last one visited.
+ */
+TEST(Search, LargerBudgetNeverReturnsWorseIncumbent)
+{
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(seed);
+        Model m = randomModel(seed);
+        bool found = false;
+        Time best = 0;
+        for (int64_t budget = 1; budget <= 400; ++budget) {
+            SearchLimits limits;
+            limits.maxNodes = budget;
+            limits.maxSeconds = 1e9;
+            SearchResult r = branchAndBound(m, nullptr, limits);
+            ASSERT_TRUE(r.foundSolution || !found) << budget;
+            if (!r.foundSolution)
+                continue;
+            if (found)
+                ASSERT_LE(r.bestMakespan, best) << budget;
+            EXPECT_EQ(r.best.makespan(m), r.bestMakespan) << budget;
+            found = true;
+            best = r.bestMakespan;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SearchPinned,
+                         ::testing::ValuesIn(kPinnedRuns));
 
 } // anonymous namespace
 } // namespace cp

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cp/model.hh"
-#include "cp/timetable.hh"
+#include "oracles/timetable.hh"
 
 namespace hilp {
 namespace cp {

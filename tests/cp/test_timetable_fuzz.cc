@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "cp/model.hh"
-#include "cp/timetable.hh"
+#include "oracles/timetable.hh"
 #include "support/random.hh"
 
 namespace hilp {

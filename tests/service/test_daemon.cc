@@ -12,6 +12,7 @@
 
 #include <sys/socket.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -451,6 +452,115 @@ TEST(DaemonProtocol, RequestRoundTrip)
     ASSERT_EQ(configs[1].dsas.size(), 2u);
     EXPECT_EQ(configs[1].dsas[0].pes, 16);
     EXPECT_DOUBLE_EQ(configs[1].dsaAdvantage, 8.0);
+}
+
+/**
+ * Parse engine options whose solver block carries one raw field, as a
+ * remote client would send it.
+ */
+bool
+parseSolverField(const std::string &field, const std::string &value,
+                 EngineOptions *options, std::string *error)
+{
+    Json json;
+    std::string parse_error;
+    EXPECT_TRUE(Json::parse("{\"solver\":{\"" + field + "\":" + value +
+                                "}}",
+                            &json, &parse_error))
+        << parse_error;
+    return protocol::parseEngineOptions(json, options, error);
+}
+
+/** Every case must be rejected with the range-check reason. */
+void
+expectSolverFieldRejected(const std::string &field,
+                          const std::string &value)
+{
+    SCOPED_TRACE(field + "=" + value);
+    EngineOptions options;
+    std::string error;
+    EXPECT_FALSE(parseSolverField(field, value, &options, &error));
+    EXPECT_EQ(error, "solver options out of range");
+}
+
+TEST(DaemonProtocol, NogoodCapacityIsRangeChecked)
+{
+    // -1 would wrap to SIZE_MAX and size the no-good store.
+    expectSolverFieldRejected("nogood_capacity", "-1");
+    expectSolverFieldRejected("nogood_capacity", "1099511627776");
+    EngineOptions options;
+    std::string error;
+    ASSERT_TRUE(parseSolverField("nogood_capacity", "4096", &options,
+                                 &error)) << error;
+    EXPECT_EQ(options.solver.nogoodCapacity, 4096u);
+}
+
+TEST(DaemonProtocol, SolverThreadsAreRangeChecked)
+{
+    expectSolverFieldRejected("threads", "-1");
+    expectSolverFieldRejected("threads", "100000");
+    // 2^32 + 2 would narrow to an accepted 2 if checked after the
+    // cast to int.
+    expectSolverFieldRejected("threads", "4294967298");
+    EngineOptions options;
+    std::string error;
+    ASSERT_TRUE(parseSolverField("threads", "0", &options, &error))
+        << error;
+    EXPECT_EQ(options.solver.threads, 0);
+}
+
+TEST(DaemonProtocol, GreedyRestartsAreRangeChecked)
+{
+    expectSolverFieldRejected("greedy_restarts", "-3");
+    expectSolverFieldRejected("greedy_restarts", "1000000000");
+    EngineOptions options;
+    std::string error;
+    ASSERT_TRUE(parseSolverField("greedy_restarts", "16", &options,
+                                 &error)) << error;
+    EXPECT_EQ(options.solver.greedyRestarts, 16);
+}
+
+TEST(DaemonProtocol, SweepThreadsAreRangeChecked)
+{
+    protocol::Request request = maEvalRequest("(c2,g4,d0^0)");
+    for (int threads : {-1, 1 << 20}) {
+        request.options.threads = threads;
+        protocol::Request decoded;
+        std::string error;
+        EXPECT_FALSE(protocol::parseRequest(
+            protocol::encodeRequest(request), &decoded, &error));
+        EXPECT_EQ(error, "sweep options out of range");
+    }
+}
+
+TEST(DaemonProtocol, OutOfRangeSolverOptionsGetAnErrorNotAHang)
+{
+    // The wire form of a wrapped capacity is "nogood_capacity":-1.
+    // Before the range check the daemon sized a no-good store from
+    // it and its sizing loop never returned, pinning the handler.
+    DaemonHarness harness;
+    protocol::Request request = maEvalRequest("(c2,g4,d0^0)");
+    request.kind = dse::ModelKind::Hilp;
+    request.options.engine.solver.useNogoods = true;
+    request.options.engine.solver.nogoodCapacity = SIZE_MAX;
+    std::string line = protocol::encodeRequest(request);
+    ASSERT_NE(line.find("\"nogood_capacity\":-1"), std::string::npos)
+        << line;
+    ASSERT_TRUE(harness.client().writeLine(line));
+    Json done = harness.readJson();
+    EXPECT_EQ(typeOf(done), "done") << harness.lastLine();
+    EXPECT_FALSE(done.find("ok")->boolValue());
+    EXPECT_NE(done.find("error")->stringValue().find("out of range"),
+              std::string::npos)
+        << harness.lastLine();
+
+    // The handler is still alive: stats round-trips.
+    protocol::Request stats;
+    stats.op = protocol::Op::Stats;
+    ASSERT_TRUE(harness.client().writeLine(
+        protocol::encodeRequest(stats)));
+    EXPECT_EQ(typeOf(harness.readJson()), "stats");
+    EXPECT_EQ(typeOf(harness.readJson()), "done");
 }
 
 } // anonymous namespace

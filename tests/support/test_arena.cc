@@ -123,7 +123,7 @@ TEST(Arena, ScopeRewindsOnAllExits)
 {
     Arena arena;
     {
-        Arena::Scope scope(&arena);
+        Arena::Scope scope(arena);
         arena.alloc(256);
         EXPECT_GT(arena.bytesInUse(), 0u);
     }
@@ -131,19 +131,16 @@ TEST(Arena, ScopeRewindsOnAllExits)
 
     // Nested scopes unwind LIFO.
     {
-        Arena::Scope outer(&arena);
+        Arena::Scope outer(arena);
         arena.alloc(64);
         {
-            Arena::Scope inner(&arena);
+            Arena::Scope inner(arena);
             arena.alloc(64);
             EXPECT_EQ(arena.bytesInUse(), 128u);
         }
         EXPECT_EQ(arena.bytesInUse(), 64u);
     }
     EXPECT_EQ(arena.bytesInUse(), 0u);
-
-    // A null arena makes the scope a no-op (legacy-layout path).
-    Arena::Scope noop(nullptr);
 }
 
 TEST(SmallVector, StaysInlineUpToN)
