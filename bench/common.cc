@@ -37,7 +37,6 @@ namespace {
 std::string g_trace_path;
 std::string g_metrics_path;
 int g_solver_threads = 1;
-bool g_deterministic_search = false;
 std::string g_checkpoint_path;
 bool g_resume = false;
 double g_point_timeout_s = 0.0;
@@ -95,8 +94,6 @@ initHarness(int *argc, char **argv)
             g_metrics_path = arg + 14;
         else if (std::strncmp(arg, "--solver-threads=", 17) == 0)
             g_solver_threads = std::atoi(arg + 17);
-        else if (std::strcmp(arg, "--deterministic-search") == 0)
-            g_deterministic_search = true;
         else if (std::strncmp(arg, "--checkpoint=", 13) == 0)
             g_checkpoint_path = arg + 13;
         else if (std::strcmp(arg, "--resume") == 0)
@@ -193,12 +190,6 @@ solverThreads()
     return g_solver_threads;
 }
 
-bool
-deterministicSearch()
-{
-    return g_deterministic_search;
-}
-
 double
 pointTimeoutS()
 {
@@ -289,7 +280,6 @@ validationEngine(double solver_seconds)
     options.solver.maxSeconds = solver_seconds;
     options.solver.maxNodes = 400000;
     options.solver.threads = g_solver_threads;
-    options.solver.deterministicSearch = g_deterministic_search;
     options.solver.useNogoods = g_nogoods;
     options.solver.lns = g_lns;
     // Rerun near-optimality misses with 4x the budget, as the paper
@@ -307,7 +297,6 @@ explorationOptions(double solver_seconds)
     options.engine.solver.maxSeconds = solver_seconds;
     options.engine.solver.maxNodes = 120000;
     options.engine.solver.threads = g_solver_threads;
-    options.engine.solver.deterministicSearch = g_deterministic_search;
     options.engine.solver.useNogoods = g_nogoods;
     options.engine.solver.lns = g_lns;
     options.engine.pointTimeoutS = g_point_timeout_s;

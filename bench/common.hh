@@ -35,9 +35,6 @@ namespace bench {
  *   --solver-threads=N  branch-and-bound worker threads for every
  *                       solve the harness runs (1 = serial, the
  *                       default; 0 = borrow from the thread budget).
- *   --deterministic-search
- *                       use the reproducible parallel search mode
- *                       instead of opportunistic work stealing.
  *   --checkpoint=FILE   append completed sweep points to FILE (JSONL)
  *                       as they finish, so an interrupted sweep can
  *                       be resumed.
@@ -104,9 +101,6 @@ void initHarness(int *argc, char **argv);
 
 /** The --solver-threads value (default 1 = serial search). */
 int solverThreads();
-
-/** True when --deterministic-search was passed. */
-bool deterministicSearch();
 
 /** The --point-timeout value in seconds (0 = no per-point deadline). */
 double pointTimeoutS();

@@ -121,11 +121,8 @@ makeInstances()
     }
     // Harness-wide solver flags apply to the headline measurements
     // too (the thread sweep overrides threads per entry).
-    for (Instance &instance : instances) {
+    for (Instance &instance : instances)
         instance.options.threads = hilp::bench::solverThreads();
-        instance.options.deterministicSearch =
-            hilp::bench::deterministicSearch();
-    }
     return instances;
 }
 
@@ -196,8 +193,6 @@ measureThreadSweep(const std::vector<Instance> &instances)
         for (int threads : kSweepThreads) {
             cp::SolverOptions options = instance.options;
             options.threads = threads;
-            options.deterministicSearch =
-                hilp::bench::deterministicSearch();
             std::vector<double> times;
             ThreadSweepEntry entry;
             entry.threads = threads;

@@ -12,6 +12,7 @@
 #ifndef HILP_CP_LIST_SCHEDULER_HH
 #define HILP_CP_LIST_SCHEDULER_HH
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -63,10 +64,14 @@ ListResult bestGreedy(const Model &model, int random_restarts = 8,
  * relocate) and keeps the perturbation when the SGS makespan does
  * not get worse. This cheap large-neighbourhood pass substantially
  * tightens incumbents on power-constrained instances where myopic
- * mode choices serialize the schedule.
+ * mode choices serialize the schedule. The climb stops after
+ * `iterations` passes or at `deadline`, whichever comes first.
  */
-ListResult improveGreedy(const Model &model, const ListResult &start,
-                         int iterations, uint64_t seed = 99);
+ListResult improveGreedy(
+    const Model &model, const ListResult &start, int iterations,
+    uint64_t seed = 99,
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max());
 
 } // namespace cp
 } // namespace hilp

@@ -58,10 +58,10 @@ uint64_t nogoodCode(int task, int mode, Time start);
 
 /**
  * Bounded transposition-table store of no-goods. Thread-safe: the
- * opportunistic parallel search shares one store across its workers
- * (a recorded bound is globally valid, see the file comment), while
- * the serial and deterministic searches keep private stores so their
- * node counts stay exactly reproducible.
+ * parallel search shares one store across its workers (a recorded
+ * bound is globally valid, see the file comment), while the
+ * single-thread search keeps a private store so its node counts stay
+ * exactly reproducible.
  */
 class NogoodStore
 {

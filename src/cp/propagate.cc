@@ -271,92 +271,6 @@ class PrecedencePropagator final : public Propagator
     std::vector<Pred> lags_;
 };
 
-/**
- * Energetic reasoning over [est, M] suffix windows: the minimum
- * energy of all unscheduled tasks whose earliest start is >= e must
- * fit into capacity within [e, M], so M >= e + ceil(energy / cap).
- * Strictly stronger than the global energy rule on staggered DAGs;
- * subscribes to est updates so it reruns after precedence tightening.
- */
-class EnergeticPropagator final : public Propagator
-{
-  public:
-    explicit EnergeticPropagator(const Model &model)
-    {
-        const int n = model.numTasks();
-        minEnergy_.assign(n, std::vector<double>(
-            model.numResources(), 0.0));
-        for (int t = 0; t < n; ++t) {
-            const Task &task = model.task(t);
-            for (int r = 0; r < model.numResources(); ++r) {
-                double min_e = -1.0;
-                for (const Mode &mode : task.modes) {
-                    double e = mode.usage[r] *
-                        static_cast<double>(mode.duration);
-                    if (min_e < 0.0 || e < min_e)
-                        min_e = e;
-                }
-                minEnergy_[t][r] = std::max(0.0, min_e);
-            }
-        }
-    }
-
-    const char *name() const override { return "energetic"; }
-
-    void onPlace(int, const Mode &, Time) override {}
-    void onUnplace(int, const Mode &, Time) override {}
-
-    Outcome
-    propagate(const PropagationContext &ctx) override
-    {
-        Outcome out;
-        const Model &model = ctx.model;
-        const int n = model.numTasks();
-        for (int r = 0; r < model.numResources(); ++r) {
-            double cap = model.capacity(r);
-            if (cap <= 0.0)
-                continue;
-            items_.clear();
-            for (int t = 0; t < n; ++t) {
-                if (ctx.assign[t].scheduled())
-                    continue;
-                double e = minEnergy_[t][r];
-                if (e > 0.0)
-                    items_.push_back({ctx.est[t], e});
-            }
-            if (items_.empty())
-                continue;
-            std::sort(items_.begin(), items_.end(),
-                      [](const Item &a, const Item &b) {
-                          return a.est > b.est;
-                      });
-            // Walking est values from latest to earliest, the
-            // running sum is exactly the energy released at or after
-            // the current est.
-            double suffix = 0.0;
-            for (const Item &item : items_) {
-                suffix += item.energy;
-                Time fill = static_cast<Time>(
-                    std::ceil(suffix / cap - 1e-9));
-                out.bound = std::max(out.bound, item.est + fill);
-            }
-        }
-        return out;
-    }
-
-    bool wantsEstUpdates() const override { return true; }
-
-  private:
-    struct Item
-    {
-        Time est;
-        double energy;
-    };
-
-    std::vector<std::vector<double>> minEnergy_;
-    std::vector<Item> items_;
-};
-
 } // anonymous namespace
 
 void
@@ -397,12 +311,6 @@ std::unique_ptr<Propagator>
 makeDisjunctivePropagator(const Model &model)
 {
     return std::make_unique<DisjunctivePropagator>(model);
-}
-
-std::unique_ptr<Propagator>
-makeEnergeticPropagator(const Model &model)
-{
-    return std::make_unique<EnergeticPropagator>(model);
 }
 
 PropagationEngine::PropagationEngine(const Model &model)

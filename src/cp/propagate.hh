@@ -18,10 +18,6 @@
  *  - "disjunctive": per-group load - busy time already scheduled on a
  *                   device plus the minimum durations still pinned to
  *                   it.
- *  - "energetic":   optional energetic reasoning on the cumulative
- *                   resources (suffix energy over [est, M] windows);
- *                   off by default, plugged in via
- *                   SolverOptions::energeticReasoning.
  *
  * The engine owns the shared interval Profile, notifies every
  * propagator of each placement, records placements on a trail so
@@ -128,7 +124,6 @@ class Propagator
 std::unique_ptr<Propagator> makePrecedencePropagator(const Model &model);
 std::unique_ptr<Propagator> makeTimetablePropagator(const Model &model);
 std::unique_ptr<Propagator> makeDisjunctivePropagator(const Model &model);
-std::unique_ptr<Propagator> makeEnergeticPropagator(const Model &model);
 
 /**
  * Owns the shared interval Profile, the propagator set, and the

@@ -33,18 +33,18 @@ using Clock = std::chrono::steady_clock;
 /** Sentinel "no bound known" value (empty aggregator). */
 constexpr Time kInfTime = std::numeric_limits<Time>::max();
 
-/** Default frontier split depth when SearchLimits::splitDepth is 0. */
-constexpr int kAutoSplitDepth = 4;
+/** The parallel search publishes every child of nodes shallower than this. */
+constexpr int kSplitDepth = 4;
 
 /**
  * Local nodes between checks of the shared node/time budgets. The
- * global node counter advances in these increments, so opportunistic
+ * global node counter advances in these increments, so parallel
  * searches may overshoot maxNodes by up to threads * kBudgetBatch
- * nodes. Private budgets (one thread, deterministic crews) are exact.
+ * nodes. The single-thread budget is exact.
  */
 constexpr int64_t kBudgetBatch = 64;
 
-/** Nodes between wall-clock polls of a private budget (power of 2). */
+/** Nodes between wall-clock polls of the single-thread budget (2^k). */
 constexpr int64_t kClockPoll = 1024;
 
 /** One trace instant per this many local nodes (power of two). */
@@ -244,20 +244,12 @@ struct Shared
     const Model &model;
     const SearchLimits &limits;
     int threads;
-    /**
-     * Workers steal subproblems and prune against the shared
-     * incumbent (threads >= 2, not deterministic). Otherwise every
-     * worker keeps a private incumbent, private no-goods, and an
-     * exact node budget.
-     */
-    bool opportunistic;
     CriticalPathData cp;
     SharedIncumbent incumbent;
     BoundAggregator aggregator;
-    /** One per opportunistic worker; empty in the other modes. */
+    /** One per worker of a parallel search; empty at one thread. */
     std::vector<WorkDeque> deques;
     Clock::time_point startTime;
-    int splitDepth;
     /**
      * Spill children once `pending` (queued + in-flight) drops below
      * this. With some worker idle, in-flight == threads - idle, so
@@ -291,12 +283,11 @@ struct Shared
     std::atomic<int64_t> nodesApprox{0};
 
     /**
-     * No-good store shared by the opportunistic workers (a recorded
-     * bound is valid for every worker: it is certified either by
+     * No-good store shared by the parallel workers (a recorded bound
+     * is valid for every worker: it is certified either by
      * propagation or against the shared incumbent, which only
-     * decreases — see nogood.hh). Null when disabled and for
-     * private-incumbent workers, which keep private stores so their
-     * node counts stay reproducible.
+     * decreases — see nogood.hh). Null when disabled and at one
+     * thread, where the worker keeps a private store.
      */
     std::unique_ptr<NogoodStore> nogoods;
 
@@ -323,16 +314,13 @@ struct Shared
         : model(model_in),
           limits(limits_in),
           threads(threads_in),
-          opportunistic(threads_in > 1 && !limits_in.deterministic),
           cp(criticalPathData(model_in)),
           incumbent(initial_ub, warm),
-          deques(opportunistic ? static_cast<size_t>(threads_in) : 0),
+          deques(threads_in > 1 ? static_cast<size_t>(threads_in) : 0),
           startTime(Clock::now()),
-          splitDepth(limits_in.splitDepth > 0 ? limits_in.splitDepth
-                                              : kAutoSplitDepth),
           lowWater(threads_in)
     {
-        if (limits_in.useNogoods && opportunistic)
+        if (limits_in.useNogoods && threads_in > 1)
             nogoods.reset(new NogoodStore(limits_in.nogoodCapacity));
     }
 
@@ -365,11 +353,10 @@ gapReached(Time ub, const SearchLimits &limits)
 
 /**
  * One worker: a private propagation engine plus the branching state,
- * driven from the root (single thread), by the shared deques
- * (opportunistic mode), or by a statically assigned slice of the
- * frontier (deterministic mode). Every mode branches through the same
- * dfs(), so the union of the subtrees covers the same schedule space
- * and the returned optima agree (the differential test in
+ * driven from the root (single thread) or by the shared deques
+ * (parallel search). Both branch through the same dfs(), so the union
+ * of the subtrees covers the same schedule space and the returned
+ * optima agree (the differential test in
  * tests/cp/test_parallel_search.cc holds this).
  */
 class Worker
@@ -380,15 +367,13 @@ class Worker
           model_(shared.model),
           limits_(shared.limits),
           id_(id),
-          private_(!shared.opportunistic),
+          private_(shared.threads == 1),
           n_(shared.model.numTasks()),
           engine_(shared.model)
     {
         engine_.add(makeTimetablePropagator(model_));
         engine_.add(makeDisjunctivePropagator(model_));
         engine_.add(makePrecedencePropagator(model_));
-        if (limits_.energeticReasoning)
-            engine_.add(makeEnergeticPropagator(model_));
 
         assign_.assign(n_, Assignment{});
         end_.assign(n_, 0);
@@ -407,13 +392,12 @@ class Worker
 
         privUb_ = shared.incumbent.ub();
         privFound_ = shared.incumbent.found();
-        nodeBudget_ = limits_.maxNodes;
 
         if (shared.nogoods) {
             nogoods_ = shared.nogoods.get();
         } else if (limits_.useNogoods) {
             // A private store keeps this worker's pruning a function
-            // of its own tree (or frontier slice) only.
+            // of its own tree only.
             privateNogoods_.reset(
                 new NogoodStore(limits_.nogoodCapacity));
             nogoods_ = privateNogoods_.get();
@@ -456,51 +440,23 @@ class Worker
             engine_.stateArena().heapBytes());
     }
 
-    // -- Private incumbent (single-thread and deterministic). -----
+    // -- Private incumbent (single thread). ------------------------
     bool privateFound() const { return privFound_; }
     Time privateUb() const { return privUb_; }
     const ScheduleVec &privateBest() const { return privBest_; }
-    ptrdiff_t privateBestSub() const { return privBestSub_; }
     bool stoppedOnGap() const { return localStop_; }
     bool stoppedOnLimit() const { return localLimit_; }
 
-    /** Seed the private incumbent (deterministic worker startup). */
-    void
-    seedPrivate(Time ub, bool found)
-    {
-        privUb_ = ub;
-        privFound_ = found;
-    }
-
-    /** Cap this worker's node count (deterministic budgeting). */
-    void setNodeBudget(int64_t budget) { nodeBudget_ = budget; }
-
-    /** Single-thread mode: search the whole tree from the root. */
+    /** Single thread: search the whole tree from the root. */
     void
     searchFromRoot()
     {
-        dfs(0, std::max<Time>(0, limits_.lowerBound));
+        dfs(0);
     }
 
-    /**
-     * Serially enumerate the frontier at exactly `depth`: run the
-     * search from the root, but capture every surviving node with
-     * `depth` placements as a subproblem instead of descending into
-     * it. Complete schedules above the frontier become (private)
-     * incumbents. Returns with the worker back at the root state.
-     */
+    /** Parallel search: pop, steal, search, spill, repeat. */
     void
-    generateFrontier(int depth, std::vector<Subproblem> *out)
-    {
-        collect_ = out;
-        collectDepth_ = depth;
-        searchFromRoot();
-        collect_ = nullptr;
-    }
-
-    /** Opportunistic mode: pop, steal, search, spill, repeat. */
-    void
-    runOpportunistic()
+    runStealing()
     {
         trace::Span span("cp.search.worker",
                          trace::Arg::intArg("worker", id_));
@@ -523,35 +479,6 @@ class Worker
                                       std::memory_order_relaxed);
         span.arg(trace::Arg::intArg("nodes", nodes_));
         span.arg(trace::Arg::intArg("steals", steals_));
-    }
-
-    /**
-     * Deterministic mode: process frontier[i] for every
-     * i == id (mod threads), in index order, against the private
-     * incumbent only.
-     */
-    void
-    runDeterministic(const std::vector<Subproblem> &frontier)
-    {
-        trace::Span span("cp.search.worker",
-                         trace::Arg::intArg("worker", id_));
-        for (size_t i = static_cast<size_t>(id_);
-             i < frontier.size();
-             i += static_cast<size_t>(shared_.threads)) {
-            if (localStop_ || localLimit_)
-                break;
-            // Poll the wall-clock budgets between subproblems too:
-            // nodeAdmission only polls every kClockPoll nodes
-            // *inside* a subtree, so a frontier of cheap subproblems
-            // could otherwise coast past the deadline.
-            if (shared_.expired()) {
-                localLimit_ = true;
-                break;
-            }
-            curSub_ = static_cast<ptrdiff_t>(i);
-            process(frontier[i]);
-        }
-        span.arg(trace::Arg::intArg("nodes", nodes_));
     }
 
   private:
@@ -649,9 +576,10 @@ class Worker
             trace::instant("cp.nodes",
                            trace::Arg::intArg("nodes", nodes_));
         if (private_) {
-            // A private budget is exact: the node count is checked on
-            // every node, so a run stops at precisely its budget.
-            if (nodes_ >= nodeBudget_ ||
+            // The single-thread budget is exact: the node count is
+            // checked on every node, so a run stops at precisely its
+            // budget.
+            if (nodes_ >= limits_.maxNodes ||
                 ((nodes_ & (kClockPoll - 1)) == 0 && shared_.expired()))
                 localLimit_ = true;
             return localStop_ || localLimit_;
@@ -679,7 +607,6 @@ class Worker
             privUb_ = makespan;
             privFound_ = true;
             privBest_.tasks = assign_;
-            privBestSub_ = curSub_;
         } else if (!shared_.incumbent.offer(makespan, assign_)) {
             return;
         }
@@ -693,21 +620,15 @@ class Worker
                            trace::Arg::intArg("makespan", makespan),
                            trace::Arg::numArg("gap", gap));
         }
+        // The private incumbent stops against the external bound.
         if (!private_)
             sharedGapCheck();
-        else if (privateGapReached())
+        else if (gapReached(privUb_, limits_))
             localStop_ = true;
     }
 
-    /** Target-gap test of the private incumbent (external bound). */
-    bool
-    privateGapReached() const
-    {
-        return privFound_ && gapReached(privUb_, limits_);
-    }
-
     /**
-     * Opportunistic targetGap stop against the aggregated global
+     * Parallel targetGap stop against the aggregated global
      * lower bound: the optimum is at least
      * min(incumbent, min over remaining subtree bounds), and at
      * least the external bound.
@@ -746,7 +667,7 @@ class Worker
     {
         if (private_)
             return false;
-        if (scheduled_ < shared_.splitDepth)
+        if (scheduled_ < kSplitDepth)
             return true;
         return shared_.idle.load(std::memory_order_relaxed) > 0 &&
                shared_.pending.load(std::memory_order_relaxed) <
@@ -772,18 +693,12 @@ class Worker
 
     /**
      * The search recursion: branch over the eligible tasks and their
-     * feasible options, capture the frontier (collect_) or spill
-     * children for stealing where the mode asks for it.
+     * feasible options, spilling children for stealing where the
+     * parallel search asks for it.
      */
     void
-    dfs(Time makespan, Time inherited_bound)
+    dfs(Time makespan)
     {
-        if (collect_ && scheduled_ == collectDepth_ &&
-            scheduled_ < n_) {
-            collect_->push_back(
-                Subproblem{path_, inherited_bound});
-            return;
-        }
         if (nodeAdmission())
             return;
         if (scheduled_ == n_) {
@@ -807,10 +722,8 @@ class Worker
                                est_};
         Time node_bound = engine_.fixpoint(ctx);
         if (node_bound >= ub) {
-            // Certified by propagation alone. Skipped during
-            // frontier capture only to keep generation free of
-            // store-order effects.
-            if (nogoods_ && scheduled_ > 0 && !collect_) {
+            // Certified by propagation alone.
+            if (nogoods_ && scheduled_ > 0) {
                 nogoods_->record(hash_, node_bound, scheduled_);
                 ++nogoodsRecorded_;
             }
@@ -873,15 +786,14 @@ class Worker
             for (size_t oi = 0; oi < num_options; ++oi) {
                 const Option &opt = options[oi];
                 Decision d{t, opt.mode, opt.start};
-                Time child_bound = std::max(
-                    node_bound,
-                    static_cast<Time>(opt.complete + tail_after));
                 if (spill) {
-                    publish(d, child_bound);
+                    publish(d, std::max(node_bound,
+                                        static_cast<Time>(
+                                            opt.complete + tail_after)));
                     continue;
                 }
                 apply(d);
-                dfs(std::max(makespan, opt.complete), child_bound);
+                dfs(std::max(makespan, opt.complete));
                 undo();
                 if (abortRequested())
                     return;
@@ -892,12 +804,12 @@ class Worker
             }
         }
         // Record only when this node's subtree was really explored:
-        // not when children were spilled for stealing or captured
-        // into a frontier, and not on a budget/gap unwind (those
-        // return early above). The bound is the incumbent at *this*
-        // moment; it only decreases afterwards, so the no-good stays
-        // valid for every other worker too.
-        if (nogoods_ && scheduled_ > 0 && !spill && !collect_) {
+        // not when children were spilled for stealing, and not on a
+        // budget/gap unwind (those return early above). The bound is
+        // the incumbent at *this* moment; it only decreases
+        // afterwards, so the no-good stays valid for every other
+        // worker too.
+        if (nogoods_ && scheduled_ > 0 && !spill) {
             nogoods_->record(hash_, currentUb(), scheduled_);
             ++nogoodsRecorded_;
         }
@@ -914,18 +826,16 @@ class Worker
             Time makespan = 0;
             for (const Decision &d : sub.prefix)
                 makespan = std::max(makespan, apply(d));
-            dfs(makespan, sub.bound);
+            dfs(makespan);
             for (size_t i = 0; i < sub.prefix.size(); ++i)
                 undo();
         }
-        if (!private_) {
-            shared_.aggregator.remove(sub.bound);
-            // Only now does the subproblem leave the in-flight set:
-            // any children it spilled are already counted, so
-            // `pending` can never read 0 while work is unexplored.
-            shared_.pending.fetch_sub(1, std::memory_order_acq_rel);
-            sharedGapCheck();
-        }
+        shared_.aggregator.remove(sub.bound);
+        // Only now does the subproblem leave the in-flight set: any
+        // children it spilled are already counted, so `pending` can
+        // never read 0 while work is unexplored.
+        shared_.pending.fetch_sub(1, std::memory_order_acq_rel);
+        sharedGapCheck();
     }
 
     /**
@@ -1055,10 +965,6 @@ class Worker
     std::vector<Decision> path_;
     int scheduled_ = 0;
 
-    // Frontier capture (deterministic generation).
-    std::vector<Subproblem> *collect_ = nullptr;
-    int collectDepth_ = 0;
-
     /** Zobrist key of the current placement set (see nogood.hh). */
     uint64_t hash_ = 0;
     /** Shared or private store; null when no-goods are disabled. */
@@ -1067,15 +973,12 @@ class Worker
     int64_t nogoodHits_ = 0;
     int64_t nogoodsRecorded_ = 0;
 
-    // Private incumbent (single-thread and deterministic modes).
+    // Private incumbent (single thread).
     Time privUb_ = 0;
     bool privFound_ = false;
     ScheduleVec privBest_;
-    ptrdiff_t privBestSub_ = -1;
-    ptrdiff_t curSub_ = -1;
     bool localStop_ = false;
     bool localLimit_ = false;
-    int64_t nodeBudget_ = 0;
 
     int64_t nodes_ = 0;
     int64_t backtracks_ = 0;
@@ -1101,23 +1004,6 @@ mergeWorker(SearchResult &result, const Worker &worker,
     result.arenaRewinds += worker.arenaRewinds();
     *arena_heap += worker.arenaHeapBytes();
     mergePropagatorStats(result.propagators, worker.propagators());
-}
-
-/**
- * Adopt a private-incumbent worker's best schedule. The worker's
- * view already includes the warm start, so only a strict improvement
- * over it carries a schedule.
- */
-void
-adoptPrivateBest(SearchResult &result, const Worker &worker)
-{
-    if (worker.privateFound() &&
-        (!result.foundSolution ||
-         worker.privateUb() < result.bestMakespan)) {
-        result.foundSolution = true;
-        result.bestMakespan = worker.privateUb();
-        result.best = worker.privateBest();
-    }
 }
 
 /** Per-search metrics flush, once per search (not per node). */
@@ -1154,135 +1040,35 @@ flushMetrics(const SearchResult &result, bool use_nogoods,
 }
 
 /**
- * Deterministic frontier: iterative deepening until the frontier is
- * wide enough to keep the crew busy (or the tree stops widening).
- * An explicit SearchLimits::splitDepth pins the depth instead.
+ * Single thread: one private-incumbent worker from the root. The
+ * worker's incumbent already includes the warm start, so only a
+ * strict improvement over it carries a schedule.
  */
-std::vector<Subproblem>
-buildFrontier(Worker &generator, const SearchLimits &limits,
-              int threads, int num_tasks)
-{
-    std::vector<Subproblem> frontier;
-    if (limits.splitDepth > 0) {
-        generator.generateFrontier(
-            std::min(limits.splitDepth, num_tasks), &frontier);
-        return frontier;
-    }
-    size_t target = static_cast<size_t>(threads) * 4;
-    for (int depth = 1; depth <= num_tasks; ++depth) {
-        std::vector<Subproblem> candidate;
-        generator.generateFrontier(depth, &candidate);
-        if (generator.stoppedOnLimit() || generator.stoppedOnGap())
-            return candidate;
-        bool grew = candidate.size() > frontier.size();
-        frontier = std::move(candidate);
-        if (frontier.size() >= target || frontier.empty())
-            break;
-        if (depth > 1 && !grew)
-            break; // The tree is not widening; stop deepening.
-    }
-    return frontier;
-}
-
-/** Single thread: one private-incumbent worker from the root. */
 SearchResult
 runSerial(Shared &shared, SearchResult result, int64_t *arena_heap)
 {
     Worker worker(shared, 0);
     worker.searchFromRoot();
     mergeWorker(result, worker, arena_heap);
-    adoptPrivateBest(result, worker);
+    if (worker.privateFound() &&
+        (!result.foundSolution ||
+         worker.privateUb() < result.bestMakespan)) {
+        result.foundSolution = true;
+        result.bestMakespan = worker.privateUb();
+        result.best = worker.privateBest();
+    }
     result.exhausted =
         !worker.stoppedOnLimit() && !worker.stoppedOnGap();
     return result;
 }
 
+/** Two or more threads: a work-stealing crew from the root. */
 SearchResult
-runDeterministic(const Model &model, const SearchLimits &limits,
-                 Shared &shared, SearchResult result,
-                 int64_t *arena_heap)
-{
-    int threads = shared.threads;
-    Worker generator(shared, 0);
-    std::vector<Subproblem> frontier =
-        buildFrontier(generator, limits, threads, model.numTasks());
-
-    // The generation pass may have solved the whole tree (all
-    // leaves shallower than the frontier, or everything pruned).
-    bool generation_done = frontier.empty() ||
-        generator.stoppedOnLimit() || generator.stoppedOnGap();
-    if (generation_done) {
-        mergeWorker(result, generator, arena_heap);
-        adoptPrivateBest(result, generator);
-        result.exhausted = !generator.stoppedOnLimit() &&
-                           !generator.stoppedOnGap();
-        return result;
-    }
-
-    // Register the frontier for telemetry parity.
-    result.subproblems += static_cast<int64_t>(frontier.size());
-
-    std::vector<std::unique_ptr<Worker>> workers;
-    workers.reserve(static_cast<size_t>(threads) - 1);
-    for (int w = 1; w < threads; ++w) {
-        workers.push_back(std::make_unique<Worker>(shared, w));
-        workers.back()->seedPrivate(generator.privateUb(),
-                                    generator.privateFound());
-    }
-    // Reproducible budgeting: every worker gets an equal slice of
-    // the node budget, the generator keeps what it already spent
-    // plus its slice.
-    int64_t slice = std::max<int64_t>(1, limits.maxNodes / threads);
-    generator.setNodeBudget(generator.nodes() + slice);
-    for (auto &worker : workers)
-        worker->setNodeBudget(slice);
-
-    std::vector<std::thread> crew;
-    crew.reserve(workers.size());
-    for (size_t w = 0; w < workers.size(); ++w) {
-        Worker *worker = workers[w].get();
-        crew.emplace_back([worker, &frontier, w] {
-            trace::setThreadName(format("cp-worker-%zu", w + 1));
-            worker->runDeterministic(frontier);
-        });
-    }
-    generator.runDeterministic(frontier);
-    for (std::thread &thread : crew)
-        thread.join();
-
-    // Deterministic merge: best makespan, ties to the earliest
-    // frontier index (the generator's pre-frontier finds count as
-    // index -1).
-    const Worker *winner = &generator;
-    for (const auto &worker : workers) {
-        if (!worker->privateFound())
-            continue;
-        if (!winner->privateFound() ||
-            worker->privateUb() < winner->privateUb() ||
-            (worker->privateUb() == winner->privateUb() &&
-             worker->privateBestSub() < winner->privateBestSub()))
-            winner = worker.get();
-    }
-    bool limit = generator.stoppedOnLimit();
-    bool gap_stop = generator.stoppedOnGap();
-    for (const auto &worker : workers) {
-        limit = limit || worker->stoppedOnLimit();
-        gap_stop = gap_stop || worker->stoppedOnGap();
-        mergeWorker(result, *worker, arena_heap);
-    }
-    adoptPrivateBest(result, *winner);
-    mergeWorker(result, generator, arena_heap);
-    result.exhausted = !limit && !gap_stop;
-    return result;
-}
-
-SearchResult
-runOpportunistic(const SearchLimits &limits, Shared &shared,
-                 SearchResult result, int64_t *arena_heap)
+runParallel(Shared &shared, SearchResult result, int64_t *arena_heap)
 {
     int threads = shared.threads;
     Subproblem root;
-    root.bound = std::max<Time>(0, limits.lowerBound);
+    root.bound = std::max<Time>(0, shared.limits.lowerBound);
     shared.aggregator.add(root.bound);
     shared.pending.store(1, std::memory_order_relaxed);
     shared.deques[0].push(std::move(root));
@@ -1298,10 +1084,10 @@ runOpportunistic(const SearchLimits &limits, Shared &shared,
         Worker *worker = workers[static_cast<size_t>(w)].get();
         crew.emplace_back([worker, w] {
             trace::setThreadName(format("cp-worker-%d", w));
-            worker->runOpportunistic();
+            worker->runStealing();
         });
     }
-    workers[0]->runOpportunistic();
+    workers[0]->runStealing();
     for (std::thread &thread : crew)
         thread.join();
 
@@ -1362,12 +1148,8 @@ branchAndBound(const Model &model, const ScheduleVec *warm_start,
         // caller cut would then claim `exhausted`, which the solver
         // treats as an optimality proof.
         result.exhausted = false;
-    } else if (limits.deterministic) {
-        result = runDeterministic(model, limits, shared,
-                                  std::move(result), &arena_heap);
     } else {
-        result = runOpportunistic(limits, shared, std::move(result),
-                                  &arena_heap);
+        result = runParallel(shared, std::move(result), &arena_heap);
     }
 
     span.arg(trace::Arg::intArg("nodes", result.nodes));

@@ -19,13 +19,14 @@
  * thread count changes:
  *
  *  - threads <= 1: one worker searches the whole tree from the root
- *    against a private incumbent. There is no frontier, no deque and
- *    no crew thread; the node budget is exact (checked on every
- *    node), so node counts and incumbents are reproducible.
- *  - Opportunistic (threads >= 2): the tree is decomposed into
- *    *subproblems* - decision prefixes from the root - that a crew
- *    of workers searches.
- *     - Frontier splitting: nodes above SearchLimits::splitDepth are
+ *    against a private incumbent and a private no-good store. There
+ *    is no frontier, no deque and no crew thread; the node budget is
+ *    exact (checked on every node), so node counts and incumbents
+ *    are reproducible.
+ *  - threads >= 2: the tree is decomposed into *subproblems* -
+ *    decision prefixes from the root - that a crew of workers
+ *    searches.
+ *     - Frontier splitting: nodes above a fixed split depth (4) are
  *       expanded into child subproblems pushed onto the owning
  *       worker's deque instead of being recursed into; deeper nodes
  *       also spill their children whenever other workers are
@@ -42,19 +43,13 @@
  *       aggregator, so the targetGap stop can use min(incumbent, min
  *       over remaining subtrees) as a sound global lower bound
  *       instead of only the weaker external bound.
- *  - Deterministic (threads >= 2, SearchLimits::deterministic):
- *    trades pruning power for reproducibility. The frontier is
- *    generated serially at a fixed depth and assigned round-robin;
- *    workers keep private incumbents (no stealing, no sharing), and
- *    the results merge by (makespan, subproblem index). A
- *    deterministic run that completes within its node budget is
- *    exactly reproducible for a given thread count.
  *
- * Every mode returns the same optimal makespans and the same
+ * Every thread count returns the same optimal makespans and the same
  * exhausted/foundSolution statuses; only node counts differ (pruning
- * happens in a different order). See tests/cp/test_parallel_search.cc
- * for the differential guarantee and tests/cp/test_search.cc for the
- * pinned single-thread trees.
+ * happens in a different order, and in a run-dependent one above one
+ * thread). See tests/cp/test_parallel_search.cc for the differential
+ * guarantee and tests/cp/test_search.cc for the pinned single-thread
+ * trees.
  */
 
 #ifndef HILP_CP_SEARCH_HH
@@ -99,44 +94,18 @@ struct SearchLimits
      */
     Time lowerBound = 0;
     /**
-     * Plug the optional energetic-reasoning propagator into the
-     * propagation engine (suffix-energy windows over earliest
-     * starts). Off by default: it changes which nodes get pruned, so
-     * it is opt-in per solve.
-     */
-    bool energeticReasoning = false;
-    /**
-     * Worker threads for the branch-and-bound tree walk. 1 (the
-     * default) runs one worker from the root with exact budgets;
-     * larger values run the work-stealing crew (see the file
-     * comment), which explores a different node set but returns the
-     * same optimal makespans and the same exhausted/foundSolution
-     * statuses.
+     * Worker threads for the tree walk: 1 (the default) runs one
+     * worker from the root with exact budgets, more run the
+     * work-stealing crew (see the file comment).
      */
     int threads = 1;
-    /**
-     * Parallel determinism mode: partition the frontier statically,
-     * keep per-worker incumbents, and merge deterministically, so a
-     * run that finishes within its budgets is exactly reproducible
-     * for a fixed thread count. Off (the default) shares the
-     * incumbent opportunistically, which prunes harder but makes
-     * node counts (never results) run-dependent.
-     */
-    bool deterministic = false;
-    /**
-     * Tree depth down to which the parallel search splits nodes into
-     * stealable subproblems instead of recursing. 0 picks a default;
-     * ignored when threads <= 1.
-     */
-    int splitDepth = 0;
     /**
      * No-good recording (see nogood.hh): cache proven makespan
      * bounds for visited placement sets and prune transpositions.
      * Preserves optimality and exhaustion statuses but changes node
-     * counts, so it is opt-in. The opportunistic parallel search
-     * shares one store across workers; the single-thread and
-     * deterministic searches use private stores and stay exactly
-     * reproducible.
+     * counts, so it is opt-in. The parallel search shares one store
+     * across workers; the single-thread search keeps a private one
+     * and stays exactly reproducible.
      */
     bool useNogoods = false;
     /** Entry budget for the no-good store (rounded up to 2^k). */

@@ -33,16 +33,8 @@ toString(SolveStatus status)
     return "unknown";
 }
 
-namespace {
-
-/**
- * The heuristic seed every stochastic component derives from: the
- * plain option seed when no salt is set (the historical behavior),
- * otherwise the seed mixed with the salt so distinct instances and
- * retry attempts sharing a seed take distinct trajectories.
- */
 uint64_t
-saltedSeed(const SolverOptions &options)
+heuristicSeed(const SolverOptions &options)
 {
     if (options.seedSalt == 0)
         return options.seed;
@@ -51,8 +43,6 @@ saltedSeed(const SolverOptions &options)
     hasher.u64(options.seedSalt);
     return hasher.digest();
 }
-
-} // anonymous namespace
 
 double
 Result::gap() const
@@ -96,7 +86,7 @@ Solver::solve(const Model &model, const ScheduleVec *hint) const
     }
 
     // Greedy warm start, refined by priority-order hill climbing.
-    const uint64_t heuristic_seed = saltedSeed(options_);
+    const uint64_t heuristic_seed = heuristicSeed(options_);
     ListResult greedy;
     {
         TRACE_SPAN("cp.greedy");
@@ -151,7 +141,8 @@ Solver::solve(const Model &model, const ScheduleVec *hint) const
                 } else {
                     greedy = improveGreedy(model, greedy,
                                            options_.lnsIterations,
-                                           heuristic_seed + 1);
+                                           heuristic_seed + 1,
+                                           options_.deadline);
                 }
             }
             result.stats.greedyMakespan = greedy.makespan;
@@ -172,9 +163,6 @@ Solver::solve(const Model &model, const ScheduleVec *hint) const
     limits.deadline = options_.deadline;
     limits.targetGap = options_.targetGap;
     limits.lowerBound = result.lowerBound;
-    limits.energeticReasoning = options_.energeticReasoning;
-    limits.deterministic = options_.deterministicSearch;
-    limits.splitDepth = options_.splitDepth;
     limits.useNogoods = options_.useNogoods;
     limits.nogoodCapacity = options_.nogoodCapacity;
 

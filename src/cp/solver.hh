@@ -15,6 +15,7 @@
 #include "bounds.hh"
 #include "model.hh"
 #include "propagate.hh"
+#include "support/option_field.hh"
 
 namespace hilp {
 namespace cp {
@@ -84,12 +85,6 @@ struct SolverOptions
      */
     uint64_t seedSalt = 0;
     /**
-     * Plug the optional energetic-reasoning propagator into the
-     * search's propagation engine. Off by default (it changes the
-     * explored tree, so results stay reproducible across versions).
-     */
-    bool energeticReasoning = false;
-    /**
      * Branch-and-bound worker threads. 1 (the default) runs one
      * worker from the root with an exact node budget, so node counts
      * are reproducible. Larger values run the work-stealing parallel
@@ -99,18 +94,6 @@ struct SolverOptions
      * sweep is using the machine) and returns them afterwards.
      */
     int threads = 1;
-    /**
-     * Use the deterministic parallel search (static frontier
-     * partition, private incumbents, reproducible merge) instead of
-     * the opportunistic work-stealing one. Only meaningful when
-     * threads != 1.
-     */
-    bool deterministicSearch = false;
-    /**
-     * Frontier split depth for the parallel search; 0 picks a
-     * default (see SearchLimits::splitDepth).
-     */
-    int splitDepth = 0;
     /**
      * No-good recording in the branch-and-bound (see nogood.hh).
      * Preserves every status and optimality guarantee but changes
@@ -129,6 +112,41 @@ struct SolverOptions
     /** Node budget for each bounded B&B polish inside the LNS. */
     int64_t lnsPolishNodes = 2000;
 };
+
+/** Most worker threads a wire request may ask for, per solve or sweep. */
+inline constexpr int kMaxThreads = 256;
+/** Largest node budget a wire request may set. */
+inline constexpr int64_t kMaxNodeBudget = int64_t{1} << 40;
+
+/**
+ * The wire fields of SolverOptions and their valid ranges (see
+ * hilp/options.hh). `deadline` is runtime state and stays off the
+ * wire. The budget caps hold under the engine's escalations (see
+ * kEngineOptionFields).
+ */
+inline constexpr OptionField<SolverOptions> kSolverOptionFields[] = {
+    {"max_nodes", &SolverOptions::maxNodes, 1, kMaxNodeBudget},
+    {"max_seconds", &SolverOptions::maxSeconds, 1e-3, 1e6},
+    {"target_gap", &SolverOptions::targetGap, 0.0, 1.0},
+    {"use_lp_bound", &SolverOptions::useLpBound},
+    {"greedy_restarts", &SolverOptions::greedyRestarts, 0, 1 << 16},
+    {"lns_iterations", &SolverOptions::lnsIterations, 0, 1 << 16},
+    {"seed", &SolverOptions::seed, kInt64Min, kInt64Max},
+    {"seed_salt", &SolverOptions::seedSalt, kInt64Min, kInt64Max},
+    {"threads", &SolverOptions::threads, 0, kMaxThreads},
+    {"use_nogoods", &SolverOptions::useNogoods},
+    {"nogood_capacity", &SolverOptions::nogoodCapacity, 0, 1 << 22},
+    {"lns", &SolverOptions::lns},
+    {"lns_polish_nodes", &SolverOptions::lnsPolishNodes, 0,
+     kMaxNodeBudget},
+};
+
+/**
+ * The seed every stochastic heuristic of a solve (and the engine's
+ * list-scheduler fallback) derives from: `seed` itself when no salt
+ * is set, otherwise `seed` mixed with `seedSalt`.
+ */
+uint64_t heuristicSeed(const SolverOptions &options);
 
 /** Effort accounting for a solve. */
 struct SolveStats

@@ -226,40 +226,6 @@ SolveMemo::clear()
     publishBytesLocked();
 }
 
-uint64_t
-engineOptionsDigest(const EngineOptions &options)
-{
-    Hasher hasher;
-    hasher.f64(options.initialStepS);
-    hasher.i64(options.horizonSteps);
-    hasher.i64(options.refineThreshold);
-    hasher.f64(options.refineFactor);
-    hasher.i64(options.maxRefinements);
-    hasher.i64(options.maxCoarsenings);
-    hasher.i64(options.escalations);
-    hasher.f64(options.escalationFactor);
-    hasher.f64(options.pointTimeoutS);
-    hasher.i64(options.fallbackLnsIterations);
-    const cp::SolverOptions &solver = options.solver;
-    hasher.i64(solver.maxNodes);
-    hasher.f64(solver.maxSeconds);
-    hasher.f64(solver.targetGap);
-    hasher.boolean(solver.useLpBound);
-    hasher.i64(solver.greedyRestarts);
-    hasher.i64(solver.lnsIterations);
-    hasher.u64(solver.seed);
-    hasher.u64(solver.seedSalt);
-    hasher.boolean(solver.energeticReasoning);
-    hasher.i64(solver.threads);
-    hasher.boolean(solver.deterministicSearch);
-    hasher.i64(solver.splitDepth);
-    hasher.boolean(solver.useNogoods);
-    hasher.u64(solver.nogoodCapacity);
-    hasher.boolean(solver.lns);
-    hasher.i64(solver.lnsPolishNodes);
-    return hasher.digest();
-}
-
 EngineOptions
 EngineOptions::validationMode()
 {
@@ -560,13 +526,7 @@ listSchedulerFallback(const ProblemSpec &spec, double step_s,
     // Same salted seeding as the solver facade: the fallback's
     // greedy and LNS passes must diversify across instances and
     // retry attempts too.
-    uint64_t heuristic_seed = options.solver.seed;
-    if (options.solver.seedSalt != 0) {
-        Hasher hasher;
-        hasher.u64(heuristic_seed);
-        hasher.u64(options.solver.seedSalt);
-        heuristic_seed = hasher.digest();
-    }
+    const uint64_t heuristic_seed = cp::heuristicSeed(options.solver);
     double step = step_s;
     for (int i = 0; i <= coarsenings_left;
          ++i, step *= options.refineFactor) {

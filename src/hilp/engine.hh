@@ -26,6 +26,7 @@
 #include "discretize.hh"
 #include "problem.hh"
 #include "schedule.hh"
+#include "support/option_field.hh"
 
 namespace hilp {
 
@@ -90,6 +91,29 @@ struct EngineOptions
      * horizon, refine below 40 steps.
      */
     static EngineOptions explorationMode();
+};
+
+/**
+ * The wire fields of EngineOptions and their valid ranges (see
+ * hilp/options.hh; the solver block has cp::kSolverOptionFields).
+ * `memoMaxBytes` only bounds a server's cache retention and stays
+ * off the wire. The ranges keep the adaptive loop inside its types:
+ * a refinement scales step counts below `refine_threshold` by at
+ * most `refine_factor` (under 2^31), and escalation scales the
+ * solver's `max_nodes` and `lns_iterations` by at most 8^4.
+ */
+inline constexpr OptionField<EngineOptions> kEngineOptionFields[] = {
+    {"initial_step_s", &EngineOptions::initialStepS, 1e-3, 1e6},
+    {"horizon_steps", &EngineOptions::horizonSteps, 1, 1 << 20},
+    {"refine_threshold", &EngineOptions::refineThreshold, 0, 1 << 20},
+    {"refine_factor", &EngineOptions::refineFactor, 1.01, 1e3},
+    {"max_refinements", &EngineOptions::maxRefinements, 0, 64},
+    {"max_coarsenings", &EngineOptions::maxCoarsenings, 0, 64},
+    {"escalations", &EngineOptions::escalations, 0, 4},
+    {"escalation_factor", &EngineOptions::escalationFactor, 1.0, 8.0},
+    {"point_timeout_s", &EngineOptions::pointTimeoutS, 0.0, 1e6},
+    {"fallback_lns_iterations", &EngineOptions::fallbackLnsIterations,
+     0, 1 << 16},
 };
 
 /** The outcome of evaluating a workload on an SoC. */
@@ -258,22 +282,14 @@ struct EvalReuse
     /**
      * Key-space segmentation for memos shared beyond one sweep: a
      * non-zero salt (e.g. engineOptionsDigest of the evaluation's
-     * options) is hash-combined into the memo key, so one long-lived
-     * memo can serve requests with differing engine options without
-     * ever returning a result computed under different options. 0
-     * (the default) keys by the bare fingerprint, as a single-sweep
-     * private memo always has.
+     * options, see hilp/options.hh) is hash-combined into the memo
+     * key, so one long-lived memo can serve requests with differing
+     * engine options without ever returning a result computed under
+     * different options. 0 (the default) keys by the bare
+     * fingerprint, as a single-sweep private memo always has.
      */
     uint64_t memoSalt = 0;
 };
-
-/**
- * Digest of every result-affecting engine option (resolution ladder,
- * budgets, solver knobs - not the memo cap, which only affects
- * retention). Evaluations with equal digests may soundly share memo
- * entries; see EvalReuse::memoSalt.
- */
-uint64_t engineOptionsDigest(const EngineOptions &options);
 
 /**
  * Evaluate the problem with the adaptive engine. The spec must

@@ -1,3 +1,7 @@
+// Unaligned, the simplex loops run up to ~35% slower (Intel Xeon)
+// whenever unrelated code shifts them across a 32-byte boundary.
+#pragma GCC optimize("align-loops=32")
+
 #include "lp.hh"
 
 #include <algorithm>

@@ -9,6 +9,7 @@
 #include "baselines/gables.hh"
 #include "baselines/multiamdahl.hh"
 #include "dse/checkpoint.hh"
+#include "hilp/options.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"

@@ -1,8 +1,7 @@
 #include "protocol.hh"
 
-#include <cstring>
-
 #include "arch/parse.hh"
+#include "hilp/options.hh"
 #include "support/str.hh"
 
 namespace hilp {
@@ -24,22 +23,6 @@ intOr(const Json &object, const char *key, int64_t fallback)
 {
     const Json *value = object.find(key);
     return value && value->isNumber() ? value->intValue() : fallback;
-}
-
-/**
- * Caps on the options that size an allocation or spawn threads. A
- * remote client's values are used as sent, so an unchecked capacity
- * could hang the no-good store's sizing loop, and a thread count
- * spawn that many workers per sweep or per solve.
- */
-constexpr int64_t kMaxThreads = 256;
-constexpr int64_t kMaxNogoodCapacity = int64_t{1} << 22;
-constexpr int64_t kMaxGreedyRestarts = int64_t{1} << 16;
-
-bool
-inRange(int64_t value, int64_t lo, int64_t hi)
-{
-    return value >= lo && value <= hi;
 }
 
 bool
@@ -109,161 +92,6 @@ parseVariant(const std::string &name, workload::Variant *out)
         *out = workload::Variant::Optimized;
     else
         return false;
-    return true;
-}
-
-Json
-engineOptionsJson(const EngineOptions &options)
-{
-    Json json = Json::object();
-    json.set("initial_step_s", Json::number(options.initialStepS));
-    json.set("horizon_steps",
-             Json::number(static_cast<int64_t>(options.horizonSteps)));
-    json.set("refine_threshold",
-             Json::number(
-                 static_cast<int64_t>(options.refineThreshold)));
-    json.set("refine_factor", Json::number(options.refineFactor));
-    json.set("max_refinements",
-             Json::number(static_cast<int64_t>(options.maxRefinements)));
-    json.set("max_coarsenings",
-             Json::number(
-                 static_cast<int64_t>(options.maxCoarsenings)));
-    json.set("escalations",
-             Json::number(static_cast<int64_t>(options.escalations)));
-    json.set("escalation_factor",
-             Json::number(options.escalationFactor));
-    json.set("point_timeout_s", Json::number(options.pointTimeoutS));
-    json.set("fallback_lns_iterations",
-             Json::number(static_cast<int64_t>(
-                 options.fallbackLnsIterations)));
-
-    const cp::SolverOptions &solver = options.solver;
-    Json sjson = Json::object();
-    sjson.set("max_nodes", Json::number(solver.maxNodes));
-    sjson.set("max_seconds", Json::number(solver.maxSeconds));
-    sjson.set("target_gap", Json::number(solver.targetGap));
-    sjson.set("use_lp_bound", Json::boolean(solver.useLpBound));
-    sjson.set("greedy_restarts",
-              Json::number(
-                  static_cast<int64_t>(solver.greedyRestarts)));
-    sjson.set("lns_iterations",
-              Json::number(static_cast<int64_t>(solver.lnsIterations)));
-    sjson.set("seed",
-              Json::number(static_cast<int64_t>(solver.seed)));
-    sjson.set("seed_salt",
-              Json::number(static_cast<int64_t>(solver.seedSalt)));
-    sjson.set("energetic_reasoning",
-              Json::boolean(solver.energeticReasoning));
-    sjson.set("threads",
-              Json::number(static_cast<int64_t>(solver.threads)));
-    sjson.set("deterministic_search",
-              Json::boolean(solver.deterministicSearch));
-    sjson.set("split_depth",
-              Json::number(static_cast<int64_t>(solver.splitDepth)));
-    sjson.set("use_nogoods", Json::boolean(solver.useNogoods));
-    sjson.set("nogood_capacity",
-              Json::number(
-                  static_cast<int64_t>(solver.nogoodCapacity)));
-    sjson.set("lns", Json::boolean(solver.lns));
-    sjson.set("lns_polish_nodes",
-              Json::number(solver.lnsPolishNodes));
-    json.set("solver", sjson);
-    return json;
-}
-
-bool
-parseEngineOptions(const Json &json, EngineOptions *out,
-                   std::string *error)
-{
-    if (!json.isObject()) {
-        if (error)
-            *error = "engine options must be an object";
-        return false;
-    }
-    out->initialStepS =
-        numberOr(json, "initial_step_s", out->initialStepS);
-    out->horizonSteps = static_cast<cp::Time>(
-        intOr(json, "horizon_steps", out->horizonSteps));
-    out->refineThreshold = static_cast<cp::Time>(
-        intOr(json, "refine_threshold", out->refineThreshold));
-    out->refineFactor =
-        numberOr(json, "refine_factor", out->refineFactor);
-    out->maxRefinements = static_cast<int>(
-        intOr(json, "max_refinements", out->maxRefinements));
-    out->maxCoarsenings = static_cast<int>(
-        intOr(json, "max_coarsenings", out->maxCoarsenings));
-    out->escalations = static_cast<int>(
-        intOr(json, "escalations", out->escalations));
-    out->escalationFactor =
-        numberOr(json, "escalation_factor", out->escalationFactor);
-    out->pointTimeoutS =
-        numberOr(json, "point_timeout_s", out->pointTimeoutS);
-    out->fallbackLnsIterations = static_cast<int>(
-        intOr(json, "fallback_lns_iterations",
-              out->fallbackLnsIterations));
-    if (out->initialStepS <= 0.0 || out->horizonSteps <= 0 ||
-        out->refineFactor <= 1.0) {
-        if (error)
-            *error = "engine options out of range";
-        return false;
-    }
-
-    const Json *sjson = json.find("solver");
-    if (sjson) {
-        if (!sjson->isObject()) {
-            if (error)
-                *error = "solver options must be an object";
-            return false;
-        }
-        cp::SolverOptions &solver = out->solver;
-        solver.maxNodes = intOr(*sjson, "max_nodes", solver.maxNodes);
-        solver.maxSeconds =
-            numberOr(*sjson, "max_seconds", solver.maxSeconds);
-        solver.targetGap =
-            numberOr(*sjson, "target_gap", solver.targetGap);
-        solver.useLpBound =
-            boolOr(*sjson, "use_lp_bound", solver.useLpBound);
-        // Range-checked as int64 before narrowing, so an
-        // out-of-range value cannot wrap into an accepted one.
-        int64_t greedy_restarts =
-            intOr(*sjson, "greedy_restarts", solver.greedyRestarts);
-        solver.lnsIterations = static_cast<int>(
-            intOr(*sjson, "lns_iterations", solver.lnsIterations));
-        solver.seed = static_cast<uint64_t>(
-            intOr(*sjson, "seed",
-                  static_cast<int64_t>(solver.seed)));
-        solver.seedSalt = static_cast<uint64_t>(
-            intOr(*sjson, "seed_salt",
-                  static_cast<int64_t>(solver.seedSalt)));
-        solver.energeticReasoning =
-            boolOr(*sjson, "energetic_reasoning",
-                   solver.energeticReasoning);
-        int64_t threads = intOr(*sjson, "threads", solver.threads);
-        solver.deterministicSearch =
-            boolOr(*sjson, "deterministic_search",
-                   solver.deterministicSearch);
-        solver.splitDepth = static_cast<int>(
-            intOr(*sjson, "split_depth", solver.splitDepth));
-        solver.useNogoods =
-            boolOr(*sjson, "use_nogoods", solver.useNogoods);
-        int64_t nogood_capacity =
-            intOr(*sjson, "nogood_capacity",
-                  static_cast<int64_t>(solver.nogoodCapacity));
-        solver.lns = boolOr(*sjson, "lns", solver.lns);
-        solver.lnsPolishNodes =
-            intOr(*sjson, "lns_polish_nodes", solver.lnsPolishNodes);
-        if (solver.maxNodes <= 0 || solver.maxSeconds <= 0.0 ||
-            !inRange(greedy_restarts, 0, kMaxGreedyRestarts) ||
-            !inRange(threads, 0, kMaxThreads) ||
-            !inRange(nogood_capacity, 0, kMaxNogoodCapacity)) {
-            if (error)
-                *error = "solver options out of range";
-            return false;
-        }
-        solver.greedyRestarts = static_cast<int>(greedy_restarts);
-        solver.threads = static_cast<int>(threads);
-        solver.nogoodCapacity = static_cast<size_t>(nogood_capacity);
-    }
     return true;
 }
 
@@ -433,9 +261,11 @@ parseSweepParams(const Json &json, Request *out, std::string *error)
         if (engine &&
             !parseEngineOptions(*engine, &out->options.engine, error))
             return false;
+        // Range-checked as int64 before narrowing, so an
+        // out-of-range value cannot wrap into an accepted one.
         int64_t threads =
             intOr(*options, "threads", out->options.threads);
-        if (!inRange(threads, 0, kMaxThreads)) {
+        if (threads < 0 || threads > cp::kMaxThreads) {
             if (error)
                 *error = "sweep options out of range";
             return false;
@@ -480,12 +310,11 @@ encodeRequest(const Request &request)
         configs.append(Json::string(name));
     json.set("configs", configs);
 
+    // The shared sweep body is exactly the lease-grant "params"
+    // payload: one writer serves both.
     Json params = sweepParamsJson(request);
-    json.set("workload", *params.find("workload"));
-    json.set("dsa_advantage", *params.find("dsa_advantage"));
-    json.set("model", *params.find("model"));
-    json.set("constraints", *params.find("constraints"));
-    json.set("options", *params.find("options"));
+    for (const auto &[key, value] : params.members())
+        json.set(key, value);
 
     json.set("priority",
              Json::number(static_cast<int64_t>(request.priority)));

@@ -55,6 +55,12 @@
  * A malformed request gets a done/ok=false line and the connection
  * stays usable; a rejected request (admission control) reports the
  * rejection reason the same way.
+ *
+ * Request fields are optional and unknown keys are ignored, so a
+ * client that still sends a field the daemon no longer knows gets
+ * its result. The "options"/"engine" object is range-checked field
+ * by field (hilp/options.hh); a bad value fails the request naming
+ * the field.
  */
 
 #ifndef HILP_SERVICE_PROTOCOL_HH
@@ -127,13 +133,8 @@ bool resolveConfigs(const Request &request,
                     std::vector<arch::SocConfig> *out,
                     std::string *error);
 
-// JSON round trips for the option payloads. Parsers accept partial
-// objects - absent fields keep their defaults - so old clients can
-// talk to new servers and vice versa.
-
-Json engineOptionsJson(const EngineOptions &options);
-bool parseEngineOptions(const Json &json, EngineOptions *out,
-                        std::string *error);
+// JSON round trip for the constraints payload; absent fields keep
+// their defaults.
 
 Json constraintsJson(const arch::Constraints &constraints);
 bool parseConstraints(const Json &json, arch::Constraints *out,

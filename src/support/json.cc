@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "logging.hh"
 #include "str.hh"
@@ -122,8 +123,16 @@ int64_t
 Json::intValue() const
 {
     hilp_assert(kind_ == Kind::Number || kind_ == Kind::Integer);
-    return kind_ == Kind::Integer
-        ? integer_ : static_cast<int64_t>(number_);
+    if (kind_ == Kind::Integer)
+        return integer_;
+    // Casting a double outside int64 is undefined: saturate instead.
+    if (std::isnan(number_))
+        return 0;
+    if (number_ >= 0x1p63)
+        return std::numeric_limits<int64_t>::max();
+    if (number_ < -0x1p63)
+        return std::numeric_limits<int64_t>::min();
+    return static_cast<int64_t>(number_);
 }
 
 const std::string &

@@ -50,13 +50,17 @@ class Json
     static bool parse(const std::string &text, Json *out,
                       std::string *error = nullptr);
 
-    /** Kind predicates. isNumber covers doubles and integers. */
+    /**
+     * Kind predicates. isNumber covers doubles and integers;
+     * isInteger only int64-range numbers with no fraction or exponent.
+     */
     bool isNull() const { return kind_ == Kind::Null; }
     bool isBool() const { return kind_ == Kind::Bool; }
     bool isNumber() const
     {
         return kind_ == Kind::Number || kind_ == Kind::Integer;
     }
+    bool isInteger() const { return kind_ == Kind::Integer; }
     bool isString() const { return kind_ == Kind::String; }
     bool isObject() const { return kind_ == Kind::Object; }
     bool isArray() const { return kind_ == Kind::Array; }
@@ -64,7 +68,8 @@ class Json
     /** Scalar accessors; panic when the kind does not match. */
     bool boolValue() const;
     double numberValue() const;  //!< Doubles and integers.
-    int64_t intValue() const;    //!< Integers; doubles truncate.
+    /** Integers; doubles truncate, saturating outside int64. */
+    int64_t intValue() const;
     const std::string &stringValue() const;
 
     /**

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <numeric>
 
 #include "cp/list_scheduler.hh"
@@ -188,6 +189,25 @@ TEST(ImproveGreedy, PassesThroughInfeasibleStart)
     bad.feasible = false;
     ListResult out = improveGreedy(m, bad, 50);
     EXPECT_FALSE(out.feasible);
+}
+
+TEST(ImproveGreedy, StopsAtTheDeadline)
+{
+    // A billion passes would run for hours; the deadline, 50 ms out,
+    // must end the climb instead, whatever the iteration budget.
+    using Clock = std::chrono::steady_clock;
+    Model m = chainModel(12, 40);
+    ListResult greedy = bestGreedy(m);
+    ASSERT_TRUE(greedy.feasible);
+    Clock::time_point t0 = Clock::now();
+    ListResult out = improveGreedy(m, greedy, 1'000'000'000, 99,
+                                   t0 + std::chrono::milliseconds(50));
+    double elapsed =
+        std::chrono::duration<double>(Clock::now() - t0).count();
+    EXPECT_LT(elapsed, 1.0);
+    ASSERT_TRUE(out.feasible);
+    EXPECT_LE(out.makespan, greedy.makespan);
+    EXPECT_EQ(checkSchedule(m, out.schedule), "");
 }
 
 TEST(ImproveGreedy, ZeroIterationsIsIdentity)

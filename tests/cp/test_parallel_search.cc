@@ -5,7 +5,7 @@
  * the same optimum (or the same infeasibility): the parallel search
  * explores a different node set, but the set of schedules covered is
  * identical, so foundSolution / exhausted / bestMakespan must match
- * exactly for every thread count and both parallel modes.
+ * exactly for every thread count.
  */
 
 #include <gtest/gtest.h>
@@ -103,21 +103,16 @@ TEST_P(ParallelDiff, MatchesSerialOptimum)
         << "reference run must prove optimality";
 
     for (int threads : {2, 4, 8}) {
-        for (bool deterministic : {false, true}) {
-            SearchLimits limits = exhaustiveLimits();
-            limits.threads = threads;
-            limits.deterministic = deterministic;
-            SearchResult par = branchAndBound(m, nullptr, limits);
-            SCOPED_TRACE(::testing::Message()
-                         << "threads=" << threads
-                         << " deterministic=" << deterministic);
-            EXPECT_EQ(par.threadsUsed, threads);
-            EXPECT_EQ(par.foundSolution, serial.foundSolution);
-            EXPECT_EQ(par.exhausted, serial.exhausted);
-            if (serial.foundSolution) {
-                EXPECT_EQ(par.bestMakespan, serial.bestMakespan);
-                EXPECT_EQ(checkSchedule(m, par.best), "");
-            }
+        SearchLimits limits = exhaustiveLimits();
+        limits.threads = threads;
+        SearchResult par = branchAndBound(m, nullptr, limits);
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        EXPECT_EQ(par.threadsUsed, threads);
+        EXPECT_EQ(par.foundSolution, serial.foundSolution);
+        EXPECT_EQ(par.exhausted, serial.exhausted);
+        if (serial.foundSolution) {
+            EXPECT_EQ(par.bestMakespan, serial.bestMakespan);
+            EXPECT_EQ(checkSchedule(m, par.best), "");
         }
     }
 }
@@ -140,20 +135,15 @@ TEST_P(ParallelWarmDiff, MatchesSerialOptimumFromWarmStart)
     ScheduleVec warm = serial.best;
 
     for (int threads : {2, 8}) {
-        for (bool deterministic : {false, true}) {
-            SearchLimits limits = exhaustiveLimits();
-            limits.threads = threads;
-            limits.deterministic = deterministic;
-            SearchResult par = branchAndBound(m, &warm, limits);
-            SCOPED_TRACE(::testing::Message()
-                         << "threads=" << threads
-                         << " deterministic=" << deterministic);
-            ASSERT_TRUE(par.foundSolution);
-            EXPECT_TRUE(par.exhausted);
-            EXPECT_EQ(par.bestMakespan, serial.bestMakespan);
-            // The warm start is already optimal: no improvements.
-            EXPECT_EQ(par.solutions, 0);
-        }
+        SearchLimits limits = exhaustiveLimits();
+        limits.threads = threads;
+        SearchResult par = branchAndBound(m, &warm, limits);
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        ASSERT_TRUE(par.foundSolution);
+        EXPECT_TRUE(par.exhausted);
+        EXPECT_EQ(par.bestMakespan, serial.bestMakespan);
+        // The warm start is already optimal: no improvements.
+        EXPECT_EQ(par.solutions, 0);
     }
 }
 
@@ -202,15 +192,11 @@ TEST(ParallelSearch, ProvesInfeasibilityByExhaustion)
         m.addTask(t);
     }
     m.setHorizon(8); // needs 9 steps on one device.
-    for (bool deterministic : {false, true}) {
-        SearchLimits limits;
-        limits.threads = 4;
-        limits.deterministic = deterministic;
-        SearchResult r = branchAndBound(m, nullptr, limits);
-        SCOPED_TRACE(deterministic);
-        EXPECT_FALSE(r.foundSolution);
-        EXPECT_TRUE(r.exhausted);
-    }
+    SearchLimits limits;
+    limits.threads = 4;
+    SearchResult r = branchAndBound(m, nullptr, limits);
+    EXPECT_FALSE(r.foundSolution);
+    EXPECT_TRUE(r.exhausted);
 }
 
 TEST(ParallelSearch, TargetGapSkipsSearchLikeSerial)
@@ -227,53 +213,6 @@ TEST(ParallelSearch, TargetGapSkipsSearchLikeSerial)
     EXPECT_FALSE(r.exhausted);
     EXPECT_EQ(r.nodes, 0);
     EXPECT_EQ(r.bestMakespan, 4);
-}
-
-TEST(ParallelSearch, DeterministicModeIsReproducible)
-{
-    Model m = randomModel(3);
-    SearchLimits limits = exhaustiveLimits();
-    limits.threads = 4;
-    limits.deterministic = true;
-    SearchResult first = branchAndBound(m, nullptr, limits);
-    for (int run = 0; run < 3; ++run) {
-        SearchResult again = branchAndBound(m, nullptr, limits);
-        EXPECT_EQ(again.foundSolution, first.foundSolution);
-        EXPECT_EQ(again.exhausted, first.exhausted);
-        EXPECT_EQ(again.bestMakespan, first.bestMakespan);
-        EXPECT_EQ(again.nodes, first.nodes);
-        EXPECT_EQ(again.solutions, first.solutions);
-        EXPECT_EQ(again.subproblems, first.subproblems);
-        if (first.foundSolution) {
-            ASSERT_EQ(again.best.tasks.size(),
-                      first.best.tasks.size());
-            for (size_t t = 0; t < first.best.tasks.size(); ++t) {
-                EXPECT_EQ(again.best.tasks[t].mode,
-                          first.best.tasks[t].mode);
-                EXPECT_EQ(again.best.tasks[t].start,
-                          first.best.tasks[t].start);
-            }
-        }
-    }
-}
-
-TEST(ParallelSearch, ExplicitSplitDepthIsHonored)
-{
-    Model m = randomModel(5);
-    SearchResult serial = branchAndBound(m, nullptr,
-                                         exhaustiveLimits());
-    for (int depth : {1, 2, 6}) {
-        SearchLimits limits = exhaustiveLimits();
-        limits.threads = 4;
-        limits.splitDepth = depth;
-        SearchResult r = branchAndBound(m, nullptr, limits);
-        SCOPED_TRACE(depth);
-        EXPECT_EQ(r.foundSolution, serial.foundSolution);
-        EXPECT_EQ(r.exhausted, serial.exhausted);
-        if (serial.foundSolution) {
-            EXPECT_EQ(r.bestMakespan, serial.bestMakespan);
-        }
-    }
 }
 
 TEST(ParallelSearch, ReportsWorkDistributionTelemetry)
@@ -333,9 +272,9 @@ TEST(ParallelSearch, TerminationStressOnTinyTrees)
 }
 
 /**
- * No-good differential under concurrency: the shared store (and the
- * private per-worker stores of deterministic mode) must not change
- * any proven optimum or exhaustion verdict at any thread count. A
+ * No-good differential under concurrency: the shared store must not
+ * change any proven optimum or exhaustion verdict at any thread
+ * count. A
  * racy publication or an unsound shared bound shows up here - and
  * under TSan, which runs this binary - as a wrong makespan.
  */
@@ -350,49 +289,22 @@ TEST_P(NogoodParallelDiff, MatchesSerialOptimumWithSharedStore)
     ASSERT_TRUE(serial.exhausted);
 
     for (int threads : {2, 8}) {
-        for (bool deterministic : {false, true}) {
-            SearchLimits limits = exhaustiveLimits();
-            limits.threads = threads;
-            limits.deterministic = deterministic;
-            limits.useNogoods = true;
-            SearchResult par = branchAndBound(m, nullptr, limits);
-            SCOPED_TRACE(::testing::Message()
-                         << "threads=" << threads
-                         << " deterministic=" << deterministic);
-            EXPECT_EQ(par.foundSolution, serial.foundSolution);
-            EXPECT_EQ(par.exhausted, serial.exhausted);
-            if (serial.foundSolution) {
-                EXPECT_EQ(par.bestMakespan, serial.bestMakespan);
-                EXPECT_EQ(checkSchedule(m, par.best), "");
-            }
+        SearchLimits limits = exhaustiveLimits();
+        limits.threads = threads;
+        limits.useNogoods = true;
+        SearchResult par = branchAndBound(m, nullptr, limits);
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        EXPECT_EQ(par.foundSolution, serial.foundSolution);
+        EXPECT_EQ(par.exhausted, serial.exhausted);
+        if (serial.foundSolution) {
+            EXPECT_EQ(par.bestMakespan, serial.bestMakespan);
+            EXPECT_EQ(checkSchedule(m, par.best), "");
         }
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NogoodParallelDiff,
                          ::testing::Range<uint64_t>(1, 9));
-
-TEST(ParallelSearch, DeterministicModeWithNogoodsIsReproducible)
-{
-    // Deterministic mode keeps its reproducibility promise with
-    // learning on: stores are private per worker, so node counts and
-    // no-good telemetry must repeat exactly.
-    Model m = randomModel(3);
-    SearchLimits limits = exhaustiveLimits();
-    limits.threads = 4;
-    limits.deterministic = true;
-    limits.useNogoods = true;
-    SearchResult first = branchAndBound(m, nullptr, limits);
-    for (int run = 0; run < 3; ++run) {
-        SearchResult again = branchAndBound(m, nullptr, limits);
-        EXPECT_EQ(again.foundSolution, first.foundSolution);
-        EXPECT_EQ(again.exhausted, first.exhausted);
-        EXPECT_EQ(again.bestMakespan, first.bestMakespan);
-        EXPECT_EQ(again.nodes, first.nodes);
-        EXPECT_EQ(again.nogoodHits, first.nogoodHits);
-        EXPECT_EQ(again.nogoodsRecorded, first.nogoodsRecorded);
-    }
-}
 
 /** A big contended instance no 8-worker run finishes in 100 ms. */
 Model
@@ -422,11 +334,10 @@ hardModel(int tasks, uint64_t seed)
 }
 
 /**
- * Mid-flight deadline-cut stress (the satellite bugfix): with eight
- * workers deep in a large tree, an expiring deadline must cut every
- * loop - subtree walks, the steal/backoff wait, and deterministic
- * mode's between-subproblem boundary - promptly, and the run must
- * still publish the best cross-worker incumbent. Before the fix,
+ * Mid-flight deadline-cut stress: with eight workers deep in a large
+ * tree, an expiring deadline must cut every loop - subtree walks and
+ * the steal/backoff wait - promptly, and the run must still publish
+ * the best cross-worker incumbent. Before the fix,
  * workers parked in waitForWork spun past the deadline and runs
  * could hang until maxSeconds.
  */
@@ -437,27 +348,22 @@ TEST(ParallelSearch, DeadlineCutsEightWorkerSearchMidFlight)
     ListResult greedy = bestGreedy(m, 4, 1);
     ASSERT_TRUE(greedy.feasible);
 
-    for (bool deterministic : {false, true}) {
-        SCOPED_TRACE(deterministic);
-        SearchLimits limits;
-        limits.threads = 8;
-        limits.maxNodes = 1'000'000'000;
-        limits.maxSeconds = 120.0;
-        limits.deadline = Clock::now() +
-                          std::chrono::milliseconds(100);
-        limits.deterministic = deterministic;
-        Clock::time_point t0 = Clock::now();
-        SearchResult r = branchAndBound(m, &greedy.schedule, limits);
-        double elapsed = std::chrono::duration<double>(
-            Clock::now() - t0).count();
-        // Generous margin over the 100 ms budget: the cut only has
-        // to beat the 120 s fallback, not be instant, but anything
-        // past a few seconds means some loop ignored the deadline.
-        EXPECT_LT(elapsed, 10.0);
-        ASSERT_TRUE(r.foundSolution);
-        EXPECT_LE(r.bestMakespan, greedy.makespan);
-        EXPECT_EQ(checkSchedule(m, r.best), "");
-    }
+    SearchLimits limits;
+    limits.threads = 8;
+    limits.maxNodes = 1'000'000'000;
+    limits.maxSeconds = 120.0;
+    limits.deadline = Clock::now() + std::chrono::milliseconds(100);
+    Clock::time_point t0 = Clock::now();
+    SearchResult r = branchAndBound(m, &greedy.schedule, limits);
+    double elapsed = std::chrono::duration<double>(
+        Clock::now() - t0).count();
+    // Generous margin over the 100 ms budget: the cut only has to
+    // beat the 120 s fallback, not be instant, but anything past a
+    // few seconds means some loop ignored the deadline.
+    EXPECT_LT(elapsed, 10.0);
+    ASSERT_TRUE(r.foundSolution);
+    EXPECT_LE(r.bestMakespan, greedy.makespan);
+    EXPECT_EQ(checkSchedule(m, r.best), "");
 }
 
 TEST(ParallelSearch, AlreadyExpiredDeadlineStillReturnsIncumbent)
@@ -467,33 +373,27 @@ TEST(ParallelSearch, AlreadyExpiredDeadlineStillReturnsIncumbent)
     ListResult greedy = bestGreedy(m, 4, 1);
     ASSERT_TRUE(greedy.feasible);
 
-    for (bool deterministic : {false, true}) {
-        SCOPED_TRACE(deterministic);
-        SearchLimits limits;
-        limits.threads = 8;
-        limits.deadline = Clock::now();
-        limits.deterministic = deterministic;
-        Clock::time_point t0 = Clock::now();
-        SearchResult r = branchAndBound(m, &greedy.schedule, limits);
-        double elapsed = std::chrono::duration<double>(
-            Clock::now() - t0).count();
-        EXPECT_LT(elapsed, 10.0);
-        ASSERT_TRUE(r.foundSolution);
-        EXPECT_FALSE(r.exhausted);
-        EXPECT_LE(r.bestMakespan, greedy.makespan);
-        EXPECT_EQ(checkSchedule(m, r.best), "");
-    }
+    SearchLimits limits;
+    limits.threads = 8;
+    limits.deadline = Clock::now();
+    Clock::time_point t0 = Clock::now();
+    SearchResult r = branchAndBound(m, &greedy.schedule, limits);
+    double elapsed = std::chrono::duration<double>(
+        Clock::now() - t0).count();
+    EXPECT_LT(elapsed, 10.0);
+    ASSERT_TRUE(r.foundSolution);
+    EXPECT_FALSE(r.exhausted);
+    EXPECT_LE(r.bestMakespan, greedy.makespan);
+    EXPECT_EQ(checkSchedule(m, r.best), "");
 }
 
 TEST(ParallelSearch, SerialPathIgnoresParallelKnobs)
 {
-    // threads == 1 must run the single-worker search no matter what
-    // the parallel-only knobs say.
+    // threads == 1 runs the single-worker search: no crew, no
+    // stealing, no published subproblems.
     Model m = twoDeviceModel();
     SearchLimits limits;
     limits.threads = 1;
-    limits.deterministic = true;
-    limits.splitDepth = 3;
     SearchResult r = branchAndBound(m, nullptr, limits);
     ASSERT_TRUE(r.foundSolution);
     EXPECT_TRUE(r.exhausted);

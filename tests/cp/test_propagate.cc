@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the propagation engine: fixpoint bounds reproduce the
- * individual pruning rules, the trail unwinds placements exactly,
- * per-propagator telemetry is populated, and the optional energetic
- * propagator is sound (never prunes the optimum away).
+ * individual pruning rules, the trail unwinds placements exactly, and
+ * per-propagator telemetry is populated.
  */
 
 #include <gtest/gtest.h>
@@ -158,51 +157,7 @@ TEST(Propagate, SearchReportsPerPropagatorStats)
               names.end());
     EXPECT_NE(std::find(names.begin(), names.end(), "precedence"),
               names.end());
-    // Energetic reasoning is opt-in.
-    EXPECT_EQ(std::find(names.begin(), names.end(), "energetic"),
-              names.end());
-}
-
-TEST(Propagate, EnergeticReasoningIsSound)
-{
-    // A staggered DAG where suffix-energy windows actually bite:
-    // chains release energy late, so est-windowed bounds are
-    // strictly stronger than the global energy bound. The optimum
-    // must be identical with and without the extra propagator.
-    Model m;
-    m.addResource(1.5, "power");
-    int g = m.addGroup("GPU");
-    m.setHorizon(60);
-    int a = m.addTask(Task{"a", {Mode{kNoGroup, 4, {1.0}}}});
-    int b = m.addTask(Task{"b", {Mode{kNoGroup, 5, {1.0}},
-                                 Mode{g, 3, {0.5}}}});
-    int c = m.addTask(Task{"c", {Mode{kNoGroup, 3, {1.5}}}});
-    int d = m.addTask(Task{"d", {Mode{g, 6, {0.2}}}});
-    int e = m.addTask(Task{"e", {Mode{kNoGroup, 2, {1.0}},
-                                 Mode{g, 4, {0.1}}}});
-    m.addPrecedence(a, b);
-    m.addPrecedence(b, c);
-    m.addPrecedence(a, d);
-    m.addPrecedence(d, e);
-
-    SearchLimits plain;
-    SearchResult without = branchAndBound(m, nullptr, plain);
-    ASSERT_TRUE(without.exhausted);
-
-    SearchLimits with = plain;
-    with.energeticReasoning = true;
-    SearchResult result = branchAndBound(m, nullptr, with);
-    ASSERT_TRUE(result.exhausted);
-    ASSERT_TRUE(result.foundSolution);
-    EXPECT_EQ(result.bestMakespan, without.bestMakespan);
-
-    std::vector<std::string> names;
-    for (const PropagatorStats &s : result.propagators)
-        names.push_back(s.name);
-    EXPECT_NE(std::find(names.begin(), names.end(), "energetic"),
-              names.end());
-    // The extra rule may only shrink the tree, never grow it.
-    EXPECT_LE(result.nodes, without.nodes);
+    EXPECT_EQ(names.size(), 3u);
 }
 
 TEST(Propagate, MergeStatsAccumulatesByName)
@@ -211,14 +166,14 @@ TEST(Propagate, MergeStatsAccumulatesByName)
     mergePropagatorStats(into, {{"timetable", 10, 2, 0.5},
                                 {"precedence", 4, 1, 0.25}});
     mergePropagatorStats(into, {{"timetable", 5, 1, 0.5},
-                                {"energetic", 7, 0, 0.125}});
+                                {"disjunctive", 7, 0, 0.125}});
     ASSERT_EQ(into.size(), 3u);
     EXPECT_EQ(into[0].name, "timetable");
     EXPECT_EQ(into[0].invocations, 15);
     EXPECT_EQ(into[0].prunings, 3);
     EXPECT_DOUBLE_EQ(into[0].seconds, 1.0);
     EXPECT_EQ(into[1].name, "precedence");
-    EXPECT_EQ(into[2].name, "energetic");
+    EXPECT_EQ(into[2].name, "disjunctive");
     EXPECT_EQ(into[2].invocations, 7);
 }
 

@@ -21,6 +21,7 @@
 #include <thread>
 
 #include "dse/checkpoint.hh"
+#include "hilp/options.hh"
 #include "service/daemon.hh"
 #include "service/protocol.hh"
 #include "support/json.hh"
@@ -468,7 +469,7 @@ parseSolverField(const std::string &field, const std::string &value,
                                 "}}",
                             &json, &parse_error))
         << parse_error;
-    return protocol::parseEngineOptions(json, options, error);
+    return parseEngineOptions(json, options, error);
 }
 
 /** Every case must be rejected with the range-check reason. */
@@ -480,7 +481,7 @@ expectSolverFieldRejected(const std::string &field,
     EngineOptions options;
     std::string error;
     EXPECT_FALSE(parseSolverField(field, value, &options, &error));
-    EXPECT_EQ(error, "solver options out of range");
+    EXPECT_EQ(error, "solver options out of range: " + field);
 }
 
 TEST(DaemonProtocol, NogoodCapacityIsRangeChecked)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "support/json.hh"
@@ -116,6 +118,36 @@ TEST(JsonParseTest, Scalars)
     ASSERT_TRUE(Json::parse("\"hi\"", &value));
     EXPECT_TRUE(value.isString());
     EXPECT_EQ(value.stringValue(), "hi");
+}
+
+TEST(JsonParseTest, IntegersAreDistinctFromDoubles)
+{
+    Json value;
+    ASSERT_TRUE(Json::parse("-9223372036854775808", &value));
+    EXPECT_TRUE(value.isInteger());
+    EXPECT_EQ(value.intValue(), std::numeric_limits<int64_t>::min());
+    for (const char *text : {"1.0", "1e3", "9223372036854775808"}) {
+        ASSERT_TRUE(Json::parse(text, &value)) << text;
+        EXPECT_TRUE(value.isNumber()) << text;
+        EXPECT_FALSE(value.isInteger()) << text;
+    }
+}
+
+TEST(JsonParseTest, IntValueSaturatesOutOfRangeDoubles)
+{
+    // Casting these doubles to int64 directly is undefined behavior.
+    Json value;
+    ASSERT_TRUE(Json::parse("1e30", &value));
+    EXPECT_EQ(value.intValue(), std::numeric_limits<int64_t>::max());
+    ASSERT_TRUE(Json::parse("9223372036854775808", &value));
+    EXPECT_EQ(value.intValue(), std::numeric_limits<int64_t>::max());
+    ASSERT_TRUE(Json::parse("-1e30", &value));
+    EXPECT_EQ(value.intValue(), std::numeric_limits<int64_t>::min());
+    ASSERT_TRUE(Json::parse("-2.5", &value));
+    EXPECT_EQ(value.intValue(), -2);
+    EXPECT_EQ(Json::number(std::numeric_limits<double>::quiet_NaN())
+                  .intValue(),
+              0);
 }
 
 TEST(JsonParseTest, Containers)
