@@ -127,14 +127,9 @@ initHarness(int *argc, char **argv)
             g_max_configs =
                 static_cast<size_t>(std::atoll(arg + 14));
         else if (std::strncmp(arg, "--memo-bytes=", 13) == 0) {
-            char *end = nullptr;
-            g_memo_bytes = std::strtoull(arg + 13, &end, 10);
-            if (*end == 'K' || *end == 'k')
-                g_memo_bytes <<= 10;
-            else if (*end == 'M' || *end == 'm')
-                g_memo_bytes <<= 20;
-            else if (*end == 'G' || *end == 'g')
-                g_memo_bytes <<= 30;
+            if (!parseBytes(arg + 13, &g_memo_bytes))
+                fatal("--memo-bytes=%s: expected a byte count with an "
+                      "optional K/M/G suffix", arg + 13);
         } else if (std::strcmp(arg, "--version") == 0) {
             std::printf("%s\n", versionString().c_str());
             std::exit(0);
@@ -471,7 +466,6 @@ runSweep(const std::vector<arch::SocConfig> &configs,
          int copies, double advantage)
 {
     options.reuse = !g_no_reuse;
-    options.engine.memoMaxBytes = g_memo_bytes;
 
     if (!g_coordinator.empty()) {
         // Distributed: shard the sweep over the worker fleet. The
@@ -490,8 +484,8 @@ runSweep(const std::vector<arch::SocConfig> &configs,
 
     if (g_connect.empty()) {
         // In-process: route through the process-wide EvalService so
-        // consecutive sweeps of one binary share its memo and
-        // warm-start store, exactly like a warm daemon would.
+        // consecutive sweeps of one binary share its memo, exactly
+        // like a warm daemon would.
         static service::EvalService evalService(
             [] {
                 service::ServiceOptions service_options;

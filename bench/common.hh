@@ -89,8 +89,9 @@ namespace bench {
  *   --max-configs=N     truncate runSweep design spaces to their
  *                       first N configurations (smoke runs / CI).
  *   --memo-bytes=N      byte cap (K/M/G suffixes accepted) for the
- *                       solve memo of in-process sweeps; 0 = the
- *                       historical unbounded cache.
+ *                       solve memo of in-process sweeps; 0 keeps the
+ *                       service default (256 MiB). A malformed value
+ *                       is fatal.
  *   --version           print the build version (git describe +
  *                       build type) and exit.
  *

@@ -208,6 +208,34 @@ if [ -z "${memo_hits}" ] || [ "${memo_hits}" -lt 1 ]; then
     exit 1
 fi
 
+# The cold reference survives a warm daemon: a --no-reuse sweep gets
+# no memo, so it neither hits the cache nor warm-starts from it, and
+# its solver effort equals the same cold sweep run in-process.
+"${fig7}" --max-configs=40 --no-reuse "--connect=unix:${daemon_sock}" \
+    --benchmark_filter=none > build/check_fig7_cold_daemon.out
+"${fig7}" --max-configs=40 --no-reuse \
+    --benchmark_filter=none > build/check_fig7_cold_local.out
+cold_daemon=$(grep "HILP solver effort" build/check_fig7_cold_daemon.out)
+case "${cold_daemon}" in
+    *"| 0 cache hits, 0 warm starts,"*) ;;
+    *)
+        echo "daemon --no-reuse sweep was not cold: ${cold_daemon}" >&2
+        exit 1
+        ;;
+esac
+effort_totals() {
+    grep "HILP solver effort" "$1" |
+        sed -n 's/.* \([0-9]*\) nodes, \([0-9]*\) backtracks.*/\1 \2/p'
+}
+cold_daemon_totals=$(effort_totals build/check_fig7_cold_daemon.out)
+cold_local_totals=$(effort_totals build/check_fig7_cold_local.out)
+if [ -z "${cold_daemon_totals}" ] ||
+    [ "${cold_daemon_totals}" != "${cold_local_totals}" ]; then
+    echo "daemon --no-reuse nodes/backtracks (${cold_daemon_totals})" \
+        "differ from in-process (${cold_local_totals})" >&2
+    exit 1
+fi
+
 # Clean shutdown unlinks the socket.
 "${hilpd}" "--connect=unix:${daemon_sock}" shutdown > /dev/null
 wait "${daemon_pid}" || {

@@ -61,44 +61,6 @@ parseKeyText(const std::string &text, uint64_t *out)
     return true;
 }
 
-/** The double for `name`, or fallback when absent/null (a non-finite
- * value is serialized as JSON null). */
-double
-numberOr(const Json &entry, const char *name, double fallback)
-{
-    const Json *value = entry.find(name);
-    if (!value || !value->isNumber())
-        return fallback;
-    return value->numberValue();
-}
-
-int64_t
-intOr(const Json &entry, const char *name, int64_t fallback)
-{
-    const Json *value = entry.find(name);
-    if (!value || !value->isNumber())
-        return fallback;
-    return value->intValue();
-}
-
-bool
-boolOr(const Json &entry, const char *name, bool fallback)
-{
-    const Json *value = entry.find(name);
-    if (!value || !value->isBool())
-        return fallback;
-    return value->boolValue();
-}
-
-std::string
-stringOr(const Json &entry, const char *name)
-{
-    const Json *value = entry.find(name);
-    if (!value || !value->isString())
-        return std::string();
-    return value->stringValue();
-}
-
 /**
  * Serialize a schedule compactly: scalars plus one fixed-layout
  * array per phase (field order matters; see parseSchedule).

@@ -116,14 +116,16 @@ struct DseOptions
     int threads = 0;
     /**
      * Enable cross-config solver reuse for HILP sweeps (warm-start
-     * chains, the solve cache, dominance pruning). Off reproduces
-     * the cold-start behavior exactly.
+     * chains, the solve memo and its hints, dominance pruning). Off
+     * reproduces the cold-start behavior exactly: the sweep neither
+     * reads nor fills any memo.
      */
     bool reuse = true;
     /**
-     * Optional solve cache shared across sweeps. The caller must
-     * keep the engine options identical for every sweep using the
-     * same memo. Null means one private cache per exploreSpace call.
+     * Optional solve memo shared across sweeps. Entries are keyed by
+     * instance and engine options, so sweeps with differing options
+     * may share one. Null means one private memo per exploreSpace
+     * call.
      */
     SolveMemo *memo = nullptr;
     /**

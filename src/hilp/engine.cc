@@ -8,6 +8,7 @@
 #include "cp/list_scheduler.hh"
 #include "cp/lns.hh"
 #include "cp/profile.hh"
+#include "options.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -17,21 +18,33 @@ namespace hilp {
 
 SolveMemo::SolveMemo(size_t max_bytes) : maxBytes_(max_bytes) {}
 
+SolveMemo::Entry *
+SolveMemo::findLocked(uint64_t fingerprint, uint64_t salt)
+{
+    auto it = instances_.find(fingerprint);
+    if (it == instances_.end())
+        return nullptr;
+    for (Entry &entry : it->second)
+        if (entry.salt == salt)
+            return &entry;
+    return nullptr;
+}
+
 bool
-SolveMemo::lookup(uint64_t key, EvalResult *out)
+SolveMemo::lookup(uint64_t fingerprint, uint64_t salt, EvalResult *out)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto it = entries_.find(key);
-        if (it == entries_.end()) {
+        Entry *entry = findLocked(fingerprint, salt);
+        if (!entry) {
             ++misses_;
             metrics::counter("hilp.cache.misses").add(1);
             return false;
         }
         // Refresh recency: a hit entry moves to the front of the
         // LRU order so hot specs survive eviction pressure.
-        lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-        *out = it->second.result;
+        lru_.splice(lru_.begin(), lru_, entry->lruIt);
+        *out = entry->result;
     }
     ++hits_;
     metrics::counter("hilp.cache.hits").add(1);
@@ -45,6 +58,25 @@ SolveMemo::lookup(uint64_t key, EvalResult *out)
     out->prunedEarly = false;
     out->propagators.clear();
     return true;
+}
+
+bool
+SolveMemo::hint(uint64_t fingerprint, Schedule *out)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = instances_.find(fingerprint);
+    if (it != instances_.end()) {
+        for (Entry &entry : it->second) {
+            if (!entry.result.ok || entry.result.schedule.phases.empty())
+                continue;
+            lru_.splice(lru_.begin(), lru_, entry.lruIt);
+            *out = entry.result.schedule;
+            ++hintHits_;
+            return true;
+        }
+    }
+    ++hintMisses_;
+    return false;
 }
 
 namespace {
@@ -109,9 +141,11 @@ betterResult(const EvalResult &candidate, const EvalResult &incumbent)
 size_t
 SolveMemo::resultFootprintBytes(const EvalResult &result)
 {
-    // Per-entry bookkeeping: the hash-map node, the LRU list node,
-    // and the Entry struct around the result.
-    size_t bytes = sizeof(EvalResult) + 96;
+    // Per-entry bookkeeping: the Entry around the result, its LRU
+    // list node, and its share of the by-instance hash-map node
+    // (charged in full to every entry, so the cap also bounds the
+    // index).
+    size_t bytes = sizeof(Entry) + 128;
     const Schedule &schedule = result.schedule;
     bytes += schedule.phases.capacity() * sizeof(ScheduledPhase);
     for (const ScheduledPhase &phase : schedule.phases) {
@@ -141,39 +175,49 @@ SolveMemo::evictToCapLocked()
     if (maxBytes_ == 0)
         return;
     while (bytes_ > maxBytes_ && !lru_.empty()) {
-        uint64_t victim = lru_.back();
+        const Slot slot = lru_.back();
         lru_.pop_back();
-        auto it = entries_.find(victim);
-        hilp_assert(it != entries_.end());
-        bytes_ -= it->second.bytes;
-        entries_.erase(it);
+        auto it = instances_.find(slot.first);
+        hilp_assert(it != instances_.end());
+        std::vector<Entry> &entries = it->second;
+        auto victim = std::find_if(
+            entries.begin(), entries.end(),
+            [&slot](const Entry &e) { return e.salt == slot.second; });
+        hilp_assert(victim != entries.end());
+        bytes_ -= victim->bytes;
+        entries.erase(victim);
+        // The instance's hint goes with its last entry.
+        if (entries.empty())
+            instances_.erase(it);
         ++evictions_;
         metrics::counter("hilp.memo.evictions").add(1);
     }
 }
 
 void
-SolveMemo::insert(uint64_t key, const EvalResult &result)
+SolveMemo::insert(uint64_t fingerprint, uint64_t salt,
+                  const EvalResult &result)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-        lru_.push_front(key);
-        Entry entry;
-        entry.result = result;
-        entry.bytes = resultFootprintBytes(result);
-        entry.lruIt = lru_.begin();
-        bytes_ += entry.bytes;
-        entries_.emplace(key, std::move(entry));
-    } else if (betterResult(result, it->second.result)) {
-        bytes_ -= it->second.bytes;
-        it->second.result = result;
-        it->second.bytes = resultFootprintBytes(result);
-        bytes_ += it->second.bytes;
-        lru_.splice(lru_.begin(), lru_, it->second.lruIt);
+    Entry *entry = findLocked(fingerprint, salt);
+    if (!entry) {
+        lru_.emplace_front(fingerprint, salt);
+        Entry fresh;
+        fresh.salt = salt;
+        fresh.result = result;
+        fresh.bytes = resultFootprintBytes(result);
+        fresh.lruIt = lru_.begin();
+        bytes_ += fresh.bytes;
+        instances_[fingerprint].push_back(std::move(fresh));
+    } else if (betterResult(result, entry->result)) {
+        bytes_ -= entry->bytes;
+        entry->result = result;
+        entry->bytes = resultFootprintBytes(result);
+        bytes_ += entry->bytes;
+        lru_.splice(lru_.begin(), lru_, entry->lruIt);
     } else {
         // The incumbent survives; the attempt still counts as use.
-        lru_.splice(lru_.begin(), lru_, it->second.lruIt);
+        lru_.splice(lru_.begin(), lru_, entry->lruIt);
     }
     evictToCapLocked();
     publishBytesLocked();
@@ -206,7 +250,7 @@ size_t
 SolveMemo::entries() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
+    return lru_.size();
 }
 
 int64_t
@@ -220,7 +264,7 @@ void
 SolveMemo::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    entries_.clear();
+    instances_.clear();
     lru_.clear();
     bytes_ = 0;
     publishBytesLocked();
@@ -596,37 +640,39 @@ evaluate(const ProblemSpec &spec, const EngineOptions &request_options,
     hilp_assert(request_options.initialStepS > 0.0);
     hilp_assert(request_options.refineFactor > 1.0);
 
+    // Identical lowered instances solve once per memo and option set:
+    // the salt is the digest of the options this call was given, so a
+    // memo shared by callers with differing options never serves one
+    // a result computed under the other's. On a miss, the instance's
+    // schedule under any other options still warm-starts the solve
+    // when the caller brought no hint of its own.
+    const uint64_t fingerprint = spec.fingerprint();
+    uint64_t salt = 0;
+    Schedule memo_hint;
+    const Schedule *hint = reuse.hint;
+    if (reuse.memo) {
+        salt = engineOptionsDigest(request_options);
+        EvalResult cached;
+        if (reuse.memo->lookup(fingerprint, salt, &cached))
+            return cached;
+        if (!hint && reuse.memo->hint(fingerprint, &memo_hint))
+            hint = &memo_hint;
+    }
+
     // Salt the heuristic seed with the instance identity before any
     // solve: distinct problems sharing SolverOptions::seed must not
     // share greedy/LNS trajectories, and a sweep retry that bumps
     // seedSalt by the attempt index gets a genuinely different
     // destroy sequence instead of replaying the failing one. The
-    // salt is applied below the memo (the key above hashes the
+    // seed salt is applied below the memo (the memo salt digests the
     // *request* options) and is a pure function of the fingerprint,
     // so cached and fresh evaluations of an instance still agree.
     EngineOptions options = request_options;
     {
-        Hasher salt;
-        salt.u64(request_options.solver.seedSalt);
-        salt.u64(spec.fingerprint());
-        options.solver.seedSalt = salt.digest();
-    }
-
-    // Identical lowered instances solve once per memo. A non-zero
-    // salt segments the key space of a memo shared across requests
-    // with differing engine options (see EvalReuse::memoSalt).
-    uint64_t key = 0;
-    if (reuse.memo) {
-        key = spec.fingerprint();
-        if (reuse.memoSalt != 0) {
-            Hasher hasher;
-            hasher.u64(key);
-            hasher.u64(reuse.memoSalt);
-            key = hasher.digest();
-        }
-        EvalResult cached;
-        if (reuse.memo->lookup(key, &cached))
-            return cached;
+        Hasher seed_salt;
+        seed_salt.u64(request_options.solver.seedSalt);
+        seed_salt.u64(fingerprint);
+        options.solver.seedSalt = seed_salt.digest();
     }
 
     // One monotonic deadline governs the *whole* evaluation: every
@@ -652,8 +698,8 @@ evaluate(const ProblemSpec &spec, const EngineOptions &request_options,
     bool degraded = false;
     std::vector<cp::PropagatorStats> propagators;
     auto solve_at = [&](double step_s) {
-        EvalResult r = solveAtResolution(spec, step_s, options,
-                                         reuse.hint, deadline);
+        EvalResult r =
+            solveAtResolution(spec, step_s, options, hint, deadline);
         solves += r.solves;
         nodes += r.totalNodes;
         backtracks += r.totalBacktracks;
@@ -674,7 +720,7 @@ evaluate(const ProblemSpec &spec, const EngineOptions &request_options,
         if (r.degraded)
             metrics::counter("hilp.evals.degraded").add(1);
         if (reuse.memo)
-            reuse.memo->insert(key, r);
+            reuse.memo->insert(fingerprint, salt, r);
         return std::move(r);
     };
 

@@ -21,6 +21,8 @@
 #include <list>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "cp/solver.hh"
 #include "discretize.hh"
@@ -70,15 +72,6 @@ struct EngineOptions
      * on by default; 0 disables it.
      */
     int fallbackLnsIterations = 64;
-    /**
-     * Byte cap for the SolveMemo a sweep creates for this engine
-     * configuration (see SolveMemo): 0 (the default) keeps the
-     * historical unbounded per-sweep cache, a positive value bounds
-     * it with byte-accounted LRU eviction. Long-lived callers - the
-     * hilpd evaluation service foremost - must set a real cap, since
-     * their memo outlives any single sweep.
-     */
-    size_t memoMaxBytes = 0;
 
     /**
      * The paper's validation-mode parameters (Section III-D): 2 s
@@ -96,8 +89,7 @@ struct EngineOptions
 /**
  * The wire fields of EngineOptions and their valid ranges (see
  * hilp/options.hh; the solver block has cp::kSolverOptionFields).
- * `memoMaxBytes` only bounds a server's cache retention and stays
- * off the wire. The ranges keep the adaptive loop inside its types:
+ * The ranges keep the adaptive loop inside its types:
  * a refinement scales step counts below `refine_threshold` by at
  * most `refine_factor` (under 2^31), and escalation scales the
  * solver's `max_nodes` and `lns_iterations` by at most 8^4.
@@ -160,19 +152,26 @@ struct EvalResult
 };
 
 /**
- * Thread-safe memo of completed evaluations keyed by
- * ProblemSpec::fingerprint(). Identical lowered instances then solve
- * once per memo lifetime. The cache is only sound across evaluations
- * that share the same EngineOptions, so each caller either owns its
- * memo (one exploreSpace sweep) or segments keys by an
- * engine-options digest (the long-lived service::EvalService).
+ * Thread-safe memo of completed evaluations, keyed by the lowered
+ * instance (ProblemSpec::fingerprint()) plus a salt naming the engine
+ * options it was solved under (evaluate() passes
+ * engineOptionsDigest, see hilp/options.hh). Identical instances
+ * then solve once per memo lifetime, and one memo can serve callers
+ * with differing options without ever returning a result computed
+ * under other options.
+ *
+ * The memo doubles as the warm-start store: hint() hands out the
+ * schedule of any retained successful entry for an instance under
+ * *any* salt. A hint only seeds a solve, which still certifies its
+ * own bound, so crossing options there is sound.
  *
  * The memo is optionally bounded: with a positive byte cap, entries
- * are byte-accounted (resultFootprintBytes) and evicted in
- * least-recently-used order - lookup() refreshes recency - so a
- * long-running daemon's cache cannot grow without limit. Eviction
- * only ever costs a recompute, never correctness: an evicted key
- * simply misses and is solved again.
+ * are byte-accounted (resultFootprintBytes, which covers the
+ * by-instance index too) and evicted in least-recently-used order -
+ * lookups and hints refresh recency - so a long-running daemon's
+ * cache cannot grow without limit. Eviction only ever costs a
+ * recompute, never correctness: an evicted entry simply misses, and
+ * stops serving as a hint, until it is solved again.
  */
 class SolveMemo
 {
@@ -186,10 +185,18 @@ class SolveMemo
      * paid for by the original solve), and the entry becomes the
      * most recently used.
      */
-    bool lookup(uint64_t key, EvalResult *out);
+    bool lookup(uint64_t fingerprint, uint64_t salt, EvalResult *out);
 
     /**
-     * Insert a result. A key's entry is replaced when the new result
+     * Copy out the schedule of a retained successful entry for the
+     * instance under any salt, as a warm-start hint, and refresh its
+     * recency. Hint lookups are counted by hintHits()/hintMisses(),
+     * never by hits()/misses().
+     */
+    bool hint(uint64_t fingerprint, Schedule *out);
+
+    /**
+     * Insert a result. An entry is replaced when the new result
      * is strictly better: ok beats !ok, a smaller certified gap beats
      * a larger one, and a non-degraded result beats a degraded one of
      * equal gap - so an early timed-out or high-gap result cannot
@@ -202,7 +209,8 @@ class SolveMemo
      * entries are evicted until the memo fits again (a result larger
      * than the whole cap is not retained at all).
      */
-    void insert(uint64_t key, const EvalResult &result);
+    void insert(uint64_t fingerprint, uint64_t salt,
+                const EvalResult &result);
 
     /**
      * Change the byte cap (0 = unbounded), evicting immediately if
@@ -222,37 +230,49 @@ class SolveMemo
 
     int64_t hits() const { return hits_.load(); }
     int64_t misses() const { return misses_.load(); }
+    int64_t hintHits() const { return hintHits_.load(); }
+    int64_t hintMisses() const { return hintMisses_.load(); }
 
     /**
      * The bytes one cached result is accounted as: the struct plus
      * its owned heap (schedule phases and their strings, device
-     * names, propagator stats) plus per-entry bookkeeping. An
-     * estimate - container slack is approximated - but a faithful
-     * one: it scales with the schedule, which dominates.
+     * names, propagator stats) plus per-entry bookkeeping (its slot
+     * in the by-instance index and the LRU order). An estimate -
+     * container slack is approximated - but a faithful one: it
+     * scales with the schedule, which dominates.
      */
     static size_t resultFootprintBytes(const EvalResult &result);
 
   private:
+    /** (fingerprint, salt): one entry's identity, in LRU order. */
+    using Slot = std::pair<uint64_t, uint64_t>;
+
     struct Entry
     {
+        uint64_t salt = 0;
         EvalResult result;
         size_t bytes = 0;
-        std::list<uint64_t>::iterator lruIt;
+        std::list<Slot>::iterator lruIt;
     };
 
+    /** The entry for (fingerprint, salt), or null. Lock held. */
+    Entry *findLocked(uint64_t fingerprint, uint64_t salt);
     /** Evict LRU entries until bytes_ <= maxBytes_. Lock held. */
     void evictToCapLocked();
     void publishBytesLocked();
 
     mutable std::mutex mutex_;
-    std::unordered_map<uint64_t, Entry> entries_;
-    /** Keys, most recently used first. */
-    std::list<uint64_t> lru_;
+    /** Entries by instance; each instance holds one per salt. */
+    std::unordered_map<uint64_t, std::vector<Entry>> instances_;
+    /** Every entry, most recently used first. */
+    std::list<Slot> lru_;
     size_t maxBytes_ = 0;
     size_t bytes_ = 0;
     int64_t evictions_ = 0;
     mutable std::atomic<int64_t> hits_{0};
     mutable std::atomic<int64_t> misses_{0};
+    mutable std::atomic<int64_t> hintHits_{0};
+    mutable std::atomic<int64_t> hintMisses_{0};
 };
 
 /**
@@ -264,7 +284,8 @@ struct EvalReuse
     /**
      * A schedule from a similar problem (e.g. the neighboring SoC
      * config), re-timed onto this problem via transferSchedule() and
-     * fed to the solver as a warm start. May be null.
+     * fed to the solver as a warm start. May be null; the memo's
+     * hint for this instance then stands in when there is one.
      */
     const Schedule *hint = nullptr;
     /**
@@ -277,18 +298,12 @@ struct EvalReuse
      * result. May be null.
      */
     std::function<bool(double lowerBoundS)> dominated;
-    /** Fingerprint-keyed result cache shared across the sweep. */
-    SolveMemo *memo = nullptr;
     /**
-     * Key-space segmentation for memos shared beyond one sweep: a
-     * non-zero salt (e.g. engineOptionsDigest of the evaluation's
-     * options, see hilp/options.hh) is hash-combined into the memo
-     * key, so one long-lived memo can serve requests with differing
-     * engine options without ever returning a result computed under
-     * different options. 0 (the default) keys by the bare
-     * fingerprint, as a single-sweep private memo always has.
+     * Result cache and warm-start store, shared as widely as the
+     * caller likes: evaluate() keys entries by the instance and the
+     * engine options it was called with. May be null.
      */
-    uint64_t memoSalt = 0;
+    SolveMemo *memo = nullptr;
 };
 
 /**
@@ -301,7 +316,7 @@ EvalResult evaluate(const ProblemSpec &spec,
 
 /**
  * As above, with cross-instance reuse: a warm-start hint schedule, a
- * sweep-level dominance oracle, and a solve cache (any of which may
+ * sweep-level dominance oracle, and a solve memo (any of which may
  * be null). Reuse only affects effort, not correctness: the returned
  * makespan always carries its certified bound and gap.
  */

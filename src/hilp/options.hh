@@ -33,7 +33,8 @@ bool parseEngineOptions(const Json &json, EngineOptions *out,
 
 /**
  * Digest of every table field of the options. Evaluations with equal
- * digests may soundly share memo entries; see EvalReuse::memoSalt.
+ * digests may soundly share memo entries: evaluate() salts every
+ * SolveMemo key with it.
  */
 uint64_t engineOptionsDigest(const EngineOptions &options);
 

@@ -9,31 +9,6 @@
 namespace hilp {
 namespace service {
 
-namespace {
-
-std::string
-typeOf(const Json &json)
-{
-    if (!json.isObject())
-        return "";
-    const Json *type = json.find("type");
-    return type && type->isString() ? type->stringValue() : "";
-}
-
-/** The error of a done line ("" when it reports success). */
-std::string
-doneError(const Json &done)
-{
-    const Json *ok = done.find("ok");
-    if (ok && ok->isBool() && ok->boolValue())
-        return "";
-    const Json *error = done.find("error");
-    return error && error->isString() ? error->stringValue()
-                                      : "request failed";
-}
-
-} // anonymous namespace
-
 bool
 ServiceClient::connect(const std::string &address, std::string *error)
 {
@@ -45,6 +20,45 @@ ServiceClient::connect(const std::string &address, std::string *error)
 }
 
 bool
+ServiceClient::exchange(const protocol::Request &request,
+                        const ReplyHandler &on_reply,
+                        std::string *error)
+{
+    auto fail = [&](std::string why, bool disconnect) {
+        if (disconnect)
+            channel_ = net::LineChannel(net::Socket());
+        if (error)
+            *error = std::move(why);
+        return false;
+    };
+    if (!connected())
+        return fail("not connected", false);
+    if (!channel_.writeLine(protocol::encodeRequest(request)))
+        return fail("write failed (daemon gone?)", true);
+
+    std::string line;
+    while (channel_.readLine(&line)) {
+        if (line.empty())
+            continue;
+        Json reply;
+        if (!Json::parse(line, &reply))
+            return fail(format("bad response line: %s", line.c_str()),
+                        true);
+        if (stringOr(reply, "type") != "done") {
+            if (on_reply)
+                on_reply(line, reply);
+            continue;
+        }
+        lastTraceId_ =
+            static_cast<uint64_t>(intOr(reply, "trace_id", 0));
+        if (boolOr(reply, "ok", false))
+            return true;
+        return fail(stringOr(reply, "error", "request failed"), false);
+    }
+    return fail("connection closed before the done line", true);
+}
+
+bool
 ServiceClient::sweep(const protocol::Request &request,
                      const std::vector<arch::SocConfig> &configs,
                      std::vector<dse::DsePoint> *points,
@@ -52,12 +66,6 @@ ServiceClient::sweep(const protocol::Request &request,
                      const std::function<void(const std::string &)>
                          &on_record)
 {
-    if (!connected()) {
-        if (error)
-            *error = "not connected";
-        return false;
-    }
-
     protocol::Request wire = request;
     wire.configNames.clear();
     wire.configNames.reserve(configs.size());
@@ -67,40 +75,11 @@ ServiceClient::sweep(const protocol::Request &request,
         byName[configs[i].name()].push_back(i);
     }
 
-    if (!channel_.writeLine(protocol::encodeRequest(wire))) {
-        if (error)
-            *error = "write failed (daemon gone?)";
-        return false;
-    }
-
     points->assign(configs.size(), dse::DsePoint());
-    std::string line;
-    while (channel_.readLine(&line)) {
-        if (line.empty())
-            continue;
-        Json json;
-        if (!Json::parse(line, &json)) {
-            if (error)
-                *error = format("bad response line: %s", line.c_str());
-            return false;
-        }
-        std::string type = typeOf(json);
-        if (type == "done") {
-            const Json *traceId = json.find("trace_id");
-            if (traceId && traceId->isNumber())
-                lastTraceId_ = static_cast<uint64_t>(
-                    traceId->numberValue());
-            std::string failure = doneError(json);
-            if (!failure.empty()) {
-                if (error)
-                    *error = failure;
-                return false;
-            }
-            return true;
-        }
-        if (type != "point")
-            continue; // Future response kinds: skip, don't choke.
-
+    std::string bad_record;
+    auto on_reply = [&](const std::string &line, const Json &reply) {
+        if (!bad_record.empty() || stringOr(reply, "type") != "point")
+            return;
         if (on_record)
             on_record(line);
 
@@ -109,16 +88,12 @@ ServiceClient::sweep(const protocol::Request &request,
         bool has_schedule = false;
         if (!dse::parsePointRecord(line, &key, &point, nullptr,
                                    &has_schedule)) {
-            if (error)
-                *error = format("bad point record: %s", line.c_str());
-            return false;
+            bad_record = format("bad point record: %s", line.c_str());
+            return;
         }
-        const Json *name = json.find("config");
-        if (!name || !name->isString())
-            continue;
-        auto it = byName.find(name->stringValue());
+        auto it = byName.find(stringOr(reply, "config"));
         if (it == byName.end() || it->second.empty())
-            continue; // A point we did not ask for; ignore.
+            return; // A point we did not ask for; ignore.
         size_t index = it->second.front();
         it->second.erase(it->second.begin());
         // Structural fields derive from the local config (the record
@@ -127,94 +102,44 @@ ServiceClient::sweep(const protocol::Request &request,
         point.areaMm2 = configs[index].areaMm2();
         point.mix = dse::classifyAccelMix(configs[index]);
         (*points)[index] = std::move(point);
-    }
+    };
+    if (!exchange(wire, on_reply, error))
+        return false;
+    if (bad_record.empty())
+        return true;
     if (error)
-        *error = "connection closed before the done line";
+        *error = bad_record;
     return false;
 }
 
 bool
 ServiceClient::stats(Json *out, std::string *error)
 {
-    if (!connected()) {
-        if (error)
-            *error = "not connected";
-        return false;
-    }
     protocol::Request request;
     request.op = protocol::Op::Stats;
-    if (!channel_.writeLine(protocol::encodeRequest(request))) {
-        if (error)
-            *error = "write failed (daemon gone?)";
-        return false;
-    }
     bool have_stats = false;
-    std::string line;
-    while (channel_.readLine(&line)) {
-        if (line.empty())
-            continue;
-        Json json;
-        if (!Json::parse(line, &json))
-            continue;
-        std::string type = typeOf(json);
-        if (type == "stats") {
-            const Json *stats = json.find("stats");
-            if (stats) {
-                *out = *stats;
-                have_stats = true;
-            }
-        } else if (type == "done") {
-            std::string failure = doneError(json);
-            if (!failure.empty()) {
-                if (error)
-                    *error = failure;
-                return false;
-            }
-            if (!have_stats && error)
-                *error = "done without a stats payload";
-            return have_stats;
+    auto on_reply = [&](const std::string &, const Json &reply) {
+        const Json *stats = stringOr(reply, "type") == "stats"
+                                ? reply.find("stats")
+                                : nullptr;
+        if (stats) {
+            *out = *stats;
+            have_stats = true;
         }
-    }
-    if (error)
-        *error = "connection closed before the done line";
-    return false;
+    };
+    if (!exchange(request, on_reply, error))
+        return false;
+    if (!have_stats && error)
+        *error = "done without a stats payload";
+    return have_stats;
 }
 
 bool
 ServiceClient::requestShutdown(std::string *error)
 {
-    if (!connected()) {
-        if (error)
-            *error = "not connected";
-        return false;
-    }
     protocol::Request request;
     request.op = protocol::Op::Shutdown;
-    if (!channel_.writeLine(protocol::encodeRequest(request))) {
-        if (error)
-            *error = "write failed (daemon gone?)";
-        return false;
-    }
-    std::string line;
-    while (channel_.readLine(&line)) {
-        if (line.empty())
-            continue;
-        Json json;
-        if (!Json::parse(line, &json))
-            continue;
-        if (typeOf(json) == "done") {
-            std::string failure = doneError(json);
-            if (!failure.empty()) {
-                if (error)
-                    *error = failure;
-                return false;
-            }
-            return true;
-        }
-    }
-    if (error)
-        *error = "connection closed before the done line";
-    return false;
+    return exchange(request, nullptr, error);
 }
 
 } // namespace service

@@ -23,12 +23,30 @@ namespace service {
 class ServiceClient
 {
   public:
+    /** Receives each non-done reply line, raw and parsed. */
+    using ReplyHandler =
+        std::function<void(const std::string &line, const Json &reply)>;
+
     ServiceClient() = default;
 
     /** Connect to a daemon (address syntax: see support/net.hh). */
     bool connect(const std::string &address, std::string *error);
 
     bool connected() const { return channel_.valid(); }
+
+    /**
+     * One protocol exchange, the only place replies are read: write
+     * the request line, then read reply lines until the done line,
+     * handing every other line to `on_reply` (nullable; callers skip
+     * reply types they do not know). Records the done line's trace
+     * id and returns its verdict: false with *error set when the
+     * done line reports a failure. A write failure, an unparsable
+     * reply or a connection closed before the done line also fail,
+     * and disconnect the client, since the reply stream can no
+     * longer be trusted.
+     */
+    bool exchange(const protocol::Request &request,
+                  const ReplyHandler &on_reply, std::string *error);
 
     /**
      * Run a sweep (or single eval) remotely. The request's
@@ -38,7 +56,7 @@ class ServiceClient
      * `on_record` (nullable) sees each raw streamed record line -
      * appending them to a file yields a valid --resume checkpoint.
      * Returns false and fills *error on transport errors, a rejected
-     * request, or a failed sweep.
+     * request, a failed sweep, or a malformed point record.
      */
     bool sweep(const protocol::Request &request,
                const std::vector<arch::SocConfig> &configs,
@@ -47,7 +65,7 @@ class ServiceClient
                    &on_record = nullptr);
 
     /**
-     * Fetch the daemon's stats snapshot (caches, queue, latency
+     * Fetch the daemon's stats snapshot (memo, queue, latency
      * histogram percentiles, flight-recorder occupancy).
      */
     bool stats(Json *out, std::string *error);
@@ -56,10 +74,11 @@ class ServiceClient
     bool requestShutdown(std::string *error);
 
     /**
-     * The daemon-assigned request/trace id from the last sweep()'s
-     * done line (0 before any sweep, or against an older daemon).
-     * Log it next to sweep artifacts: it names this request in the
-     * daemon's spans, flight recorder, and slow-request dumps.
+     * The daemon-assigned request/trace id from the last exchange's
+     * done line (0 before any exchange, for requests without one,
+     * or against an older daemon). Log it next to sweep artifacts:
+     * it names the request in the daemon's spans, flight recorder,
+     * and slow-request dumps.
      */
     uint64_t lastTraceId() const { return lastTraceId_; }
 

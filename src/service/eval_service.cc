@@ -9,7 +9,6 @@
 #include "baselines/gables.hh"
 #include "baselines/multiamdahl.hh"
 #include "dse/checkpoint.hh"
-#include "hilp/options.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -27,32 +26,6 @@ using dse::ModelKind;
 using dse::classifyAccelMix;
 
 namespace {
-
-/**
- * The service-layer hooks threaded through the shared sweep core.
- * The batch path (dse::exploreSpace / dse::evaluatePoint) passes the
- * empty context and behaves exactly as it always has; EvalService
- * routes the same core through its shared memo (salted by the
- * request's engine digest) and warm-start store, and streams each
- * completed point to the request's sink.
- */
-struct SweepContext
-{
-    /** Shared memo overriding DseOptions::memo / the per-sweep one. */
-    SolveMemo *memo = nullptr;
-    /** Key-space segmentation for the shared memo. */
-    uint64_t memoSalt = 0;
-    /** Warm-start schedule store (nullable). */
-    ScheduleStore *store = nullptr;
-    /** Per-completed-point stream sink (nullable). */
-    const std::function<void(const DsePoint &,
-                             const Schedule *)> *onPoint = nullptr;
-    /**
-     * Owning request's trace context (0 = batch mode). Sweep worker
-     * threads re-establish it so their spans carry the request id.
-     */
-    uint64_t traceId = 0;
-};
 
 /**
  * Sweep-wide record of completed (area, makespan) points with an
@@ -124,17 +97,14 @@ fillSolverTelemetry(DsePoint &point, const EvalResult &result)
  * The evaluatePoint worker body. `reuse` (nullable) threads the
  * sweep's cross-config context into the HILP engine; on success
  * `schedule_out` (nullable) receives the solved schedule so chains
- * can warm-start their next configuration. A non-null store supplies
- * a warm-start hint when the chain has none (keyed by the lowered
- * instance's fingerprint) and retains each solved schedule for
- * future requests.
+ * can warm-start their next configuration.
  */
 DsePoint
 evaluatePointBody(const arch::SocConfig &config,
                   const workload::Workload &workload,
                   const arch::Constraints &constraints, ModelKind kind,
                   const DseOptions &options, const EvalReuse *reuse,
-                  Schedule *schedule_out, ScheduleStore *store)
+                  Schedule *schedule_out)
 {
     DsePoint point;
     point.config = config;
@@ -191,17 +161,9 @@ evaluatePointBody(const arch::SocConfig &config,
         break;
       }
       case ModelKind::Hilp: {
-        EvalResult result;
-        if (reuse || store) {
-            EvalReuse local = reuse ? *reuse : EvalReuse();
-            Schedule stored;
-            if (store && !local.hint &&
-                store->lookup(spec.fingerprint(), &stored))
-                local.hint = &stored;
-            result = evaluate(spec, options.engine, local);
-        } else {
-            result = evaluate(spec, options.engine);
-        }
+        EvalResult result = reuse
+            ? evaluate(spec, options.engine, *reuse)
+            : evaluate(spec, options.engine);
         fillSolverTelemetry(point, result);
         if (!result.ok) {
             point.note = format("solver gave up: %s",
@@ -211,8 +173,6 @@ evaluatePointBody(const arch::SocConfig &config,
         point.ok = true;
         point.makespanS = result.makespanS;
         point.averageWlp = result.averageWlp;
-        if (store && !result.schedule.phases.empty())
-            store->insert(spec.fingerprint(), result.schedule);
         if (schedule_out)
             *schedule_out = std::move(result.schedule);
         break;
@@ -247,14 +207,14 @@ evaluatePointImpl(const arch::SocConfig &config,
                   const workload::Workload &workload,
                   const arch::Constraints &constraints, ModelKind kind,
                   const DseOptions &options, const EvalReuse *reuse,
-                  Schedule *schedule_out, ScheduleStore *store)
+                  Schedule *schedule_out)
 {
     trace::Span span("dse.point");
     if (trace::enabled())
         span.arg(trace::Arg::strArg("config", config.name()));
     DsePoint point = evaluatePointBody(config, workload, constraints,
                                        kind, options, reuse,
-                                       schedule_out, store);
+                                       schedule_out);
     span.arg(trace::Arg::intArg("ok", point.ok ? 1 : 0));
     span.arg(trace::Arg::intArg("cache_hit", point.cacheHit ? 1 : 0));
     span.arg(trace::Arg::intArg("degraded", point.degraded ? 1 : 0));
@@ -284,16 +244,16 @@ evaluateGuarded(const arch::SocConfig &config,
                 const workload::Workload &workload,
                 const arch::Constraints &constraints, ModelKind kind,
                 const DseOptions &options, const EvalReuse *reuse,
-                Schedule *schedule_out, ScheduleStore *store)
+                Schedule *schedule_out)
 {
     if (options.failFast)
         return evaluatePointImpl(config, workload, constraints, kind,
-                                 options, reuse, schedule_out, store);
+                                 options, reuse, schedule_out);
 
     std::string error;
     try {
         return evaluatePointImpl(config, workload, constraints, kind,
-                                 options, reuse, schedule_out, store);
+                                 options, reuse, schedule_out);
     } catch (const std::exception &e) {
         error = e.what();
     } catch (...) {
@@ -317,7 +277,7 @@ evaluateGuarded(const arch::SocConfig &config,
     }
     try {
         return evaluatePointImpl(config, workload, constraints, kind,
-                                 retry, reuse, schedule_out, store);
+                                 retry, reuse, schedule_out);
     } catch (const std::exception &e) {
         error = e.what();
     } catch (...) {
@@ -413,16 +373,21 @@ class Heartbeat
 // the in-process sweep warm-starts along.
 
 /**
- * The shared sweep core behind dse::exploreSpace (empty context) and
- * EvalService::sweep (service context). See exploreSpace for the
- * exploration semantics; the context only redirects *where* reuse
- * state lives and streams completions, never what is computed.
+ * The shared sweep core behind dse::exploreSpace and
+ * EvalService::sweep. See exploreSpace for the exploration
+ * semantics. `on_point` (may be empty) sees every completed point,
+ * and `trace_id` (0 = batch mode) is the owning request's trace
+ * context, which the sweep workers re-establish so their spans and
+ * points carry it.
  */
 std::vector<DsePoint>
 runSweep(const std::vector<arch::SocConfig> &configs,
          const workload::Workload &workload,
          const arch::Constraints &constraints, ModelKind kind,
-         const DseOptions &options, const SweepContext &ctx)
+         const DseOptions &options,
+         const std::function<void(const DsePoint &, const Schedule *)>
+             &on_point,
+         uint64_t trace_id)
 {
     std::vector<DsePoint> points(configs.size());
     // The sweep pool shares the process-wide thread budget with the
@@ -436,7 +401,7 @@ runSweep(const std::vector<arch::SocConfig> &configs,
     // Common completion path for both sweep modes: persist the point
     // to the checkpoint (skipping points that came FROM it, and
     // errored points, which deserve a fresh attempt on resume),
-    // stream it to the context's sink, and advance the progress
+    // stream it to the caller's sink, and advance the progress
     // heartbeat. HILP chain workers pass the solved schedule so the
     // record can rehydrate warm starts after a resume; everyone else
     // passes null.
@@ -447,30 +412,29 @@ runSweep(const std::vector<arch::SocConfig> &configs,
                 dse::checkpointKey(point.fingerprint,
                                    configs[i].name(), kind),
                 kind, point, schedule);
-        if (ctx.onPoint)
-            (*ctx.onPoint)(point, schedule);
+        if (on_point)
+            on_point(point, schedule);
         heartbeat.tick(point.cacheHit || point.resumed);
     };
 
-    // Cold-start path: every point is independent. MA is analytic
+    // Cold-start path: every point is independent and touches no
+    // memo, so it neither reads nor feeds reuse state. MA is analytic
     // and Gables rewrites the spec internally, so the cross-config
     // reuse layer applies to HILP sweeps only.
     if (!options.reuse || kind != ModelKind::Hilp) {
         pool.parallelFor(configs.size(), [&](size_t i) {
-            trace::ContextScope requestScope(ctx.traceId);
+            trace::ContextScope requestScope(trace_id);
             points[i] = evaluateGuarded(configs[i], workload,
                                         constraints, kind, options,
-                                        nullptr, nullptr, ctx.store);
-            points[i].traceId = ctx.traceId;
+                                        nullptr, nullptr);
+            points[i].traceId = trace_id;
             finishPoint(i, nullptr);
         });
         return points;
     }
 
-    SolveMemo local_memo(options.engine.memoMaxBytes);
-    SolveMemo *memo = ctx.memo      ? ctx.memo
-                      : options.memo ? options.memo
-                                     : &local_memo;
+    SolveMemo local_memo;
+    SolveMemo *memo = options.memo ? options.memo : &local_memo;
     SweepBound bound;
     auto chains = dse::similarityChains(configs);
 
@@ -478,14 +442,13 @@ runSweep(const std::vector<arch::SocConfig> &configs,
     // from its predecessor's schedule and every completed point
     // tightens the shared dominance bound.
     pool.parallelFor(chains.size(), [&](size_t c) {
-        trace::ContextScope requestScope(ctx.traceId);
+        trace::ContextScope requestScope(trace_id);
         Schedule hint;
         bool have_hint = false;
         for (size_t idx : chains[c]) {
             double area = configs[idx].areaMm2();
             EvalReuse reuse;
             reuse.memo = memo;
-            reuse.memoSalt = ctx.memoSalt;
             reuse.hint = have_hint ? &hint : nullptr;
             reuse.dominated = [&bound, area](double lower_bound_s) {
                 return bound.dominates(area, lower_bound_s);
@@ -493,9 +456,8 @@ runSweep(const std::vector<arch::SocConfig> &configs,
             Schedule schedule;
             points[idx] = evaluateGuarded(configs[idx], workload,
                                           constraints, kind, options,
-                                          &reuse, &schedule,
-                                          ctx.store);
-            points[idx].traceId = ctx.traceId;
+                                          &reuse, &schedule);
+            points[idx].traceId = trace_id;
             finishPoint(idx,
                         points[idx].ok && !points[idx].resumed &&
                                 !schedule.phases.empty()
@@ -527,111 +489,12 @@ runSweep(const std::vector<arch::SocConfig> &configs,
 
 } // anonymous namespace
 
-// --- ScheduleStore ----------------------------------------------------
-
-ScheduleStore::ScheduleStore(size_t max_bytes) : maxBytes_(max_bytes) {}
-
-size_t
-ScheduleStore::scheduleFootprintBytes(const Schedule &schedule)
-{
-    // Per-entry bookkeeping: the hash-map node, the LRU list node,
-    // and the Entry struct around the schedule.
-    size_t bytes = sizeof(Schedule) + 96;
-    bytes += schedule.phases.capacity() * sizeof(ScheduledPhase);
-    for (const ScheduledPhase &phase : schedule.phases) {
-        bytes += phase.name.capacity();
-        bytes += phase.unitLabel.capacity();
-    }
-    bytes += schedule.deviceNames.capacity() * sizeof(std::string);
-    for (const std::string &name : schedule.deviceNames)
-        bytes += name.capacity();
-    return bytes;
-}
-
-bool
-ScheduleStore::lookup(uint64_t fingerprint, Schedule *out)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(fingerprint);
-    if (it == entries_.end()) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-    *out = it->second.schedule;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-}
-
-void
-ScheduleStore::insert(uint64_t fingerprint, const Schedule &schedule)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(fingerprint);
-    if (it == entries_.end()) {
-        lru_.push_front(fingerprint);
-        Entry entry;
-        entry.schedule = schedule;
-        entry.bytes = scheduleFootprintBytes(schedule);
-        entry.lruIt = lru_.begin();
-        bytes_ += entry.bytes;
-        entries_.emplace(fingerprint, std::move(entry));
-    } else {
-        bytes_ -= it->second.bytes;
-        it->second.schedule = schedule;
-        it->second.bytes = scheduleFootprintBytes(schedule);
-        bytes_ += it->second.bytes;
-        lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-    }
-    evictToCapLocked();
-    metrics::gauge("hilp.store.bytes")
-        .set(static_cast<double>(bytes_));
-}
-
-void
-ScheduleStore::evictToCapLocked()
-{
-    if (maxBytes_ == 0)
-        return;
-    while (bytes_ > maxBytes_ && !lru_.empty()) {
-        uint64_t victim = lru_.back();
-        lru_.pop_back();
-        auto it = entries_.find(victim);
-        bytes_ -= it->second.bytes;
-        entries_.erase(it);
-        ++evictions_;
-        metrics::counter("hilp.store.evictions").add(1);
-    }
-}
-
-size_t
-ScheduleStore::bytes() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return bytes_;
-}
-
-size_t
-ScheduleStore::entries() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-}
-
-int64_t
-ScheduleStore::evictions() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return evictions_;
-}
-
 // --- EvalService ------------------------------------------------------
 
 EvalService::EvalService(const ServiceOptions &options)
     : options_(options),
       started_(std::chrono::steady_clock::now()),
-      memo_(options.memoMaxBytes),
-      store_(options.storeMaxBytes)
+      memo_(options.memoMaxBytes)
 {
     int executors = std::max(1, options_.executors);
     executors_.reserve(executors);
@@ -647,29 +510,11 @@ EvalService::~EvalService()
 std::vector<DsePoint>
 EvalService::sweep(const SweepRequest &request)
 {
-    SweepContext ctx;
-    ctx.memo = &memo_;
-    ctx.memoSalt = engineOptionsDigest(request.options.engine);
-    ctx.store = &store_;
-    ctx.traceId = request.traceId;
-    if (request.onPoint)
-        ctx.onPoint = &request.onPoint;
+    DseOptions options = request.options;
+    options.memo = &memo_;
     return runSweep(request.configs, request.workload,
-                    request.constraints, request.kind, request.options,
-                    ctx);
-}
-
-DsePoint
-EvalService::eval(const arch::SocConfig &config,
-                  const workload::Workload &workload,
-                  const arch::Constraints &constraints, ModelKind kind,
-                  const DseOptions &options)
-{
-    EvalReuse reuse;
-    reuse.memo = &memo_;
-    reuse.memoSalt = engineOptionsDigest(options.engine);
-    return evaluateGuarded(config, workload, constraints, kind,
-                           options, &reuse, nullptr, &store_);
+                    request.constraints, request.kind, options,
+                    request.onPoint, request.traceId);
 }
 
 Admission
@@ -789,31 +634,6 @@ EvalService::pendingJobs() const
     return queue_.size() + running_;
 }
 
-namespace {
-
-Json
-cacheStatsJson(size_t bytes, size_t max_bytes, size_t entries,
-               int64_t evictions, int64_t hits, int64_t misses)
-{
-    Json stats = Json::object();
-    stats.set("bytes", Json::number(static_cast<int64_t>(bytes)));
-    stats.set("max_bytes",
-              Json::number(static_cast<int64_t>(max_bytes)));
-    stats.set("entries", Json::number(static_cast<int64_t>(entries)));
-    stats.set("evictions", Json::number(evictions));
-    stats.set("hits", Json::number(hits));
-    stats.set("misses", Json::number(misses));
-    int64_t total = hits + misses;
-    stats.set("hit_rate",
-              Json::number(total > 0
-                               ? static_cast<double>(hits) /
-                                     static_cast<double>(total)
-                               : 0.0));
-    return stats;
-}
-
-} // anonymous namespace
-
 Json
 EvalService::statsJson() const
 {
@@ -823,14 +643,27 @@ EvalService::statsJson() const
               Json::number(std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - started_)
                                .count()));
-    stats.set("memo",
-              cacheStatsJson(memo_.bytes(), memo_.maxBytes(),
-                             memo_.entries(), memo_.evictions(),
-                             memo_.hits(), memo_.misses()));
-    stats.set("schedule_store",
-              cacheStatsJson(store_.bytes(), options_.storeMaxBytes,
-                             store_.entries(), store_.evictions(),
-                             store_.hits(), store_.misses()));
+    Json memo = Json::object();
+    memo.set("bytes", Json::number(static_cast<int64_t>(memo_.bytes())));
+    memo.set("max_bytes",
+             Json::number(static_cast<int64_t>(memo_.maxBytes())));
+    memo.set("entries",
+             Json::number(static_cast<int64_t>(memo_.entries())));
+    memo.set("evictions", Json::number(memo_.evictions()));
+    const int64_t hits = memo_.hits();
+    const int64_t misses = memo_.misses();
+    memo.set("hits", Json::number(hits));
+    memo.set("misses", Json::number(misses));
+    memo.set("hit_rate",
+             Json::number(hits + misses > 0
+                              ? static_cast<double>(hits) /
+                                    static_cast<double>(hits + misses)
+                              : 0.0));
+    // Warm-start hints served across engine options on memo misses;
+    // counted apart so hit_rate stays the result-reuse rate.
+    memo.set("hint_hits", Json::number(memo_.hintHits()));
+    memo.set("hint_misses", Json::number(memo_.hintMisses()));
+    stats.set("memo", std::move(memo));
     Json queue = Json::object();
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -908,8 +741,6 @@ EvalService::healthJson() const
     }
     health.set("memo_bytes",
                Json::number(static_cast<int64_t>(memo_.bytes())));
-    health.set("store_bytes",
-               Json::number(static_cast<int64_t>(store_.bytes())));
     return health;
 }
 
@@ -917,9 +748,8 @@ EvalService::healthJson() const
 
 // --- Batch-mode entry points ------------------------------------------
 //
-// The historical dse:: API is now a thin client of the shared sweep
-// core above: an empty service context reproduces the per-sweep
-// private memo and cold warm-start behavior bit for bit.
+// The historical dse:: API is a thin client of the shared sweep core
+// above: without a DseOptions::memo a sweep gets a private one.
 
 namespace dse {
 
@@ -930,8 +760,7 @@ evaluatePoint(const arch::SocConfig &config,
               const DseOptions &options)
 {
     return service::evaluatePointImpl(config, workload, constraints,
-                                      kind, options, nullptr, nullptr,
-                                      nullptr);
+                                      kind, options, nullptr, nullptr);
 }
 
 std::vector<DsePoint>
@@ -941,7 +770,7 @@ exploreSpace(const std::vector<arch::SocConfig> &configs,
              const DseOptions &options)
 {
     return service::runSweep(configs, workload, constraints, kind,
-                             options, service::SweepContext());
+                             options, {}, 0);
 }
 
 } // namespace dse

@@ -8,12 +8,12 @@
  * SolveMemo, ran, and threw the cache and every warm-start schedule
  * away on exit. The EvalService inverts that ownership: it owns
  *
- *  - a byte-bounded, concurrent SolveMemo shared across requests,
- *    with keys segmented by an engine-options digest so differing
- *    requests can never observe each other's entries unsoundly;
- *  - a warm-start ScheduleStore keyed by spec fingerprint, so a
- *    re-evaluation of a known instance under *different* engine
- *    options (a memo miss by construction) still seeds its solve;
+ *  - a byte-bounded, concurrent SolveMemo shared across requests.
+ *    Entries are keyed by instance and engine options, so differing
+ *    requests never observe each other's results, while a request
+ *    that misses still warm-starts from the instance's schedule
+ *    under other options (SolveMemo::hint). Sweeps with reuse off
+ *    bypass it entirely;
  *  - an async job queue with admission control: bounded depth,
  *    priority ordering, reject-with-reason when full; and
  *  - the sweep orchestration itself (similarity chains, dominance
@@ -35,12 +35,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <mutex>
 #include <queue>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "dse/explore.hh"
@@ -51,58 +49,6 @@
 
 namespace hilp {
 namespace service {
-
-/**
- * Byte-bounded LRU store of solved schedules keyed by
- * ProblemSpec::fingerprint(). Unlike the SolveMemo this is *not*
- * segmented by engine options: a schedule is a warm-start hint, not
- * a result, so feeding one solved under different options (or a
- * coarser deadline) to a fresh solve affects effort only - the solve
- * still certifies its own bound. Thread-safe.
- */
-class ScheduleStore
-{
-  public:
-    /** A store capped at max_bytes; 0 is unbounded. */
-    explicit ScheduleStore(size_t max_bytes = 0);
-
-    /** Copy the stored schedule out; refreshes LRU recency. */
-    bool lookup(uint64_t fingerprint, Schedule *out);
-
-    /**
-     * Insert or replace the schedule for a fingerprint, evicting
-     * least-recently-used entries beyond the byte cap.
-     */
-    void insert(uint64_t fingerprint, const Schedule &schedule);
-
-    size_t bytes() const;
-    size_t entries() const;
-    int64_t evictions() const;
-    int64_t hits() const { return hits_.load(); }
-    int64_t misses() const { return misses_.load(); }
-
-    /** Approximate heap footprint of one stored schedule. */
-    static size_t scheduleFootprintBytes(const Schedule &schedule);
-
-  private:
-    struct Entry
-    {
-        Schedule schedule;
-        size_t bytes = 0;
-        std::list<uint64_t>::iterator lruIt;
-    };
-
-    void evictToCapLocked();
-
-    mutable std::mutex mutex_;
-    std::unordered_map<uint64_t, Entry> entries_;
-    std::list<uint64_t> lru_;
-    size_t maxBytes_ = 0;
-    size_t bytes_ = 0;
-    int64_t evictions_ = 0;
-    std::atomic<int64_t> hits_{0};
-    std::atomic<int64_t> misses_{0};
-};
 
 /** Sizing and admission-control knobs for a service instance. */
 struct ServiceOptions
@@ -116,8 +62,6 @@ struct ServiceOptions
     int executors = 2;
     /** Byte cap for the shared SolveMemo (0 = unbounded). */
     size_t memoMaxBytes = 256ull << 20;
-    /** Byte cap for the warm-start schedule store. */
-    size_t storeMaxBytes = 64ull << 20;
     /**
      * Admission control: jobs queued (accepted but not yet running)
      * beyond this depth are rejected with a reason.
@@ -174,19 +118,12 @@ class EvalService
     EvalService &operator=(const EvalService &) = delete;
 
     /**
-     * Run a sweep synchronously on the calling thread, through the
-     * service-owned memo (keys salted with the request's engine
-     * digest) and warm-start store. Semantically dse::exploreSpace
-     * with cross-request reuse.
+     * Run a sweep synchronously on the calling thread. Semantically
+     * dse::exploreSpace with the service-owned memo as
+     * DseOptions::memo (replacing any the request names), so reuse
+     * carries across requests.
      */
     std::vector<dse::DsePoint> sweep(const SweepRequest &request);
-
-    /** Evaluate one configuration synchronously (same reuse). */
-    dse::DsePoint eval(const arch::SocConfig &config,
-                       const workload::Workload &workload,
-                       const arch::Constraints &constraints,
-                       dse::ModelKind kind,
-                       const dse::DseOptions &options);
 
     /**
      * Queue a job for the executor crew. Admission control: rejects
@@ -209,12 +146,11 @@ class EvalService
     size_t pendingJobs() const;
 
     SolveMemo &memo() { return memo_; }
-    ScheduleStore &scheduleStore() { return store_; }
     FlightRecorder &flightRecorder() { return recorder_; }
 
     /**
      * Service observability snapshot: uptime, build version, memo
-     * and store occupancy/hit rates, queue accounting, latency
+     * occupancy and hit rates, queue accounting, latency
      * histogram percentiles, flight-recorder occupancy, and the
      * thread-budget state. The daemon's `stats` response.
      */
@@ -251,7 +187,6 @@ class EvalService
     const ServiceOptions options_;
     const std::chrono::steady_clock::time_point started_;
     SolveMemo memo_;
-    ScheduleStore store_;
     FlightRecorder recorder_;
 
     mutable std::mutex mutex_;

@@ -4,8 +4,8 @@
  *
  * Serves eval/sweep/stats/shutdown requests over a Unix or TCP
  * stream socket (NDJSON, see protocol.hh) against one long-lived
- * EvalService, so repeated sweeps share a bounded solve memo and
- * warm-start schedule store across client processes:
+ * EvalService, so repeated sweeps share its bounded solve memo -
+ * results and warm-start schedules - across client processes:
  *
  *   hilpd --listen=unix:/tmp/hilpd.sock
  *   hilpd --listen=tcp:127.0.0.1:7351 --memo-bytes=512M
@@ -28,6 +28,7 @@
 #include "telemetry_http.hh"
 #include "support/logging.hh"
 #include "support/net.hh"
+#include "support/str.hh"
 #include "support/trace.hh"
 #include "support/version.hh"
 
@@ -47,40 +48,21 @@ onSignal(int)
         gDaemon->stop();
 }
 
-/** Parse a byte count with an optional K/M/G suffix. */
-bool
-parseBytes(const std::string &text, size_t *out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-    size_t scale = 1;
-    if (*end == 'K' || *end == 'k')
-        scale = 1ull << 10, ++end;
-    else if (*end == 'M' || *end == 'm')
-        scale = 1ull << 20, ++end;
-    else if (*end == 'G' || *end == 'g')
-        scale = 1ull << 30, ++end;
-    if (*end != '\0')
-        return false;
-    *out = static_cast<size_t>(value) * scale;
-    return true;
-}
-
 int
 usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s --listen=ADDR [--memo-bytes=N] "
-                 "[--store-bytes=N]\n"
-                 "          [--queue-depth=N] [--executors=N]\n"
-                 "          [--metrics-addr=ADDR] [--slo-ms=N]\n"
+                 "[--queue-depth=N]\n"
+                 "          [--executors=N] [--metrics-addr=ADDR] "
+                 "[--slo-ms=N]\n"
                  "          [--slow-dump-dir=PATH] "
                  "[--read-timeout=S]\n"
                  "       %s --connect=ADDR stats|shutdown\n"
                  "       %s --version\n"
-                 "ADDR is unix:/path or tcp:host:port.\n"
+                 "ADDR is unix:/path or tcp:host:port. --memo-bytes "
+                 "caps the solve memo\n"
+                 "(K/M/G suffixes; default 256M, 0 = unbounded).\n"
                  "--metrics-addr serves GET /metrics (Prometheus "
                  "text), /metrics.json,\n"
                  "and /healthz over HTTP/1.0. --slo-ms marks slower "
@@ -159,9 +141,6 @@ main(int argc, char **argv)
         } else if (const char *v = value("--memo-bytes")) {
             if (!parseBytes(v, &options.memoMaxBytes))
                 return usage(argv[0]);
-        } else if (const char *v = value("--store-bytes")) {
-            if (!parseBytes(v, &options.storeMaxBytes))
-                return usage(argv[0]);
         } else if (const char *v = value("--queue-depth")) {
             options.maxQueueDepth =
                 static_cast<size_t>(std::strtoull(v, nullptr, 10));
@@ -229,11 +208,10 @@ main(int argc, char **argv)
     std::signal(SIGTERM, onSignal);
     std::signal(SIGPIPE, SIG_IGN);
 
-    inform("hilpd %s listening on %s (memo cap %zu MiB, store cap "
-           "%zu MiB, queue depth %zu)",
+    inform("hilpd %s listening on %s (memo cap %zu MiB, queue depth "
+           "%zu)",
            buildGitDescribe(), listen.c_str(),
-           options.memoMaxBytes >> 20, options.storeMaxBytes >> 20,
-           options.maxQueueDepth);
+           options.memoMaxBytes >> 20, options.maxQueueDepth);
     daemon.run(listener);
     evalService.drain();
     telemetry.stop();

@@ -1,5 +1,7 @@
 #include "protocol.hh"
 
+#include <limits>
+
 #include "arch/parse.hh"
 #include "hilp/options.hh"
 #include "support/str.hh"
@@ -10,36 +12,11 @@ namespace protocol {
 
 namespace {
 
-double
-numberOr(const Json &object, const char *key, double fallback)
-{
-    const Json *value = object.find(key);
-    return value && value->isNumber() ? value->numberValue()
-                                      : fallback;
-}
-
-int64_t
-intOr(const Json &object, const char *key, int64_t fallback)
-{
-    const Json *value = object.find(key);
-    return value && value->isNumber() ? value->intValue() : fallback;
-}
-
-bool
-boolOr(const Json &object, const char *key, bool fallback)
-{
-    const Json *value = object.find(key);
-    return value && value->isBool() ? value->boolValue() : fallback;
-}
-
-std::string
-stringOr(const Json &object, const char *key,
-         const std::string &fallback)
-{
-    const Json *value = object.find(key);
-    return value && value->isString() ? value->stringValue()
-                                      : fallback;
-}
+/**
+ * Most workload copies a request may ask for: the daemon builds every
+ * copy, and no caller sends more than one.
+ */
+constexpr int kMaxCopies = 64;
 
 } // anonymous namespace
 
@@ -221,13 +198,16 @@ parseSweepParams(const Json &json, Request *out, std::string *error)
                                 variant.c_str());
             return false;
         }
-        out->copies =
-            static_cast<int>(intOr(*wl, "copies", out->copies));
-        if (out->copies < 1) {
+        // Range-checked as int64 before narrowing, so an
+        // out-of-range value cannot wrap into an accepted one.
+        int64_t copies = intOr(*wl, "copies", out->copies);
+        if (copies < 1 || copies > kMaxCopies) {
             if (error)
-                *error = "workload copies must be >= 1";
+                *error = format("workload copies out of range [1, %d]",
+                                kMaxCopies);
             return false;
         }
+        out->copies = static_cast<int>(copies);
     }
 
     out->dsaAdvantage =
@@ -261,8 +241,6 @@ parseSweepParams(const Json &json, Request *out, std::string *error)
         if (engine &&
             !parseEngineOptions(*engine, &out->options.engine, error))
             return false;
-        // Range-checked as int64 before narrowing, so an
-        // out-of-range value cannot wrap into an accepted one.
         int64_t threads =
             intOr(*options, "threads", out->options.threads);
         if (threads < 0 || threads > cp::kMaxThreads) {
@@ -427,8 +405,14 @@ parseRequest(const std::string &line, Request *out, std::string *error)
     if (!parseSweepParams(json, out, error))
         return false;
 
-    out->priority =
-        static_cast<int>(intOr(json, "priority", out->priority));
+    int64_t priority = intOr(json, "priority", out->priority);
+    if (priority < std::numeric_limits<int>::min() ||
+        priority > std::numeric_limits<int>::max()) {
+        if (error)
+            *error = "request priority out of int range";
+        return false;
+    }
+    out->priority = static_cast<int>(priority);
     return true;
 }
 

@@ -11,10 +11,9 @@
 #include <thread>
 #include <utility>
 
+#include "client.hh"
 #include "dse/checkpoint.hh"
-#include "protocol.hh"
 #include "support/logging.hh"
-#include "support/net.hh"
 #include "support/str.hh"
 
 namespace hilp {
@@ -22,66 +21,11 @@ namespace service {
 
 namespace {
 
-std::string
-typeOf(const Json &json)
-{
-    if (!json.isObject())
-        return "";
-    const Json *type = json.find("type");
-    return type && type->isString() ? type->stringValue() : "";
-}
-
-int64_t
-intOr(const Json &object, const char *key, int64_t fallback)
-{
-    const Json *value = object.find(key);
-    return value && value->isNumber() ? value->intValue() : fallback;
-}
-
 void
 sleepFor(double seconds)
 {
     std::this_thread::sleep_for(
         std::chrono::duration<double>(seconds));
-}
-
-/**
- * One request/response exchange on the shared control channel. The
- * channel mutex serializes whole exchanges: the sweep's point
- * callbacks submit from worker threads while the main thread is
- * blocked inside sweep(), so each exchange must be atomic. Unknown
- * response types are skipped (forward compatibility); *typed keeps
- * the last recognized payload line before the done line.
- */
-bool
-exchange(net::LineChannel &channel, std::mutex &mutex,
-         const std::string &request, Json *typed, bool *done_ok,
-         std::string *error)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    if (!channel.writeLine(request)) {
-        if (error)
-            *error = "control connection write failed";
-        return false;
-    }
-    std::string line;
-    while (channel.readLine(&line)) {
-        Json json;
-        std::string parse_error;
-        if (!Json::parse(line, &json, &parse_error))
-            continue;
-        if (typeOf(json) == "done") {
-            const Json *ok = json.find("ok");
-            if (done_ok)
-                *done_ok = ok && ok->isBool() && ok->boolValue();
-            return true;
-        }
-        if (typed)
-            *typed = std::move(json);
-    }
-    if (error)
-        *error = "control connection closed";
-    return false;
 }
 
 /**
@@ -103,7 +47,7 @@ void
 heartbeatLoop(const std::string &address, const std::string &id,
               HeartbeatState *state)
 {
-    net::LineChannel channel{net::Socket()};
+    ServiceClient client;
     for (;;) {
         uint64_t lease = 0;
         {
@@ -118,35 +62,16 @@ heartbeatLoop(const std::string &address, const std::string &id,
         }
         if (lease == 0)
             continue; // Between leases; nothing to keep alive.
-        if (!channel.valid()) {
-            std::string connect_error;
-            net::Socket socket =
-                net::connectTo(address, &connect_error);
-            if (!socket.valid())
-                continue; // Retry next tick.
-            channel = net::LineChannel(std::move(socket));
-        }
+        std::string error;
+        if (!client.connected() && !client.connect(address, &error))
+            continue; // Retry next tick.
         protocol::Request request;
         request.op = protocol::Op::Heartbeat;
         request.worker = id;
         request.leaseId = lease;
-        if (!channel.writeLine(protocol::encodeRequest(request))) {
-            channel = net::LineChannel(net::Socket());
-            continue;
-        }
-        std::string line;
-        bool done = false;
-        while (channel.readLine(&line)) {
-            Json json;
-            std::string parse_error;
-            if (Json::parse(line, &json, &parse_error) &&
-                typeOf(json) == "done") {
-                done = true;
-                break;
-            }
-        }
-        if (!done)
-            channel = net::LineChannel(net::Socket());
+        // A lost connection disconnects the client; the next tick
+        // reconnects.
+        client.exchange(request, nullptr, &error);
     }
 }
 
@@ -158,16 +83,13 @@ runWorker(const std::string &address, const WorkerOptions &options,
 {
     // The coordinator daemon may still be binding when a spawned
     // worker starts; retry the initial connect for a bounded window.
-    net::Socket socket;
+    ServiceClient control;
     std::string connect_error;
     const auto give_up = std::chrono::steady_clock::now() +
         std::chrono::duration_cast<
             std::chrono::steady_clock::duration>(
             std::chrono::duration<double>(options.connectRetryS));
-    for (;;) {
-        socket = net::connectTo(address, &connect_error);
-        if (socket.valid())
-            break;
+    while (!control.connect(address, &connect_error)) {
         if (std::chrono::steady_clock::now() >= give_up) {
             if (error)
                 *error = format("cannot reach coordinator %s: %s",
@@ -177,8 +99,32 @@ runWorker(const std::string &address, const WorkerOptions &options,
         }
         sleepFor(0.1);
     }
-    net::LineChannel channel(std::move(socket));
-    std::mutex channelMutex;
+    // One exchange on the control connection. The mutex serializes
+    // whole exchanges: the sweep's point callbacks submit from worker
+    // threads while the main thread is blocked inside sweep(). Returns
+    // false only when the connection is lost; *accepted (nullable)
+    // gets the done line's verdict and *reply (nullable) the last
+    // reply line before it.
+    std::mutex controlMutex;
+    auto call = [&](const protocol::Request &request, Json *reply,
+                    bool *accepted, std::string *lost) {
+        std::lock_guard<std::mutex> lock(controlMutex);
+        std::string verdict;
+        const bool ok = control.exchange(
+            request,
+            [reply](const std::string &, const Json &line) {
+                if (reply)
+                    *reply = line;
+            },
+            &verdict);
+        if (accepted)
+            *accepted = ok;
+        if (control.connected())
+            return true;
+        if (lost)
+            *lost = "control connection lost: " + verdict;
+        return false;
+    };
 
     std::unique_ptr<EvalService> local;
     EvalService *service = options.service;
@@ -200,13 +146,11 @@ runWorker(const std::string &address, const WorkerOptions &options,
         poll.worker = options.id;
         Json response;
         bool done_ok = false;
-        if (!exchange(channel, channelMutex,
-                      protocol::encodeRequest(poll), &response,
-                      &done_ok, &failure)) {
+        if (!call(poll, &response, &done_ok, &failure)) {
             ok = false;
             break;
         }
-        const std::string type = typeOf(response);
+        const std::string type = stringOr(response, "type");
         if (type == "wait" || !done_ok) {
             sleepFor(options.pollIntervalS);
             continue;
@@ -281,10 +225,7 @@ runWorker(const std::string &address, const WorkerOptions &options,
                 dse::checkpointKey(point.fingerprint,
                                    point.config.name(), kind),
                 kind, point, schedule));
-            std::string submit_error;
-            if (!exchange(channel, channelMutex,
-                          protocol::encodeRequest(submit), nullptr,
-                          nullptr, &submit_error))
+            if (!call(submit, nullptr, nullptr, nullptr))
                 submitFailed.store(true,
                                    std::memory_order_relaxed);
         };
@@ -306,9 +247,7 @@ runWorker(const std::string &address, const WorkerOptions &options,
         finish.worker = options.id;
         finish.leaseId = leaseId;
         finish.complete = true;
-        if (!exchange(channel, channelMutex,
-                      protocol::encodeRequest(finish), nullptr,
-                      nullptr, &failure)) {
+        if (!call(finish, nullptr, nullptr, &failure)) {
             ok = false;
             break;
         }

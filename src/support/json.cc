@@ -167,6 +167,46 @@ Json::members() const
     return members_;
 }
 
+namespace {
+
+const Json *
+member(const Json &object, const char *key)
+{
+    return object.isObject() ? object.find(key) : nullptr;
+}
+
+} // anonymous namespace
+
+double
+numberOr(const Json &object, const char *key, double fallback)
+{
+    const Json *value = member(object, key);
+    return value && value->isNumber() ? value->numberValue() : fallback;
+}
+
+int64_t
+intOr(const Json &object, const char *key, int64_t fallback)
+{
+    const Json *value = member(object, key);
+    return value && value->isNumber() ? value->intValue() : fallback;
+}
+
+bool
+boolOr(const Json &object, const char *key, bool fallback)
+{
+    const Json *value = member(object, key);
+    return value && value->isBool() ? value->boolValue() : fallback;
+}
+
+std::string
+stringOr(const Json &object, const char *key,
+         const std::string &fallback)
+{
+    const Json *value = member(object, key);
+    return value && value->isString() ? value->stringValue()
+                                      : fallback;
+}
+
 std::string
 jsonEscape(const std::string &text)
 {

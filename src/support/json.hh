@@ -120,6 +120,17 @@ class Json
 /** Escape a string for inclusion in JSON text (without quotes). */
 std::string jsonEscape(const std::string &text);
 
+// Typed member reads for decoding wire and checkpoint objects: the
+// value of `key` when `object` is an object holding it with the
+// right kind, else the fallback (also for a non-object, so a reply
+// line of any shape can be probed).
+
+double numberOr(const Json &object, const char *key, double fallback);
+int64_t intOr(const Json &object, const char *key, int64_t fallback);
+bool boolOr(const Json &object, const char *key, bool fallback);
+std::string stringOr(const Json &object, const char *key,
+                     const std::string &fallback = "");
+
 } // namespace hilp
 
 #endif // HILP_SUPPORT_JSON_HH

@@ -1,7 +1,5 @@
 #include "stats.hh"
 
-#include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "logging.hh"
@@ -17,74 +15,9 @@ mean(const std::vector<double> &xs)
 }
 
 double
-variance(const std::vector<double> &xs)
-{
-    if (xs.size() < 2)
-        return 0.0;
-    double m = mean(xs);
-    double acc = 0.0;
-    for (double x : xs)
-        acc += (x - m) * (x - m);
-    return acc / static_cast<double>(xs.size());
-}
-
-double
-stddev(const std::vector<double> &xs)
-{
-    return std::sqrt(variance(xs));
-}
-
-double
-geomean(const std::vector<double> &xs)
-{
-    hilp_assert(!xs.empty());
-    double acc = 0.0;
-    for (double x : xs) {
-        hilp_assert(x > 0.0);
-        acc += std::log(x);
-    }
-    return std::exp(acc / static_cast<double>(xs.size()));
-}
-
-double
-minOf(const std::vector<double> &xs)
-{
-    hilp_assert(!xs.empty());
-    return *std::min_element(xs.begin(), xs.end());
-}
-
-double
-maxOf(const std::vector<double> &xs)
-{
-    hilp_assert(!xs.empty());
-    return *std::max_element(xs.begin(), xs.end());
-}
-
-double
 sum(const std::vector<double> &xs)
 {
     return std::accumulate(xs.begin(), xs.end(), 0.0);
-}
-
-double
-pearson(const std::vector<double> &xs, const std::vector<double> &ys)
-{
-    hilp_assert(xs.size() == ys.size());
-    if (xs.size() < 2)
-        return 0.0;
-    double mx = mean(xs);
-    double my = mean(ys);
-    double sxy = 0.0;
-    double sxx = 0.0;
-    double syy = 0.0;
-    for (size_t i = 0; i < xs.size(); ++i) {
-        sxy += (xs[i] - mx) * (ys[i] - my);
-        sxx += (xs[i] - mx) * (xs[i] - mx);
-        syy += (ys[i] - my) * (ys[i] - my);
-    }
-    if (sxx == 0.0 || syy == 0.0)
-        return 0.0;
-    return sxy / std::sqrt(sxx * syy);
 }
 
 LinearFit
@@ -121,31 +54,6 @@ linearFit(const std::vector<double> &xs, const std::vector<double> &ys)
     if (fit.r2 < 0.0)
         fit.r2 = 0.0;
     return fit;
-}
-
-void
-RunningStats::add(double x)
-{
-    if (count_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++count_;
-    // Welford's online update.
-    double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-}
-
-double
-RunningStats::stddev() const
-{
-    if (count_ < 2)
-        return 0.0;
-    return std::sqrt(m2_ / static_cast<double>(count_));
 }
 
 } // namespace hilp

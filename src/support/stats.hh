@@ -1,13 +1,11 @@
 /**
  * @file
- * Small statistics helpers used by the fitting code, the WLP metric,
- * and the experiment harnesses.
+ * Small statistics helpers used by the power-law fitting code.
  */
 
 #ifndef HILP_SUPPORT_STATS_HH
 #define HILP_SUPPORT_STATS_HH
 
-#include <cstddef>
 #include <vector>
 
 namespace hilp {
@@ -15,29 +13,8 @@ namespace hilp {
 /** Arithmetic mean; returns 0 for an empty input. */
 double mean(const std::vector<double> &xs);
 
-/** Population variance; returns 0 for fewer than two samples. */
-double variance(const std::vector<double> &xs);
-
-/** Population standard deviation. */
-double stddev(const std::vector<double> &xs);
-
-/** Geometric mean; all inputs must be positive. */
-double geomean(const std::vector<double> &xs);
-
-/** Minimum; input must be non-empty. */
-double minOf(const std::vector<double> &xs);
-
-/** Maximum; input must be non-empty. */
-double maxOf(const std::vector<double> &xs);
-
 /** Sum of all elements. */
 double sum(const std::vector<double> &xs);
-
-/**
- * Pearson correlation coefficient of two equally-sized series;
- * returns 0 when either series is constant.
- */
-double pearson(const std::vector<double> &xs, const std::vector<double> &ys);
 
 /**
  * Result of an ordinary-least-squares fit y = slope * x + intercept.
@@ -56,38 +33,6 @@ struct LinearFit
  */
 LinearFit linearFit(const std::vector<double> &xs,
                     const std::vector<double> &ys);
-
-/**
- * Online accumulator for mean/min/max/stddev without storing samples.
- */
-class RunningStats
-{
-  public:
-    /** Fold one sample into the accumulator. */
-    void add(double x);
-
-    /** Number of samples seen so far. */
-    size_t count() const { return count_; }
-
-    /** Mean of the samples seen so far (0 when empty). */
-    double mean() const { return count_ ? mean_ : 0.0; }
-
-    /** Population standard deviation (0 for fewer than two samples). */
-    double stddev() const;
-
-    /** Smallest sample (0 when empty). */
-    double min() const { return count_ ? min_ : 0.0; }
-
-    /** Largest sample (0 when empty). */
-    double max() const { return count_ ? max_ : 0.0; }
-
-  private:
-    size_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 } // namespace hilp
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdarg>
+#include <limits>
 
 #include "logging.hh"
 
@@ -75,6 +76,38 @@ toLower(const std::string &s)
         return static_cast<char>(std::tolower(c));
     });
     return out;
+}
+
+bool
+parseBytes(const std::string &text, size_t *out)
+{
+    constexpr size_t kMax = std::numeric_limits<size_t>::max();
+    size_t value = 0;
+    size_t i = 0;
+    for (; i < text.size() && text[i] >= '0' && text[i] <= '9'; ++i) {
+        const size_t digit = static_cast<size_t>(text[i] - '0');
+        if (value > (kMax - digit) / 10)
+            return false;
+        value = value * 10 + digit;
+    }
+    if (i == 0)
+        return false;
+    int shift = 0;
+    if (i < text.size()) {
+        const char suffix = text[i++];
+        if (suffix == 'K' || suffix == 'k')
+            shift = 10;
+        else if (suffix == 'M' || suffix == 'm')
+            shift = 20;
+        else if (suffix == 'G' || suffix == 'g')
+            shift = 30;
+        else
+            return false;
+    }
+    if (i != text.size() || value > (kMax >> shift))
+        return false;
+    *out = value << shift;
+    return true;
 }
 
 std::string

@@ -32,6 +32,14 @@ bool startsWith(const std::string &s, const std::string &prefix);
 std::string toLower(const std::string &s);
 
 /**
+ * Parse a byte count: decimal digits with an optional K, M or G
+ * suffix (binary multiples, either case). Returns false, leaving
+ * *out untouched, on empty input, a sign, any other trailing
+ * character, or a value that does not fit size_t.
+ */
+bool parseBytes(const std::string &text, size_t *out);
+
+/**
  * Render a double compactly for tables: fixed with the given number
  * of decimals, but trimming a plain integer to no decimal point when
  * decimals == 0.

@@ -3,10 +3,10 @@
  * Races concurrent SolveMemo traffic against byte-cap eviction. The
  * memo is the one shared mutable structure of the evaluation service
  * (hilpd keeps one alive across requests), so this test runs in the
- * TSan-covered concurrency binary: many threads insert and look up
- * overlapping keys against a cap small enough that eviction fires
- * constantly, and every hit must still return a self-consistent
- * result.
+ * TSan-covered concurrency binary: many threads insert, look up and
+ * ask for warm-start hints on overlapping keys under two salts,
+ * against a cap small enough that eviction fires constantly, and
+ * every hit and hint must still be self-consistent.
  */
 
 #include <gtest/gtest.h>
@@ -21,9 +21,9 @@ namespace hilp {
 namespace {
 
 /**
- * A result whose payload encodes its key, so a racing lookup can
- * check that whatever entry it got back is internally consistent
- * (no torn or cross-keyed reads).
+ * A result whose payload (makespan and schedule) encodes its key, so
+ * a racing lookup or hint can check that whatever entry it got back
+ * is internally consistent (no torn or cross-keyed reads).
  */
 EvalResult
 resultForKey(uint64_t key)
@@ -33,6 +33,9 @@ resultForKey(uint64_t key)
     result.makespanS = 1.0 + static_cast<double>(key);
     result.lowerBoundS = result.makespanS; // gap 0: never replaced
     result.gap = 0.0;
+    ScheduledPhase phase;
+    phase.startStep = static_cast<cp::Time>(key);
+    result.schedule.phases.push_back(phase);
     return result;
 }
 
@@ -48,6 +51,7 @@ TEST(SolveMemoEvictRace, ConcurrentTrafficUnderTinyCap)
     constexpr int kIterations = 400;
     std::atomic<int64_t> hits{0};
     std::atomic<int64_t> misses{0};
+    std::atomic<int64_t> hint_lookups{0};
 
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
@@ -56,8 +60,23 @@ TEST(SolveMemoEvictRace, ConcurrentTrafficUnderTinyCap)
             for (int i = 0; i < kIterations; ++i) {
                 uint64_t key =
                     static_cast<uint64_t>((i * 7 + t * 13) % kKeys);
+                // Two salts per key: instances hold several entries,
+                // and eviction removes them from either end.
+                uint64_t salt = static_cast<uint64_t>(t % 2);
+                if (i % 3 == 0) {
+                    // A hint, if any, is the schedule of this key.
+                    Schedule hint;
+                    if (memo.hint(key, &hint)) {
+                        ASSERT_EQ(hint.phases.size(), 1u);
+                        EXPECT_EQ(hint.phases[0].startStep,
+                                  static_cast<cp::Time>(key));
+                    }
+                    hint_lookups.fetch_add(1,
+                                           std::memory_order_relaxed);
+                    continue;
+                }
                 EvalResult out;
-                if (memo.lookup(key, &out)) {
+                if (memo.lookup(key, salt, &out)) {
                     // A hit must be the value inserted for this key,
                     // with the cache-hit bookkeeping applied.
                     EXPECT_DOUBLE_EQ(
@@ -68,7 +87,7 @@ TEST(SolveMemoEvictRace, ConcurrentTrafficUnderTinyCap)
                     hits.fetch_add(1, std::memory_order_relaxed);
                 } else {
                     // "Recompute" the evicted/missing entry.
-                    memo.insert(key, resultForKey(key));
+                    memo.insert(key, salt, resultForKey(key));
                     misses.fetch_add(1, std::memory_order_relaxed);
                 }
             }
@@ -86,16 +105,25 @@ TEST(SolveMemoEvictRace, ConcurrentTrafficUnderTinyCap)
     EXPECT_LE(memo.entries(), 8u);
     EXPECT_GT(memo.evictions(), 0);
     EXPECT_GT(misses.load(), 0);
-    EXPECT_EQ(hits.load() + misses.load(),
+    EXPECT_EQ(hits.load() + misses.load() + hint_lookups.load(),
               static_cast<int64_t>(kThreads) * kIterations);
+    // Hint lookups stay out of the memo's hit/miss counters.
+    EXPECT_EQ(memo.hits() + memo.misses(),
+              hits.load() + misses.load());
+    EXPECT_EQ(memo.hintHits() + memo.hintMisses(),
+              hint_lookups.load());
 
-    // With the traffic stopped, a fresh insert must be servable.
-    memo.insert(kKeys + 1, resultForKey(kKeys + 1));
+    // With the traffic stopped, a fresh insert must be servable, as
+    // a result and as a hint.
+    memo.insert(kKeys + 1, 0, resultForKey(kKeys + 1));
     EvalResult out;
-    ASSERT_TRUE(memo.lookup(kKeys + 1, &out));
+    ASSERT_TRUE(memo.lookup(kKeys + 1, 0, &out));
     EXPECT_TRUE(out.cacheHit);
     EXPECT_DOUBLE_EQ(out.makespanS,
                      1.0 + static_cast<double>(kKeys + 1));
+    Schedule hint;
+    ASSERT_TRUE(memo.hint(kKeys + 1, &hint));
+    EXPECT_EQ(hint.phases.size(), 1u);
 }
 
 TEST(SolveMemoEvictRace, RacingSetMaxBytesStaysBounded)
@@ -116,9 +144,11 @@ TEST(SolveMemoEvictRace, RacingSetMaxBytesStaysBounded)
         writers.emplace_back([&, t] {
             uint64_t key = static_cast<uint64_t>(t);
             while (!stop.load()) {
-                memo.insert(key, resultForKey(key));
+                memo.insert(key, 0, resultForKey(key));
                 EvalResult out;
-                memo.lookup(key, &out);
+                memo.lookup(key, 0, &out);
+                Schedule hint;
+                memo.hint(key, &hint);
                 key = (key + 4) % 32;
             }
         });

@@ -33,17 +33,17 @@ TEST(SolveMemoRace, RacingEqualRankInsertsConvergeDeterministically)
         SolveMemo memo;
         std::thread ta([&] {
             for (uint64_t key = 0; key < kKeys; ++key)
-                memo.insert(key, a);
+                memo.insert(key, 0, a);
         });
         std::thread tb([&] {
             for (uint64_t key = 0; key < kKeys; ++key)
-                memo.insert(key, b);
+                memo.insert(key, 0, b);
         });
         ta.join();
         tb.join();
         for (uint64_t key = 0; key < kKeys; ++key) {
             EvalResult out;
-            ASSERT_TRUE(memo.lookup(key, &out)) << "key " << key;
+            ASSERT_TRUE(memo.lookup(key, 0, &out)) << "key " << key;
             EXPECT_DOUBLE_EQ(out.makespanS, 2.0) << "key " << key;
         }
     }

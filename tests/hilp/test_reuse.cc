@@ -85,7 +85,7 @@ TEST(SolveMemo, MissThenHit)
 {
     SolveMemo memo;
     EvalResult out;
-    EXPECT_FALSE(memo.lookup(42, &out));
+    EXPECT_FALSE(memo.lookup(42, 0, &out));
     EXPECT_EQ(memo.misses(), 1);
 
     EvalResult stored;
@@ -95,9 +95,9 @@ TEST(SolveMemo, MissThenHit)
     stored.totalNodes = 100;
     stored.totalSeconds = 1.5;
     stored.warmStarted = true;
-    memo.insert(42, stored);
+    memo.insert(42, 0, stored);
 
-    ASSERT_TRUE(memo.lookup(42, &out));
+    ASSERT_TRUE(memo.lookup(42, 0, &out));
     EXPECT_EQ(memo.hits(), 1);
     EXPECT_TRUE(out.ok);
     EXPECT_DOUBLE_EQ(out.makespanS, 7.0);
@@ -116,10 +116,10 @@ TEST(SolveMemo, EqualQualityKeepsTheFirstInsertion)
     first.makespanS = 1.0;
     EvalResult second;
     second.makespanS = 2.0;
-    memo.insert(7, first);
-    memo.insert(7, second);
+    memo.insert(7, 0, first);
+    memo.insert(7, 0, second);
     EvalResult out;
-    ASSERT_TRUE(memo.lookup(7, &out));
+    ASSERT_TRUE(memo.lookup(7, 0, &out));
     EXPECT_DOUBLE_EQ(out.makespanS, 1.0);
 }
 
@@ -133,23 +133,23 @@ TEST(SolveMemo, BetterResultReplacesAWorseEntry)
     wide.ok = true;
     wide.makespanS = 3.0;
     wide.gap = 0.4;
-    memo.insert(7, wide);
+    memo.insert(7, 0, wide);
 
     EvalResult tight;
     tight.ok = true;
     tight.makespanS = 2.5;
     tight.gap = 0.01;
-    memo.insert(7, tight);
+    memo.insert(7, 0, tight);
 
     EvalResult out;
-    ASSERT_TRUE(memo.lookup(7, &out));
+    ASSERT_TRUE(memo.lookup(7, 0, &out));
     EXPECT_DOUBLE_EQ(out.makespanS, 2.5);
     EXPECT_DOUBLE_EQ(out.gap, 0.01);
 
     // And the replacement is one-way: a worse result never evicts a
     // better one.
-    memo.insert(7, wide);
-    ASSERT_TRUE(memo.lookup(7, &out));
+    memo.insert(7, 0, wide);
+    ASSERT_TRUE(memo.lookup(7, 0, &out));
     EXPECT_DOUBLE_EQ(out.gap, 0.01);
 }
 
@@ -159,21 +159,21 @@ TEST(SolveMemo, SolvedResultReplacesAFailedEntry)
     EvalResult failed;
     failed.ok = false;
     failed.status = cp::SolveStatus::NoSolution;
-    memo.insert(9, failed);
+    memo.insert(9, 0, failed);
 
     EvalResult solved;
     solved.ok = true;
     solved.makespanS = 4.0;
     solved.gap = 0.5; // Even a wide-gap solve beats no solution.
-    memo.insert(9, solved);
+    memo.insert(9, 0, solved);
 
     EvalResult out;
-    ASSERT_TRUE(memo.lookup(9, &out));
+    ASSERT_TRUE(memo.lookup(9, 0, &out));
     EXPECT_TRUE(out.ok);
     EXPECT_DOUBLE_EQ(out.makespanS, 4.0);
 
-    memo.insert(9, failed);
-    ASSERT_TRUE(memo.lookup(9, &out));
+    memo.insert(9, 0, failed);
+    ASSERT_TRUE(memo.lookup(9, 0, &out));
     EXPECT_TRUE(out.ok);
 }
 
@@ -193,15 +193,15 @@ TEST(SolveMemo, EqualRankTiebreakIsInsertOrderIndependent)
 
     EvalResult out;
     SolveMemo ab;
-    ab.insert(3, a);
-    ab.insert(3, b);
-    ASSERT_TRUE(ab.lookup(3, &out));
+    ab.insert(3, 0, a);
+    ab.insert(3, 0, b);
+    ASSERT_TRUE(ab.lookup(3, 0, &out));
     EXPECT_DOUBLE_EQ(out.makespanS, 2.0);
 
     SolveMemo ba;
-    ba.insert(3, b);
-    ba.insert(3, a);
-    ASSERT_TRUE(ba.lookup(3, &out));
+    ba.insert(3, 0, b);
+    ba.insert(3, 0, a);
+    ASSERT_TRUE(ba.lookup(3, 0, &out));
     EXPECT_DOUBLE_EQ(out.makespanS, 2.0);
 }
 
@@ -224,15 +224,15 @@ TEST(SolveMemo, StructuralDigestBreaksExactScalarTies)
 
     EvalResult ab_out;
     SolveMemo ab;
-    ab.insert(5, a);
-    ab.insert(5, b);
-    ASSERT_TRUE(ab.lookup(5, &ab_out));
+    ab.insert(5, 0, a);
+    ab.insert(5, 0, b);
+    ASSERT_TRUE(ab.lookup(5, 0, &ab_out));
 
     EvalResult ba_out;
     SolveMemo ba;
-    ba.insert(5, b);
-    ba.insert(5, a);
-    ASSERT_TRUE(ba.lookup(5, &ba_out));
+    ba.insert(5, 0, b);
+    ba.insert(5, 0, a);
+    ASSERT_TRUE(ba.lookup(5, 0, &ba_out));
 
     ASSERT_EQ(ab_out.schedule.phases.size(), 1u);
     ASSERT_EQ(ba_out.schedule.phases.size(), 1u);
@@ -248,18 +248,18 @@ TEST(SolveMemo, NonDegradedResultReplacesADegradedTwin)
     degraded.makespanS = 2.0;
     degraded.gap = 0.05;
     degraded.degraded = true;
-    memo.insert(11, degraded);
+    memo.insert(11, 0, degraded);
 
     EvalResult clean = degraded;
     clean.degraded = false;
-    memo.insert(11, clean);
+    memo.insert(11, 0, clean);
 
     EvalResult out;
-    ASSERT_TRUE(memo.lookup(11, &out));
+    ASSERT_TRUE(memo.lookup(11, 0, &out));
     EXPECT_FALSE(out.degraded);
 
-    memo.insert(11, degraded);
-    ASSERT_TRUE(memo.lookup(11, &out));
+    memo.insert(11, 0, degraded);
+    ASSERT_TRUE(memo.lookup(11, 0, &out));
     EXPECT_FALSE(out.degraded);
 }
 

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -531,6 +532,75 @@ TEST(DaemonProtocol, SweepThreadsAreRangeChecked)
         EXPECT_FALSE(protocol::parseRequest(
             protocol::encodeRequest(request), &decoded, &error));
         EXPECT_EQ(error, "sweep options out of range");
+    }
+}
+
+/**
+ * Parse an MA eval request whose wire line has `from` (e.g.
+ * "\"copies\":1") replaced by `to`, as a remote client could send it.
+ */
+bool
+parseEdited(const std::string &from, const std::string &to,
+            protocol::Request *out, std::string *error)
+{
+    std::string line =
+        protocol::encodeRequest(maEvalRequest("(c2,g4,d0^0)"));
+    size_t at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << line;
+    if (at != std::string::npos)
+        line.replace(at, from.size(), to);
+    return protocol::parseRequest(line, out, error);
+}
+
+TEST(DaemonProtocol, WorkloadCopiesAreRangeChecked)
+{
+    // 4294967297 and -4294967295 narrow to an accepted 1 if checked
+    // after the cast to int; 100000000 has the daemon build that many
+    // workload copies.
+    for (const char *value : {"0", "-1", "65", "100000000",
+                              "4294967297", "-4294967295", "1e30"}) {
+        SCOPED_TRACE(value);
+        protocol::Request decoded;
+        std::string error;
+        EXPECT_FALSE(parseEdited("\"copies\":1",
+                                 std::string("\"copies\":") + value,
+                                 &decoded, &error));
+        EXPECT_EQ(error, "workload copies out of range [1, 64]");
+    }
+    for (int copies : {1, 64}) {
+        protocol::Request decoded;
+        std::string error;
+        ASSERT_TRUE(parseEdited("\"copies\":1",
+                                "\"copies\":" + std::to_string(copies),
+                                &decoded, &error))
+            << error;
+        EXPECT_EQ(decoded.copies, copies);
+    }
+}
+
+TEST(DaemonProtocol, PriorityIsRangeChecked)
+{
+    // 4294967298 wraps to an accepted 2 if narrowed unchecked.
+    for (const char *value : {"2147483648", "-2147483649", "4294967298",
+                              "1e30"}) {
+        SCOPED_TRACE(value);
+        protocol::Request decoded;
+        std::string error;
+        EXPECT_FALSE(parseEdited("\"priority\":0",
+                                 std::string("\"priority\":") + value,
+                                 &decoded, &error));
+        EXPECT_EQ(error, "request priority out of int range");
+    }
+    for (int priority : {std::numeric_limits<int>::min(), -1,
+                         std::numeric_limits<int>::max()}) {
+        protocol::Request decoded;
+        std::string error;
+        ASSERT_TRUE(parseEdited(
+            "\"priority\":0",
+            "\"priority\":" + std::to_string(priority), &decoded,
+            &error))
+            << error;
+        EXPECT_EQ(decoded.priority, priority);
     }
 }
 

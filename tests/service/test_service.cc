@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for the EvalService core: job-queue admission control
- * and priority ordering, equivalence of the service eval/sweep paths
- * with the batch dse:: entry points, cross-request memo and
- * warm-start store behavior, and the statsJson observability shape.
+ * and priority ordering, equivalence of service sweeps with the
+ * batch dse:: entry points, cross-request memo and warm-start hint
+ * behavior, the cold reuse = false path, and the statsJson
+ * observability shape.
  */
 
 #include <gtest/gtest.h>
@@ -179,6 +180,21 @@ fastHilpOptions()
     return options;
 }
 
+/** Sweep one HILP configuration through the service. */
+dse::DsePoint
+sweepOne(EvalService &service, const arch::SocConfig &config,
+         const workload::Workload &wl, const dse::DseOptions &options)
+{
+    SweepRequest request;
+    request.configs = {config};
+    request.workload = wl;
+    request.kind = dse::ModelKind::Hilp;
+    request.options = options;
+    std::vector<dse::DsePoint> points = service.sweep(request);
+    EXPECT_EQ(points.size(), 1u);
+    return points.empty() ? dse::DsePoint() : points.front();
+}
+
 TEST(ServiceEval, MatchesBatchEvaluatePoint)
 {
     auto wl = workload::makeWorkload(workload::Variant::Default);
@@ -186,9 +202,7 @@ TEST(ServiceEval, MatchesBatchEvaluatePoint)
     dse::DseOptions options = fastHilpOptions();
 
     EvalService service;
-    dse::DsePoint served = service.eval(
-        config, wl, arch::Constraints{}, dse::ModelKind::Hilp,
-        options);
+    dse::DsePoint served = sweepOne(service, config, wl, options);
     dse::DsePoint batch = dse::evaluatePoint(
         config, wl, arch::Constraints{}, dse::ModelKind::Hilp,
         options);
@@ -207,15 +221,11 @@ TEST(ServiceEval, RepeatEvalHitsSharedMemo)
     dse::DseOptions options = fastHilpOptions();
 
     EvalService service;
-    dse::DsePoint first = service.eval(
-        config, wl, arch::Constraints{}, dse::ModelKind::Hilp,
-        options);
+    dse::DsePoint first = sweepOne(service, config, wl, options);
     ASSERT_TRUE(first.ok);
     EXPECT_FALSE(first.cacheHit);
 
-    dse::DsePoint second = service.eval(
-        config, wl, arch::Constraints{}, dse::ModelKind::Hilp,
-        options);
+    dse::DsePoint second = sweepOne(service, config, wl, options);
     ASSERT_TRUE(second.ok);
     EXPECT_TRUE(second.cacheHit);
     EXPECT_DOUBLE_EQ(second.makespanS, first.makespanS);
@@ -228,23 +238,23 @@ TEST(ServiceEval, DifferentEngineOptionsMissMemoButWarmStart)
     dse::DseOptions options = fastHilpOptions();
 
     EvalService service;
-    dse::DsePoint first = service.eval(
-        config, wl, arch::Constraints{}, dse::ModelKind::Hilp,
-        options);
+    dse::DsePoint first = sweepOne(service, config, wl, options);
     ASSERT_TRUE(first.ok);
-    EXPECT_GT(service.scheduleStore().entries(), 0u);
+    EXPECT_EQ(service.memo().entries(), 1u);
+    EXPECT_EQ(service.memo().hintHits(), 0);
 
     // A different solver budget digests differently: the memo key is
     // salted, so the cached result cannot be (unsoundly) returned.
     dse::DseOptions other = options;
     other.engine.solver.maxSeconds = 1.5;
-    dse::DsePoint second = service.eval(
-        config, wl, arch::Constraints{}, dse::ModelKind::Hilp, other);
+    dse::DsePoint second = sweepOne(service, config, wl, other);
     ASSERT_TRUE(second.ok);
     EXPECT_FALSE(second.cacheHit);
-    // The warm-start store (keyed by fingerprint alone) seeds the
+    EXPECT_EQ(service.memo().hits(), 0);
+    EXPECT_EQ(service.memo().misses(), 2);
+    // The first solve's schedule, a hint under any options, seeds the
     // fresh solve instead.
-    EXPECT_GT(service.scheduleStore().hits(), 0);
+    EXPECT_EQ(service.memo().hintHits(), 1);
     EXPECT_TRUE(second.warmStarted);
 }
 
@@ -282,6 +292,50 @@ TEST(ServiceSweep, MatchesExploreSpaceAndStreamsPoints)
     }
 }
 
+TEST(ServiceSweep, NoReuseSweepIsColdOnAWarmService)
+{
+    // reuse = false is the cold reference the reuse claims are
+    // checked against: a service whose memo is warm from an earlier
+    // sweep of the same configs must neither serve it a cached result
+    // nor warm-start it, so its effort matches a fresh cold run.
+    auto wl = workload::makeWorkload(workload::Variant::Default);
+    SweepRequest request;
+    request.configs = {smallSoc(1, 4), smallSoc(2, 4), smallSoc(2, 16),
+                       smallSoc(4, 16)};
+    request.workload = wl;
+    request.kind = dse::ModelKind::Hilp;
+    request.options = fastHilpOptions();
+    // A node budget, not the clock, bounds every solve, so effort is
+    // reproducible run to run.
+    request.options.engine.solver.maxSeconds = 600.0;
+    request.options.engine.solver.maxNodes = 20000;
+
+    EvalService service;
+    service.sweep(request);
+    ASSERT_EQ(service.memo().entries(), request.configs.size());
+
+    request.options.reuse = false;
+    std::vector<dse::DsePoint> served = service.sweep(request);
+    std::vector<dse::DsePoint> fresh = dse::exploreSpace(
+        request.configs, wl, arch::Constraints{}, dse::ModelKind::Hilp,
+        request.options);
+    ASSERT_EQ(served.size(), fresh.size());
+    int64_t nodes[2] = {0, 0};
+    int64_t backtracks[2] = {0, 0};
+    for (size_t i = 0; i < served.size(); ++i) {
+        ASSERT_TRUE(served[i].ok) << i;
+        EXPECT_FALSE(served[i].cacheHit) << i;
+        EXPECT_FALSE(served[i].warmStarted) << i;
+        EXPECT_DOUBLE_EQ(served[i].makespanS, fresh[i].makespanS) << i;
+        nodes[0] += served[i].nodes;
+        nodes[1] += fresh[i].nodes;
+        backtracks[0] += served[i].backtracks;
+        backtracks[1] += fresh[i].backtracks;
+    }
+    EXPECT_EQ(nodes[0], nodes[1]);
+    EXPECT_EQ(backtracks[0], backtracks[1]);
+}
+
 TEST(ServiceStats, StatsJsonShape)
 {
     ServiceOptions options;
@@ -293,15 +347,14 @@ TEST(ServiceStats, StatsJsonShape)
     Json stats = service.statsJson();
     ASSERT_NE(stats.find("version"), nullptr);
     ASSERT_NE(stats.find("uptime_s"), nullptr);
-    for (const char *cache : {"memo", "schedule_store"}) {
-        const Json *section = stats.find(cache);
-        ASSERT_NE(section, nullptr) << cache;
-        for (const char *key : {"bytes", "max_bytes", "entries",
-                                "evictions", "hits", "misses",
-                                "hit_rate"})
-            EXPECT_NE(section->find(key), nullptr)
-                << cache << "." << key;
-    }
+    const Json *memo = stats.find("memo");
+    ASSERT_NE(memo, nullptr);
+    for (const char *key : {"bytes", "max_bytes", "entries", "evictions",
+                            "hits", "misses", "hit_rate", "hint_hits",
+                            "hint_misses"})
+        EXPECT_NE(memo->find(key), nullptr) << "memo." << key;
+    EXPECT_EQ(memo->find("hint_hits")->intValue(), 0);
+    EXPECT_EQ(memo->find("hint_misses")->intValue(), 0);
     const Json *queue = stats.find("queue");
     ASSERT_NE(queue, nullptr);
     EXPECT_EQ(queue->find("max_depth")->intValue(), 7);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "support/stats.hh"
@@ -24,60 +23,6 @@ TEST(Stats, SumBasic)
 {
     EXPECT_DOUBLE_EQ(sum({1.5, 2.5, -1.0}), 3.0);
     EXPECT_DOUBLE_EQ(sum({}), 0.0);
-}
-
-TEST(Stats, VarianceOfConstantIsZero)
-{
-    EXPECT_DOUBLE_EQ(variance({5.0, 5.0, 5.0}), 0.0);
-}
-
-TEST(Stats, VarianceKnownValue)
-{
-    // Population variance of {2, 4, 4, 4, 5, 5, 7, 9} is 4.
-    EXPECT_DOUBLE_EQ(variance({2, 4, 4, 4, 5, 5, 7, 9}), 4.0);
-    EXPECT_DOUBLE_EQ(stddev({2, 4, 4, 4, 5, 5, 7, 9}), 2.0);
-}
-
-TEST(Stats, VarianceOfSingletonIsZero)
-{
-    EXPECT_DOUBLE_EQ(variance({42.0}), 0.0);
-}
-
-TEST(Stats, GeomeanBasic)
-{
-    EXPECT_NEAR(geomean({1.0, 100.0}), 10.0, 1e-12);
-    EXPECT_NEAR(geomean({2.0, 8.0}), 4.0, 1e-12);
-}
-
-TEST(Stats, GeomeanSingleElement)
-{
-    EXPECT_NEAR(geomean({7.0}), 7.0, 1e-12);
-}
-
-TEST(Stats, MinMax)
-{
-    std::vector<double> xs = {3.0, -1.0, 7.0, 2.0};
-    EXPECT_DOUBLE_EQ(minOf(xs), -1.0);
-    EXPECT_DOUBLE_EQ(maxOf(xs), 7.0);
-}
-
-TEST(Stats, PearsonPerfectCorrelation)
-{
-    std::vector<double> xs = {1, 2, 3, 4};
-    std::vector<double> ys = {2, 4, 6, 8};
-    EXPECT_NEAR(pearson(xs, ys), 1.0, 1e-12);
-}
-
-TEST(Stats, PearsonPerfectAnticorrelation)
-{
-    std::vector<double> xs = {1, 2, 3, 4};
-    std::vector<double> ys = {8, 6, 4, 2};
-    EXPECT_NEAR(pearson(xs, ys), -1.0, 1e-12);
-}
-
-TEST(Stats, PearsonConstantSeriesIsZero)
-{
-    EXPECT_DOUBLE_EQ(pearson({1, 2, 3}, {5, 5, 5}), 0.0);
 }
 
 TEST(Stats, LinearFitExact)
@@ -111,37 +56,6 @@ TEST(Stats, LinearFitDegenerateVerticalData)
     EXPECT_DOUBLE_EQ(fit.slope, 0.0);
     EXPECT_DOUBLE_EQ(fit.intercept, 2.0);
     EXPECT_DOUBLE_EQ(fit.r2, 0.0);
-}
-
-TEST(RunningStats, EmptyAccumulator)
-{
-    RunningStats acc;
-    EXPECT_EQ(acc.count(), 0u);
-    EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(acc.stddev(), 0.0);
-}
-
-TEST(RunningStats, MatchesBatchStatistics)
-{
-    std::vector<double> xs = {2, 4, 4, 4, 5, 5, 7, 9};
-    RunningStats acc;
-    for (double x : xs)
-        acc.add(x);
-    EXPECT_EQ(acc.count(), xs.size());
-    EXPECT_NEAR(acc.mean(), mean(xs), 1e-12);
-    EXPECT_NEAR(acc.stddev(), stddev(xs), 1e-12);
-    EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-    EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-}
-
-TEST(RunningStats, SingleSample)
-{
-    RunningStats acc;
-    acc.add(-3.5);
-    EXPECT_DOUBLE_EQ(acc.mean(), -3.5);
-    EXPECT_DOUBLE_EQ(acc.min(), -3.5);
-    EXPECT_DOUBLE_EQ(acc.max(), -3.5);
-    EXPECT_DOUBLE_EQ(acc.stddev(), 0.0);
 }
 
 } // anonymous namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "support/str.hh"
 
 namespace hilp {
@@ -83,6 +86,56 @@ TEST(Str, FmtDouble)
     EXPECT_EQ(fmtDouble(3.14159, 0), "3");
     EXPECT_EQ(fmtDouble(-1.5, 1), "-1.5");
     EXPECT_EQ(fmtDouble(2.0, 3), "2.000");
+}
+
+TEST(Str, ParseBytesSuffixes)
+{
+    size_t out = 0;
+    EXPECT_TRUE(parseBytes("0", &out));
+    EXPECT_EQ(out, 0u);
+    EXPECT_TRUE(parseBytes("123", &out));
+    EXPECT_EQ(out, 123u);
+    EXPECT_TRUE(parseBytes("4K", &out));
+    EXPECT_EQ(out, 4u << 10);
+    EXPECT_TRUE(parseBytes("4k", &out));
+    EXPECT_EQ(out, 4u << 10);
+    EXPECT_TRUE(parseBytes("512M", &out));
+    EXPECT_EQ(out, size_t{512} << 20);
+    EXPECT_TRUE(parseBytes("3m", &out));
+    EXPECT_EQ(out, size_t{3} << 20);
+    EXPECT_TRUE(parseBytes("2G", &out));
+    EXPECT_EQ(out, size_t{2} << 30);
+    EXPECT_TRUE(parseBytes("7g", &out));
+    EXPECT_EQ(out, size_t{7} << 30);
+}
+
+TEST(Str, ParseBytesRejectsOverflow)
+{
+    constexpr size_t kMax = std::numeric_limits<size_t>::max();
+    size_t out = 42;
+    EXPECT_TRUE(parseBytes(std::to_string(kMax), &out));
+    EXPECT_EQ(out, kMax);
+    // One past the maximum, in the digits and through each suffix:
+    // 17179869184G is 2^64 bytes, which an unchecked shift wraps to 0
+    // (an unbounded memo).
+    out = 42;
+    EXPECT_FALSE(parseBytes("18446744073709551616", &out));
+    EXPECT_FALSE(parseBytes("99999999999999999999999", &out));
+    EXPECT_FALSE(parseBytes("17179869184G", &out));
+    EXPECT_FALSE(parseBytes("17592186044416M", &out));
+    EXPECT_FALSE(parseBytes("18014398509481984K", &out));
+    EXPECT_EQ(out, 42u);
+    EXPECT_TRUE(parseBytes("17179869183G", &out));
+    EXPECT_EQ(out, size_t{17179869183} << 30);
+}
+
+TEST(Str, ParseBytesRejectsSignsAndGarbage)
+{
+    size_t out = 42;
+    for (const char *bad : {"", "-1", "-1K", "+1", " 1", "1 ", "abc",
+                            "64X", "1KB", "1.5M", "K", "0x10", "1Kk"})
+        EXPECT_FALSE(parseBytes(bad, &out)) << '"' << bad << '"';
+    EXPECT_EQ(out, 42u);
 }
 
 } // anonymous namespace
