@@ -40,7 +40,6 @@ int g_solver_threads = 1;
 std::string g_checkpoint_path;
 bool g_resume = false;
 double g_point_timeout_s = 0.0;
-bool g_fail_fast = false;
 bool g_nogoods = false;
 bool g_lns = false;
 std::string g_connect;
@@ -80,6 +79,30 @@ dumpTelemetry()
     }
 }
 
+// Numeric flag values: malformed or out of range is fatal, naming
+// the flag.
+
+template <typename Int>
+void
+intFlag(const char *flag, const char *value, int64_t min, int64_t max,
+        Int *out)
+{
+    int64_t number = 0;
+    if (!parseInt(value, min, max, &number))
+        fatal("%s=%s: expected an integer in [%lld, %lld]", flag, value,
+              static_cast<long long>(min), static_cast<long long>(max));
+    *out = static_cast<Int>(number);
+}
+
+void
+realFlag(const char *flag, const char *value, double min, double max,
+         double *out)
+{
+    if (!parseReal(value, min, max, out))
+        fatal("%s=%s: expected a number in [%g, %g]", flag, value, min,
+              max);
+}
+
 } // anonymous namespace
 
 void
@@ -93,15 +116,15 @@ initHarness(int *argc, char **argv)
         else if (std::strncmp(arg, "--metrics-out=", 14) == 0)
             g_metrics_path = arg + 14;
         else if (std::strncmp(arg, "--solver-threads=", 17) == 0)
-            g_solver_threads = std::atoi(arg + 17);
+            intFlag("--solver-threads", arg + 17, 0, cp::kMaxThreads,
+                    &g_solver_threads);
         else if (std::strncmp(arg, "--checkpoint=", 13) == 0)
             g_checkpoint_path = arg + 13;
         else if (std::strcmp(arg, "--resume") == 0)
             g_resume = true;
         else if (std::strncmp(arg, "--point-timeout=", 16) == 0)
-            g_point_timeout_s = std::atof(arg + 16);
-        else if (std::strcmp(arg, "--fail-fast") == 0)
-            g_fail_fast = true;
+            realFlag("--point-timeout", arg + 16, 0.0, 1e6,
+                     &g_point_timeout_s);
         else if (std::strcmp(arg, "--nogoods") == 0)
             g_nogoods = true;
         else if (std::strcmp(arg, "--lns") == 0)
@@ -113,10 +136,11 @@ initHarness(int *argc, char **argv)
         else if (std::strcmp(arg, "--worker") == 0)
             g_worker = true;
         else if (std::strncmp(arg, "--spawn-workers=", 16) == 0)
-            g_spawn_workers =
-                static_cast<size_t>(std::atoll(arg + 16));
+            intFlag("--spawn-workers", arg + 16, 0, 256,
+                    &g_spawn_workers);
         else if (std::strncmp(arg, "--lease-timeout=", 16) == 0)
-            g_lease_timeout_s = std::atof(arg + 16);
+            realFlag("--lease-timeout", arg + 16, 0.1, 1e6,
+                     &g_lease_timeout_s);
         else if (std::strcmp(arg, "--fsync-checkpoint") == 0)
             g_fsync_checkpoint = true;
         else if (std::strncmp(arg, "--metrics-addr=", 15) == 0)
@@ -124,8 +148,8 @@ initHarness(int *argc, char **argv)
         else if (std::strcmp(arg, "--no-reuse") == 0)
             g_no_reuse = true;
         else if (std::strncmp(arg, "--max-configs=", 14) == 0)
-            g_max_configs =
-                static_cast<size_t>(std::atoll(arg + 14));
+            intFlag("--max-configs", arg + 14, 0, 1 << 20,
+                    &g_max_configs);
         else if (std::strncmp(arg, "--memo-bytes=", 13) == 0) {
             if (!parseBytes(arg + 13, &g_memo_bytes))
                 fatal("--memo-bytes=%s: expected a byte count with an "
@@ -189,12 +213,6 @@ double
 pointTimeoutS()
 {
     return g_point_timeout_s;
-}
-
-bool
-failFast()
-{
-    return g_fail_fast;
 }
 
 bool
@@ -295,7 +313,6 @@ explorationOptions(double solver_seconds)
     options.engine.solver.useNogoods = g_nogoods;
     options.engine.solver.lns = g_lns;
     options.engine.pointTimeoutS = g_point_timeout_s;
-    options.failFast = g_fail_fast;
     return options;
 }
 
@@ -467,19 +484,21 @@ runSweep(const std::vector<arch::SocConfig> &configs,
 {
     options.reuse = !g_no_reuse;
 
+    // The sweep's wire form for a daemon or a distributed worker:
+    // everything but the config labels.
+    service::protocol::Request wire;
+    wire.op = configs.size() == 1 ? service::protocol::Op::Eval
+                                  : service::protocol::Op::Sweep;
+    wire.variant = variant;
+    wire.copies = copies;
+    wire.dsaAdvantage = advantage;
+    wire.constraints = constraints;
+    wire.kind = kind;
+    wire.options = options;
+
     if (!g_coordinator.empty()) {
-        // Distributed: shard the sweep over the worker fleet. The
-        // params object is everything a worker needs besides its
-        // unit's config labels.
-        service::protocol::Request params;
-        params.op = service::protocol::Op::Sweep;
-        params.variant = variant;
-        params.copies = copies;
-        params.dsaAdvantage = advantage;
-        params.constraints = constraints;
-        params.kind = kind;
-        params.options = options;
-        return CoordinatorHost::instance().sweep(configs, params);
+        // Distributed: shard the sweep over the worker fleet.
+        return CoordinatorHost::instance().sweep(configs, wire);
     }
 
     if (g_connect.empty()) {
@@ -513,16 +532,6 @@ runSweep(const std::vector<arch::SocConfig> &configs,
         !client.connect(g_connect, &error))
         fatal("--connect %s: %s", g_connect.c_str(), error.c_str());
 
-    service::protocol::Request request;
-    request.op = configs.size() == 1 ? service::protocol::Op::Eval
-                                     : service::protocol::Op::Sweep;
-    request.variant = variant;
-    request.copies = copies;
-    request.dsaAdvantage = advantage;
-    request.constraints = constraints;
-    request.kind = kind;
-    request.options = options;
-
     std::FILE *capture = nullptr;
     if (!g_checkpoint_path.empty()) {
         capture = std::fopen(g_checkpoint_path.c_str(), "a");
@@ -532,7 +541,7 @@ runSweep(const std::vector<arch::SocConfig> &configs,
     }
     std::vector<dse::DsePoint> points;
     bool ok = client.sweep(
-        request, configs, &points, &error,
+        wire, configs, &points, &error,
         [&](const std::string &line) {
             if (!capture)
                 return;

@@ -34,18 +34,18 @@ namespace bench {
  *                       (counters/gauges/histograms) to FILE as JSON.
  *   --solver-threads=N  branch-and-bound worker threads for every
  *                       solve the harness runs (1 = serial, the
- *                       default; 0 = borrow from the thread budget).
+ *                       default; 0 = borrow from the thread budget;
+ *                       at most 256).
  *   --checkpoint=FILE   append completed sweep points to FILE (JSONL)
  *                       as they finish, so an interrupted sweep can
  *                       be resumed.
  *   --resume            with --checkpoint: load FILE first and skip
  *                       points a previous run already completed.
  *   --point-timeout=S   whole-evaluation deadline per design point in
- *                       seconds; on expiry the point degrades to its
- *                       best incumbent (still with a certified gap)
+ *                       seconds (0 = none, the default; at most 1e6);
+ *                       on expiry the point degrades to its best
+ *                       incumbent (still with a certified gap)
  *                       instead of failing.
- *   --fail-fast         abort the sweep on the first point that
- *                       throws (the pre-fault-isolation behavior).
  *   --nogoods           record no-goods in the branch-and-bound
  *                       search (see cp/nogood.hh): revisited
  *                       placement sets prune against their learned
@@ -69,12 +69,13 @@ namespace bench {
  *                       units, evaluate, stream results, exit when
  *                       the coordinator retires. The harness exits
  *                       inside initHarness; no figure code runs.
- *   --spawn-workers=N   with --coordinator: fork+exec N workers of
- *                       this same binary ("--worker"); their pids
- *                       are announced on stderr ("spawned worker P")
- *                       and reaped at exit.
+ *   --spawn-workers=N   with --coordinator: fork+exec N workers (at
+ *                       most 256) of this same binary ("--worker");
+ *                       their pids are announced on stderr ("spawned
+ *                       worker P") and reaped at exit.
  *   --lease-timeout=S   with --coordinator: a lease not refreshed
- *                       within S seconds is re-issued (default 30).
+ *                       within S seconds (0.1 to 1e6) is re-issued
+ *                       (default 30).
  *   --fsync-checkpoint  fsync the --checkpoint file after every
  *                       record (the coordinator's merged ledger, or
  *                       an in-process sweep's checkpoint).
@@ -87,13 +88,17 @@ namespace bench {
  *                       chains, the solve cache, and dominance
  *                       pruning) in runSweep sweeps.
  *   --max-configs=N     truncate runSweep design spaces to their
- *                       first N configurations (smoke runs / CI).
+ *                       first N configurations (smoke runs / CI; 0,
+ *                       the default, keeps them whole; at most 2^20).
  *   --memo-bytes=N      byte cap (K/M/G suffixes accepted) for the
  *                       solve memo of in-process sweeps; 0 keeps the
  *                       service default (256 MiB). A malformed value
  *                       is fatal.
  *   --version           print the build version (git describe +
  *                       build type) and exit.
+ *
+ * A numeric flag whose value is malformed or out of its range is
+ * fatal, naming the flag.
  *
  * Both dumps run through atexit so they capture everything, including
  * the google-benchmark timing loops at the end of main.
@@ -105,9 +110,6 @@ int solverThreads();
 
 /** The --point-timeout value in seconds (0 = no per-point deadline). */
 double pointTimeoutS();
-
-/** True when --fail-fast was passed. */
-bool failFast();
 
 /** True when --nogoods was passed. */
 bool useNogoods();

@@ -1,7 +1,6 @@
 #include "parse.hh"
 
 #include <cctype>
-#include <cstdlib>
 
 #include "support/str.hh"
 
@@ -10,21 +9,16 @@ namespace arch {
 
 namespace {
 
-/** Parse a non-negative integer; ok=false on garbage. */
+/** A count in [0, kMaxLabelCount], digits only; ok=false otherwise. */
 int
 parseCount(const std::string &field, bool &ok)
 {
-    if (field.empty()) {
+    int64_t count = 0;
+    // The sign check keeps "-0" out.
+    if (field.empty() || field[0] == '-' ||
+        !parseInt(field, 0, kMaxLabelCount, &count))
         ok = false;
-        return 0;
-    }
-    for (char c : field) {
-        if (!std::isdigit(static_cast<unsigned char>(c))) {
-            ok = false;
-            return 0;
-        }
-    }
-    return std::atoi(field.c_str());
+    return static_cast<int>(count);
 }
 
 } // anonymous namespace
@@ -77,7 +71,9 @@ parseSocName(const std::string &text,
         ok = false;
     }
     if (!ok) {
-        result.error = "malformed count in configuration label";
+        result.error = format("malformed count in configuration label "
+                              "(counts are digits, at most %d)",
+                              kMaxLabelCount);
         return result;
     }
     if (cpus < 1) {

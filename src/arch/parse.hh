@@ -19,6 +19,13 @@
 namespace hilp {
 namespace arch {
 
+/**
+ * Largest CPU-core, GPU-SM, DSA or PE count a label may carry: far
+ * above the paper's largest SoC (c4,g64,d5^16), and small enough that
+ * no count derived from it overflows an int.
+ */
+inline constexpr int kMaxLabelCount = 4096;
+
 /** Outcome of parsing a configuration label. */
 struct SocParseResult
 {
@@ -29,9 +36,10 @@ struct SocParseResult
 
 /**
  * Parse a label like "(c4,g16,d2^16)" (whitespace tolerated, the
- * surrounding parentheses optional). The k DSAs are assigned the
- * first k entries of dsa_priority, exactly as the paper allocates
- * DSAs; parsing fails if k exceeds the priority list.
+ * surrounding parentheses optional). Counts are digits only, at most
+ * kMaxLabelCount. The k DSAs are assigned the first k entries of
+ * dsa_priority, exactly as the paper allocates DSAs; parsing fails
+ * if k exceeds the priority list.
  */
 SocParseResult parseSocName(const std::string &text,
                             const std::vector<int> &dsa_priority,

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "checkpoint.hh"
-#include "pareto.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 
@@ -174,9 +173,7 @@ Coordinator::submitRecord(const std::string &worker, uint64_t lease_id,
 
     // Structural fields derive from the local config (the record
     // only carries the label), exactly like a checkpoint resume.
-    point.config = configs_[index];
-    point.areaMm2 = configs_[index].areaMm2();
-    point.mix = classifyAccelMix(configs_[index]);
+    point.setConfig(configs_[index]);
     merged_[index] = std::move(point);
     have_[index] = 1;
     ++pointsMerged_;
@@ -239,9 +236,7 @@ Coordinator::takePoints()
             continue;
         // Never merged (only possible before finished()): keep the
         // default not-ok point but restore its structural identity.
-        points[i].config = configs_[i];
-        points[i].areaMm2 = configs_[i].areaMm2();
-        points[i].mix = classifyAccelMix(configs_[i]);
+        points[i].setConfig(configs_[i]);
         points[i].note = "never merged (distributed sweep incomplete)";
     }
     return points;

@@ -3,7 +3,9 @@
  * The design-space explorer: evaluate a workload on every SoC in a
  * configuration list under MA, HILP, or Gables semantics, in
  * parallel, and report speedup/area/WLP per design point (the data
- * behind Figures 7 and 8).
+ * behind Figures 7 and 8). This is the one sweep core: the
+ * evaluation service (service/eval_service.hh) and the distributed
+ * workers run their sweeps through exploreSpace too.
  *
  * HILP sweeps reuse solver work across configurations (see
  * DESIGN.md section 7): configs are ordered into similarity chains
@@ -12,7 +14,8 @@
  * instances are served from a fingerprint-keyed cache, and a shared
  * best-point bound lets provably dominated configs skip resolution
  * refinement. Reuse changes effort, never certified results; set
- * DseOptions::reuse = false for the cold-start behavior.
+ * DseOptions::reuse = false for the cold-start behavior, which runs
+ * every config as a chain of its own with none of that state.
  */
 
 #ifndef HILP_DSE_EXPLORE_HH
@@ -85,10 +88,9 @@ struct DsePoint
 
     /**
      * Trace context of the request that evaluated this point (0 in
-     * batch mode). Stamped by the service sweep core, carried into
-     * checkpoint records and streamed daemon responses so a point
-     * can be joined against its request's spans and flight-recorder
-     * entry.
+     * batch mode). Stamped by exploreSpace, carried into checkpoint
+     * records and streamed daemon responses so a point can be joined
+     * against its request's spans and flight-recorder entry.
      */
     uint64_t traceId = 0;
 
@@ -105,7 +107,21 @@ struct DsePoint
      * (empty for MA/Gables and for cache hits).
      */
     std::vector<cp::PropagatorStats> propagators;
+
+    /**
+     * Set config, areaMm2 and mix, which follow from the config
+     * alone (records carry only its label).
+     */
+    void setConfig(const arch::SocConfig &soc);
 };
+
+/**
+ * Sees every completed point of a sweep, from its worker threads, in
+ * arbitrary order. The schedule is non-null for ok HILP points the
+ * sweep solved itself, reuse on or off.
+ */
+using PointSink =
+    std::function<void(const DsePoint &point, const Schedule *schedule)>;
 
 /** Exploration configuration. */
 struct DseOptions
@@ -129,15 +145,6 @@ struct DseOptions
      */
     SolveMemo *memo = nullptr;
     /**
-     * Restore the pre-fault-isolation behavior: a point evaluation
-     * that throws aborts the whole sweep (the exception propagates
-     * out of exploreSpace). Off (the default), the sweep catches the
-     * exception, retries the point once with a reduced node budget,
-     * and on a second failure records it as an errored point while
-     * the rest of the sweep completes.
-     */
-    bool failFast = false;
-    /**
      * Optional sweep checkpoint (see checkpoint.hh). Completed points
      * are appended to it as they finish; points already present (from
      * a previous interrupted run loaded with --resume) are served
@@ -150,7 +157,7 @@ struct DseOptions
      * every point evaluation (after the checkpoint shortcut, which a
      * fault could never reach); an exception it throws behaves
      * exactly like a fault inside the evaluation (isolated, retried
-     * once, rethrown under failFast). Null in production.
+     * once). Null in production.
      */
     std::function<void(const arch::SocConfig &)> injectFault;
 };
@@ -158,15 +165,23 @@ struct DseOptions
 /**
  * Evaluate the workload on every configuration under the given
  * model. Points are returned in configuration order; unschedulable
- * configurations come back with ok == false and a diagnostic note.
+ * configurations come back with ok == false and a diagnostic note,
+ * and a point that throws twice comes back errored. `on_point` (may
+ * be empty) sees every completed point; `trace_id` (0 = none) is the
+ * owning request's trace context, which the sweep workers re-enter
+ * so their spans and points carry it.
  */
 std::vector<DsePoint> exploreSpace(
     const std::vector<arch::SocConfig> &configs,
     const workload::Workload &workload,
     const arch::Constraints &constraints, ModelKind kind,
-    const DseOptions &options);
+    const DseOptions &options, const PointSink &on_point = {},
+    uint64_t trace_id = 0);
 
-/** Evaluate one configuration (the exploreSpace worker body). */
+/**
+ * Evaluate one configuration: exploreSpace's per-point step without
+ * cross-config reuse, fault isolation included.
+ */
 DsePoint evaluatePoint(const arch::SocConfig &config,
                        const workload::Workload &workload,
                        const arch::Constraints &constraints,

@@ -3,7 +3,6 @@
 #include <unordered_map>
 
 #include "dse/checkpoint.hh"
-#include "dse/pareto.hh"
 #include "support/str.hh"
 
 namespace hilp {
@@ -98,9 +97,7 @@ ServiceClient::sweep(const protocol::Request &request,
         it->second.erase(it->second.begin());
         // Structural fields derive from the local config (the record
         // only carries the label), exactly like a checkpoint resume.
-        point.config = configs[index];
-        point.areaMm2 = configs[index].areaMm2();
-        point.mix = dse::classifyAccelMix(configs[index]);
+        point.setConfig(configs[index]);
         (*points)[index] = std::move(point);
     };
     if (!exchange(wire, on_reply, error))

@@ -142,8 +142,8 @@ Daemon::serveConnection(net::Socket socket)
         if (!request.configNames.empty())
             summary.detail = request.configNames.front();
 
-        std::vector<arch::SocConfig> configs;
-        if (!protocol::resolveConfigs(request, &configs, &error)) {
+        SweepRequest sweep;
+        if (!protocol::toSweepRequest(request, &sweep, &error)) {
             summary.error = error;
             summary.totalUs = elapsedUs(admitted);
             service_.flightRecorder().record(summary);
@@ -157,13 +157,6 @@ Daemon::serveConnection(net::Socket socket)
         // results and waits. A rejected request costs the client one
         // round trip and an explanation, never an unbounded queue.
         LineWriter writer(channel);
-        SweepRequest sweep;
-        sweep.configs = std::move(configs);
-        sweep.workload =
-            workload::makeWorkload(request.variant, request.copies);
-        sweep.constraints = request.constraints;
-        sweep.kind = request.kind;
-        sweep.options = request.options;
         sweep.traceId = traceId;
         dse::ModelKind kind = request.kind;
         std::atomic<size_t> streamed{0};

@@ -1,24 +1,19 @@
 /**
  * @file
- * The evaluation service: the long-lived core behind both in-process
- * DSE sweeps (dse::exploreSpace is a thin client) and the hilpd
- * daemon.
- *
- * Historically each sweep was a batch process: it created a private
- * SolveMemo, ran, and threw the cache and every warm-start schedule
- * away on exit. The EvalService inverts that ownership: it owns
+ * The evaluation service: the long-lived state behind the hilpd
+ * daemon and the bench binaries' in-process sweeps. It owns
  *
  *  - a byte-bounded, concurrent SolveMemo shared across requests.
  *    Entries are keyed by instance and engine options, so differing
  *    requests never observe each other's results, while a request
  *    that misses still warm-starts from the instance's schedule
  *    under other options (SolveMemo::hint). Sweeps with reuse off
- *    bypass it entirely;
+ *    bypass it entirely; and
  *  - an async job queue with admission control: bounded depth,
- *    priority ordering, reject-with-reason when full; and
- *  - the sweep orchestration itself (similarity chains, dominance
- *    bound, fault isolation, heartbeat, checkpointing), extracted
- *    from dse/explore.cc.
+ *    priority ordering, reject-with-reason when full.
+ *
+ * The sweep itself is dse::exploreSpace; sweep() only hands it the
+ * service's memo, the request's point sink and its trace id.
  *
  * Threading: jobs run on a small executor crew; each sweep spins its
  * ThreadPool against the process-wide ThreadBudget exactly as the
@@ -44,7 +39,6 @@
 #include "dse/explore.hh"
 #include "flight_recorder.hh"
 #include "hilp/engine.hh"
-#include "hilp/schedule.hh"
 #include "support/json.hh"
 
 namespace hilp {
@@ -82,20 +76,14 @@ struct SweepRequest
     dse::DseOptions options;
     /**
      * Called once per completed point, from sweep worker threads
-     * (callers serialize internally; completion order is arbitrary
-     * across similarity chains). The schedule is non-null for
-     * successful HILP points. This is how the daemon streams sweep
-     * results back per-point as they finish.
+     * (callers serialize internally; see dse::PointSink). This is
+     * how the daemon streams sweep results back per-point as they
+     * finish.
      */
-    std::function<void(const dse::DsePoint &point,
-                       const Schedule *schedule)> onPoint;
+    dse::PointSink onPoint;
     /**
-     * Trace context the sweep's spans and points are stamped with
-     * (trace::newTraceId(); 0 = no request scope). Worker threads
-     * re-establish the scope themselves, so spans recorded inside
-     * the pool nest under the owning request, and every completed
-     * DsePoint carries the id into checkpoint records and streamed
-     * responses.
+     * The request's trace context (trace::newTraceId(); 0 = none),
+     * stamped on the sweep's spans and points (see exploreSpace).
      */
     uint64_t traceId = 0;
 };
@@ -118,7 +106,7 @@ class EvalService
     EvalService &operator=(const EvalService &) = delete;
 
     /**
-     * Run a sweep synchronously on the calling thread. Semantically
+     * Run a sweep synchronously on the calling thread:
      * dse::exploreSpace with the service-owned memo as
      * DseOptions::memo (replacing any the request names), so reuse
      * carries across requests.

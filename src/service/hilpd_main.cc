@@ -18,7 +18,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -38,6 +37,12 @@ using namespace hilp;
 
 service::Daemon *gDaemon = nullptr;
 
+// Flag ranges; a value outside them, or no number at all, gets the
+// usage rather than a daemon that rejects every request.
+constexpr int kMaxQueueDepth = 1 << 16;
+constexpr int kMaxExecutors = 256;
+constexpr double kMaxSeconds = 1e6;
+
 void
 onSignal(int)
 {
@@ -53,8 +58,8 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s --listen=ADDR [--memo-bytes=N] "
-                 "[--queue-depth=N]\n"
-                 "          [--executors=N] [--metrics-addr=ADDR] "
+                 "[--queue-depth=1..%d]\n"
+                 "          [--executors=1..%d] [--metrics-addr=ADDR] "
                  "[--slo-ms=N]\n"
                  "          [--slow-dump-dir=PATH] "
                  "[--read-timeout=S]\n"
@@ -72,7 +77,7 @@ usage(const char *argv0)
                  "--read-timeout drops a peer that sends no complete "
                  "request line\n"
                  "within S seconds (default 300; 0 waits forever).\n",
-                 argv0, argv0, argv0);
+                 argv0, kMaxQueueDepth, kMaxExecutors, argv0, argv0);
     return 2;
 }
 
@@ -142,18 +147,27 @@ main(int argc, char **argv)
             if (!parseBytes(v, &options.memoMaxBytes))
                 return usage(argv[0]);
         } else if (const char *v = value("--queue-depth")) {
-            options.maxQueueDepth =
-                static_cast<size_t>(std::strtoull(v, nullptr, 10));
+            int64_t depth = 0;
+            if (!parseInt(v, 1, kMaxQueueDepth, &depth))
+                return usage(argv[0]);
+            options.maxQueueDepth = static_cast<size_t>(depth);
         } else if (const char *v = value("--executors")) {
-            options.executors = std::atoi(v);
+            int64_t executors = 0;
+            if (!parseInt(v, 1, kMaxExecutors, &executors))
+                return usage(argv[0]);
+            options.executors = static_cast<int>(executors);
         } else if (const char *v = value("--metrics-addr")) {
             metricsAddr = v;
         } else if (const char *v = value("--slo-ms")) {
-            daemonOptions.sloMs = std::atof(v);
+            if (!parseReal(v, 0.0, kMaxSeconds * 1e3,
+                           &daemonOptions.sloMs))
+                return usage(argv[0]);
         } else if (const char *v = value("--slow-dump-dir")) {
             daemonOptions.dumpDir = v;
         } else if (const char *v = value("--read-timeout")) {
-            daemonOptions.readTimeoutS = std::atof(v);
+            if (!parseReal(v, 0.0, kMaxSeconds,
+                           &daemonOptions.readTimeoutS))
+                return usage(argv[0]);
         } else if (!arg.empty() && arg[0] != '-') {
             command = arg;
         } else {

@@ -174,8 +174,6 @@ sweepParamsJson(const Request &request)
                 Json::number(
                     static_cast<int64_t>(request.options.threads)));
     options.set("reuse", Json::boolean(request.options.reuse));
-    options.set("fail_fast",
-                Json::boolean(request.options.failFast));
     json.set("options", options);
     return json;
 }
@@ -251,8 +249,6 @@ parseSweepParams(const Json &json, Request *out, std::string *error)
         out->options.threads = static_cast<int>(threads);
         out->options.reuse =
             boolOr(*options, "reuse", out->options.reuse);
-        out->options.failFast =
-            boolOr(*options, "fail_fast", out->options.failFast);
     }
     return true;
 }
@@ -417,12 +413,12 @@ parseRequest(const std::string &line, Request *out, std::string *error)
 }
 
 bool
-resolveConfigs(const Request &request,
-               std::vector<arch::SocConfig> *out, std::string *error)
+toSweepRequest(const Request &request, SweepRequest *out,
+               std::string *error)
 {
     std::vector<int> priority = workload::dsaPriorityOrder();
-    out->clear();
-    out->reserve(request.configNames.size());
+    out->configs.clear();
+    out->configs.reserve(request.configNames.size());
     for (const std::string &name : request.configNames) {
         arch::SocParseResult parsed =
             arch::parseSocName(name, priority, request.dsaAdvantage);
@@ -432,8 +428,13 @@ resolveConfigs(const Request &request,
                                 parsed.error.c_str());
             return false;
         }
-        out->push_back(std::move(parsed.config));
+        out->configs.push_back(std::move(parsed.config));
     }
+    out->workload = workload::makeWorkload(request.variant,
+                                           request.copies);
+    out->constraints = request.constraints;
+    out->kind = request.kind;
+    out->options = request.options;
     return true;
 }
 

@@ -71,6 +71,7 @@
 
 #include "arch/soc.hh"
 #include "dse/explore.hh"
+#include "eval_service.hh"
 #include "support/json.hh"
 #include "workload/rodinia.hh"
 
@@ -97,8 +98,8 @@ struct Request
     dse::ModelKind kind = dse::ModelKind::Hilp;
     /**
      * Exploration options. Only value fields travel (engine, solver,
-     * build, threads, reuse, failFast); the pointer members (memo,
-     * checkpoint, injectFault) are the server's.
+     * threads, reuse); the pointer members (memo, checkpoint,
+     * injectFault) are the server's.
      */
     dse::DseOptions options;
     int priority = 0;
@@ -126,11 +127,13 @@ bool parseRequest(const std::string &line, Request *out,
                   std::string *error);
 
 /**
- * Reconstruct the request's SocConfigs from its labels, in request
- * order. Returns false and fills *error on the first bad label.
+ * The sweep an eval/sweep request (or a leased unit) describes: its
+ * labels resolved to SocConfigs in request order, its workload
+ * built, and its constraints, model and options copied. The sink and
+ * trace id are left to the caller. Returns false and fills *error on
+ * the first bad label, which the error names.
  */
-bool resolveConfigs(const Request &request,
-                    std::vector<arch::SocConfig> *out,
+bool toSweepRequest(const Request &request, SweepRequest *out,
                     std::string *error);
 
 // JSON round trip for the constraints payload; absent fields keep

@@ -181,15 +181,18 @@ runWorker(const std::string &address, const WorkerOptions &options,
             if (names->at(i).isString())
                 unit.configNames.push_back(
                     names->at(i).stringValue());
-        std::vector<arch::SocConfig> configs;
-        if (!protocol::resolveConfigs(unit, &configs, &failure)) {
+        // Evaluate the unit exactly as the in-process sweep would -
+        // the unit is one whole similarity chain, so the local sweep
+        // rebuilds the same warm-start order.
+        SweepRequest sweep;
+        if (!protocol::toSweepRequest(unit, &sweep, &failure)) {
             ok = false;
             break;
         }
         inform("worker %s: leased unit (lease %llu, %zu configs)",
                options.id.c_str(),
                static_cast<unsigned long long>(leaseId),
-               configs.size());
+               sweep.configs.size());
 
         {
             std::lock_guard<std::mutex> lock(heartbeatState.mutex);
@@ -201,16 +204,6 @@ runWorker(const std::string &address, const WorkerOptions &options,
             heartbeatState.intervalS = std::max(0.05, expires / 3.0);
         }
 
-        // Evaluate the unit exactly as the in-process sweep would -
-        // the unit is one whole similarity chain, so the local sweep
-        // rebuilds the same warm-start order.
-        SweepRequest sweep;
-        sweep.configs = std::move(configs);
-        sweep.workload =
-            workload::makeWorkload(unit.variant, unit.copies);
-        sweep.constraints = unit.constraints;
-        sweep.kind = unit.kind;
-        sweep.options = unit.options;
         const dse::ModelKind kind = unit.kind;
         std::atomic<bool> submitFailed{false};
         sweep.onPoint = [&](const dse::DsePoint &point,

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <limits>
+#include <system_error>
 
 #include "logging.hh"
 
@@ -108,6 +110,40 @@ parseBytes(const std::string &text, size_t *out)
         return false;
     *out = value << shift;
     return true;
+}
+
+namespace {
+
+/** parseInt/parseReal: the whole string, in [min, max]. */
+template <typename T>
+bool
+parseNumber(const std::string &text, T min, T max, T *out)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    // The negated range test also rejects NaN.
+    if (error != std::errc() || stop != end ||
+        !(min <= value && value <= max))
+        return false;
+    *out = value;
+    return true;
+}
+
+} // anonymous namespace
+
+bool
+parseInt(const std::string &text, int64_t min, int64_t max,
+         int64_t *out)
+{
+    return parseNumber(text, min, max, out);
+}
+
+bool
+parseReal(const std::string &text, double min, double max,
+          double *out)
+{
+    return parseNumber(text, min, max, out);
 }
 
 std::string

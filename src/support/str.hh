@@ -6,6 +6,7 @@
 #ifndef HILP_SUPPORT_STR_HH
 #define HILP_SUPPORT_STR_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,22 @@ std::string toLower(const std::string &s);
  * character, or a value that does not fit size_t.
  */
 bool parseBytes(const std::string &text, size_t *out);
+
+/**
+ * Parse the whole string as a decimal integer (an optional minus
+ * sign, then digits) in [min, max]. Returns false, leaving *out
+ * untouched, on anything else, on overflow, or outside the range.
+ */
+bool parseInt(const std::string &text, int64_t min, int64_t max,
+              int64_t *out);
+
+/**
+ * As parseInt, for a decimal number with an optional fraction and
+ * exponent (no plus sign, hex, inf or nan) in the finite range
+ * [min, max].
+ */
+bool parseReal(const std::string &text, double min, double max,
+               double *out);
 
 /**
  * Render a double compactly for tables: fixed with the given number

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "arch/parse.hh"
 
 namespace hilp {
@@ -74,6 +76,28 @@ TEST(ParseSoc, RejectsGarbageNumbers)
     EXPECT_FALSE(parseSocName("(c4a,g16,d0^0)", kPriority).ok);
     EXPECT_FALSE(parseSocName("(c4,g16,d1^x)", kPriority).ok);
     EXPECT_FALSE(parseSocName("(c-1,g16,d0^0)", kPriority).ok);
+    EXPECT_FALSE(parseSocName("(c+1,g16,d0^0)", kPriority).ok);
+    EXPECT_FALSE(parseSocName("(c1,g-0,d0^0)", kPriority).ok);
+    // Counts past int range must not wrap: 2^32 - 1 would become -1
+    // (an invalid SoC the lowering is fatal on), 99999999999 another
+    // config whose label does not match the request's.
+    for (const char *label :
+         {"(c1,g4294967295,d0)", "(c1,g99999999999,d0)",
+          "(c4294967297,g0,d0)", "(c1,g0,d1^4294967296)",
+          "(c1,g0,d18446744073709551617^1)"}) {
+        SocParseResult r = parseSocName(label, kPriority);
+        EXPECT_FALSE(r.ok) << label;
+        EXPECT_NE(r.error.find("malformed count"), std::string::npos)
+            << label << ": " << r.error;
+    }
+    // The stated cap, and one past it.
+    const std::string cap = std::to_string(kMaxLabelCount);
+    const std::string over = std::to_string(kMaxLabelCount + 1);
+    EXPECT_TRUE(parseSocName("(c1,g" + cap + ",d0)", kPriority).ok);
+    EXPECT_FALSE(parseSocName("(c1,g" + over + ",d0)", kPriority).ok);
+    EXPECT_FALSE(parseSocName("(c" + over + ",g0,d0)", kPriority).ok);
+    EXPECT_FALSE(
+        parseSocName("(c1,g0,d1^" + over + ")", kPriority).ok);
 }
 
 TEST(ParseSoc, RejectsZeroCpus)
@@ -98,11 +122,15 @@ TEST(ParseSoc, RejectsZeroPeDsas)
 
 TEST(ParseSoc, ParsedConfigsAreValid)
 {
-    for (const char *label : {"(c1,g0,d0^0)", "(c4,g64,d4^16)",
-                              "(c2,g4,d1^1)"}) {
+    const std::string cap = std::to_string(kMaxLabelCount);
+    for (const std::string &label :
+         {std::string("(c1,g0,d0^0)"), std::string("(c4,g64,d4^16)"),
+          std::string("(c2,g4,d1^1)"),
+          "(c" + cap + ",g" + cap + ",d4^" + cap + ")"}) {
         SocParseResult r = parseSocName(label, kPriority);
         ASSERT_TRUE(r.ok) << label;
         EXPECT_TRUE(r.config.valid()) << label;
+        EXPECT_EQ(r.config.name(), label);
     }
 }
 

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 
 #include "dse/checkpoint.hh"
 #include "dse/explore.hh"
+#include "hilp/builder.hh"
+#include "sim/replay.hh"
 #include "workload/rodinia.hh"
 
 namespace hilp {
@@ -369,11 +373,11 @@ TEST_F(Checkpoint, SweepResumesCompletedPointsWithoutReevaluation)
     DseOptions resume_options;
     resume_options.checkpoint = &second;
     // Any evaluation would be a checkpoint miss: the fault injector
-    // proves the resumed points never reach the evaluator.
+    // proves the resumed points never reach the evaluator (a point
+    // that did would come back errored, not resumed).
     resume_options.injectFault = [](const arch::SocConfig &) {
         throw std::runtime_error("resume should not re-evaluate");
     };
-    resume_options.failFast = true;
     auto resumed = exploreSpace(configs, wl, arch::Constraints{},
                                 ModelKind::MultiAmdahl,
                                 resume_options);
@@ -381,6 +385,7 @@ TEST_F(Checkpoint, SweepResumesCompletedPointsWithoutReevaluation)
     ASSERT_EQ(resumed.size(), original.size());
     for (size_t i = 0; i < resumed.size(); ++i) {
         EXPECT_TRUE(resumed[i].resumed) << i;
+        EXPECT_FALSE(resumed[i].errored) << resumed[i].note;
         EXPECT_EQ(resumed[i].ok, original[i].ok) << i;
         EXPECT_DOUBLE_EQ(resumed[i].makespanS, original[i].makespanS)
             << i;
@@ -390,6 +395,68 @@ TEST_F(Checkpoint, SweepResumesCompletedPointsWithoutReevaluation)
             << i;
         EXPECT_DOUBLE_EQ(resumed[i].areaMm2, original[i].areaMm2)
             << i;
+    }
+}
+
+TEST_F(Checkpoint, ColdHilpSweepPersistsReplayableSchedules)
+{
+    // A sweep with reuse off hands out its schedules like a reuse-on
+    // sweep: every ok HILP point's schedule reaches the sink and the
+    // checkpoint, and replays in the independent simulator at the
+    // makespan the point reports.
+    auto wl = workload::makeWorkload(workload::Variant::Default);
+    std::vector<arch::SocConfig> configs;
+    for (int cpus : {1, 2}) {
+        for (int sms : {0, 4, 16}) {
+            arch::SocConfig c;
+            c.cpuCores = cpus;
+            c.gpuSms = sms;
+            configs.push_back(c);
+        }
+    }
+    DseOptions options;
+    options.engine.solver.maxSeconds = 2.0;
+    options.threads = 2;
+    options.reuse = false;
+
+    SweepCheckpoint checkpoint;
+    ASSERT_TRUE(checkpoint.open(path_, false));
+    options.checkpoint = &checkpoint;
+    std::mutex mutex;
+    std::map<std::string, Schedule> streamed;
+    auto points = exploreSpace(
+        configs, wl, arch::Constraints{}, ModelKind::Hilp, options,
+        [&](const DsePoint &point, const Schedule *schedule) {
+            if (!schedule)
+                return;
+            std::lock_guard<std::mutex> lock(mutex);
+            streamed[point.config.name()] = *schedule;
+        });
+    checkpoint.close();
+
+    SweepCheckpoint resumed;
+    ASSERT_TRUE(resumed.open(path_, true));
+    EXPECT_EQ(resumed.loaded(), configs.size());
+    for (size_t i = 0; i < points.size(); ++i) {
+        const DsePoint &point = points[i];
+        ASSERT_TRUE(point.ok) << point.note;
+        EXPECT_FALSE(point.cacheHit);
+        EXPECT_FALSE(point.warmStarted);
+        const std::string name = configs[i].name();
+        EXPECT_EQ(streamed.count(name), 1u) << name;
+
+        Schedule schedule;
+        ASSERT_TRUE(resumed.lookupSchedule(
+            checkpointKey(point.fingerprint, name, ModelKind::Hilp),
+            &schedule))
+            << name;
+        ProblemSpec spec =
+            buildProblem(wl, configs[i], arch::Constraints{});
+        sim::SimResult replay = sim::replaySchedule(spec, schedule);
+        EXPECT_TRUE(replay.ok) << name << ": " << replay.violation;
+        EXPECT_NEAR(replay.makespanS, point.makespanS,
+                    1e-9 * point.makespanS)
+            << name;
     }
 }
 

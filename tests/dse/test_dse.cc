@@ -350,25 +350,47 @@ TEST(Explore, TransientFaultIsRetriedOnce)
     EXPECT_EQ(attempts.load(), 2);
 }
 
-TEST(Explore, FailFastRethrowsThePointException)
+TEST(Explore, EvaluatePointIsolatesFaultsLikeTheSweep)
 {
+    // The public per-point entry is the sweep's own step: a transient
+    // fault is retried, and a persistent one comes back as an
+    // errored point instead of an exception.
     auto wl = workload::makeWorkload(workload::Variant::Default);
-    std::vector<arch::SocConfig> configs(1);
-    configs[0].cpuCores = 1;
-    DseOptions options;
-    options.failFast = true;
-    options.injectFault = [](const arch::SocConfig &) {
-        throw std::runtime_error("fail fast");
+    arch::SocConfig config;
+    config.cpuCores = 2;
+    config.gpuSms = 4;
+    DseOptions options = fastHilpOptions();
+    std::atomic<int> attempts{0};
+    options.injectFault = [&attempts](const arch::SocConfig &) {
+        if (attempts.fetch_add(1) == 0)
+            throw std::runtime_error("transient failure");
     };
-    EXPECT_THROW(exploreSpace(configs, wl, arch::Constraints{},
-                              ModelKind::MultiAmdahl, options),
-                 std::runtime_error);
+    DsePoint point = evaluatePoint(config, wl, arch::Constraints{},
+                                   ModelKind::Hilp, options);
+    EXPECT_TRUE(point.ok);
+    EXPECT_FALSE(point.errored);
+    EXPECT_GT(point.makespanS, 0.0);
+    EXPECT_EQ(attempts.load(), 2);
+
+    options.injectFault = [](const arch::SocConfig &) {
+        throw std::runtime_error("persistent failure");
+    };
+    DsePoint failed;
+    ASSERT_NO_THROW(failed = evaluatePoint(config, wl,
+                                           arch::Constraints{},
+                                           ModelKind::Hilp, options));
+    EXPECT_FALSE(failed.ok);
+    EXPECT_TRUE(failed.errored);
+    EXPECT_NE(failed.note.find("persistent failure"),
+              std::string::npos);
+    EXPECT_EQ(failed.config.name(), config.name());
+    EXPECT_DOUBLE_EQ(failed.areaMm2, config.areaMm2());
 }
 
 TEST(Explore, HilpChainsIsolateFaultsToo)
 {
-    // The reuse/similarity-chain path has its own worker loop; a
-    // fault inside one chain must not poison the others.
+    // With reuse on, a fault inside one similarity chain must not
+    // poison the rest of that chain or the other chains.
     auto wl = workload::makeWorkload(workload::Variant::Default);
     auto configs = smallHilpSpace();
     DseOptions options = fastHilpOptions();

@@ -12,8 +12,8 @@
 #include "dse/explore.hh"
 #include "hilp/builder.hh"
 #include "hilp/engine.hh"
+#include "oracles/synthetic.hh"
 #include "workload/rodinia.hh"
-#include "workload/synthetic.hh"
 
 namespace hilp {
 namespace {

@@ -14,9 +14,9 @@
 #include "hilp/discretize.hh"
 #include "hilp/engine.hh"
 #include "hilp/showcase.hh"
+#include "oracles/synthetic.hh"
 #include "sim/replay.hh"
 #include "workload/rodinia.hh"
-#include "workload/synthetic.hh"
 
 namespace hilp {
 namespace {

@@ -444,9 +444,10 @@ TEST(DaemonProtocol, RequestRoundTrip)
     EXPECT_DOUBLE_EQ(decoded.options.engine.pointTimeoutS, 9.0);
     EXPECT_EQ(decoded.priority, 2);
 
-    std::vector<arch::SocConfig> configs;
-    ASSERT_TRUE(protocol::resolveConfigs(decoded, &configs, &error))
+    SweepRequest sweep;
+    ASSERT_TRUE(protocol::toSweepRequest(decoded, &sweep, &error))
         << error;
+    const std::vector<arch::SocConfig> &configs = sweep.configs;
     ASSERT_EQ(configs.size(), 2u);
     EXPECT_EQ(configs[0].cpuCores, 2);
     EXPECT_EQ(configs[0].gpuSms, 4);
@@ -454,6 +455,13 @@ TEST(DaemonProtocol, RequestRoundTrip)
     ASSERT_EQ(configs[1].dsas.size(), 2u);
     EXPECT_EQ(configs[1].dsas[0].pes, 16);
     EXPECT_DOUBLE_EQ(configs[1].dsaAdvantage, 8.0);
+    EXPECT_EQ(sweep.workload.apps.size(),
+              workload::makeWorkload(workload::Variant::Optimized, 3)
+                  .apps.size());
+    EXPECT_DOUBLE_EQ(sweep.constraints.powerBudgetW, 50.0);
+    EXPECT_EQ(sweep.kind, dse::ModelKind::Hilp);
+    EXPECT_EQ(sweep.options.threads, 4);
+    EXPECT_DOUBLE_EQ(sweep.options.engine.pointTimeoutS, 9.0);
 }
 
 /**
@@ -578,6 +586,19 @@ TEST(DaemonProtocol, WorkloadCopiesAreRangeChecked)
     }
 }
 
+TEST(DaemonProtocol, UnknownSweepOptionIsIgnored)
+{
+    // A client may still send a sweep option the daemon no longer
+    // knows; the request is served as if it were absent.
+    protocol::Request decoded;
+    std::string error;
+    ASSERT_TRUE(parseEdited("\"reuse\":true",
+                            "\"reuse\":false,\"retired_flag\":true",
+                            &decoded, &error))
+        << error;
+    EXPECT_FALSE(decoded.options.reuse);
+}
+
 TEST(DaemonProtocol, PriorityIsRangeChecked)
 {
     // 4294967298 wraps to an accepted 2 if narrowed unchecked.
@@ -602,6 +623,37 @@ TEST(DaemonProtocol, PriorityIsRangeChecked)
             << error;
         EXPECT_EQ(decoded.priority, priority);
     }
+}
+
+TEST(DaemonProtocol, OversizedLabelCountIsRejectedNotFatal)
+{
+    // 4294967295 GPU SMs, wrapped to -1, is an invalid SoC the
+    // lowering calls fatal() on, which would take the daemon down;
+    // 99999999999 would wrap silently into another config.
+    DaemonHarness harness;
+    for (const char *label : {"(c1,g4294967295,d0)",
+                              "(c1,g99999999999,d0)"}) {
+        SCOPED_TRACE(label);
+        protocol::Request request = maEvalRequest(label);
+        request.kind = dse::ModelKind::Hilp;
+        ASSERT_TRUE(harness.client().writeLine(
+            protocol::encodeRequest(request)));
+        Json done = harness.readJson();
+        EXPECT_EQ(typeOf(done), "done") << harness.lastLine();
+        EXPECT_FALSE(done.find("ok")->boolValue());
+        EXPECT_NE(done.find("error")->stringValue().find(label),
+                  std::string::npos)
+            << harness.lastLine();
+    }
+
+    // The daemon is still serving: the next request gets its point.
+    ASSERT_TRUE(harness.client().writeLine(
+        protocol::encodeRequest(maEvalRequest("(c2,g4,d0^0)"))));
+    EXPECT_EQ(typeOf(harness.readJson()), "point")
+        << harness.lastLine();
+    Json done = harness.readJson();
+    EXPECT_EQ(typeOf(done), "done");
+    EXPECT_TRUE(done.find("ok")->boolValue()) << harness.lastLine();
 }
 
 TEST(DaemonProtocol, OutOfRangeSolverOptionsGetAnErrorNotAHang)

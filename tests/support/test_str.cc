@@ -138,5 +138,84 @@ TEST(Str, ParseBytesRejectsSignsAndGarbage)
     EXPECT_EQ(out, 42u);
 }
 
+TEST(Str, ParseIntAcceptsBothRangeEnds)
+{
+    int64_t out = 0;
+    EXPECT_TRUE(parseInt("-5", -5, 5, &out));
+    EXPECT_EQ(out, -5);
+    EXPECT_TRUE(parseInt("5", -5, 5, &out));
+    EXPECT_EQ(out, 5);
+    EXPECT_TRUE(parseInt("0", -5, 5, &out));
+    EXPECT_EQ(out, 0);
+    out = 42;
+    EXPECT_FALSE(parseInt("-6", -5, 5, &out));
+    EXPECT_FALSE(parseInt("6", -5, 5, &out));
+    // -1 (2^64 - 1 through strtoull) and 2^32 + 2 (an accepted 2
+    // once narrowed to int) must not pass as a [1, 65536] queue
+    // depth.
+    EXPECT_FALSE(parseInt("-1", 1, 65536, &out));
+    EXPECT_FALSE(parseInt("0", 1, 65536, &out));
+    EXPECT_FALSE(parseInt("4294967298", 1, 65536, &out));
+    EXPECT_EQ(out, 42);
+}
+
+TEST(Str, ParseIntRejectsOverflow)
+{
+    constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    int64_t out = 42;
+    EXPECT_TRUE(parseInt("9223372036854775807", kMin, kMax, &out));
+    EXPECT_EQ(out, kMax);
+    EXPECT_TRUE(parseInt("-9223372036854775808", kMin, kMax, &out));
+    EXPECT_EQ(out, kMin);
+    out = 42;
+    EXPECT_FALSE(parseInt("9223372036854775808", kMin, kMax, &out));
+    EXPECT_FALSE(parseInt("-9223372036854775809", kMin, kMax, &out));
+    // What strtoull makes of "-1" for a size_t flag.
+    EXPECT_FALSE(parseInt("18446744073709551615", kMin, kMax, &out));
+    EXPECT_FALSE(
+        parseInt("99999999999999999999999", kMin, kMax, &out));
+    EXPECT_EQ(out, 42);
+}
+
+TEST(Str, ParseIntRejectsSignsAndGarbage)
+{
+    int64_t out = 42;
+    for (const char *bad : {"", "-", "+1", "--1", "-+1", " 1", "1 ",
+                            "lots", "soon", "1.5", "1e3", "0x10", "12a",
+                            "1,000"})
+        EXPECT_FALSE(parseInt(bad, -100, 100000, &out))
+            << '"' << bad << '"';
+    EXPECT_EQ(out, 42);
+}
+
+TEST(Str, ParseRealAcceptsBothRangeEnds)
+{
+    double out = 0.0;
+    EXPECT_TRUE(parseReal("0", 0.0, 1e6, &out));
+    EXPECT_DOUBLE_EQ(out, 0.0);
+    EXPECT_TRUE(parseReal("1e6", 0.0, 1e6, &out));
+    EXPECT_DOUBLE_EQ(out, 1e6);
+    EXPECT_TRUE(parseReal("2.5", 0.0, 1e6, &out));
+    EXPECT_DOUBLE_EQ(out, 2.5);
+    EXPECT_TRUE(parseReal("-.5", -1.0, 1.0, &out));
+    EXPECT_DOUBLE_EQ(out, -0.5);
+    out = 42.0;
+    EXPECT_FALSE(parseReal("-0.001", 0.0, 1e6, &out));
+    EXPECT_FALSE(parseReal("1000000.5", 0.0, 1e6, &out));
+    EXPECT_DOUBLE_EQ(out, 42.0);
+}
+
+TEST(Str, ParseRealRejectsGarbageAndNonFinite)
+{
+    double out = 42.0;
+    for (const char *bad : {"", "-", ".", "e5", "soon", "1s", " 1",
+                            "1 ", "1.5.5", "nan", "inf", "-inf", "1e999",
+                            "0x1p3", "1,5"})
+        EXPECT_FALSE(parseReal(bad, -1e308, 1e308, &out))
+            << '"' << bad << '"';
+    EXPECT_DOUBLE_EQ(out, 42.0);
+}
+
 } // anonymous namespace
 } // namespace hilp

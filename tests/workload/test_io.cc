@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/synthetic.hh"
 #include "workload/io.hh"
 #include "workload/rodinia.hh"
-#include "workload/synthetic.hh"
 
 namespace hilp {
 namespace workload {

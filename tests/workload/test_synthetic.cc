@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "workload/synthetic.hh"
+#include "oracles/synthetic.hh"
 
 namespace hilp {
 namespace workload {
