@@ -26,14 +26,17 @@ run_suite() {
 run_suite build
 run_suite build-asan -DHILP_SANITIZE=ON
 
-# No-good + LNS soundness under ASan: the differential tests (no-good
-# pruning preserves the certified optimum, LNS never regresses its
-# incumbent) run again on their own so a heap bug in the solver hot
-# path fails this stage by name even when the tier1 sweep above is
-# trimmed or filtered.
-echo "==> no-good/LNS soundness (ASan)"
+# No-good, LNS and LP-bound soundness under ASan: the differential
+# tests (no-good pruning preserves the certified optimum, LNS never
+# regresses its incumbent, the LP bound lies between the combinatorial
+# bounds and the exhaustive optimum) and the LP solver's own tests run
+# again on their own so a heap bug in the solver hot path or an
+# unsound LP bound fails this stage by name even when the tier1 sweep
+# above is trimmed or filtered.
+echo "==> no-good/LNS/LP-bound soundness (ASan)"
 ./build-asan/tests/hilp_test_cp \
-    --gtest_filter='*Nogood*:*Lns*:*NogoodDiff*:*LnsMonotone*'
+    --gtest_filter='*Nogood*:*Lns*:*NogoodDiff*:*LnsMonotone*:*ExhaustiveLpBound*'
+./build-asan/tests/hilp_test_lp
 
 # Thread-sanitizer stage: build only the concurrency test binary
 # (thread pool + budget + parallel branch-and-bound) under TSan and

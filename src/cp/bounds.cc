@@ -115,38 +115,45 @@ resourceEnergyBound(const Model &model)
 }
 
 /**
- * LP relaxation: fractional mode choice x_tm, continuous start
+ * LP relaxation: fractional mode choice x_tm >= 0, continuous start
  * bounds e_t, and makespan M with
  *   sum_m x_tm = 1                                  (convexity)
  *   e_t >= e_p + sum_m d_pm x_pm    for edges p->t  (precedence)
  *   M   >= e_t + sum_m d_tm x_tm                    (completion)
  *   sum_{t,m in g} d_tm x_tm <= M                   (group load)
  *   sum_{t,m} d_tm u_tmr x_tm <= cap_r * M          (resource energy)
- * Any feasible schedule of makespan T yields a feasible LP point with
- * M = T, so the LP optimum lower-bounds the integer optimum.
+ * Convexity and x >= 0 already imply x_tm <= 1, so x_tm carries no
+ * upper bound (a finite one would cost the simplex a row). A mode
+ * whose usage exceeds a capacity can never run, so it gets no column
+ * and drops out of every row. Any feasible schedule of makespan T
+ * yields a feasible LP point with M = T, so the LP optimum
+ * lower-bounds the integer optimum.
  */
 Time
 lpRelaxationBound(const Model &model)
 {
     lp::Problem problem;
 
-    // Mode-choice variables.
-    std::vector<std::vector<int>> x(model.numTasks());
+    // Mode-choice columns, one per usable mode.
+    struct Column
+    {
+        int var;
+        const Mode *mode;
+    };
+    std::vector<std::vector<Column>> x(model.numTasks());
     for (int t = 0; t < model.numTasks(); ++t) {
-        const Task &task = model.task(t);
-        x[t].resize(task.modes.size());
-        for (size_t m = 0; m < task.modes.size(); ++m) {
-            // Modes whose usage exceeds a capacity outright can never
-            // be selected; pin them to zero.
+        for (const Mode &mode : model.task(t).modes) {
             bool usable = true;
             for (int r = 0; r < model.numResources(); ++r) {
-                if (task.modes[m].usage[r] >
-                    model.capacity(r) + 1e-9) {
+                if (mode.usage[r] > model.capacity(r) + 1e-9) {
                     usable = false;
                     break;
                 }
             }
-            x[t][m] = problem.addVariable(0.0, usable ? 1.0 : 0.0, 0.0);
+            if (usable) {
+                x[t].push_back(
+                    {problem.addVariable(0.0, lp::kInf, 0.0), &mode});
+            }
         }
     }
     // Start-bound variables.
@@ -159,8 +166,8 @@ lpRelaxationBound(const Model &model)
     // Convexity.
     for (int t = 0; t < model.numTasks(); ++t) {
         std::vector<lp::Term> terms;
-        for (int xv : x[t])
-            terms.push_back({xv, 1.0});
+        for (const Column &col : x[t])
+            terms.push_back({col.var, 1.0});
         problem.addConstraint(std::move(terms), lp::Relation::Equal, 1.0);
     }
     // Precedence: e_t - e_p - sum d_pm x_pm >= 0.
@@ -169,10 +176,9 @@ lpRelaxationBound(const Model &model)
             std::vector<lp::Term> terms;
             terms.push_back({e[t], 1.0});
             terms.push_back({e[p], -1.0});
-            const Task &ptask = model.task(p);
-            for (size_t m = 0; m < ptask.modes.size(); ++m) {
-                terms.push_back({x[p][m],
-                    -static_cast<double>(ptask.modes[m].duration)});
+            for (const Column &col : x[p]) {
+                terms.push_back({col.var,
+                    -static_cast<double>(col.mode->duration)});
             }
             problem.addConstraint(std::move(terms),
                                   lp::Relation::GreaterEqual, 0.0);
@@ -189,10 +195,9 @@ lpRelaxationBound(const Model &model)
         std::vector<lp::Term> terms;
         terms.push_back({big_m, 1.0});
         terms.push_back({e[t], -1.0});
-        const Task &task = model.task(t);
-        for (size_t m = 0; m < task.modes.size(); ++m) {
-            terms.push_back({x[t][m],
-                -static_cast<double>(task.modes[m].duration)});
+        for (const Column &col : x[t]) {
+            terms.push_back({col.var,
+                -static_cast<double>(col.mode->duration)});
         }
         problem.addConstraint(std::move(terms),
                               lp::Relation::GreaterEqual, 0.0);
@@ -201,11 +206,10 @@ lpRelaxationBound(const Model &model)
     for (int g = 0; g < model.numGroups(); ++g) {
         std::vector<lp::Term> terms;
         for (int t = 0; t < model.numTasks(); ++t) {
-            const Task &task = model.task(t);
-            for (size_t m = 0; m < task.modes.size(); ++m) {
-                if (task.modes[m].group == g) {
-                    terms.push_back({x[t][m],
-                        static_cast<double>(task.modes[m].duration)});
+            for (const Column &col : x[t]) {
+                if (col.mode->group == g) {
+                    terms.push_back({col.var,
+                        static_cast<double>(col.mode->duration)});
                 }
             }
         }
@@ -222,12 +226,11 @@ lpRelaxationBound(const Model &model)
             continue;
         std::vector<lp::Term> terms;
         for (int t = 0; t < model.numTasks(); ++t) {
-            const Task &task = model.task(t);
-            for (size_t m = 0; m < task.modes.size(); ++m) {
-                double coeff = task.modes[m].usage[r] *
-                    static_cast<double>(task.modes[m].duration);
+            for (const Column &col : x[t]) {
+                double coeff = col.mode->usage[r] *
+                    static_cast<double>(col.mode->duration);
                 if (coeff > 0.0)
-                    terms.push_back({x[t][m], coeff});
+                    terms.push_back({col.var, coeff});
             }
         }
         if (terms.empty())

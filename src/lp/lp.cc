@@ -239,9 +239,13 @@ Solver::solve(const Problem &problem) const
         rows.push_back(std::move(row));
     }
 
-    // Normalize to non-negative right-hand sides.
+    // Normalize to non-negative right-hand sides, and turn a >= row
+    // with a zero right-hand side into <= as well: its slack then
+    // starts basic at zero. Only = rows and >= rows with a positive
+    // right-hand side are left needing an artificial.
     for (Row &row : rows) {
-        if (row.rhs < 0.0) {
+        if (row.rhs < 0.0 ||
+            (row.rhs == 0.0 && row.rel == Relation::GreaterEqual)) {
             for (double &c : row.coeffs)
                 c = -c;
             row.rhs = -row.rhs;

@@ -16,6 +16,13 @@
  *     subject to  a_i^T x (<= | = | >=) b_i     for each constraint i
  *                 lb_j <= x_j <= ub_j           for each variable j
  *
+ * Each finite upper bound becomes a row of its own, so a model should
+ * leave ub_j = kInf wherever other rows already imply the bound. A row
+ * with a negative right-hand side, or a >= row whose right-hand side
+ * is zero, is negated, so its slack can start in the basis. Only =
+ * rows and >= rows with a positive right-hand side get a phase-1
+ * artificial.
+ *
  * This is not a high-performance LP code; it is sized for the small,
  * dense relaxations HILP generates (tens to a few hundred variables).
  */

@@ -189,6 +189,25 @@ TEST(Bounds, LpNeverExceedsKnownOptimum)
     EXPECT_GE(lb.best(), 2); // Here the load bound is exact.
 }
 
+TEST(Bounds, LpIgnoresModesOverCapacity)
+{
+    // The task's 2-step mode sits on the group and needs 3.0 of a
+    // 2.0 resource, so it can never run: the LP has no column for it
+    // and charges the 7-step mode in full, while the critical path
+    // still counts the 2-step one.
+    Model m;
+    m.addResource(2.0, "power");
+    int g = m.addGroup("G");
+    Task t;
+    t.modes.push_back({g, 2, {3.0}});
+    t.modes.push_back({kNoGroup, 7, {1.0}});
+    m.addTask(t);
+    m.setHorizon(100);
+    LowerBounds lb = computeLowerBounds(m, true);
+    EXPECT_EQ(lb.criticalPath, 2);
+    EXPECT_EQ(lb.lpRelaxation, 7);
+}
+
 TEST(Bounds, EmptyishModelHasZeroBounds)
 {
     Model m;

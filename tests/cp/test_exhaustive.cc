@@ -1,9 +1,13 @@
-/** @file Tests for the exhaustive reference solver, including a
- * randomized cross-check of the main solver with start lags. */
+/** @file Tests for the exhaustive reference solver, including
+ * randomized cross-checks of the main solver with start lags and of
+ * the LP lower bound. */
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "oracles/exhaustive.hh"
+#include "cp/bounds.hh"
 #include "cp/solver.hh"
 #include "support/random.hh"
 
@@ -80,16 +84,14 @@ TEST(Exhaustive, CandidateBudgetAborts)
 }
 
 /**
- * Randomized oracle check including start lags: the main solver's
- * proven optimum must match exhaustive enumeration on tiny models
- * that mix groups, resources, precedence, and initiation intervals.
+ * A tiny random model that mixes groups, a resource, precedence and
+ * an initiation interval. With over_capacity, a task's second mode
+ * uses 3.0 of the 2.0 capacity half the time, so it can never run.
  */
-class ExhaustiveOracle : public ::testing::TestWithParam<uint64_t>
-{};
-
-TEST_P(ExhaustiveOracle, SolverMatches)
+Model
+oracleModel(uint64_t seed, bool over_capacity)
 {
-    Rng rng(GetParam() * 977);
+    Rng rng(seed * 977);
     Model m;
     m.addResource(2.0, "res");
     int g = m.addGroup("G");
@@ -102,6 +104,8 @@ TEST_P(ExhaustiveOracle, SolverMatches)
             mode.group = rng.chance(0.4) ? g : kNoGroup;
             mode.duration = static_cast<Time>(rng.uniformInt(1, 3));
             mode.usage = {rng.chance(0.5) ? 1.0 : 2.0};
+            if (over_capacity && mo > 0 && rng.chance(0.5))
+                mode.usage = {3.0};
             t.modes.push_back(mode);
         }
         m.addTask(t);
@@ -112,7 +116,19 @@ TEST_P(ExhaustiveOracle, SolverMatches)
         m.addStartLag(0, 2,
                       static_cast<Time>(rng.uniformInt(0, 4)));
     m.setHorizon(6);
+    return m;
+}
 
+/**
+ * Randomized oracle check including start lags: the main solver's
+ * proven optimum must match exhaustive enumeration on tiny models.
+ */
+class ExhaustiveOracle : public ::testing::TestWithParam<uint64_t>
+{};
+
+TEST_P(ExhaustiveOracle, SolverMatches)
+{
+    Model m = oracleModel(GetParam(), false);
     ExhaustiveResult oracle = solveExhaustively(m);
     ASSERT_TRUE(oracle.complete);
 
@@ -131,6 +147,41 @@ TEST_P(ExhaustiveOracle, SolverMatches)
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, ExhaustiveOracle,
                          ::testing::Range<uint64_t>(1, 25));
+
+/**
+ * The LP bound against the exhaustive optimum, on the oracle's
+ * instances and on a second seed range with modes over capacity
+ * (which get no LP column): each combinatorial bound <= the LP bound
+ * <= the optimum. Param: seed, over_capacity.
+ */
+class ExhaustiveLpBound
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>>
+{};
+
+TEST_P(ExhaustiveLpBound, BetweenCombinatorialBoundsAndOptimum)
+{
+    auto [seed, over_capacity] = GetParam();
+    Model m = oracleModel(seed, over_capacity);
+    ExhaustiveResult oracle = solveExhaustively(m);
+    ASSERT_TRUE(oracle.complete);
+    if (!oracle.feasible)
+        return; // No optimum to bound.
+
+    LowerBounds lb = computeLowerBounds(m, true);
+    EXPECT_LE(lb.criticalPath, lb.lpRelaxation);
+    EXPECT_LE(lb.groupLoad, lb.lpRelaxation);
+    EXPECT_LE(lb.resourceEnergy, lb.lpRelaxation);
+    EXPECT_LE(lb.lpRelaxation, oracle.optimum);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomInstances, ExhaustiveLpBound,
+    ::testing::Combine(::testing::Range<uint64_t>(1, 25),
+                       ::testing::Values(false)));
+INSTANTIATE_TEST_SUITE_P(
+    OverCapacity, ExhaustiveLpBound,
+    ::testing::Combine(::testing::Range<uint64_t>(101, 125),
+                       ::testing::Values(true)));
 
 } // anonymous namespace
 } // namespace cp

@@ -177,6 +177,27 @@ TEST(Lp, NegativeRhsNormalization)
     EXPECT_NEAR(s.objective, 3.0, 1e-9);
 }
 
+TEST(Lp, HomogeneousRowsNeedNoPhaseOne)
+{
+    // min sum x s.t. x_{i+1} - x_i >= 0: every row has a zero
+    // right-hand side, is negated to <= and starts with a basic
+    // slack, so the origin is optimal without a single pivot.
+    Solver::Options options;
+    options.maxPivots = 1;
+    for (int k : {2, 5, 20}) {
+        Problem p;
+        std::vector<int> xs;
+        for (int i = 0; i <= k; ++i)
+            xs.push_back(p.addVariable(0.0, kInf, 1.0));
+        for (int i = 0; i < k; ++i)
+            p.addConstraint({{xs[i + 1], 1.0}, {xs[i], -1.0}},
+                            Relation::GreaterEqual, 0.0);
+        Solution s = Solver(options).solve(p);
+        EXPECT_STREQ(toString(s.status), "optimal") << "k = " << k;
+        EXPECT_EQ(s.objective, 0.0) << "k = " << k;
+    }
+}
+
 TEST(Lp, RepeatedTermsAccumulate)
 {
     // x + x <= 4 means 2x <= 4.

@@ -56,13 +56,17 @@ randomInstance(Rng &rng)
         }
         // Mostly <= with generous rhs; occasionally >= with small
         // rhs so phase 1 gets exercised without making everything
-        // infeasible.
+        // infeasible. A third of the >= rows are homogeneous (rhs
+        // exactly 0), which the solver negates into <= rows.
         Relation rel;
         double rhs;
         double dice = rng.uniformDouble();
         if (dice < 0.6) {
             rel = Relation::LessEqual;
             rhs = rng.uniformDouble(1.0, 20.0);
+        } else if (dice < 0.7) {
+            rel = Relation::GreaterEqual;
+            rhs = 0.0;
         } else if (dice < 0.9) {
             rel = Relation::GreaterEqual;
             rhs = rng.uniformDouble(-20.0, 2.0);
