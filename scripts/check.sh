@@ -168,7 +168,8 @@ fi
 # propagator stats (resumed points behave identically). A warm
 # re-run must then hit the daemon's cross-request memo, stats must
 # report it, shutdown must unlink the socket, and a SIGKILLed daemon
-# must leave a stale socket that the next boot reclaims.
+# must leave a stale socket that the next boot reclaims. Last, the
+# first sweep runs again over TCP and must match too.
 echo "==> hilpd daemon round trip"
 hilpd="./build/src/service/hilpd"
 daemon_sock="build/check_hilpd.sock"
@@ -276,6 +277,42 @@ done
 "${hilpd}" "--connect=unix:${daemon_sock}" shutdown > /dev/null
 wait "${daemon_pid}" || {
     echo "hilpd restarted on a stale socket but exited non-zero" >&2
+    exit 1
+}
+
+# The same sweep over TCP, the transport remote clients and the
+# perfbench service workload use. The daemon binds an ephemeral port
+# and logs the address it bound; the figure output must match the
+# in-process run.
+HILP_LOG_LEVEL=inform "${hilpd}" "--listen=tcp:127.0.0.1:0" \
+    > build/check_hilpd_tcp.log 2>&1 &
+daemon_pid=$!
+tcp_port=""
+for _ in $(seq 1 100); do
+    tcp_port=$(sed -n \
+        's/.*listening on tcp:127\.0\.0\.1:\([0-9][0-9]*\) .*/\1/p' \
+        build/check_hilpd_tcp.log)
+    [ -n "${tcp_port}" ] && break
+    kill -0 "${daemon_pid}" 2>/dev/null || break
+    sleep 0.05
+done
+if [ -z "${tcp_port}" ]; then
+    echo "hilpd (tcp) logged no listening port" >&2
+    cat build/check_hilpd_tcp.log >&2
+    kill "${daemon_pid}" 2>/dev/null || true
+    exit 1
+fi
+"${fig7}" --max-configs=40 "--connect=tcp:127.0.0.1:${tcp_port}" \
+    --benchmark_filter=none > build/check_fig7_tcp.out
+grep -v "solver effort" build/check_fig7_tcp.out \
+    > build/check_fig7_tcp.cmp
+if ! diff build/check_fig7_tcp.cmp build/check_fig7_local.cmp; then
+    echo "daemon sweep over TCP differs from in-process run" >&2
+    exit 1
+fi
+"${hilpd}" "--connect=tcp:127.0.0.1:${tcp_port}" shutdown > /dev/null
+wait "${daemon_pid}" || {
+    echo "hilpd (tcp) exited non-zero after shutdown" >&2
     exit 1
 }
 

@@ -156,7 +156,17 @@ parsePointRecord(const std::string &line, uint64_t *key,
                  bool *has_schedule, std::string *config_name)
 {
     Json entry;
-    if (!Json::parse(line, &entry) || !entry.isObject())
+    return Json::parse(line, &entry) &&
+        parsePointRecord(entry, key, point, schedule, has_schedule,
+                         config_name);
+}
+
+bool
+parsePointRecord(const Json &entry, uint64_t *key, DsePoint *point,
+                 Schedule *schedule, bool *has_schedule,
+                 std::string *config_name)
+{
+    if (!entry.isObject())
         return false;
     if (!parseKeyText(stringOr(entry, "key"), key))
         return false;

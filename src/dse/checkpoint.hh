@@ -74,6 +74,12 @@ bool parsePointRecord(const std::string &line, uint64_t *key,
                       bool *has_schedule,
                       std::string *config_name = nullptr);
 
+/** The same, for a record line the caller has already parsed. */
+bool parsePointRecord(const Json &entry, uint64_t *key,
+                      DsePoint *point, Schedule *schedule,
+                      bool *has_schedule,
+                      std::string *config_name = nullptr);
+
 /**
  * A JSONL checkpoint of completed design points. Thread-safe: sweep
  * workers record points concurrently. One instance may span several

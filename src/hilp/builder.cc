@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "arch/dvfs.hh"
 #include "support/logging.hh"
@@ -159,7 +160,7 @@ buildProblem(const workload::Workload &workload,
                 // CPU executions at the offered core counts.
                 for (int c : cores) {
                     UnitOption option;
-                    option.label = format("CPUx%d", c);
+                    option.label = "CPUx" + std::to_string(c);
                     option.device = kCpuPool;
                     option.timeS = workload::cpuTimeS(phase, c);
                     option.bwGBs = workload::cpuBwGBs(phase, c);
@@ -171,7 +172,7 @@ buildProblem(const workload::Workload &workload,
                 if (gpu_device >= 0 && phase.gpuCompatible) {
                     for (int clock : clocks) {
                         UnitOption option;
-                        option.label = format("GPU@%d", clock);
+                        option.label = "GPU@" + std::to_string(clock);
                         option.device = gpu_device;
                         option.timeS = workload::acceleratorTimeS(
                             phase, soc.gpuSms, clock);
@@ -196,7 +197,8 @@ buildProblem(const workload::Workload &workload,
                             dsa.pes * soc.dsaAdvantage)));
                     for (int clock : clocks) {
                         UnitOption option;
-                        option.label = format("DSA%zu@%d", d, clock);
+                        option.label = "DSA" + std::to_string(d) + "@" +
+                                       std::to_string(clock);
                         option.device = dsa_devices[d];
                         option.timeS = workload::acceleratorTimeS(
                             phase, effective_sms, clock);

@@ -85,7 +85,7 @@ ServiceClient::sweep(const protocol::Request &request,
         uint64_t key = 0;
         dse::DsePoint point;
         bool has_schedule = false;
-        if (!dse::parsePointRecord(line, &key, &point, nullptr,
+        if (!dse::parsePointRecord(reply, &key, &point, nullptr,
                                    &has_schedule)) {
             bad_record = format("bad point record: %s", line.c_str());
             return;

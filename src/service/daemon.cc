@@ -82,6 +82,11 @@ Daemon::serveConnection(net::Socket socket)
                 warn("hilpd: dropping peer: no complete request "
                      "line within %gs",
                      options_.readTimeoutS);
+            } else if (channel.tooLong()) {
+                metrics::counter("hilpd.peers.rejected").add(1);
+                warn("hilpd: dropping peer: request line over %zu "
+                     "bytes",
+                     net::kMaxLineBytes);
             }
             break;
         }

@@ -69,9 +69,12 @@ class Daemon
 
     /**
      * Serve one established connection until the peer disconnects or
-     * sends a shutdown request. Returns true when the connection
-     * requested daemon shutdown (the stop flag is then already set).
-     * Thread-safe: the daemon runs one handler per connection.
+     * sends a shutdown request. A peer that stalls past the read
+     * timeout or sends a line over net::kMaxLineBytes is dropped
+     * (hilpd.peers.timed_out, hilpd.peers.rejected). Returns true
+     * when the connection requested daemon shutdown (the stop flag
+     * is then already set). Thread-safe: the daemon runs one handler
+     * per connection.
      */
     bool serveConnection(net::Socket socket);
 

@@ -224,7 +224,7 @@ main(int argc, char **argv)
 
     inform("hilpd %s listening on %s (memo cap %zu MiB, queue depth "
            "%zu)",
-           buildGitDescribe(), listen.c_str(),
+           buildGitDescribe(), listener.address().c_str(),
            options.memoMaxBytes >> 20, options.maxQueueDepth);
     daemon.run(listener);
     evalService.drain();

@@ -1,9 +1,8 @@
 #include "json.hh"
 
 #include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -207,11 +206,12 @@ stringOr(const Json &object, const char *key,
                                       : fallback;
 }
 
-std::string
-jsonEscape(const std::string &text)
+namespace {
+
+/** Append text to out escaped as a JSON string body (no quotes). */
+void
+appendEscaped(std::string &out, const std::string &text)
 {
-    std::string out;
-    out.reserve(text.size());
     for (unsigned char c : text) {
         switch (c) {
           case '"':
@@ -242,22 +242,52 @@ jsonEscape(const std::string &text)
                 out += static_cast<char>(c);
         }
     }
-    return out;
 }
 
-namespace {
-
-/** Render a double as JSON (no NaN/Inf in JSON: emit null). */
-std::string
-numberText(double value)
+void
+appendQuoted(std::string &out, const std::string &text)
 {
-    if (!std::isfinite(value))
-        return "null";
-    std::string text = format("%.17g", value);
-    return text;
+    out += '"';
+    appendEscaped(out, text);
+    out += '"';
+}
+
+/**
+ * Append a double as JSON (no NaN/Inf in JSON: emit null). General
+ * format at precision 17 is by definition printf's "%.17g", and 17
+ * significant digits read back as the same double.
+ */
+void
+appendNumber(std::string &out, double value)
+{
+    if (!std::isfinite(value)) {
+        out += "null";
+        return;
+    }
+    char text[32];
+    auto written = std::to_chars(text, text + sizeof(text), value,
+                                 std::chars_format::general, 17);
+    out.append(text, written.ptr);
+}
+
+void
+appendInteger(std::string &out, int64_t value)
+{
+    char text[24];
+    auto written = std::to_chars(text, text + sizeof(text), value);
+    out.append(text, written.ptr);
 }
 
 } // anonymous namespace
+
+std::string
+jsonEscape(const std::string &text)
+{
+    std::string out;
+    out.reserve(text.size());
+    appendEscaped(out, text);
+    return out;
+}
 
 void
 Json::write(std::string &out, int indent, int depth) const
@@ -265,9 +295,10 @@ Json::write(std::string &out, int indent, int depth) const
     auto newline = [&](int level) {
         if (indent < 0)
             return;
-        out += "\n";
-        out += std::string(static_cast<size_t>(indent) *
-                           static_cast<size_t>(level), ' ');
+        out += '\n';
+        out.append(static_cast<size_t>(indent) *
+                       static_cast<size_t>(level),
+                   ' ');
     };
 
     switch (kind_) {
@@ -278,13 +309,13 @@ Json::write(std::string &out, int indent, int depth) const
         out += bool_ ? "true" : "false";
         break;
       case Kind::Number:
-        out += numberText(number_);
+        appendNumber(out, number_);
         break;
       case Kind::Integer:
-        out += std::to_string(integer_);
+        appendInteger(out, integer_);
         break;
       case Kind::String:
-        out += "\"" + jsonEscape(string_) + "\"";
+        appendQuoted(out, string_);
         break;
       case Kind::Object: {
         if (members_.empty()) {
@@ -296,7 +327,8 @@ Json::write(std::string &out, int indent, int depth) const
             if (i > 0)
                 out += ",";
             newline(depth + 1);
-            out += "\"" + jsonEscape(members_[i].first) + "\":";
+            appendQuoted(out, members_[i].first);
+            out += ':';
             if (indent >= 0)
                 out += " ";
             members_[i].second.write(out, indent, depth + 1);
@@ -619,21 +651,22 @@ class JsonParser
                 break;
             }
         }
-        std::string token = text_.substr(start, pos_ - start);
-        errno = 0;
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
         if (integral) {
-            char *end = nullptr;
-            long long value = std::strtoll(token.c_str(), &end, 10);
-            if (errno == 0 && end && *end == '\0') {
-                *out = Json::number(static_cast<int64_t>(value));
+            int64_t value = 0;
+            auto parsed = std::from_chars(first, last, value);
+            if (parsed.ec == std::errc() && parsed.ptr == last) {
+                *out = Json::number(value);
                 return true;
             }
             // Out of int64 range: fall through to double.
-            errno = 0;
         }
-        char *end = nullptr;
-        double value = std::strtod(token.c_str(), &end);
-        if (!end || *end != '\0' || errno == ERANGE) {
+        // from_chars takes every finite result, subnormals included,
+        // and reports overflow and underflow to zero as out of range.
+        double value = 0.0;
+        auto parsed = std::from_chars(first, last, value);
+        if (parsed.ec != std::errc() || parsed.ptr != last) {
             pos_ = start;
             return fail("malformed number");
         }

@@ -9,6 +9,12 @@
  * HILP's own output - e.g. validating an exported Chrome trace -
  * not as a general configuration format; HILP's input formats remain
  * CSV (workload/io.hh) and code-level builders.
+ *
+ * A double is written as printf's "%.17g" text, produced by
+ * std::to_chars (general format, precision 17), and the reader takes
+ * it back with std::from_chars: every finite double, subnormals
+ * included, reads back equal to what was written ("-0" reads as the
+ * integer 0). NaN and infinities are written as null.
  */
 
 #ifndef HILP_SUPPORT_JSON_HH

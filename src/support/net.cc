@@ -6,6 +6,7 @@
 #include <arpa/inet.h>
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/time.h>
@@ -82,6 +83,18 @@ fillUnixAddr(const std::string &path, sockaddr_un *addr,
     addr->sun_family = AF_UNIX;
     std::memcpy(addr->sun_path, path.c_str(), path.size() + 1);
     return true;
+}
+
+/**
+ * Send every write at once. A sweep streams one short line per point
+ * to a peer that acknowledges late, so Nagle's algorithm would hold
+ * each line until the peer's delayed-ACK timer fires.
+ */
+void
+setNoDelay(int fd)
+{
+    int on = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
 }
 
 } // anonymous namespace
@@ -218,6 +231,7 @@ Listener::open(const std::string &address, std::string *error)
         }
         socket_ = Socket(fd);
         unixPath_ = parsed.path;
+        address_ = "unix:" + parsed.path;
         return true;
     }
 
@@ -269,6 +283,7 @@ Listener::open(const std::string &address, std::string *error)
                 reinterpret_cast<sockaddr_in6 *>(&bound)->sin6_port);
     }
     socket_ = Socket(fd);
+    address_ = "tcp:" + parsed.host + ":" + std::to_string(port_);
     return true;
 }
 
@@ -279,8 +294,11 @@ Listener::accept()
         return Socket();
     for (;;) {
         int fd = ::accept(socket_.fd(), nullptr, nullptr);
-        if (fd >= 0)
+        if (fd >= 0) {
+            if (unixPath_.empty())
+                setNoDelay(fd);
             return Socket(fd);
+        }
         if (errno != EINTR)
             return Socket();
     }
@@ -357,6 +375,7 @@ connectTo(const std::string &address, std::string *error)
                             std::strerror(errno));
         return Socket();
     }
+    setNoDelay(fd);
     return Socket(fd);
 }
 
@@ -364,14 +383,24 @@ bool
 LineChannel::readLine(std::string *line)
 {
     timedOut_ = false;
+    tooLong_ = false;
     for (;;) {
         size_t newline = buffer_.find('\n', scanned_);
         if (newline != std::string::npos) {
-            line->assign(buffer_, 0, newline);
-            buffer_.erase(0, newline + 1);
-            scanned_ = 0;
+            line->assign(buffer_, start_, newline - start_);
+            start_ = scanned_ = newline + 1;
             return true;
         }
+        if (buffer_.size() - start_ > kMaxLineBytes) {
+            buffer_.clear();
+            start_ = scanned_ = 0;
+            tooLong_ = true;
+            return false;
+        }
+        // Drop the consumed lines once per read rather than once per
+        // line: a read that brought many lines moves its tail once.
+        buffer_.erase(0, start_);
+        start_ = 0;
         scanned_ = buffer_.size();
         char chunk[4096];
         long got = socket_.read(chunk, sizeof(chunk));

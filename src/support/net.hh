@@ -16,6 +16,13 @@
  * a SIGKILLed daemon is detected (nobody accepts connections on it)
  * and unlinked before bind, so a restart always succeeds; a *live*
  * daemon on the path is reported as an address-in-use error instead.
+ *
+ * TCP sockets, the connected and the accepted end alike, carry
+ * TCP_NODELAY, so each written line leaves at once.
+ *
+ * A LineChannel line is at most kMaxLineBytes long. A peer that sends
+ * more without a newline is not speaking the protocol: readLine fails
+ * with tooLong() set instead of buffering without bound.
  */
 
 #ifndef HILP_SUPPORT_NET_HH
@@ -118,8 +125,12 @@ class Listener
     bool listening() const { return socket_.valid(); }
     int fd() const { return socket_.fd(); }
 
-    /** The bound Unix socket path (empty for TCP). */
-    const std::string &unixPath() const { return unixPath_; }
+    /**
+     * The bound address in connectTo syntax: unix:PATH, or
+     * tcp:HOST:PORT with the port actually bound (so "tcp:host:0"
+     * reports the port the kernel picked).
+     */
+    const std::string &address() const { return address_; }
 
     /**
      * The TCP port actually bound (useful with "tcp:host:0");
@@ -129,6 +140,8 @@ class Listener
 
   private:
     Socket socket_;
+    std::string address_;
+    /** The bound Unix socket path (empty for TCP). */
     std::string unixPath_;
     int port_ = 0;
 };
@@ -138,6 +151,13 @@ class Listener
  * fills *error on failure.
  */
 Socket connectTo(const std::string &address, std::string *error);
+
+/**
+ * The longest line a LineChannel reads, terminator excluded. The
+ * largest line the repo writes, a point record of a copies = 64
+ * workload with its 1920-phase schedule, is about 0.25 MiB.
+ */
+constexpr size_t kMaxLineBytes = size_t{16} << 20;
 
 /**
  * Buffered newline-delimited text over a socket: the framing of the
@@ -156,6 +176,8 @@ class LineChannel
      * Socket::setReadTimeout) and it expires mid-line, readLine
      * returns false with timedOut() set and the partial line stays
      * buffered - a timeout is a stalled peer, not end of stream.
+     * More than kMaxLineBytes without a newline fails with tooLong()
+     * set and discards what was buffered.
      */
     bool readLine(std::string *line);
 
@@ -165,14 +187,21 @@ class LineChannel
     /** True when the last readLine failure was a read timeout. */
     bool timedOut() const { return timedOut_; }
 
+    /** True when the last readLine failure was an over-long line. */
+    bool tooLong() const { return tooLong_; }
+
     Socket &socket() { return socket_; }
     bool valid() const { return socket_.valid(); }
 
   private:
     Socket socket_;
     std::string buffer_;
+    /** Start of the unconsumed bytes in buffer_. */
+    size_t start_ = 0;
+    /** buffer_ up to here is known to hold no newline after start_. */
     size_t scanned_ = 0;
     bool timedOut_ = false;
+    bool tooLong_ = false;
 };
 
 } // namespace net

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "arch/dvfs.hh"
+#include "arch/parse.hh"
 #include "hilp/builder.hh"
 #include "workload/rodinia.hh"
 #include "workload/scaling.hh"
@@ -234,6 +238,32 @@ TEST(Builder, BandwidthBudgetDropsDemandingOptions)
     for (const UnitOption &option : sc.options)
         EXPECT_EQ(option.device, kCpuPool) << option.label;
     EXPECT_EQ(spec.validate(), ""); // CPU fallback keeps it valid.
+}
+
+TEST(Builder, FingerprintsAndLabelsArePinned)
+{
+    // The fingerprint keys the solve memo and every checkpoint
+    // record, and it hashes each option label: a label that renders
+    // differently orphans every stored result.
+    const workload::Workload rodinia = makeWorkload(Variant::Default);
+    auto fingerprint = [&rodinia](const std::string &label) {
+        arch::SocParseResult soc =
+            arch::parseSocName(label, workload::dsaPriorityOrder());
+        EXPECT_TRUE(soc.ok) << soc.error;
+        return buildProblem(rodinia, soc.config, arch::Constraints{})
+            .fingerprint();
+    };
+    EXPECT_EQ(fingerprint("(c4,g16,d2^16)"), 0xccede40e23a8ccbdull);
+    EXPECT_EQ(fingerprint("(c1,g4,d0^0)"), 0x5d31ccff2f29bc69ull);
+
+    ProblemSpec spec =
+        buildProblem(rodinia, paperSoc(), arch::Constraints{});
+    std::vector<std::string> labels;
+    for (const UnitOption &option : findPhase(spec, "HS.compute").options)
+        labels.push_back(option.label);
+    EXPECT_EQ(labels, (std::vector<std::string>{
+                          "CPUx1", "CPUx2", "CPUx4", "GPU@765",
+                          "DSA1@765"}));
 }
 
 } // anonymous namespace

@@ -23,6 +23,7 @@
 
 #include "dse/checkpoint.hh"
 #include "hilp/options.hh"
+#include "service/client.hh"
 #include "service/daemon.hh"
 #include "service/protocol.hh"
 #include "support/json.hh"
@@ -280,6 +281,41 @@ TEST(DaemonProtocol, StalledPeerIsDroppedAndCounted)
     EXPECT_FALSE(harness.shutdownRequested());
     EXPECT_EQ(metrics::counter("hilpd.peers.timed_out").value(),
               timed_out_before + 1);
+}
+
+TEST(DaemonProtocol, OverlongLineDropsPeerAndServingGoesOn)
+{
+    const int64_t rejected_before =
+        metrics::counter("hilpd.peers.rejected").value();
+
+    EvalService service;
+    Daemon daemon(service);
+    net::Listener listener;
+    std::string error;
+    ASSERT_TRUE(listener.open("tcp:127.0.0.1:0", &error)) << error;
+    std::thread server([&daemon, &listener] { daemon.run(listener); });
+
+    // One byte past the limit and no newline: the daemon must drop
+    // the peer rather than keep buffering. (EXPECT, not ASSERT, from
+    // here on: the server thread must be joined on every path.)
+    net::LineChannel peer(net::connectTo(listener.address(), &error));
+    EXPECT_TRUE(peer.valid()) << error;
+    const std::string flood(net::kMaxLineBytes + 1, 'x');
+    EXPECT_TRUE(peer.socket().writeAll(flood.data(), flood.size()));
+    std::string line;
+    EXPECT_FALSE(peer.readLine(&line));
+    EXPECT_EQ(metrics::counter("hilpd.peers.rejected").value(),
+              rejected_before + 1);
+
+    // The daemon still serves a new connection.
+    ServiceClient client;
+    EXPECT_TRUE(client.connect(listener.address(), &error)) << error;
+    Json stats;
+    EXPECT_TRUE(client.stats(&stats, &error)) << error;
+    EXPECT_TRUE(stats.isObject());
+    EXPECT_TRUE(client.requestShutdown(&error)) << error;
+    daemon.stop();
+    server.join();
 }
 
 TEST(DaemonProtocol, TraceIdRidesPointsAndDoneLine)

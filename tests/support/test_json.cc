@@ -2,14 +2,58 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "support/json.hh"
+#include "support/random.hh"
+#include "support/str.hh"
 
 namespace hilp {
 namespace {
+
+double
+fromBits(uint64_t bits)
+{
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    return value;
+}
+
+/**
+ * Finite doubles for the number-text tests: the edges of each range
+ * (zeros, subnormals, the normal limits, where %.17g switches to an
+ * exponent, integers near 2^53) plus seeded random bit patterns, a
+ * quarter of them forced subnormal.
+ */
+std::vector<double>
+finiteDoubles()
+{
+    using limits = std::numeric_limits<double>;
+    std::vector<double> values = {
+        0.0, -0.0, limits::denorm_min(), -limits::denorm_min(),
+        fromBits(0x000fffffffffffffull), limits::min(),
+        std::nextafter(limits::min(), 0.0), limits::max(),
+        -limits::max(), limits::epsilon(), 1.0, -1.0, 0.1, 0.5,
+        1.0 / 3.0, 2.0 / 3.0, 1e-5, 1e-4, 3e-5, 1e16, 1e17,
+        9.9999999999999994e16, 123456789012345678.0, 0x1p53,
+        0x1p53 + 2.0, 0x1p63, 1e21, 1e22, 1e300, 1e-300,
+        4.9406564584124654e-324, 9.9999999999999694e-311};
+    Rng rng(20261017);
+    while (values.size() < 200000) {
+        uint64_t bits = rng.next();
+        if (values.size() % 4 == 0)
+            bits &= 0x800fffffffffffffull; // Exponent 0: subnormal.
+        double value = fromBits(bits);
+        if (std::isfinite(value))
+            values.push_back(value);
+    }
+    return values;
+}
 
 TEST(JsonTest, Scalars)
 {
@@ -96,6 +140,21 @@ TEST(JsonTest, RoundNumbersStayPrecise)
     EXPECT_EQ(Json::number(0.1).dump(),
               "0.10000000000000001"); // %.17g round-trip precision.
     EXPECT_EQ(Json::number(2.0).dump(), "2");
+}
+
+TEST(JsonTest, NumberTextMatchesPrintf)
+{
+    for (double value : finiteDoubles())
+        ASSERT_EQ(Json::number(value).dump(), format("%.17g", value));
+    std::vector<int64_t> integers = {
+        0, 1, -1, 10, -10, 1234567890123456789,
+        std::numeric_limits<int64_t>::min(),
+        std::numeric_limits<int64_t>::max()};
+    Rng rng(7);
+    for (int i = 0; i < 10000; ++i)
+        integers.push_back(static_cast<int64_t>(rng.next()));
+    for (int64_t value : integers)
+        ASSERT_EQ(Json::number(value).dump(), std::to_string(value));
 }
 
 TEST(JsonParseTest, Scalars)
@@ -193,7 +252,26 @@ TEST(JsonParseTest, RejectsMalformedInput)
     EXPECT_FALSE(Json::parse("\"unterminated", &value));
     EXPECT_FALSE(Json::parse("nul", &value));
     EXPECT_FALSE(Json::parse("1 2", &value)); // Trailing token.
+    // Overflow, and underflow to zero, are out of range.
+    EXPECT_FALSE(Json::parse("1e400", &value));
+    EXPECT_FALSE(Json::parse("-1e400", &value));
+    EXPECT_FALSE(Json::parse("1e-400", &value));
+    EXPECT_FALSE(Json::parse("1.5e", &value));
     EXPECT_TRUE(value.isNull()); // Left null on failure.
+}
+
+TEST(JsonParseTest, RoundTripsEveryFiniteDouble)
+{
+    for (double value : finiteDoubles()) {
+        Json array = Json::array();
+        array.append(Json::number(value));
+        const std::string text = array.dump();
+        Json parsed;
+        std::string error;
+        ASSERT_TRUE(Json::parse(text, &parsed, &error))
+            << text << ": " << error;
+        ASSERT_EQ(parsed.at(0).numberValue(), value) << text;
+    }
 }
 
 TEST(JsonParseTest, RoundTripsWriterOutput)
