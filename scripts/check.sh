@@ -26,16 +26,18 @@ run_suite() {
 run_suite build
 run_suite build-asan -DHILP_SANITIZE=ON
 
-# No-good, LNS and LP-bound soundness under ASan: the differential
-# tests (no-good pruning preserves the certified optimum, LNS never
-# regresses its incumbent, the LP bound lies between the combinatorial
-# bounds and the exhaustive optimum) and the LP solver's own tests run
-# again on their own so a heap bug in the solver hot path or an
-# unsound LP bound fails this stage by name even when the tier1 sweep
-# above is trimmed or filtered.
-echo "==> no-good/LNS/LP-bound soundness (ASan)"
+# No-good, LNS, LP-bound and list-scheduler soundness under ASan: the
+# differential tests (no-good pruning preserves the certified optimum,
+# LNS never regresses its incumbent, the LP bound lies between the
+# combinatorial bounds and the exhaustive optimum, the incremental
+# list scheduler returns the from-scratch reference's schedules) and
+# the LP solver's own tests run again on their own so a heap bug in
+# the solver hot path (such as a stale index into the list
+# scheduler's per-run arrays) or an unsound LP bound fails this stage
+# by name even when the tier1 sweep above is trimmed or filtered.
+echo "==> no-good/LNS/LP-bound/list-scheduler soundness (ASan)"
 ./build-asan/tests/hilp_test_cp \
-    --gtest_filter='*Nogood*:*Lns*:*NogoodDiff*:*LnsMonotone*:*ExhaustiveLpBound*'
+    --gtest_filter='*Nogood*:*Lns*:*NogoodDiff*:*LnsMonotone*:*ExhaustiveLpBound*:*ListSchedulerDiff*:*ListSchedulerEngine*'
 ./build-asan/tests/hilp_test_lp
 
 # Thread-sanitizer stage: build only the concurrency test binary

@@ -123,6 +123,7 @@ lnsImprove(const Model &model, const ScheduleVec &incumbent,
     std::vector<int> priority;
     std::vector<int> slots;
     std::vector<int> moved;
+    ListScheduler sgs(model);
 
     const int half = options.iterations / 2;
     for (int it = 0; it < options.iterations; ++it) {
@@ -192,13 +193,13 @@ lnsImprove(const Model &model, const ScheduleVec &incumbent,
         for (size_t i = 0; i < slots.size(); ++i)
             priority[slots[i]] = moved[i];
 
-        ListResult repaired = listSchedule(model, priority, forced);
+        const bool repaired = sgs.run(priority, forced);
         ++result.iterations;
-        if (repaired.feasible && repaired.makespan <= result.makespan) {
-            if (repaired.makespan < result.makespan)
+        if (repaired && sgs.makespan() <= result.makespan) {
+            if (sgs.makespan() < result.makespan)
                 ++result.improvements;
-            result.schedule = repaired.schedule;
-            result.makespan = repaired.makespan;
+            result.schedule = sgs.result().schedule;
+            result.makespan = sgs.makespan();
             base = incumbentOrder(model, result.schedule, topo_pos);
         }
     }

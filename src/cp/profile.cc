@@ -526,6 +526,20 @@ Profile::remove(const Mode &mode, Time start)
         addUsage(nz[k], start, end, -units[nz[k]]);
 }
 
+void
+Profile::clear()
+{
+    // Region r back to its single {0, 0} segment; regions keep their
+    // offsets and capacities, so a cleared profile is canonical and
+    // answers every query exactly as a fresh one.
+    for (size_t r = 0; r < resLen_.size(); ++r) {
+        resLen_[r] = 1;
+        segStart_[resOff_[r]] = 0;
+        segLevel_[resOff_[r]] = 0;
+    }
+    std::fill(grpLen_.begin(), grpLen_.end(), 0);
+}
+
 double
 Profile::usage(int r, Time step) const
 {

@@ -83,6 +83,13 @@ class Profile
     /** Exactly undo a previous place() with the same arguments. */
     void remove(const Mode &mode, Time start);
 
+    /**
+     * Empty every resource and group, as a fresh Profile of the same
+     * model. The slab storage (grown regions included) and the
+     * per-mode unit rows stay, so refilling allocates nothing.
+     */
+    void clear();
+
     /** Resource usage of resource r at time step. */
     double usage(int r, Time step) const;
 

@@ -10,7 +10,9 @@
  * Half the probed modes are registered with the model (exercising the
  * precomputed Mode::id rows and the slab's region growth under many
  * placements), half are hand-built copies with id == -1 (exercising
- * the per-query conversion fallback).
+ * the per-query conversion fallback). Between rounds the profile is
+ * cleared (the table emptied by removes) and refilled, and a cleared
+ * profile whose regions grew must answer exactly as a fresh one.
  */
 
 #include <gtest/gtest.h>
@@ -116,7 +118,18 @@ TEST_P(ProfileDiff, AgreesWithDenseTimetable)
     Timetable table(m);
     std::vector<std::pair<const Mode *, Time>> active;
 
-    for (int step = 0; step < 500; ++step) {
+    // Three rounds of 500 operations. Between rounds the profile is
+    // cleared and the table emptied by removing every placement: from
+    // there on both must agree again.
+    for (int step = 0; step < 1500; ++step) {
+        if (step > 0 && step % 500 == 0) {
+            expectSameState(m, profile, table, step);
+            profile.clear();
+            for (auto [mode, start] : active)
+                table.remove(*mode, start);
+            active.clear();
+            expectSameState(m, profile, table, step);
+        }
         // Probe queries agree regardless of what gets placed.
         {
             const Mode &probe = *pool[static_cast<size_t>(
@@ -157,7 +170,108 @@ TEST_P(ProfileDiff, AgreesWithDenseTimetable)
         if (step % 25 == 0)
             expectSameState(m, profile, table, step);
     }
-    expectSameState(m, profile, table, 500);
+    expectSameState(m, profile, table, 1500);
+}
+
+/** Same breakpoints, intervals, usage and earliestStart answers. */
+void
+expectSameProfile(const Model &m, const Profile &got,
+                  const Profile &want, const std::vector<Mode> &probes)
+{
+    for (int r = 0; r < m.numResources(); ++r) {
+        ASSERT_EQ(got.breakpoints(r), want.breakpoints(r)) << "r=" << r;
+        for (Time s = 0; s < m.horizon(); ++s)
+            ASSERT_EQ(got.usageUnits(r, s), want.usageUnits(r, s))
+                << "r=" << r << " t=" << s;
+    }
+    for (int g = 0; g < m.numGroups(); ++g) {
+        ASSERT_EQ(got.intervals(g), want.intervals(g)) << "g=" << g;
+        for (Time s = 0; s < m.horizon(); ++s)
+            ASSERT_EQ(got.groupBusy(g, s), want.groupBusy(g, s))
+                << "g=" << g << " t=" << s;
+    }
+    for (int t = 0; t < m.numTasks(); ++t) {
+        for (Time est = 0; est <= m.horizon(); ++est) {
+            ASSERT_EQ(got.earliestStart(m.task(t).modes[0], est),
+                      want.earliestStart(m.task(t).modes[0], est))
+                << "task " << t << " est " << est;
+        }
+    }
+    for (const Mode &probe : probes)
+        for (Time est = 0; est <= m.horizon(); est += 3)
+            ASSERT_EQ(got.earliestStart(probe, est),
+                      want.earliestStart(probe, est));
+}
+
+TEST_P(ProfileDiff, ClearedProfileMatchesFresh)
+{
+    Rng rng(GetParam() * 104729 + 3);
+    Model m;
+    m.addResource(rng.uniformDouble(1.0, 3.0), "r0");
+    m.addResource(rng.uniformDouble(0.5, 2.0), "r1");
+    int g1 = m.addGroup("A");
+    int g2 = m.addGroup("B");
+    m.setHorizon(static_cast<Time>(rng.uniformInt(100, 140)));
+
+    std::vector<Mode> probes;
+    for (int i = 0; i < 16; ++i) {
+        Mode mode;
+        double which = rng.uniformDouble();
+        mode.group = which < 0.3 ? g1 : which < 0.6 ? g2 : kNoGroup;
+        mode.duration = static_cast<Time>(rng.uniformInt(0, 12));
+        mode.usage = {rng.uniformDouble(0.0, 1.5),
+                      rng.uniformDouble(0.0, 1.0)};
+        Task task;
+        task.name = format("t%d", i);
+        task.modes = {mode};
+        m.addTask(std::move(task));
+        probes.push_back(mode); // The id-less copy.
+    }
+    // One-step modes that grow r0's and group A's regions.
+    Task tick;
+    tick.name = "tick";
+    tick.modes = {Mode{kNoGroup, 1, {0.01, 0.0}}};
+    const int tick_task = m.addTask(std::move(tick));
+    Task blip;
+    blip.name = "blip";
+    blip.modes = {Mode{g1, 1, {0.0, 0.0}}};
+    const int blip_task = m.addTask(std::move(blip));
+    const Mode &tick_mode = m.task(tick_task).modes[0];
+    const Mode &blip_mode = m.task(blip_task).modes[0];
+    const size_t n = static_cast<size_t>(m.numTasks());
+
+    Profile profile(m);
+    const size_t fresh_bytes = profile.heapBytes();
+    // A tick on every other step: one breakpoint per step, more than
+    // the 2n + 4 a region starts with.
+    for (Time s = 0; s + 1 < m.horizon(); s += 2) {
+        profile.place(tick_mode, s);
+        profile.place(blip_mode, s);
+    }
+    ASSERT_GT(profile.breakpoints(0), 2 * n + 4);
+    ASSERT_GT(profile.intervals(g1), n + 2);
+    ASSERT_GT(profile.heapBytes(), fresh_bytes);
+
+    for (int round = 0; round < 4; ++round) {
+        profile.clear();
+        Profile fresh(m);
+        ASSERT_NO_FATAL_FAILURE(expectSameProfile(m, profile, fresh, probes));
+        // A different random placement set each round, placed where
+        // the fresh profile finds room.
+        const int placements = static_cast<int>(rng.uniformInt(5, 40));
+        for (int i = 0; i < placements; ++i) {
+            const Mode &mode =
+                m.task(static_cast<int>(rng.uniformInt(0, 15))).modes[0];
+            Time start = fresh.earliestStart(
+                mode, static_cast<Time>(rng.uniformInt(0, m.horizon())));
+            if (start < 0)
+                continue;
+            fresh.place(mode, start);
+            profile.place(mode, start);
+        }
+        ASSERT_NO_FATAL_FAILURE(expectSameProfile(m, profile, fresh, probes))
+            << "round " << round;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProfileDiff,
