@@ -1,11 +1,10 @@
 #!/usr/bin/env sh
 # Compare a figure binary's full output against its committed golden
 # (tests/golden/NAME.txt): tables, Pareto fronts, best points, and the
-# HILP sweep's node/backtrack totals. The one run-dependent part of
-# any figure's output, fig7's "solver effort" line with its summed
-# solve seconds and dominance-pruned count (pruning depends on sweep
-# completion order), is masked on both sides; the mask leaves every
-# other line alone.
+# HILP sweep's solve, node, backtrack and dominance-pruned totals.
+# The one run-dependent part of any figure's output, the summed solve
+# seconds on fig7's "solver effort" line, is masked on both sides; the
+# mask leaves every other line alone.
 #
 # Usage: scripts/golden.sh BINARY GOLDEN_FILE
 #   Run from a scratch directory: a sweep may write files into the
@@ -21,10 +20,7 @@ golden="$2"
 out="$(basename "${golden}" .txt).out"
 
 mask() {
-    sed -E '/solver effort:/ {
-        s/, [0-9]+\.[0-9]+s \|/, <seconds> |/
-        s/[0-9]+ pruned/<n> pruned/
-    }'
+    sed -E '/solver effort:/ s/, [0-9]+\.[0-9]+s \|/, <seconds> |/'
 }
 
 "${binary}" --benchmark_filter=none 2> /dev/null | mask > "${out}"

@@ -11,9 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <limits>
 #include <map>
-#include <mutex>
 #include <tuple>
 #include <utility>
 
@@ -31,56 +29,6 @@ namespace hilp {
 namespace dse {
 
 namespace {
-
-/**
- * Sweep-wide record of completed (area, makespan) points with an
- * atomic best-makespan fast path. A config whose certified makespan
- * lower bound is beaten by an already-completed point of no more
- * area can never reach the Pareto front, so its solve may stop
- * refining early (the result keeps its certified gap either way).
- */
-class SweepBound
-{
-  public:
-    void
-    add(double area_mm2, double makespan_s)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            points_.emplace_back(area_mm2, makespan_s);
-        }
-        // Atomic running minimum of all completed makespans.
-        double best = bestMakespanS_.load();
-        while (makespan_s < best &&
-               !bestMakespanS_.compare_exchange_weak(best, makespan_s))
-            ;
-    }
-
-    /**
-     * True when a completed point with area <= area_mm2 finishes
-     * strictly sooner than this config could ever prove (its
-     * certified lower bound).
-     */
-    bool
-    dominates(double area_mm2, double lower_bound_s) const
-    {
-        // Fast reject without the lock: nothing anywhere in the
-        // sweep beats this bound yet.
-        if (bestMakespanS_.load() >= lower_bound_s)
-            return false;
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto &[area, makespan] : points_)
-            if (area <= area_mm2 && makespan < lower_bound_s)
-                return true;
-        return false;
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    std::vector<std::pair<double, double>> points_;
-    std::atomic<double> bestMakespanS_{
-        std::numeric_limits<double>::infinity()};
-};
 
 /**
  * Rate-limited sweep progress. Workers tick() once per completed
@@ -361,7 +309,6 @@ exploreSpace(const std::vector<arch::SocConfig> &configs,
     const bool reuse = options.reuse && kind == ModelKind::Hilp;
     SolveMemo local_memo;
     SolveMemo *memo = options.memo ? options.memo : &local_memo;
-    SweepBound bound;
     std::vector<std::vector<size_t>> chains;
     if (reuse) {
         chains = similarityChains(configs);
@@ -372,21 +319,32 @@ exploreSpace(const std::vector<arch::SocConfig> &configs,
     }
 
     // Chains are independent; within a chain each config warm-starts
-    // from its predecessor's schedule and every completed point
-    // tightens the shared dominance bound.
+    // from its predecessor's schedule. A config whose certified
+    // makespan lower bound is beaten by a completed point of no more
+    // area can never reach the Pareto front, so its solve may stop
+    // refining early (the result keeps its certified gap either way).
+    // The completed points it is checked against are its own chain's:
+    // they ran before it on the same thread, so whether a point is
+    // pruned does not depend on thread timing.
     pool.parallelFor(chains.size(), [&](size_t c) {
         trace::ContextScope requestScope(trace_id);
         Schedule hint;
         bool have_hint = false;
+        std::vector<std::pair<double, double>> completed; // Area, makespan.
         for (size_t idx : chains[c]) {
             double area = configs[idx].areaMm2();
             EvalReuse point_reuse;
             if (reuse) {
                 point_reuse.memo = memo;
                 point_reuse.hint = have_hint ? &hint : nullptr;
-                point_reuse.dominated = [&bound,
+                point_reuse.dominated = [&completed,
                                          area](double lower_bound_s) {
-                    return bound.dominates(area, lower_bound_s);
+                    return std::any_of(
+                        completed.begin(), completed.end(),
+                        [&](const std::pair<double, double> &done) {
+                            return done.first <= area &&
+                                   done.second < lower_bound_s;
+                        });
                 };
             }
             Schedule schedule;
@@ -414,7 +372,7 @@ exploreSpace(const std::vector<arch::SocConfig> &configs,
             heartbeat.tick(point.cacheHit || point.resumed);
             if (!reuse || !point.ok)
                 continue;
-            bound.add(area, point.makespanS);
+            completed.emplace_back(area, point.makespanS);
             if (!point.resumed) {
                 hint = std::move(schedule);
                 have_hint = true;

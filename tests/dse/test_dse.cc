@@ -5,7 +5,11 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "arch/design_space.hh"
 #include "dse/explore.hh"
 #include "dse/pareto.hh"
 #include "workload/rodinia.hh"
@@ -281,6 +285,102 @@ TEST(Explore, SharedMemoServesRepeatSweep)
         EXPECT_TRUE(second[i].cacheHit) << i;
         EXPECT_EQ(second[i].solves, 0) << i;
         EXPECT_DOUBLE_EQ(second[i].makespanS, first[i].makespanS) << i;
+    }
+}
+
+/**
+ * Three similarity chains of the Figure 7 space, 12 configs, under
+ * the node-budgeted options of perfbench's explore workload. A
+ * sweep-wide dominance bound pruned (c4,g4,d8^4) and (c4,g16,d8^4)
+ * here, even on one thread: a cheaper point of another chain beat
+ * their continuous lower bounds.
+ */
+std::vector<arch::SocConfig>
+threeChainSlice()
+{
+    const std::vector<std::string> names = {
+        "(c2,g0,d10^4)", "(c2,g4,d10^4)", "(c2,g16,d10^4)",
+        "(c2,g64,d10^4)", "(c4,g0,d2^16)", "(c4,g4,d2^16)",
+        "(c4,g16,d2^16)", "(c4,g64,d2^16)", "(c4,g0,d8^4)",
+        "(c4,g4,d8^4)", "(c4,g16,d8^4)", "(c4,g64,d8^4)"};
+    std::vector<arch::SocConfig> space = arch::enumerateDesignSpace(
+        arch::DesignSpace{}, workload::dsaPriorityOrder());
+    std::vector<arch::SocConfig> slice;
+    for (const std::string &name : names)
+        for (const arch::SocConfig &config : space)
+            if (config.name() == name)
+                slice.push_back(config);
+    return slice;
+}
+
+DseOptions
+nodeBudgetedOptions(int threads)
+{
+    DseOptions options;
+    options.engine.solver.maxNodes = 4000;
+    options.engine.solver.maxSeconds = 120.0;
+    options.engine.solver.threads = 1;
+    options.threads = threads;
+    return options;
+}
+
+/** Solver effort and pruning as a sweep reports them. */
+std::vector<std::tuple<int, int64_t, bool, double>>
+effort(const std::vector<DsePoint> &points)
+{
+    std::vector<std::tuple<int, int64_t, bool, double>> out;
+    for (const DsePoint &point : points)
+        out.emplace_back(point.solves, point.nodes, point.pruned,
+                         point.makespanS);
+    return out;
+}
+
+TEST(Explore, DominancePruningStaysWithinAChain)
+{
+    auto wl = workload::makeWorkload(workload::Variant::Default);
+    std::vector<arch::SocConfig> configs = threeChainSlice();
+    ASSERT_EQ(configs.size(), 12u);
+    auto points = exploreSpace(configs, wl, arch::Constraints{},
+                               ModelKind::Hilp, nodeBudgetedOptions(1));
+    ASSERT_EQ(points.size(), configs.size());
+
+    // Each point is what a sweep of its own chain alone gives: no
+    // other chain's points reach its dominance check.
+    for (size_t first = 0; first < configs.size(); first += 4) {
+        std::vector<arch::SocConfig> chain(configs.begin() + first,
+                                           configs.begin() + first + 4);
+        auto alone = exploreSpace(chain, wl, arch::Constraints{},
+                                  ModelKind::Hilp, nodeBudgetedOptions(1));
+        for (size_t i = 0; i < chain.size(); ++i) {
+            const DsePoint &point = points[first + i];
+            ASSERT_TRUE(point.ok) << point.config.name();
+            EXPECT_EQ(point.pruned, alone[i].pruned) << point.config.name();
+            EXPECT_EQ(point.solves, alone[i].solves) << point.config.name();
+            EXPECT_EQ(point.nodes, alone[i].nodes) << point.config.name();
+            EXPECT_EQ(point.makespanS, alone[i].makespanS)
+                << point.config.name();
+        }
+    }
+    EXPECT_FALSE(points[9].pruned) << points[9].config.name();
+    EXPECT_FALSE(points[10].pruned) << points[10].config.name();
+}
+
+TEST(Explore, ParallelSweepsPruneAndSolveAlike)
+{
+    auto wl = workload::makeWorkload(workload::Variant::Default);
+    std::vector<arch::SocConfig> configs = threeChainSlice();
+    auto reference = effort(exploreSpace(configs, wl, arch::Constraints{},
+                                         ModelKind::Hilp,
+                                         nodeBudgetedOptions(1)));
+    // Four sweep threads run the three chains concurrently, in
+    // whatever order; every repeat reports the one-thread sweep's
+    // solves, nodes, pruned flags and makespans, point by point.
+    for (int repeat = 0; repeat < 5; ++repeat) {
+        auto parallel = effort(exploreSpace(configs, wl,
+                                            arch::Constraints{},
+                                            ModelKind::Hilp,
+                                            nodeBudgetedOptions(4)));
+        EXPECT_EQ(parallel, reference) << "repeat " << repeat;
     }
 }
 
