@@ -40,8 +40,6 @@ int g_solver_threads = 1;
 std::string g_checkpoint_path;
 bool g_resume = false;
 double g_point_timeout_s = 0.0;
-bool g_nogoods = false;
-bool g_lns = false;
 std::string g_connect;
 bool g_no_reuse = false;
 size_t g_max_configs = 0;
@@ -125,10 +123,6 @@ initHarness(int *argc, char **argv)
         else if (std::strncmp(arg, "--point-timeout=", 16) == 0)
             realFlag("--point-timeout", arg + 16, 0.0, 1e6,
                      &g_point_timeout_s);
-        else if (std::strcmp(arg, "--nogoods") == 0)
-            g_nogoods = true;
-        else if (std::strcmp(arg, "--lns") == 0)
-            g_lns = true;
         else if (std::strncmp(arg, "--connect=", 10) == 0)
             g_connect = arg + 10;
         else if (std::strncmp(arg, "--coordinator=", 14) == 0)
@@ -215,18 +209,6 @@ pointTimeoutS()
     return g_point_timeout_s;
 }
 
-bool
-useNogoods()
-{
-    return g_nogoods;
-}
-
-bool
-useLns()
-{
-    return g_lns;
-}
-
 const std::string &
 connectAddress()
 {
@@ -293,8 +275,6 @@ validationEngine(double solver_seconds)
     options.solver.maxSeconds = solver_seconds;
     options.solver.maxNodes = 400000;
     options.solver.threads = g_solver_threads;
-    options.solver.useNogoods = g_nogoods;
-    options.solver.lns = g_lns;
     // Rerun near-optimality misses with 4x the budget, as the paper
     // does for its validation experiments.
     options.escalations = 1;
@@ -310,8 +290,6 @@ explorationOptions(double solver_seconds)
     options.engine.solver.maxSeconds = solver_seconds;
     options.engine.solver.maxNodes = 120000;
     options.engine.solver.threads = g_solver_threads;
-    options.engine.solver.useNogoods = g_nogoods;
-    options.engine.solver.lns = g_lns;
     options.engine.pointTimeoutS = g_point_timeout_s;
     return options;
 }

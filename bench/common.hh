@@ -46,14 +46,6 @@ namespace bench {
  *                       on expiry the point degrades to its best
  *                       incumbent (still with a certified gap)
  *                       instead of failing.
- *   --nogoods           record no-goods in the branch-and-bound
- *                       search (see cp/nogood.hh): revisited
- *                       placement sets prune against their learned
- *                       bound instead of re-expanding.
- *   --lns               replace the solver's priority hill climbing
- *                       with destroy/repair large-neighborhood
- *                       search (see cp/lns.hh) when tightening the
- *                       greedy incumbent.
  *   --connect=ADDR      route sweeps to a running hilpd daemon at
  *                       ADDR (unix:/path or tcp:host:port) instead
  *                       of evaluating in-process; see runSweep().
@@ -110,12 +102,6 @@ int solverThreads();
 
 /** The --point-timeout value in seconds (0 = no per-point deadline). */
 double pointTimeoutS();
-
-/** True when --nogoods was passed. */
-bool useNogoods();
-
-/** True when --lns was passed. */
-bool useLns();
 
 /** The --connect address ("" = evaluate in-process). */
 const std::string &connectAddress();

@@ -102,9 +102,9 @@ makeInstances()
     {
         // Exploration budget on a power-constrained shape whose
         // greedy misses the 10% bar: the search tree is dense with
-        // revisited placement sets, which is the regime the no-good
-        // layer targets (the trivial explore instance above never
-        // enters the tree at all).
+        // revisited placement sets, which the no-good store prunes
+        // (the trivial explore instance above never enters the tree
+        // at all).
         arch::Constraints constraints;
         constraints.powerBudgetW = 50.0;
         arch::SocConfig soc;
@@ -218,136 +218,6 @@ measureThreadSweep(const std::vector<Instance> &instances)
         sweeps.push_back(std::move(sweep));
     }
     return sweeps;
-}
-
-struct FeatureSweepEntry
-{
-    std::string feature;
-    double medianS = 0.0;
-    double speedup = 1.0; //!< Base median / this median.
-    cp::Time makespan = 0;
-    cp::Time lowerBound = 0;
-    double gap = 0.0;
-    cp::SolveStatus status = cp::SolveStatus::NoSolution;
-    int64_t nodes = 0;
-    int64_t nogoodHits = 0;
-    int64_t lnsIterations = 0;
-};
-
-struct FeatureSweep
-{
-    std::string name;
-    double targetGap = 0.0;
-    std::vector<FeatureSweepEntry> entries;
-};
-
-/**
- * Solver-feature sweep over every pinned instance: the same solve
- * with no-good learning and LNS off (base), each alone, and both
- * together. Both features are pruning/incumbent improvements, never
- * relaxations, so the sweep doubles as a soundness gate: an exact
- * instance must keep its proven optimum, and a gap-budget instance
- * must still reach any gap the base run reached. A violation fails
- * the benchmark (exit 1). The speedup column against the base run
- * is the headline number for the learning layer.
- */
-std::vector<FeatureSweep>
-measureFeatureSweep(const std::vector<Instance> &instances)
-{
-    struct Feature
-    {
-        const char *name;
-        bool nogoods;
-        bool lns;
-    };
-    static const Feature kFeatures[] = {
-        {"base", false, false},
-        {"nogoods", true, false},
-        {"lns", false, true},
-        {"nogoods+lns", true, true},
-    };
-
-    std::vector<FeatureSweep> sweeps;
-    for (const Instance &instance : instances) {
-        FeatureSweep sweep;
-        sweep.name = instance.name;
-        sweep.targetGap = instance.options.targetGap;
-        double base_median = 0.0;
-        for (const Feature &feature : kFeatures) {
-            cp::SolverOptions options = instance.options;
-            options.useNogoods = feature.nogoods;
-            options.lns = feature.lns;
-            std::vector<double> times;
-            FeatureSweepEntry entry;
-            entry.feature = feature.name;
-            for (int rep = 0; rep < kSweepRepeats; ++rep) {
-                cp::Solver solver(options);
-                Clock::time_point t0 = Clock::now();
-                cp::Result result = solver.solve(instance.model);
-                times.push_back(std::chrono::duration<double>(
-                    Clock::now() - t0).count());
-                entry.makespan = result.makespan;
-                entry.lowerBound = result.lowerBound;
-                entry.gap = result.gap();
-                entry.status = result.status;
-                entry.nodes = result.stats.nodes;
-                entry.nogoodHits = result.stats.nogoodHits;
-                entry.lnsIterations = result.stats.lnsIterationsRun;
-            }
-            std::sort(times.begin(), times.end());
-            entry.medianS = times[times.size() / 2];
-            if (std::strcmp(feature.name, "base") == 0)
-                base_median = entry.medianS;
-            entry.speedup = entry.medianS > 0.0
-                ? base_median / entry.medianS : 1.0;
-            sweep.entries.push_back(std::move(entry));
-        }
-        sweeps.push_back(std::move(sweep));
-    }
-    return sweeps;
-}
-
-/**
- * The feature sweep's soundness gate. No-goods and LNS must never
- * cost solution quality: at targetGap == 0 a base-proven optimum
- * must survive every feature combination (same makespan, still
- * optimal), and at a gap budget every feature run must reach any
- * certified gap the base run reached.
- */
-bool
-verifyFeatureSweep(const std::vector<FeatureSweep> &sweeps)
-{
-    bool sound = true;
-    for (const FeatureSweep &sweep : sweeps) {
-        const FeatureSweepEntry &base = sweep.entries.front();
-        for (const FeatureSweepEntry &e : sweep.entries) {
-            if (sweep.targetGap == 0.0 &&
-                base.status == cp::SolveStatus::Optimal &&
-                (e.status != cp::SolveStatus::Optimal ||
-                 e.makespan != base.makespan)) {
-                std::fprintf(stderr,
-                             "FEATURE SWEEP UNSOUND: %s with %s "
-                             "got makespan %d (%s), base proved "
-                             "optimum %d\n",
-                             sweep.name.c_str(), e.feature.c_str(),
-                             e.makespan, cp::toString(e.status),
-                             base.makespan);
-                sound = false;
-            }
-            if (sweep.targetGap > 0.0 &&
-                base.gap <= sweep.targetGap + 1e-12 &&
-                e.gap > sweep.targetGap + 1e-12) {
-                std::fprintf(stderr,
-                             "FEATURE SWEEP REGRESSION: %s with %s "
-                             "certified gap %.3f misses the %.3f "
-                             "target the base run met\n",
-                             sweep.name.c_str(), e.feature.c_str(),
-                             e.gap, sweep.targetGap);
-                sound = false;
-            }
-        }
-    }
-    return sound;
 }
 
 struct TraceOverhead
@@ -468,8 +338,7 @@ void
 emitReport(const std::vector<Measurement> &measurements,
            const TraceOverhead &overhead,
            const TelemetryOverhead &telemetry,
-           const std::vector<ThreadSweep> &sweeps,
-           const std::vector<FeatureSweep> &features)
+           const std::vector<ThreadSweep> &sweeps)
 {
     bench::banner(
         "Solver microbenchmark - pinned instances",
@@ -614,85 +483,6 @@ emitReport(const std::vector<Measurement> &measurements,
         }
     }
 
-    if (!features.empty()) {
-        Table feature_table({"instance", "feature", "median (ms)",
-                             "speedup", "gap", "ng hits", "status"});
-        feature_table.setAlign(0, Table::Align::Left);
-        feature_table.setAlign(1, Table::Align::Left);
-        Json feature_json = Json::array();
-        double both_product = 1.0;
-        int both_count = 0;
-        double explore_product = 1.0;
-        int explore_count = 0;
-        for (const FeatureSweep &sweep : features) {
-            Json entry = Json::object();
-            entry.set("name", Json::string(sweep.name));
-            entry.set("target_gap", Json::number(sweep.targetGap));
-            Json rows = Json::array();
-            for (const FeatureSweepEntry &e : sweep.entries) {
-                feature_table.addRow(
-                    RowBuilder()
-                        .cell(sweep.name)
-                        .cell(e.feature)
-                        .cell(e.medianS * 1e3, 2)
-                        .cell(e.speedup, 2)
-                        .cell(e.gap, 3)
-                        .cell(e.nogoodHits)
-                        .cell(std::string(cp::toString(e.status)))
-                        .take());
-                Json row = Json::object();
-                row.set("feature", Json::string(e.feature));
-                row.set("median_s", Json::number(e.medianS));
-                row.set("speedup", Json::number(e.speedup));
-                row.set("makespan_steps", Json::number(
-                    static_cast<int64_t>(e.makespan)));
-                row.set("lower_bound_steps", Json::number(
-                    static_cast<int64_t>(e.lowerBound)));
-                row.set("gap", Json::number(e.gap));
-                row.set("status", Json::string(
-                    cp::toString(e.status)));
-                row.set("nodes", Json::number(e.nodes));
-                row.set("nogood_hits", Json::number(e.nogoodHits));
-                row.set("lns_iterations", Json::number(
-                    e.lnsIterations));
-                rows.append(std::move(row));
-                if (e.feature == "nogoods+lns") {
-                    both_product *= e.speedup;
-                    ++both_count;
-                    // The explore-class gate rates instances where
-                    // the base run actually searched: a solve whose
-                    // greedy already meets the gap (0 nodes) has no
-                    // tree for the learning layer to accelerate.
-                    if (sweep.targetGap > 0.0 &&
-                        sweep.entries.front().nodes > 0) {
-                        explore_product *= e.speedup;
-                        ++explore_count;
-                    }
-                }
-            }
-            entry.set("entries", std::move(rows));
-            feature_json.append(std::move(entry));
-        }
-        bench::section("solver feature sweep (nogoods / LNS)");
-        feature_table.print();
-        report.set("feature_sweep", std::move(feature_json));
-        if (both_count > 0) {
-            double both = std::pow(both_product, 1.0 / both_count);
-            report.set("speedup_nogood_lns", Json::number(both));
-            std::printf("nogoods+LNS speedup (geomean over %d "
-                        "instances): %.2fx\n", both_count, both);
-        }
-        if (explore_count > 0) {
-            double explore = std::pow(
-                explore_product, 1.0 / explore_count);
-            report.set("speedup_nogood_lns_explore",
-                       Json::number(explore));
-            std::printf("nogoods+LNS explore-class speedup (geomean "
-                        "over %d searched instances): %.2fx\n",
-                        explore_count, explore);
-        }
-    }
-
     double ratio = overhead.disabledS > 0.0
         ? overhead.enabledS / overhead.disabledS : 1.0;
     Json trace_overhead = Json::object();
@@ -752,17 +542,13 @@ BENCHMARK(BM_SolveExplore)->Unit(benchmark::kMillisecond)->Iterations(3);
 int
 main(int argc, char **argv)
 {
-    // --no-thread-sweep skips the 1/2/4/8-thread scaling pass and
-    // --no-feature-sweep the nogood/LNS feature matrix (used by quick
-    // smoke runs, e.g. the trace check in scripts/check.sh).
+    // --no-thread-sweep skips the 1/2/4/8-thread scaling pass (used
+    // by quick smoke runs, e.g. the trace check in scripts/check.sh).
     bool thread_sweep = true;
-    bool feature_sweep = true;
     int kept = 1;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--no-thread-sweep") == 0)
             thread_sweep = false;
-        else if (std::strcmp(argv[i], "--no-feature-sweep") == 0)
-            feature_sweep = false;
         else
             argv[kept++] = argv[i];
     }
@@ -782,12 +568,7 @@ main(int argc, char **argv)
     std::vector<ThreadSweep> sweeps;
     if (thread_sweep)
         sweeps = measureThreadSweep(instances);
-    std::vector<FeatureSweep> features;
-    if (feature_sweep)
-        features = measureFeatureSweep(instances);
-    emitReport(measurements, overhead, telemetry, sweeps, features);
-    if (!verifyFeatureSweep(features))
-        return 1;
+    emitReport(measurements, overhead, telemetry, sweeps);
     // Telemetry overhead gate. The original budget (3% warn / 10%
     // fail) was derived against a ~780 ms probe solve; the
     // cache-conscious solver core roughly halved that baseline, so

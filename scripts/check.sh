@@ -26,18 +26,21 @@ run_suite() {
 run_suite build
 run_suite build-asan -DHILP_SANITIZE=ON
 
-# No-good, LNS, LP-bound and list-scheduler soundness under ASan: the
-# differential tests (no-good pruning preserves the certified optimum,
-# LNS never regresses its incumbent, the LP bound lies between the
-# combinatorial bounds and the exhaustive optimum, the incremental
-# list scheduler returns the from-scratch reference's schedules) and
-# the LP solver's own tests run again on their own so a heap bug in
-# the solver hot path (such as a stale index into the list
-# scheduler's per-run arrays) or an unsound LP bound fails this stage
-# by name even when the tier1 sweep above is trimmed or filtered.
-echo "==> no-good/LNS/LP-bound/list-scheduler soundness (ASan)"
+# No-good, fallback-LNS, LP-bound and list-scheduler soundness under
+# ASan: the no-good store's tests and differential (the search, which
+# always records no-goods, proves the exhaustive oracle's optimum),
+# the pinned single-thread trees, the deadline fallback's LNS tests
+# (it never regresses its incumbent, and a retry's seed salt changes
+# its trajectory), the LP bound between the combinatorial bounds and
+# the exhaustive optimum, the incremental list scheduler against the
+# from-scratch reference, and the LP solver's own tests run again on
+# their own, so a heap bug in the solver hot path (such as a stale
+# index into the list scheduler's per-run arrays) or an unsound bound
+# fails this stage by name even when the tier1 sweep above is
+# trimmed or filtered.
+echo "==> no-good/fallback-LNS/LP-bound/list-scheduler soundness (ASan)"
 ./build-asan/tests/hilp_test_cp \
-    --gtest_filter='*Nogood*:*Lns*:*NogoodDiff*:*LnsMonotone*:*ExhaustiveLpBound*:*ListSchedulerDiff*:*ListSchedulerEngine*'
+    --gtest_filter='Nogood.*:*/NogoodDiff.*:*/SearchPinned.*:Lns.*:*/LnsMonotone.*:LnsTrajectory.*:*/ExhaustiveLpBound.*:*/ListSchedulerDiff.*:ListSchedulerEngine.*'
 ./build-asan/tests/hilp_test_lp
 
 # Thread-sanitizer stage: build only the concurrency test binary
@@ -60,8 +63,7 @@ echo "==> test build-tsan (concurrency under TSan)"
 echo "==> trace smoke test"
 rm -f build/check_trace.*.json
 ./build/bench/solver_micro "--trace-out=build/check_trace.json" \
-    --no-thread-sweep --no-feature-sweep \
-    --benchmark_filter=none > /dev/null
+    --no-thread-sweep --benchmark_filter=none > /dev/null
 trace_file=$(ls build/check_trace.*.json)
 ./build/bench/trace_check "${trace_file}"
 

@@ -103,7 +103,6 @@ lnsImprove(const Model &model, const ScheduleVec &incumbent,
         limits.deadline = deadline;
         limits.targetGap = options.targetGap;
         limits.lowerBound = options.lowerBound;
-        limits.useNogoods = options.useNogoods;
         SearchResult r = branchAndBound(model, &result.schedule, limits);
         ++result.polishes;
         result.polishNodes += r.nodes;

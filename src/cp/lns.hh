@@ -16,10 +16,11 @@
  * end to escape SGS-space local minima; warm-starting guarantees it
  * too can only improve.
  *
- * This lever complements no-good learning: no-goods make the *exact*
- * search cheaper, LNS makes the *incumbent* better when the exact
- * search cannot finish - together they close explore-class instances
- * at their certified gap far faster than either alone.
+ * The solver itself tightens its greedy incumbent by priority hill
+ * climbing (list_scheduler.hh). LNS runs in the engine's deadline
+ * fallback (EngineOptions::fallbackLnsIterations): a point whose
+ * deadline expired before any solve produced a schedule polishes its
+ * greedy schedule here, within a strict wall-clock cap.
  */
 
 #ifndef HILP_CP_LNS_HH
@@ -59,8 +60,6 @@ struct LnsOptions
     double targetGap = 0.0;
     /** Certified lower bound used for the targetGap stop. */
     Time lowerBound = 0;
-    /** Let the polish B&B use no-good recording. */
-    bool useNogoods = true;
 };
 
 /** Outcome of an LNS pass. */

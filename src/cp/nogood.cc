@@ -37,17 +37,7 @@ nogoodCode(int task, int mode, Time start)
     return mix64(packed);
 }
 
-NogoodStore::NogoodStore(size_t capacity)
-{
-    size_t buckets = 256; // floor: 1024 entries at 4 ways.
-    // Stop doubling before buckets * kWays can overflow: an absurd
-    // capacity then fails the allocation below instead of spinning.
-    while (buckets * kWays < capacity &&
-           buckets <= SIZE_MAX / (2 * kWays))
-        buckets *= 2;
-    bucketMask_ = buckets - 1;
-    entries_.assign(buckets * kWays, Entry{});
-}
+NogoodStore::NogoodStore() : entries_(kCapacity) {}
 
 Time
 NogoodStore::lookup(uint64_t key) const

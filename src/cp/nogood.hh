@@ -29,10 +29,12 @@
  * (one small mutex per shard, touched twice per node), and lossy by
  * design - eviction only loses pruning opportunities, never
  * soundness. Distinct placement sets colliding on the full 64-bit
- * key could in principle prune wrongly; as in chess transposition
- * tables the probability is negligible next to the node counts
- * involved, and the differential tests in tests/cp/test_nogood.cc
- * hold the optimum against an exhaustive oracle.
+ * key could in principle prune wrongly. A lookup compares at most
+ * kWays keys, so a search of L lookups makes at most 4L comparisons,
+ * each a false match with probability 2^-64 under a random-code
+ * model (DESIGN.md section 11 puts a number on a full fig7 sweep).
+ * The differential tests in tests/cp/test_nogood.cc hold the optimum
+ * against an exhaustive oracle.
  */
 
 #ifndef HILP_CP_NOGOOD_HH
@@ -70,11 +72,13 @@ class NogoodStore
     static constexpr Time kNoBound = -1;
 
     /**
-     * Create a store with roughly `capacity` entries (rounded up to
-     * a power of two, 16 bytes each). Bounded for the whole search:
-     * a full bucket evicts its cheapest (deepest) subtree.
+     * Entries in every store, 16 bytes each (1 MiB). Bounded for the
+     * whole search: a full bucket evicts its cheapest (deepest)
+     * subtree.
      */
-    explicit NogoodStore(size_t capacity);
+    static constexpr size_t kCapacity = size_t{1} << 16;
+
+    NogoodStore();
 
     /**
      * The proven makespan bound recorded for this placement-set key,
@@ -105,16 +109,16 @@ class NogoodStore
 
     static constexpr size_t kWays = 4;
     static constexpr size_t kShards = 64;
+    static constexpr size_t kBucketMask = kCapacity / kWays - 1;
 
-    size_t
-    bucketOf(uint64_t key) const
+    static size_t
+    bucketOf(uint64_t key)
     {
         // The low bits index the bucket; kWays consecutive entries
         // form its ways.
-        return (static_cast<size_t>(key) & bucketMask_) * kWays;
+        return (static_cast<size_t>(key) & kBucketMask) * kWays;
     }
 
-    size_t bucketMask_ = 0;
     std::vector<Entry> entries_;
     mutable std::mutex shards_[kShards];
 };

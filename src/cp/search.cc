@@ -286,8 +286,8 @@ struct Shared
      * No-good store shared by the parallel workers (a recorded bound
      * is valid for every worker: it is certified either by
      * propagation or against the shared incumbent, which only
-     * decreases — see nogood.hh). Null when disabled and at one
-     * thread, where the worker keeps a private store.
+     * decreases — see nogood.hh). Created when a crew starts; null
+     * at one thread, where the worker keeps a private store.
      */
     std::unique_ptr<NogoodStore> nogoods;
 
@@ -319,10 +319,7 @@ struct Shared
           deques(threads_in > 1 ? static_cast<size_t>(threads_in) : 0),
           startTime(Clock::now()),
           lowWater(threads_in)
-    {
-        if (limits_in.useNogoods && threads_in > 1)
-            nogoods.reset(new NogoodStore(limits_in.nogoodCapacity));
-    }
+    {}
 
     /** True once the wall-clock budget or the deadline has passed. */
     bool
@@ -392,16 +389,7 @@ class Worker
 
         privUb_ = shared.incumbent.ub();
         privFound_ = shared.incumbent.found();
-
-        if (shared.nogoods) {
-            nogoods_ = shared.nogoods.get();
-        } else if (limits_.useNogoods) {
-            // A private store keeps this worker's pruning a function
-            // of its own tree only.
-            privateNogoods_.reset(
-                new NogoodStore(limits_.nogoodCapacity));
-            nogoods_ = privateNogoods_.get();
-        }
+        nogoods_ = shared.nogoods.get();
         scratchBaseline_ = scratchHeapBytes();
     }
 
@@ -544,6 +532,24 @@ class Worker
         assign_[t] = Assignment{};
         end_[t] = 0;
         engine_.undo();
+    }
+
+    /**
+     * Record "every completion of the current placement set has
+     * makespan >= bound". The single-thread worker creates its
+     * private store here, at its first record, so a search that
+     * records nothing allocates nothing; a private store keeps its
+     * pruning a function of its own tree only.
+     */
+    void
+    recordNogood(Time bound)
+    {
+        if (!nogoods_) {
+            privateNogoods_ = std::make_unique<NogoodStore>();
+            nogoods_ = privateNogoods_.get();
+        }
+        nogoods_->record(hash_, bound, scheduled_);
+        ++nogoodsRecorded_;
     }
 
     /** The upper bound this worker prunes against right now. */
@@ -723,10 +729,8 @@ class Worker
         Time node_bound = engine_.fixpoint(ctx);
         if (node_bound >= ub) {
             // Certified by propagation alone.
-            if (nogoods_ && scheduled_ > 0) {
-                nogoods_->record(hash_, node_bound, scheduled_);
-                ++nogoodsRecorded_;
-            }
+            if (scheduled_ > 0)
+                recordNogood(node_bound);
             return;
         }
 
@@ -809,10 +813,8 @@ class Worker
         // the incumbent at *this* moment; it only decreases
         // afterwards, so the no-good stays valid for every other
         // worker too.
-        if (nogoods_ && scheduled_ > 0 && !spill) {
-            nogoods_->record(hash_, currentUb(), scheduled_);
-            ++nogoodsRecorded_;
-        }
+        if (scheduled_ > 0 && !spill)
+            recordNogood(currentUb());
         ++backtracks_;
     }
 
@@ -967,7 +969,7 @@ class Worker
 
     /** Zobrist key of the current placement set (see nogood.hh). */
     uint64_t hash_ = 0;
-    /** Shared or private store; null when no-goods are disabled. */
+    /** Shared or private store; null until a private one is needed. */
     NogoodStore *nogoods_ = nullptr;
     std::unique_ptr<NogoodStore> privateNogoods_;
     int64_t nogoodHits_ = 0;
@@ -1008,8 +1010,7 @@ mergeWorker(SearchResult &result, const Worker &worker,
 
 /** Per-search metrics flush, once per search (not per node). */
 void
-flushMetrics(const SearchResult &result, bool use_nogoods,
-             int64_t arena_heap)
+flushMetrics(const SearchResult &result, int64_t arena_heap)
 {
     metrics::counter("cp.search.nodes").add(result.nodes);
     metrics::counter("cp.search.backtracks").add(result.backtracks);
@@ -1019,11 +1020,8 @@ flushMetrics(const SearchResult &result, bool use_nogoods,
         metrics::counter("cp.par.steals").add(result.steals);
         metrics::counter("cp.par.subproblems").add(result.subproblems);
     }
-    if (use_nogoods) {
-        metrics::counter("cp.nogood.hits").add(result.nogoodHits);
-        metrics::counter("cp.nogood.recorded")
-            .add(result.nogoodsRecorded);
-    }
+    metrics::counter("cp.nogood.hits").add(result.nogoodHits);
+    metrics::counter("cp.nogood.recorded").add(result.nogoodsRecorded);
     int64_t invocations = 0;
     int64_t prunings = 0;
     for (const PropagatorStats &stats : result.propagators) {
@@ -1067,6 +1065,7 @@ SearchResult
 runParallel(Shared &shared, SearchResult result, int64_t *arena_heap)
 {
     int threads = shared.threads;
+    shared.nogoods = std::make_unique<NogoodStore>();
     Subproblem root;
     root.bound = std::max<Time>(0, shared.limits.lowerBound);
     shared.aggregator.add(root.bound);
@@ -1157,7 +1156,7 @@ branchAndBound(const Model &model, const ScheduleVec *warm_start,
         span.arg(trace::Arg::intArg("steals", result.steals));
     else
         span.arg(trace::Arg::intArg("backtracks", result.backtracks));
-    flushMetrics(result, limits.useNogoods, arena_heap);
+    flushMetrics(result, arena_heap);
     return result;
 }
 

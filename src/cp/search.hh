@@ -19,10 +19,10 @@
  * thread count changes:
  *
  *  - threads <= 1: one worker searches the whole tree from the root
- *    against a private incumbent and a private no-good store. There
- *    is no frontier, no deque and no crew thread; the node budget is
- *    exact (checked on every node), so node counts and incumbents
- *    are reproducible.
+ *    against a private incumbent and a private no-good store, created
+ *    at its first record. There is no frontier, no deque and no crew
+ *    thread; the node budget is exact (checked on every node), so
+ *    node counts and incumbents are reproducible.
  *  - threads >= 2: the tree is decomposed into *subproblems* -
  *    decision prefixes from the root - that a crew of workers
  *    searches.
@@ -43,6 +43,9 @@
  *       aggregator, so the targetGap stop can use min(incumbent, min
  *       over remaining subtrees) as a sound global lower bound
  *       instead of only the weaker external bound.
+ *     - Shared no-goods: the crew records into and prunes against
+ *       one store (see nogood.hh for why a bound one worker records
+ *       holds for all).
  *
  * Every thread count returns the same optimal makespans and the same
  * exhausted/foundSolution statuses; only node counts differ (pruning
@@ -99,17 +102,6 @@ struct SearchLimits
      * work-stealing crew (see the file comment).
      */
     int threads = 1;
-    /**
-     * No-good recording (see nogood.hh): cache proven makespan
-     * bounds for visited placement sets and prune transpositions.
-     * Preserves optimality and exhaustion statuses but changes node
-     * counts, so it is opt-in. The parallel search shares one store
-     * across workers; the single-thread search keeps a private one
-     * and stays exactly reproducible.
-     */
-    bool useNogoods = false;
-    /** Entry budget for the no-good store (rounded up to 2^k). */
-    size_t nogoodCapacity = 1 << 16;
 };
 
 /** Outcome of the branch-and-bound search. */
@@ -133,9 +125,9 @@ struct SearchResult
     int64_t steals = 0;
     /** Parallel search: subproblems published for stealing. */
     int64_t subproblems = 0;
-    /** Nodes pruned by a recorded no-good (0 when disabled). */
+    /** Nodes pruned by a recorded no-good. */
     int64_t nogoodHits = 0;
-    /** No-goods recorded into the store (0 when disabled). */
+    /** No-goods recorded into the store. */
     int64_t nogoodsRecorded = 0;
     /**
      * Heap bytes the search scratch grew by *during* the tree walk

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "list_scheduler.hh"
-#include "lns.hh"
 #include "search.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"
@@ -106,45 +105,11 @@ Solver::solve(const Model &model, const ScheduleVec *hint) const
             // spend: incumbent refinement and the tree search are
             // skipped.
             if (greedy_gap > options_.targetGap &&
-                std::chrono::steady_clock::now() < options_.deadline) {
-                if (options_.lns) {
-                    // Destroy/repair LNS around the best incumbent
-                    // available (greedy or hint); monotone, so the
-                    // result replaces the greedy unconditionally.
-                    LnsOptions lns;
-                    lns.iterations = options_.lnsIterations;
-                    lns.maxSeconds = options_.maxSeconds * 0.25;
-                    lns.deadline = options_.deadline;
-                    lns.seed = heuristic_seed + 1;
-                    lns.polishNodes = options_.lnsPolishNodes;
-                    lns.targetGap = options_.targetGap;
-                    lns.lowerBound = result.lowerBound;
-                    lns.useNogoods = options_.useNogoods;
-                    const ScheduleVec &seed_schedule =
-                        hint_ok && hint_makespan < greedy.makespan
-                            ? *hint
-                            : greedy.schedule;
-                    LnsResult improved =
-                        lnsImprove(model, seed_schedule, lns);
-                    greedy.schedule = improved.schedule;
-                    greedy.makespan = improved.makespan;
-                    result.stats.lnsIterationsRun =
-                        improved.iterations;
-                    result.stats.lnsImprovements =
-                        improved.improvements;
-                    result.stats.lnsTrajectoryDigest =
-                        improved.trajectoryDigest;
-                    metrics::counter("cp.lns.iterations")
-                        .add(improved.iterations);
-                    metrics::counter("cp.lns.improvements")
-                        .add(improved.improvements);
-                } else {
-                    greedy = improveGreedy(model, greedy,
-                                           options_.lnsIterations,
-                                           heuristic_seed + 1,
-                                           options_.deadline);
-                }
-            }
+                std::chrono::steady_clock::now() < options_.deadline)
+                greedy = improveGreedy(model, greedy,
+                                       options_.lnsIterations,
+                                       heuristic_seed + 1,
+                                       options_.deadline);
             result.stats.greedyMakespan = greedy.makespan;
         }
     }
@@ -163,8 +128,6 @@ Solver::solve(const Model &model, const ScheduleVec *hint) const
     limits.deadline = options_.deadline;
     limits.targetGap = options_.targetGap;
     limits.lowerBound = result.lowerBound;
-    limits.useNogoods = options_.useNogoods;
-    limits.nogoodCapacity = options_.nogoodCapacity;
 
     // threads == 0 means "borrow what the machine has to spare":
     // the caller's own thread is implicitly budgeted, extra workers

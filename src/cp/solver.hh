@@ -64,16 +64,18 @@ struct SolverOptions
     /** Random restarts for the greedy warm start. */
     int greedyRestarts = 8;
     /**
-     * Incumbent-improvement iterations before the search: priority
-     * hill-climbing by default, destroy/repair LNS when `lns` is
-     * set (see lns.hh).
+     * The hill climber's budget: priority-order hill-climbing passes
+     * that tighten the greedy incumbent before the search (see
+     * improveGreedy in list_scheduler.hh). The name, and the wire
+     * field `lns_iterations`, stay from when an LNS pass shared it.
      */
     int lnsIterations = 400;
     /** Seed for the greedy restarts. */
     uint64_t seed = 1;
     /**
      * Diversification salt mixed into `seed` for every stochastic
-     * heuristic (greedy restarts, hill climbing, LNS destroy moves).
+     * heuristic (greedy restarts, hill climbing, and the engine's
+     * deadline-fallback LNS destroy moves).
      * 0 (the default) reproduces the historical unsalted seeding bit
      * for bit. The engine salts it with the problem fingerprint so
      * different instances sharing a seed explore different heuristic
@@ -94,23 +96,6 @@ struct SolverOptions
      * sweep is using the machine) and returns them afterwards.
      */
     int threads = 1;
-    /**
-     * No-good recording in the branch-and-bound (see nogood.hh).
-     * Preserves every status and optimality guarantee but changes
-     * node counts, so it is opt-in.
-     */
-    bool useNogoods = false;
-    /** Entry budget for the no-good store (rounded up to 2^k). */
-    size_t nogoodCapacity = 1 << 16;
-    /**
-     * Replace the pre-search hill climb with destroy/repair LNS
-     * around the greedy incumbent (see lns.hh): stronger incumbents
-     * on instances the exact search cannot close, at the same
-     * monotone never-worse guarantee.
-     */
-    bool lns = false;
-    /** Node budget for each bounded B&B polish inside the LNS. */
-    int64_t lnsPolishNodes = 2000;
 };
 
 /** Most worker threads a wire request may ask for, per solve or sweep. */
@@ -134,11 +119,6 @@ inline constexpr OptionField<SolverOptions> kSolverOptionFields[] = {
     {"seed", &SolverOptions::seed, kInt64Min, kInt64Max},
     {"seed_salt", &SolverOptions::seedSalt, kInt64Min, kInt64Max},
     {"threads", &SolverOptions::threads, 0, kMaxThreads},
-    {"use_nogoods", &SolverOptions::useNogoods},
-    {"nogood_capacity", &SolverOptions::nogoodCapacity, 0, 1 << 22},
-    {"lns", &SolverOptions::lns},
-    {"lns_polish_nodes", &SolverOptions::lnsPolishNodes, 0,
-     kMaxNodeBudget},
 };
 
 /**
@@ -168,9 +148,9 @@ struct SolveStats
     int64_t steals = 0;
     /** Parallel search: subproblems published for stealing. */
     int64_t subproblems = 0;
-    /** Nodes pruned by a recorded no-good (0 when disabled). */
+    /** Nodes pruned by a recorded no-good. */
     int64_t nogoodHits = 0;
-    /** No-goods recorded into the store (0 when disabled). */
+    /** No-goods recorded into the store. */
     int64_t nogoodsRecorded = 0;
     /** Scratch heap growth during the tree walk, in bytes. */
     int64_t scratchBytes = 0;
@@ -178,17 +158,6 @@ struct SolveStats
     int64_t arenaHighWater = 0;
     /** Arena rewinds performed by the search. */
     int64_t arenaRewinds = 0;
-    /** LNS destroy/repair iterations run (0 unless `lns` is on). */
-    int64_t lnsIterationsRun = 0;
-    /** LNS iterations that strictly improved the incumbent. */
-    int64_t lnsImprovements = 0;
-    /**
-     * Order-sensitive digest of the LNS destroy decisions (operator
-     * and freed set per iteration); 0 unless `lns` ran. Two solves
-     * replay the same destroy trajectory iff their digests match,
-     * which is what the retry-seeding regression test asserts.
-     */
-    uint64_t lnsTrajectoryDigest = 0;
     /** Per-propagator telemetry from the propagation engine. */
     std::vector<PropagatorStats> propagators;
 };

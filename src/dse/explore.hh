@@ -11,9 +11,10 @@
  * DESIGN.md section 7): configs are ordered into similarity chains
  * (same CPU cores and DSA allocation, ascending GPU size) so each
  * solve warm-starts from its neighbor's schedule, identical lowered
- * instances are served from a fingerprint-keyed cache, and a shared
- * best-point bound lets provably dominated configs skip resolution
- * refinement. Reuse changes effort, never certified results; set
+ * instances are served from a fingerprint-keyed cache, and each
+ * chain's own list of completed (area, makespan) points lets a config
+ * those points provably dominate skip resolution refinement. Reuse
+ * changes effort, never certified results; set
  * DseOptions::reuse = false for the cold-start behavior, which runs
  * every config as a chain of its own with none of that state.
  */

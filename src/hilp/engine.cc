@@ -594,7 +594,6 @@ listSchedulerFallback(const ProblemSpec &spec, double step_s,
             lns.polishNodes = 512;
             lns.targetGap = options.solver.targetGap;
             lns.lowerBound = bounds.best();
-            lns.useNogoods = options.solver.useNogoods;
             cp::LnsResult polished =
                 cp::lnsImprove(problem.model, greedy.schedule, lns);
             greedy.schedule = polished.schedule;

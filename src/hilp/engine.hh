@@ -289,13 +289,14 @@ struct EvalReuse
      */
     const Schedule *hint = nullptr;
     /**
-     * Sweep-level dominance oracle: given a resolution-invariant
-     * lower bound on this instance's makespan (seconds, see
-     * continuousLowerBoundS()), return true when the sweep already
-     * holds a point that provably dominates any result this instance
-     * can achieve at any resolution. The engine then skips resolution
-     * refinement and returns the current (still gap-certified)
-     * result. May be null.
+     * Dominance oracle: given a resolution-invariant lower bound on
+     * this instance's makespan (seconds, see continuousLowerBoundS()),
+     * return true when a completed point provably dominates any
+     * result this instance can achieve at any resolution. The sweep
+     * checks the completed points of this config's own similarity
+     * chain, so the answer does not depend on thread timing. The
+     * engine then skips resolution refinement and returns the current
+     * (still gap-certified) result. May be null.
      */
     std::function<bool(double lowerBoundS)> dominated;
     /**
@@ -316,8 +317,8 @@ EvalResult evaluate(const ProblemSpec &spec,
 
 /**
  * As above, with cross-instance reuse: a warm-start hint schedule, a
- * sweep-level dominance oracle, and a solve memo (any of which may
- * be null). Reuse only affects effort, not correctness: the returned
+ * dominance oracle over the caller's completed points, and a solve
+ * memo (any of which may be null). Reuse only affects effort, not correctness: the returned
  * makespan always carries its certified bound and gap.
  */
 EvalResult evaluate(const ProblemSpec &spec,

@@ -1,6 +1,7 @@
 #include "protocol.hh"
 
 #include <limits>
+#include <type_traits>
 
 #include "arch/parse.hh"
 #include "hilp/options.hh"
@@ -17,6 +18,50 @@ namespace {
  * copy, and no caller sends more than one.
  */
 constexpr int kMaxCopies = 64;
+
+/** Report `message` through `error` (when given) and fail. */
+bool
+fail(std::string *error, const std::string &message)
+{
+    if (error)
+        *error = message;
+    return false;
+}
+
+/**
+ * Read an optional request field into *out. An absent field leaves
+ * *out as it is; a present one must have the JSON kind of *out (an
+ * integer for int64_t) or the read fails, so a value of the wrong
+ * kind is never replaced by a default or truncated. `object` must be
+ * a JSON object.
+ */
+template <typename T>
+bool
+readField(const Json &object, const char *key, T *out)
+{
+    const Json *value = object.find(key);
+    if (!value)
+        return true;
+    if constexpr (std::is_same_v<T, bool>) {
+        if (!value->isBool())
+            return false;
+        *out = value->boolValue();
+    } else if constexpr (std::is_same_v<T, int64_t>) {
+        if (!value->isInteger())
+            return false;
+        *out = value->intValue();
+    } else if constexpr (std::is_same_v<T, double>) {
+        if (!value->isNumber())
+            return false;
+        *out = value->numberValue();
+    } else {
+        static_assert(std::is_same_v<T, std::string>);
+        if (!value->isString())
+            return false;
+        *out = value->stringValue();
+    }
+    return true;
+}
 
 } // anonymous namespace
 
@@ -103,51 +148,48 @@ bool
 parseConstraints(const Json &json, arch::Constraints *out,
                  std::string *error)
 {
-    if (!json.isObject()) {
-        if (error)
-            *error = "constraints must be an object";
-        return false;
-    }
-    out->powerBudgetW =
-        numberOr(json, "power_budget_w", out->powerBudgetW);
+    if (!json.isObject())
+        return fail(error, "constraints must be an object");
+    // Every field must be a number (a cache level's name a string),
+    // and the budgets positive; a bad one is named.
+    auto bad = [error](const char *field) {
+        return fail(error,
+                    format("constraints out of range: %s", field));
+    };
+    if (!readField(json, "power_budget_w", &out->powerBudgetW) ||
+        out->powerBudgetW <= 0.0)
+        return bad("power_budget_w");
     const Json *memory = json.find("memory");
-    if (memory && memory->isObject()) {
-        out->memory.bandwidthGBs =
-            numberOr(*memory, "bandwidth_gbs",
-                     out->memory.bandwidthGBs);
-        out->memory.pjPerBit =
-            numberOr(*memory, "pj_per_bit", out->memory.pjPerBit);
+    if (memory) {
+        if (!memory->isObject())
+            return bad("memory");
+        if (!readField(*memory, "bandwidth_gbs",
+                       &out->memory.bandwidthGBs) ||
+            out->memory.bandwidthGBs <= 0.0)
+            return bad("memory.bandwidth_gbs");
+        if (!readField(*memory, "pj_per_bit", &out->memory.pjPerBit))
+            return bad("memory.pj_per_bit");
     }
     const Json *levels = json.find("cache_levels");
     if (levels) {
-        if (!levels->isArray()) {
-            if (error)
-                *error = "cache_levels must be an array";
-            return false;
-        }
+        if (!levels->isArray())
+            return fail(error, "cache_levels must be an array");
         out->cacheLevels.clear();
         for (size_t i = 0; i < levels->size(); ++i) {
             const Json &entry = levels->at(i);
-            if (!entry.isObject()) {
-                if (error)
-                    *error = "cache_levels entries must be objects";
-                return false;
-            }
+            if (!entry.isObject())
+                return fail(error,
+                            "cache_levels entries must be objects");
             arch::CacheLevel level;
-            level.name = stringOr(entry, "name", level.name);
-            level.bandwidthGBs =
-                numberOr(entry, "bandwidth_gbs", level.bandwidthGBs);
-            level.trafficAmplification =
-                numberOr(entry, "traffic_amplification",
-                         level.trafficAmplification);
+            if (!readField(entry, "name", &level.name))
+                return bad("cache_levels.name");
+            if (!readField(entry, "bandwidth_gbs", &level.bandwidthGBs))
+                return bad("cache_levels.bandwidth_gbs");
+            if (!readField(entry, "traffic_amplification",
+                           &level.trafficAmplification))
+                return bad("cache_levels.traffic_amplification");
             out->cacheLevels.push_back(std::move(level));
         }
-    }
-    if (out->powerBudgetW <= 0.0 ||
-        out->memory.bandwidthGBs <= 0.0) {
-        if (error)
-            *error = "constraints out of range";
-        return false;
     }
     return true;
 }
@@ -181,47 +223,39 @@ sweepParamsJson(const Request &request)
 bool
 parseSweepParams(const Json &json, Request *out, std::string *error)
 {
-    if (!json.isObject()) {
-        if (error)
-            *error = "sweep params must be a JSON object";
-        return false;
-    }
+    if (!json.isObject())
+        return fail(error, "sweep params must be a JSON object");
 
     const Json *wl = json.find("workload");
-    if (wl && wl->isObject()) {
-        std::string variant = stringOr(*wl, "variant", "Default");
-        if (!parseVariant(variant, &out->variant)) {
-            if (error)
-                *error = format("unknown workload variant \"%s\"",
-                                variant.c_str());
-            return false;
-        }
+    if (wl) {
+        if (!wl->isObject())
+            return fail(error, "\"workload\" must be an object");
+        std::string variant = "Default";
+        if (!readField(*wl, "variant", &variant))
+            return fail(error, "workload variant must be a string");
+        if (!parseVariant(variant, &out->variant))
+            return fail(error, format("unknown workload variant \"%s\"",
+                                      variant.c_str()));
         // Range-checked as int64 before narrowing, so an
         // out-of-range value cannot wrap into an accepted one.
-        int64_t copies = intOr(*wl, "copies", out->copies);
-        if (copies < 1 || copies > kMaxCopies) {
-            if (error)
-                *error = format("workload copies out of range [1, %d]",
-                                kMaxCopies);
-            return false;
-        }
+        int64_t copies = out->copies;
+        if (!readField(*wl, "copies", &copies) || copies < 1 ||
+            copies > kMaxCopies)
+            return fail(error,
+                        format("workload copies out of range [1, %d]",
+                               kMaxCopies));
         out->copies = static_cast<int>(copies);
     }
 
-    out->dsaAdvantage =
-        numberOr(json, "dsa_advantage", out->dsaAdvantage);
-    if (out->dsaAdvantage <= 0.0) {
-        if (error)
-            *error = "dsa_advantage must be positive";
-        return false;
-    }
+    if (!readField(json, "dsa_advantage", &out->dsaAdvantage) ||
+        out->dsaAdvantage <= 0.0)
+        return fail(error, "dsa_advantage must be a positive number");
 
-    std::string model = stringOr(json, "model", "HILP");
-    if (!parseModelKind(model, &out->kind)) {
-        if (error)
-            *error = format("unknown model \"%s\"", model.c_str());
-        return false;
-    }
+    std::string model = "HILP";
+    if (!readField(json, "model", &model))
+        return fail(error, "model must be a string");
+    if (!parseModelKind(model, &out->kind))
+        return fail(error, format("unknown model \"%s\"", model.c_str()));
 
     const Json *constraints = json.find("constraints");
     if (constraints &&
@@ -230,25 +264,19 @@ parseSweepParams(const Json &json, Request *out, std::string *error)
 
     const Json *options = json.find("options");
     if (options) {
-        if (!options->isObject()) {
-            if (error)
-                *error = "\"options\" must be an object";
-            return false;
-        }
+        if (!options->isObject())
+            return fail(error, "\"options\" must be an object");
         const Json *engine = options->find("engine");
         if (engine &&
             !parseEngineOptions(*engine, &out->options.engine, error))
             return false;
-        int64_t threads =
-            intOr(*options, "threads", out->options.threads);
-        if (threads < 0 || threads > cp::kMaxThreads) {
-            if (error)
-                *error = "sweep options out of range";
-            return false;
-        }
+        int64_t threads = out->options.threads;
+        if (!readField(*options, "threads", &threads) || threads < 0 ||
+            threads > cp::kMaxThreads)
+            return fail(error, "sweep options out of range: threads");
         out->options.threads = static_cast<int>(threads);
-        out->options.reuse =
-            boolOr(*options, "reuse", out->options.reuse);
+        if (!readField(*options, "reuse", &out->options.reuse))
+            return fail(error, "sweep options out of range: reuse");
     }
     return true;
 }
@@ -401,13 +429,11 @@ parseRequest(const std::string &line, Request *out, std::string *error)
     if (!parseSweepParams(json, out, error))
         return false;
 
-    int64_t priority = intOr(json, "priority", out->priority);
-    if (priority < std::numeric_limits<int>::min() ||
-        priority > std::numeric_limits<int>::max()) {
-        if (error)
-            *error = "request priority out of int range";
-        return false;
-    }
+    int64_t priority = out->priority;
+    if (!readField(json, "priority", &priority) ||
+        priority < std::numeric_limits<int>::min() ||
+        priority > std::numeric_limits<int>::max())
+        return fail(error, "request priority out of int range");
     out->priority = static_cast<int>(priority);
     return true;
 }

@@ -58,9 +58,11 @@
  *
  * Request fields are optional and unknown keys are ignored, so a
  * client that still sends a field the daemon no longer knows gets
- * its result. The "options"/"engine" object is range-checked field
- * by field (hilp/options.hh); a bad value fails the request naming
- * the field.
+ * its result. A field that is present must have its own JSON kind
+ * and lie in its range: the "options"/"engine" object is checked
+ * field by field against the option tables (hilp/options.hh), the
+ * other fields by hand in protocol.cc, and a bad value fails the
+ * request naming the field.
  */
 
 #ifndef HILP_SERVICE_PROTOCOL_HH
@@ -121,7 +123,7 @@ std::string encodeRequest(const Request &request);
 /**
  * Decode one request line. Returns false and fills *error on
  * malformed input (bad JSON, unknown op/model/variant, invalid
- * config label, out-of-range field).
+ * config label, a field of the wrong kind or out of its range).
  */
 bool parseRequest(const std::string &line, Request *out,
                   std::string *error);

@@ -4,7 +4,8 @@
  * a schedule worse than the starting incumbent) and always feasible,
  * across many random instances; the bounded B&B polish must be able
  * to pull a deliberately bad incumbent to the known optimum; and the
- * solver-level --lns path must keep exact results exact.
+ * seed salt of a retried evaluation must change the destroy
+ * trajectory of the engine's deadline-fallback pass.
  */
 
 #include <gtest/gtest.h>
@@ -126,41 +127,6 @@ TEST(Lns, GapStopSkipsTheWholePass)
     EXPECT_EQ(improved.polishes, 0);
 }
 
-TEST(Lns, SolverLevelLnsKeepsExactResultsExact)
-{
-    Model m = contendedModel(9, 77);
-    SolverOptions plain;
-    plain.targetGap = 0.0;
-    plain.maxSeconds = 20.0;
-    SolverOptions with_lns = plain;
-    with_lns.lns = true;
-    with_lns.lnsIterations = 32;
-
-    Result a = Solver(plain).solve(m);
-    Result b = Solver(with_lns).solve(m);
-    ASSERT_EQ(a.status, SolveStatus::Optimal);
-    EXPECT_EQ(b.status, SolveStatus::Optimal);
-    EXPECT_EQ(b.makespan, a.makespan);
-    EXPECT_TRUE(checkSchedule(m, b.schedule).empty());
-}
-
-TEST(Lns, SolverReportsLnsTelemetry)
-{
-    // A tight budget keeps the incumbent above the target gap, so
-    // the solver routes through the LNS pass and must report it.
-    Model m = contendedModel(12, 4242);
-    SolverOptions options;
-    options.targetGap = 0.0;
-    options.maxSeconds = 2.0;
-    options.maxNodes = 2000;
-    options.lns = true;
-    options.lnsIterations = 16;
-    Result r = Solver(options).solve(m);
-    ASSERT_TRUE(r.hasSchedule());
-    EXPECT_GT(r.stats.lnsIterationsRun, 0);
-    EXPECT_TRUE(checkSchedule(m, r.schedule).empty());
-}
-
 TEST(LnsTrajectory, DigestIsDeterministicForIdenticalOptions)
 {
     Model m = contendedModel(10, 9);
@@ -186,32 +152,35 @@ TEST(LnsTrajectory, DigestIsDeterministicForIdenticalOptions)
 TEST(LnsTrajectory, SeedSaltGivesTheRetryAFreshTrajectory)
 {
     // The fault-isolation retry bug: a retried evaluation used to
-    // replay the exact destroy sequence that just failed. With the
-    // retry salting SolverOptions::seedSalt, the second attempt must
-    // walk a different trajectory - while a zero salt stays
-    // bit-identical with history.
+    // replay the exact destroy sequence that just failed. The engine's
+    // deadline fallback seeds its LNS pass from heuristicSeed of the
+    // solver options, and the retry salts SolverOptions::seedSalt, so
+    // the second attempt must walk a different trajectory - while a
+    // zero salt keeps the unsalted seed and replays bit for bit.
     Model m = contendedModel(12, 4242);
+    ListResult greedy = bestGreedy(m, 2, 1);
+    ASSERT_TRUE(greedy.feasible);
     SolverOptions options;
-    options.targetGap = 0.0;
-    options.maxSeconds = 2.0;
-    options.maxNodes = 2000;
-    options.lns = true;
-    options.lnsIterations = 32;
+    EXPECT_EQ(heuristicSeed(options), options.seed);
 
-    Result first = Solver(options).solve(m);
-    Result replay = Solver(options).solve(m);
-    ASSERT_GT(first.stats.lnsIterationsRun, 0);
-    ASSERT_NE(first.stats.lnsTrajectoryDigest, 0u);
-    EXPECT_EQ(replay.stats.lnsTrajectoryDigest,
-              first.stats.lnsTrajectoryDigest);
+    LnsOptions lns;
+    lns.iterations = 32;
+    lns.maxSeconds = 5.0;
+    lns.polishNodes = 512;
+    lns.seed = heuristicSeed(options);
+    LnsResult first = lnsImprove(m, greedy.schedule, lns);
+    LnsResult replay = lnsImprove(m, greedy.schedule, lns);
+    ASSERT_GT(first.iterations, 0);
+    ASSERT_NE(first.trajectoryDigest, 0u);
+    EXPECT_EQ(replay.trajectoryDigest, first.trajectoryDigest);
     EXPECT_EQ(replay.makespan, first.makespan);
 
     SolverOptions retry = options;
     retry.seedSalt = 0x9e3779b97f4a7c15ull; // Attempt-index salt.
-    Result salted = Solver(retry).solve(m);
-    EXPECT_NE(salted.stats.lnsTrajectoryDigest,
-              first.stats.lnsTrajectoryDigest);
-    ASSERT_TRUE(salted.hasSchedule());
+    lns.seed = heuristicSeed(retry);
+    LnsResult salted = lnsImprove(m, greedy.schedule, lns);
+    EXPECT_NE(salted.trajectoryDigest, first.trajectoryDigest);
+    EXPECT_LE(salted.makespan, greedy.makespan);
     EXPECT_TRUE(checkSchedule(m, salted.schedule).empty());
 }
 

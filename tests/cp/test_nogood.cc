@@ -1,16 +1,15 @@
 /**
  * @file
  * No-good store unit tests plus randomized differential soundness
- * checks: the search with no-good pruning enabled must reach exactly
- * the same certified optima as the plain exhaustive search, on the
- * same instances, across many random models.
+ * checks: the search, which always records and prunes no-goods, must
+ * prove exactly the optimum (or the infeasibility) that exhaustive
+ * enumeration finds, across many random models.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "cp/nogood.hh"
 #include "cp/search.hh"
 #include "cp/solver.hh"
+#include "oracles/exhaustive.hh"
 #include "support/random.hh"
 
 namespace hilp {
@@ -26,14 +26,14 @@ namespace {
 
 TEST(Nogood, LookupOnEmptyStoreMisses)
 {
-    NogoodStore store(1024);
+    NogoodStore store;
     EXPECT_EQ(store.lookup(nogoodCode(0, 0, 0)), NogoodStore::kNoBound);
     EXPECT_EQ(store.size(), 0);
 }
 
 TEST(Nogood, RecordThenLookupReturnsBound)
 {
-    NogoodStore store(1024);
+    NogoodStore store;
     uint64_t key = nogoodCode(3, 1, 7);
     store.record(key, 42, 5);
     EXPECT_EQ(store.lookup(key), 42);
@@ -42,7 +42,7 @@ TEST(Nogood, RecordThenLookupReturnsBound)
 
 TEST(Nogood, RecordStrengthensExistingBound)
 {
-    NogoodStore store(1024);
+    NogoodStore store;
     uint64_t key = nogoodCode(1, 0, 2);
     store.record(key, 10, 3);
     store.record(key, 15, 3); // Stronger (higher) bound wins.
@@ -62,22 +62,14 @@ TEST(Nogood, CodesDifferAcrossPlacements)
     EXPECT_EQ(codes.size(), 8u * 3u * 16u);
 }
 
-TEST(Nogood, AbsurdCapacityFailsInsteadOfSpinning)
-{
-    // SIZE_MAX is what a negative capacity wraps to. The sizing loop
-    // must stop doubling before its bucket count overflows, so the
-    // oversized allocation fails cleanly instead of looping forever.
-    EXPECT_THROW(NogoodStore store(SIZE_MAX), std::length_error);
-}
-
 TEST(Nogood, EvictionDropsDeepestEntryInFullBucket)
 {
     // The store is 4-way set-associative on the low key bits; five
     // crafted keys sharing a bucket overflow it, and the victim is
     // the deepest (largest placed count) entry - shallow no-goods
     // prune bigger subtrees and are worth keeping.
-    NogoodStore store(1024); // 256 buckets, mask 0xff.
-    auto key = [](uint64_t i) { return (i << 8) | 0x3f; };
+    NogoodStore store; // 2^14 buckets, mask 0x3fff.
+    auto key = [](uint64_t i) { return (i << 14) | 0x3f; };
     store.record(key(1), 10, 1);
     store.record(key(2), 11, 2);
     store.record(key(3), 12, 9); // Deepest: the eviction victim.
@@ -120,42 +112,99 @@ contendedModel(int tasks, uint64_t seed)
 }
 
 SolverOptions
-exactOptions(bool nogoods)
+exactOptions()
 {
     SolverOptions options;
     options.targetGap = 0.0;
     options.maxSeconds = 20.0;
-    options.useNogoods = nogoods;
     return options;
 }
 
 /**
- * The soundness differential: on instances the plain search proves
- * optimal, the no-good search must prove the same optimum - a
+ * A contended instance small enough for exhaustive enumeration: five
+ * tasks, each on the CPUs (1.0 of the 3.0 power) or on one of two
+ * devices (2.0 power), within a 7-step horizon. 14^5 candidates.
+ */
+Model
+oracleSizedModel(uint64_t seed)
+{
+    Model m;
+    m.addResource(3.0, "power");
+    int g0 = m.addGroup("G0");
+    int g1 = m.addGroup("G1");
+    Rng rng(seed * 7919 + 3);
+    for (int i = 0; i < 5; ++i) {
+        Task t;
+        t.name = "t" + std::to_string(i);
+        t.modes.push_back({kNoGroup,
+                           static_cast<Time>(rng.uniformInt(2, 3)),
+                           {1.0}});
+        t.modes.push_back({rng.chance(0.5) ? g0 : g1,
+                           static_cast<Time>(rng.uniformInt(1, 2)),
+                           {2.0}});
+        m.addTask(t);
+        if (i > 0 && rng.chance(0.3))
+            m.addPrecedence(static_cast<int>(rng.uniformInt(0, i - 1)),
+                            i);
+    }
+    m.setHorizon(7);
+    return m;
+}
+
+/** The search from the root with no budget short of exhaustion. */
+SearchResult
+searchExhaustively(const Model &m)
+{
+    SearchLimits limits;
+    limits.maxNodes = int64_t{1} << 40;
+    limits.maxSeconds = 1e9;
+    return branchAndBound(m, nullptr, limits);
+}
+
+/**
+ * The soundness differential: the search must prove the optimum that
+ * exhaustive enumeration finds, or the infeasibility it finds. A
  * learned bound that pruned the optimal branch would surface here as
- * a worse makespan or a lost Optimal status.
+ * a worse makespan; one that pruned every schedule, as a lost
+ * solution.
  */
 class NogoodDiff : public ::testing::TestWithParam<uint64_t>
 {};
 
 TEST_P(NogoodDiff, NeverPrunesTheCertifiedOptimum)
 {
-    Model m = contendedModel(8, GetParam() * 977 + 11);
-    Result plain = Solver(exactOptions(false)).solve(m);
-    Result learned = Solver(exactOptions(true)).solve(m);
-    ASSERT_EQ(plain.status, SolveStatus::Optimal);
-    EXPECT_EQ(learned.status, SolveStatus::Optimal);
-    EXPECT_EQ(learned.makespan, plain.makespan);
-    EXPECT_TRUE(checkSchedule(m, learned.schedule).empty());
+    Model m = oracleSizedModel(GetParam());
+    ExhaustiveResult oracle = solveExhaustively(m);
+    ASSERT_TRUE(oracle.complete);
+    SearchResult search = searchExhaustively(m);
+    ASSERT_TRUE(search.exhausted);
+    ASSERT_EQ(search.foundSolution, oracle.feasible);
+    EXPECT_GT(search.nogoodsRecorded, 0);
+    if (!oracle.feasible)
+        return;
+    EXPECT_EQ(search.bestMakespan, oracle.optimum);
+    EXPECT_TRUE(checkSchedule(m, search.best).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, NogoodDiff,
                          ::testing::Range<uint64_t>(1, 21));
 
+TEST(Nogood, DiffModelsPruneByNogoods)
+{
+    // The differential above only tests the store if the store
+    // prunes: some of its models must revisit a placement set whose
+    // recorded bound cuts the revisit.
+    int pruned = 0;
+    for (uint64_t seed = 1; seed <= 20; ++seed)
+        if (searchExhaustively(oracleSizedModel(seed)).nogoodHits > 0)
+            ++pruned;
+    EXPECT_GT(pruned, 0);
+}
+
 TEST(Nogood, SerialSearchWithNogoodsIsDeterministic)
 {
     Model m = contendedModel(10, 12345);
-    SolverOptions options = exactOptions(true);
+    SolverOptions options = exactOptions();
     Result a = Solver(options).solve(m);
     Result b = Solver(options).solve(m);
     ASSERT_TRUE(a.hasSchedule());
@@ -175,28 +224,11 @@ TEST(Nogood, TranspositionRichSearchRecordsAndHits)
     SearchLimits limits;
     limits.maxNodes = 200000;
     limits.maxSeconds = 20.0;
-    limits.useNogoods = true;
     SearchResult learned = branchAndBound(m, nullptr, limits);
     ASSERT_TRUE(learned.foundSolution);
     EXPECT_GT(learned.nogoodsRecorded, 0);
     EXPECT_GT(learned.nogoodHits, 0);
-
-    // Same limits without the store: identical conclusion.
-    limits.useNogoods = false;
-    SearchResult plain = branchAndBound(m, nullptr, limits);
-    ASSERT_TRUE(plain.foundSolution);
-    EXPECT_EQ(plain.nogoodHits, 0);
-    EXPECT_EQ(plain.nogoodsRecorded, 0);
-    if (plain.exhausted && learned.exhausted)
-        EXPECT_EQ(learned.bestMakespan, plain.bestMakespan);
-}
-
-TEST(Nogood, DisabledByDefault)
-{
-    Model m = contendedModel(6, 7);
-    Result r = Solver(exactOptions(false)).solve(m);
-    EXPECT_EQ(r.stats.nogoodHits, 0);
-    EXPECT_EQ(r.stats.nogoodsRecorded, 0);
+    EXPECT_EQ(checkSchedule(m, learned.best), "");
 }
 
 } // anonymous namespace

@@ -272,11 +272,11 @@ TEST(ParallelSearch, TerminationStressOnTinyTrees)
 }
 
 /**
- * No-good differential under concurrency: the shared store must not
- * change any proven optimum or exhaustion verdict at any thread
- * count. A
- * racy publication or an unsound shared bound shows up here - and
- * under TSan, which runs this binary - as a wrong makespan.
+ * No-good differential under concurrency: a crew's shared store must
+ * prove the optimum and the exhaustion verdict of the single-thread
+ * search with its private store, at any thread count. A racy
+ * publication or an unsound shared bound shows up here - and under
+ * TSan, which runs this binary - as a wrong makespan.
  */
 class NogoodParallelDiff : public ::testing::TestWithParam<uint64_t>
 {};
@@ -291,7 +291,6 @@ TEST_P(NogoodParallelDiff, MatchesSerialOptimumWithSharedStore)
     for (int threads : {2, 8}) {
         SearchLimits limits = exhaustiveLimits();
         limits.threads = threads;
-        limits.useNogoods = true;
         SearchResult par = branchAndBound(m, nullptr, limits);
         SCOPED_TRACE(::testing::Message() << "threads=" << threads);
         EXPECT_EQ(par.foundSolution, serial.foundSolution);

@@ -199,7 +199,6 @@ constexpr int64_t kUnbounded = 500000;
 struct PinnedRun
 {
     uint64_t seed;
-    bool nogoods;
     int64_t maxNodes;
     int64_t nodes;
     int64_t backtracks;
@@ -213,60 +212,37 @@ struct PinnedRun
 /**
  * Single-thread search results on the random models: exact node,
  * backtrack and solution counts (a solution is a strict incumbent
- * improvement), the exhaustion flag, and the best schedule. The
- * 1000-node budget is deliberately not a multiple of the
- * opportunistic workers' 64-node batch, so a batched budget check
- * would overshoot it.
+ * improvement), the exhaustion flag, and the best schedule. Every
+ * run records and prunes no-goods in its private store, so the
+ * counts pin the store's pruning decisions too. The 1000-node budget
+ * is deliberately not a multiple of the opportunistic workers'
+ * 64-node batch, so a batched budget check would overshoot it.
  */
 const PinnedRun kPinnedRuns[] = {
-    {1, false, kUnbounded, 37, 6, 1, 8, true, "0@0 0@2 0@0 0@3 0@2 0@5"},
-    {1, false, 1000, 37, 6, 1, 8, true, "0@0 0@2 0@0 0@3 0@2 0@5"},
-    {1, true, kUnbounded, 37, 6, 1, 8, true, "0@0 0@2 0@0 0@3 0@2 0@5"},
-    {1, true, 1000, 37, 6, 1, 8, true, "0@0 0@2 0@0 0@3 0@2 0@5"},
-    {2, false, kUnbounded, 40, 7, 1, 7, true, "0@0 1@0 0@3 1@4 1@2 1@0 0@4"},
-    {2, false, 1000, 40, 7, 1, 7, true, "0@0 1@0 0@3 1@4 1@2 1@0 0@4"},
-    {2, true, kUnbounded, 40, 7, 1, 7, true, "0@0 1@0 0@3 1@4 1@2 1@0 0@4"},
-    {2, true, 1000, 40, 7, 1, 7, true, "0@0 1@0 0@3 1@4 1@2 1@0 0@4"},
-    {3, false, kUnbounded, 1309, 1249, 2, 8, true, "0@0 0@0 1@5 0@4 2@1 2@4 0@2 0@6"},
-    {3, false, 1000, 1000, 955, 2, 8, false, "0@0 0@0 1@5 0@4 2@1 2@4 0@2 0@6"},
-    {3, true, kUnbounded, 403, 223, 2, 8, true, "0@0 0@0 1@5 0@4 2@1 2@4 0@2 0@6"},
-    {3, true, 1000, 403, 223, 2, 8, true, "0@0 0@0 1@5 0@4 2@1 2@4 0@2 0@6"},
-    {4, false, kUnbounded, 1225, 1075, 2, 11, true, "0@0 0@0 0@0 0@2 0@8 1@8 0@4"},
-    {4, false, 1000, 1000, 879, 2, 11, false, "0@0 0@0 0@0 0@2 0@8 1@8 0@4"},
-    {4, true, kUnbounded, 264, 156, 2, 11, true, "0@0 0@0 0@0 0@2 0@8 1@8 0@4"},
-    {4, true, 1000, 264, 156, 2, 11, true, "0@0 0@0 0@0 0@2 0@8 1@8 0@4"},
-    {5, false, kUnbounded, 98, 78, 1, 8, true, "1@0 0@0 1@1 1@2 0@2 1@4 0@4 0@4"},
-    {5, false, 1000, 98, 78, 1, 8, true, "1@0 0@0 1@1 1@2 0@2 1@4 0@4 0@4"},
-    {5, true, kUnbounded, 75, 40, 1, 8, true, "1@0 0@0 1@1 1@2 0@2 1@4 0@4 0@4"},
-    {5, true, 1000, 75, 40, 1, 8, true, "1@0 0@0 1@1 1@2 0@2 1@4 0@4 0@4"},
-    {6, false, kUnbounded, 486, 444, 2, 8, true, "0@0 0@0 0@2 2@2 0@4 1@6 0@4 1@7"},
-    {6, false, 1000, 486, 444, 2, 8, true, "0@0 0@0 0@2 2@2 0@4 1@6 0@4 1@7"},
-    {6, true, kUnbounded, 171, 95, 2, 8, true, "0@0 0@0 0@2 2@2 0@4 1@6 0@4 1@7"},
-    {6, true, 1000, 171, 95, 2, 8, true, "0@0 0@0 0@2 2@2 0@4 1@6 0@4 1@7"},
-    {7, false, kUnbounded, 430, 279, 1, 5, true, "0@0 2@2 1@3 0@2 0@0 1@4"},
-    {7, false, 1000, 430, 279, 1, 5, true, "0@0 2@2 1@3 0@2 0@0 1@4"},
-    {7, true, kUnbounded, 196, 75, 1, 5, true, "0@0 2@2 1@3 0@2 0@0 1@4"},
-    {7, true, 1000, 196, 75, 1, 5, true, "0@0 2@2 1@3 0@2 0@0 1@4"},
-    {8, false, kUnbounded, 25, 7, 1, 7, true, "0@0 0@0 1@0 0@3 1@3 2@5 0@6"},
-    {8, false, 1000, 25, 7, 1, 7, true, "0@0 0@0 1@0 0@3 1@3 2@5 0@6"},
-    {8, true, kUnbounded, 25, 7, 1, 7, true, "0@0 0@0 1@0 0@3 1@3 2@5 0@6"},
-    {8, true, 1000, 25, 7, 1, 7, true, "0@0 0@0 1@0 0@3 1@3 2@5 0@6"},
-    {9, false, kUnbounded, 126, 113, 1, 6, true, "0@0 1@5 0@2 0@0 0@3 0@3"},
-    {9, false, 1000, 126, 113, 1, 6, true, "0@0 1@5 0@2 0@0 0@3 0@3"},
-    {9, true, kUnbounded, 93, 50, 1, 6, true, "0@0 1@5 0@2 0@0 0@3 0@3"},
-    {9, true, 1000, 93, 50, 1, 6, true, "0@0 1@5 0@2 0@0 0@3 0@3"},
-    {10, false, kUnbounded, 2282, 2109, 1, 10, true, "2@6 0@4 0@0 2@4 1@0 0@7 0@9 0@7"},
-    {10, false, 1000, 1000, 920, 1, 10, false, "2@6 0@4 0@0 2@4 1@0 0@7 0@9 0@7"},
-    {10, true, kUnbounded, 1089, 594, 1, 10, true, "2@6 0@4 0@0 2@4 1@0 0@7 0@9 0@7"},
-    {10, true, 1000, 1000, 534, 1, 10, false, "2@6 0@4 0@0 2@4 1@0 0@7 0@9 0@7"},
-    {11, false, kUnbounded, 2042, 1956, 2, 8, true, "0@0 2@3 1@5 1@6 0@3 0@3 1@7 1@0"},
-    {11, false, 1000, 1000, 963, 2, 8, false, "0@0 2@3 1@5 1@6 0@3 0@3 1@7 1@0"},
-    {11, true, kUnbounded, 421, 181, 2, 8, true, "0@0 2@3 1@5 1@6 0@3 0@3 1@7 1@0"},
-    {11, true, 1000, 421, 181, 2, 8, true, "0@0 2@3 1@5 1@6 0@3 0@3 1@7 1@0"},
-    {12, false, kUnbounded, 101, 76, 1, 6, true, "0@3 0@0 0@5 2@0 2@3"},
-    {12, false, 1000, 101, 76, 1, 6, true, "0@3 0@0 0@5 2@0 2@3"},
-    {12, true, kUnbounded, 79, 38, 1, 6, true, "0@3 0@0 0@5 2@0 2@3"},
-    {12, true, 1000, 79, 38, 1, 6, true, "0@3 0@0 0@5 2@0 2@3"},
+    {1, kUnbounded, 37, 6, 1, 8, true, "0@0 0@2 0@0 0@3 0@2 0@5"},
+    {1, 1000, 37, 6, 1, 8, true, "0@0 0@2 0@0 0@3 0@2 0@5"},
+    {2, kUnbounded, 40, 7, 1, 7, true, "0@0 1@0 0@3 1@4 1@2 1@0 0@4"},
+    {2, 1000, 40, 7, 1, 7, true, "0@0 1@0 0@3 1@4 1@2 1@0 0@4"},
+    {3, kUnbounded, 403, 223, 2, 8, true, "0@0 0@0 1@5 0@4 2@1 2@4 0@2 0@6"},
+    {3, 1000, 403, 223, 2, 8, true, "0@0 0@0 1@5 0@4 2@1 2@4 0@2 0@6"},
+    {4, kUnbounded, 264, 156, 2, 11, true, "0@0 0@0 0@0 0@2 0@8 1@8 0@4"},
+    {4, 1000, 264, 156, 2, 11, true, "0@0 0@0 0@0 0@2 0@8 1@8 0@4"},
+    {5, kUnbounded, 75, 40, 1, 8, true, "1@0 0@0 1@1 1@2 0@2 1@4 0@4 0@4"},
+    {5, 1000, 75, 40, 1, 8, true, "1@0 0@0 1@1 1@2 0@2 1@4 0@4 0@4"},
+    {6, kUnbounded, 171, 95, 2, 8, true, "0@0 0@0 0@2 2@2 0@4 1@6 0@4 1@7"},
+    {6, 1000, 171, 95, 2, 8, true, "0@0 0@0 0@2 2@2 0@4 1@6 0@4 1@7"},
+    {7, kUnbounded, 196, 75, 1, 5, true, "0@0 2@2 1@3 0@2 0@0 1@4"},
+    {7, 1000, 196, 75, 1, 5, true, "0@0 2@2 1@3 0@2 0@0 1@4"},
+    {8, kUnbounded, 25, 7, 1, 7, true, "0@0 0@0 1@0 0@3 1@3 2@5 0@6"},
+    {8, 1000, 25, 7, 1, 7, true, "0@0 0@0 1@0 0@3 1@3 2@5 0@6"},
+    {9, kUnbounded, 93, 50, 1, 6, true, "0@0 1@5 0@2 0@0 0@3 0@3"},
+    {9, 1000, 93, 50, 1, 6, true, "0@0 1@5 0@2 0@0 0@3 0@3"},
+    {10, kUnbounded, 1089, 594, 1, 10, true, "2@6 0@4 0@0 2@4 1@0 0@7 0@9 0@7"},
+    {10, 1000, 1000, 534, 1, 10, false, "2@6 0@4 0@0 2@4 1@0 0@7 0@9 0@7"},
+    {11, kUnbounded, 421, 181, 2, 8, true, "0@0 2@3 1@5 1@6 0@3 0@3 1@7 1@0"},
+    {11, 1000, 421, 181, 2, 8, true, "0@0 2@3 1@5 1@6 0@3 0@3 1@7 1@0"},
+    {12, kUnbounded, 79, 38, 1, 6, true, "0@3 0@0 0@5 2@0 2@3"},
+    {12, 1000, 79, 38, 1, 6, true, "0@3 0@0 0@5 2@0 2@3"},
 };
 
 std::string
@@ -283,9 +259,8 @@ scheduleString(const ScheduleVec &schedule)
 void
 PrintTo(const PinnedRun &run, std::ostream *os)
 {
-    *os << format("seed%llu_%s_%s",
+    *os << format("seed%llu_nogoods_%s",
                   static_cast<unsigned long long>(run.seed),
-                  run.nogoods ? "nogoods" : "plain",
                   run.maxNodes == kUnbounded ? "unbounded" : "budget");
 }
 
@@ -304,7 +279,6 @@ TEST_P(SearchPinned, SerialSearchMatchesRecordedTree)
     SearchLimits limits;
     limits.maxNodes = pin.maxNodes;
     limits.maxSeconds = 1e9; // Node-limited only, on any machine.
-    limits.useNogoods = pin.nogoods;
     SearchResult r = branchAndBound(m, nullptr, limits);
 
     ASSERT_TRUE(r.foundSolution);

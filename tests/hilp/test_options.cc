@@ -188,9 +188,6 @@ TEST(OptionTables, EveryFieldIsDigestedRoundTrippedAndRangeChecked)
 
     // Values remote clients have sent, each the edge of a defect the
     // range checks close.
-    // Wraps to SIZE_MAX and sizes the no-good store.
-    expectRejected(Block::Solver, "nogood_capacity", "-1");
-    expectRejected(Block::Solver, "nogood_capacity", "1099511627776");
     // 2^32 + 2 narrows to an accepted 2 unless checked as int64.
     expectRejected(Block::Solver, "threads", "-1");
     expectRejected(Block::Solver, "threads", "4294967298");
@@ -206,15 +203,19 @@ TEST(OptionTables, EveryFieldIsDigestedRoundTrippedAndRangeChecked)
 
 TEST(OptionTables, UnknownKeysAreIgnored)
 {
-    // A client may send fields this build no longer knows.
+    // A client may send fields this build no longer knows, the
+    // retired solver knobs included, even with values their old
+    // range checks rejected.
     EngineOptions options;
     std::string error;
     ASSERT_TRUE(parseText("{\"retired_knob\":true,\"solver\":"
-                          "{\"retired_depth\":3,\"lns\":true}}",
+                          "{\"retired_depth\":3,\"use_nogoods\":true,"
+                          "\"nogood_capacity\":-1,\"lns\":true,"
+                          "\"lns_polish_nodes\":\"many\",\"threads\":2}}",
                           &options, &error))
         << error;
-    EXPECT_TRUE(options.solver.lns);
-    options.solver.lns = false;
+    EXPECT_EQ(options.solver.threads, 2);
+    options.solver.threads = EngineOptions{}.solver.threads;
     EXPECT_EQ(engineOptionsDigest(options),
               engineOptionsDigest(EngineOptions{}));
 }
@@ -270,16 +271,14 @@ TEST(OptionTables, CallerOptionSetsAreAccepted)
         EngineOptions::explorationMode()};
     for (double seconds : {0.5, 1.0, 2.0, 4.0, 8.0}) {
         for (int threads : {0, 1, 2, 4, 8}) {
-            for (bool features : {false, true}) {
+            for (bool timed : {false, true}) {
                 EngineOptions validation =
                     EngineOptions::validationMode();
                 validation.solver.maxSeconds = seconds;
                 validation.solver.maxNodes = 400000;
                 validation.solver.threads = threads;
-                validation.solver.useNogoods = features;
-                validation.solver.lns = features;
                 validation.escalations = 1;
-                validation.pointTimeoutS = features ? 5.0 : 0.0;
+                validation.pointTimeoutS = timed ? 5.0 : 0.0;
                 sets.push_back(validation);
 
                 EngineOptions exploration =
@@ -287,10 +286,8 @@ TEST(OptionTables, CallerOptionSetsAreAccepted)
                 exploration.solver.maxSeconds = seconds;
                 exploration.solver.maxNodes = 120000;
                 exploration.solver.threads = threads;
-                exploration.solver.useNogoods = features;
-                exploration.solver.lns = features;
-                exploration.escalations = features ? 1 : 0;
-                exploration.pointTimeoutS = features ? 5.0 : 0.0;
+                exploration.escalations = timed ? 1 : 0;
+                exploration.pointTimeoutS = timed ? 5.0 : 0.0;
                 sets.push_back(exploration);
             }
         }

@@ -529,18 +529,6 @@ expectSolverFieldRejected(const std::string &field,
     EXPECT_EQ(error, "solver options out of range: " + field);
 }
 
-TEST(DaemonProtocol, NogoodCapacityIsRangeChecked)
-{
-    // -1 would wrap to SIZE_MAX and size the no-good store.
-    expectSolverFieldRejected("nogood_capacity", "-1");
-    expectSolverFieldRejected("nogood_capacity", "1099511627776");
-    EngineOptions options;
-    std::string error;
-    ASSERT_TRUE(parseSolverField("nogood_capacity", "4096", &options,
-                                 &error)) << error;
-    EXPECT_EQ(options.solver.nogoodCapacity, 4096u);
-}
-
 TEST(DaemonProtocol, SolverThreadsAreRangeChecked)
 {
     expectSolverFieldRejected("threads", "-1");
@@ -575,7 +563,7 @@ TEST(DaemonProtocol, SweepThreadsAreRangeChecked)
         std::string error;
         EXPECT_FALSE(protocol::parseRequest(
             protocol::encodeRequest(request), &decoded, &error));
-        EXPECT_EQ(error, "sweep options out of range");
+        EXPECT_EQ(error, "sweep options out of range: threads");
     }
 }
 
@@ -619,6 +607,69 @@ TEST(DaemonProtocol, WorkloadCopiesAreRangeChecked)
                                 &decoded, &error))
             << error;
         EXPECT_EQ(decoded.copies, copies);
+    }
+}
+
+TEST(DaemonProtocol, SweepFieldsOfTheWrongKindAreRejected)
+{
+    // Each hand-parsed request field, present with the wrong JSON
+    // kind, must fail the request with an error naming the field -
+    // not fall back to its default or truncate. Before the kind
+    // checks, "threads":2.5 ran 2 threads, "reuse":"false" kept
+    // reuse on, and "power_budget_w":"50" ran at the default 600 W.
+    struct Case
+    {
+        const char *from;
+        const char *to;
+        const char *error;
+    };
+    const std::string copies = "workload copies out of range [1, 64]";
+    const std::string priority = "request priority out of int range";
+    const Case cases[] = {
+        {"\"threads\":0,", "\"threads\":2.5,",
+         "sweep options out of range: threads"},
+        {"\"threads\":0,", "\"threads\":\"2\",",
+         "sweep options out of range: threads"},
+        {"\"reuse\":true", "\"reuse\":0",
+         "sweep options out of range: reuse"},
+        {"\"reuse\":true", "\"reuse\":\"false\"",
+         "sweep options out of range: reuse"},
+        {"\"power_budget_w\":600", "\"power_budget_w\":\"50\"",
+         "constraints out of range: power_budget_w"},
+        {"\"memory\":{\"bandwidth_gbs\":800,\"pj_per_bit\":7}",
+         "\"memory\":800", "constraints out of range: memory"},
+        {"\"bandwidth_gbs\":800", "\"bandwidth_gbs\":\"800\"",
+         "constraints out of range: memory.bandwidth_gbs"},
+        {"\"pj_per_bit\":7", "\"pj_per_bit\":null",
+         "constraints out of range: memory.pj_per_bit"},
+        {"\"memory\":", "\"cache_levels\":[{\"name\":1}],\"memory\":",
+         "constraints out of range: cache_levels.name"},
+        {"\"memory\":",
+         "\"cache_levels\":[{\"bandwidth_gbs\":\"9\"}],\"memory\":",
+         "constraints out of range: cache_levels.bandwidth_gbs"},
+        {"\"memory\":",
+         "\"cache_levels\":[{\"traffic_amplification\":true}],"
+         "\"memory\":",
+         "constraints out of range: cache_levels.traffic_amplification"},
+        {"\"dsa_advantage\":4", "\"dsa_advantage\":\"2\"",
+         "dsa_advantage must be a positive number"},
+        {"\"model\":\"MA\"", "\"model\":1", "model must be a string"},
+        {"\"variant\":\"Default\"", "\"variant\":2",
+         "workload variant must be a string"},
+        {"\"workload\":{\"variant\":\"Default\",\"copies\":1}",
+         "\"workload\":\"Default\"", "\"workload\" must be an object"},
+        {"\"copies\":1", "\"copies\":2.5", copies.c_str()},
+        {"\"copies\":1", "\"copies\":\"2\"", copies.c_str()},
+        {"\"copies\":1", "\"copies\":true", copies.c_str()},
+        {"\"priority\":0", "\"priority\":\"1\"", priority.c_str()},
+        {"\"priority\":0", "\"priority\":2.5", priority.c_str()},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.to);
+        protocol::Request decoded;
+        std::string error;
+        EXPECT_FALSE(parseEdited(c.from, c.to, &decoded, &error));
+        EXPECT_EQ(error, c.error);
     }
 }
 
@@ -694,16 +745,16 @@ TEST(DaemonProtocol, OversizedLabelCountIsRejectedNotFatal)
 
 TEST(DaemonProtocol, OutOfRangeSolverOptionsGetAnErrorNotAHang)
 {
-    // The wire form of a wrapped capacity is "nogood_capacity":-1.
-    // Before the range check the daemon sized a no-good store from
-    // it and its sizing loop never returned, pinning the handler.
+    // Without the range check the daemon would run 2^31 - 1 greedy
+    // restarts for this point, pinning the handler for hours.
     DaemonHarness harness;
     protocol::Request request = maEvalRequest("(c2,g4,d0^0)");
     request.kind = dse::ModelKind::Hilp;
-    request.options.engine.solver.useNogoods = true;
-    request.options.engine.solver.nogoodCapacity = SIZE_MAX;
+    request.options.engine.solver.greedyRestarts =
+        std::numeric_limits<int>::max();
     std::string line = protocol::encodeRequest(request);
-    ASSERT_NE(line.find("\"nogood_capacity\":-1"), std::string::npos)
+    ASSERT_NE(line.find("\"greedy_restarts\":2147483647"),
+              std::string::npos)
         << line;
     ASSERT_TRUE(harness.client().writeLine(line));
     Json done = harness.readJson();
