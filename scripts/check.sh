@@ -32,15 +32,18 @@ run_suite build-asan -DHILP_SANITIZE=ON
 # the pinned single-thread trees, the deadline fallback's LNS tests
 # (it never regresses its incumbent, and a retry's seed salt changes
 # its trajectory), the LP bound between the combinatorial bounds and
-# the exhaustive optimum, the incremental list scheduler against the
+# the exhaustive optimum, the LP bound against the direct relaxation
+# in tests/oracles (random models here, the Figure 7 models in
+# hilp_test_core), the incremental list scheduler against the
 # from-scratch reference, and the LP solver's own tests run again on
 # their own, so a heap bug in the solver hot path (such as a stale
 # index into the list scheduler's per-run arrays) or an unsound bound
 # fails this stage by name even when the tier1 sweep above is
 # trimmed or filtered.
-echo "==> no-good/fallback-LNS/LP-bound/list-scheduler soundness (ASan)"
+echo "==> no-good/fallback-LNS/LP-bound/LP-bound-differential/list-scheduler soundness (ASan)"
 ./build-asan/tests/hilp_test_cp \
-    --gtest_filter='Nogood.*:*/NogoodDiff.*:*/SearchPinned.*:Lns.*:*/LnsMonotone.*:LnsTrajectory.*:*/ExhaustiveLpBound.*:*/ListSchedulerDiff.*:ListSchedulerEngine.*'
+    --gtest_filter='Nogood.*:*/NogoodDiff.*:*/SearchPinned.*:Lns.*:*/LnsMonotone.*:LnsTrajectory.*:*/ExhaustiveLpBound.*:LpBoundDiff.*:*/ListSchedulerDiff.*:ListSchedulerEngine.*'
+./build-asan/tests/hilp_test_core --gtest_filter='LpBoundDiffFig7.*'
 ./build-asan/tests/hilp_test_lp
 
 # Thread-sanitizer stage: build only the concurrency test binary

@@ -114,137 +114,198 @@ resourceEnergyBound(const Model &model)
     return best;
 }
 
+/** True when no resource usage of the mode exceeds its capacity. */
+bool
+fits(const Model &model, const Mode &mode)
+{
+    for (int r = 0; r < model.numResources(); ++r)
+        if (mode.usage[r] > model.capacity(r) + 1e-9)
+            return false;
+    return true;
+}
+
 /**
- * LP relaxation: fractional mode choice x_tm >= 0, continuous start
- * bounds e_t, and makespan M with
+ * LP relaxation of the makespan. Directly stated, it has a fractional
+ * mode choice x_tm >= 0 per usable mode, start bounds e_t >= 0 and
+ * the makespan M, with D_t = sum_m d_tm x_tm and
  *   sum_m x_tm = 1                                  (convexity)
- *   e_t >= e_p + sum_m d_pm x_pm    for edges p->t  (precedence)
- *   M   >= e_t + sum_m d_tm x_tm                    (completion)
+ *   e_t >= e_p + D_p                for edges p->t  (precedence)
+ *   e_t >= e_p + lag                for lags p->t   (start lag)
+ *   M   >= e_t + D_t                                (completion)
  *   sum_{t,m in g} d_tm x_tm <= M                   (group load)
  *   sum_{t,m} d_tm u_tmr x_tm <= cap_r * M          (resource energy)
- * Convexity and x >= 0 already imply x_tm <= 1, so x_tm carries no
- * upper bound (a finite one would cost the simplex a row). A mode
- * whose usage exceeds a capacity can never run, so it gets no column
- * and drops out of every row. Any feasible schedule of makespan T
- * yields a feasible LP point with M = T, so the LP optimum
- * lower-bounds the integer optimum.
+ * minimising M. Any feasible schedule of makespan T yields a feasible
+ * point with M = T, so the optimum lower-bounds the integer optimum.
+ * A mode whose usage exceeds a capacity can never run: it gets no
+ * column, and a task left with none makes the relaxation infeasible
+ * (bound 0).
+ *
+ * The same LP is built around a point that is already feasible, so
+ * the simplex starts with the slack of nearly every row basic:
+ *  - Each task's shortest usable mode r(t) (the first on ties), of
+ *    duration dmin_t, is eliminated through the convexity row:
+ *    x_{t,r(t)} = 1 - sum y_tm over its other usable modes, so
+ *    D_t = dmin_t + sum (d_tm - dmin_t) y_tm, and the convexity row
+ *    becomes sum y_tm <= 1 (none with one usable mode).
+ *  - Any mode mix has D_t >= dmin_t, so the precedence and lag rows
+ *    imply e_t >= h_t, the head over dmin-weighted edges and lags
+ *    (floored at 0), and the completion rows imply
+ *    M >= M0 = max_t (h_t + dmin_t). The shifts e_t = h_t + f_t and
+ *    M = M0 + M' with f_t, M' >= 0 therefore cut off no point.
+ *  - A finish-to-start successor s implies t's completion row,
+ *    M >= e_s + D_s >= e_s >= e_t + D_t, as D_s >= 0, so that row is
+ *    dropped. A start-lag successor implies nothing about t's end.
+ * Every precedence, lag, completion and convexity row then reads
+ * a.(y, f, M') <= b with b >= 0, which y = f = M' = 0 satisfies. Only
+ * a group or energy row whose load with every task on r(t) exceeds
+ * what M0 allows has b < 0 and costs a phase-1 artificial. The
+ * optimum is the direct form's, M0 + min M'.
  */
 Time
 lpRelaxationBound(const Model &model)
 {
+    const int n = model.numTasks();
     lp::Problem problem;
 
-    // Mode-choice columns, one per usable mode.
+    // The shortest usable mode of each task, and a column y_tm for
+    // each of its other usable modes.
     struct Column
     {
         int var;
         const Mode *mode;
     };
-    std::vector<std::vector<Column>> x(model.numTasks());
-    for (int t = 0; t < model.numTasks(); ++t) {
-        for (const Mode &mode : model.task(t).modes) {
-            bool usable = true;
-            for (int r = 0; r < model.numResources(); ++r) {
-                if (mode.usage[r] > model.capacity(r) + 1e-9) {
-                    usable = false;
-                    break;
-                }
-            }
-            if (usable) {
-                x[t].push_back(
-                    {problem.addVariable(0.0, lp::kInf, 0.0), &mode});
-            }
-        }
+    std::vector<const Mode *> fastest(n);
+    std::vector<std::vector<Column>> y(n);
+    std::vector<const Mode *> usable;
+    for (int t = 0; t < n; ++t) {
+        usable.clear();
+        for (const Mode &mode : model.task(t).modes)
+            if (fits(model, mode))
+                usable.push_back(&mode);
+        if (usable.empty())
+            return 0;
+        fastest[t] = *std::min_element(
+            usable.begin(), usable.end(),
+            [](const Mode *a, const Mode *b) {
+                return a->duration < b->duration;
+            });
+        for (const Mode *mode : usable)
+            if (mode != fastest[t])
+                y[t].push_back(
+                    {problem.addVariable(0.0, lp::kInf, 0.0), mode});
     }
-    // Start-bound variables.
-    std::vector<int> e(model.numTasks());
-    for (int t = 0; t < model.numTasks(); ++t)
-        e[t] = problem.addVariable(0.0, lp::kInf, 0.0);
-    // Makespan.
-    int big_m = problem.addVariable(0.0, lp::kInf, 1.0);
+    // Heads over the shortest usable durations, and M0.
+    std::vector<Time> head(n, 0);
+    Time m0 = 0;
+    for (int t : model.topologicalOrder()) {
+        for (int p : model.predecessors(t))
+            head[t] = std::max(head[t], head[p] + fastest[p]->duration);
+        for (const Model::LagEdge &edge : model.lagPredecessors(t))
+            head[t] = std::max(head[t], head[edge.other] + edge.lag);
+        m0 = std::max(m0, head[t] + fastest[t]->duration);
+    }
+    // Start-bound shifts f_t, and the makespan shift M'.
+    std::vector<int> f(n);
+    for (int t = 0; t < n; ++t)
+        f[t] = problem.addVariable(0.0, lp::kInf, 0.0);
+    const int extra_m = problem.addVariable(0.0, lp::kInf, 1.0);
 
-    // Convexity.
-    for (int t = 0; t < model.numTasks(); ++t) {
+    // D_t - dmin_t as terms over y_t.
+    auto addExtra = [&](std::vector<lp::Term> &terms, int t) {
+        for (const Column &col : y[t]) {
+            Time delta = col.mode->duration - fastest[t]->duration;
+            if (delta > 0)
+                terms.push_back({col.var, static_cast<double>(delta)});
+        }
+    };
+
+    // Convexity: sum y_tm <= 1.
+    for (int t = 0; t < n; ++t) {
+        if (y[t].empty())
+            continue;
         std::vector<lp::Term> terms;
-        for (const Column &col : x[t])
+        for (const Column &col : y[t])
             terms.push_back({col.var, 1.0});
-        problem.addConstraint(std::move(terms), lp::Relation::Equal, 1.0);
+        problem.addConstraint(std::move(terms), lp::Relation::LessEqual,
+                              1.0);
     }
-    // Precedence: e_t - e_p - sum d_pm x_pm >= 0.
-    for (int p = 0; p < model.numTasks(); ++p) {
+    for (int p = 0; p < n; ++p) {
+        // Precedence: f_p - f_t + (D_p - dmin_p) <= h_t - h_p - dmin_p.
         for (int t : model.successors(p)) {
-            std::vector<lp::Term> terms;
-            terms.push_back({e[t], 1.0});
-            terms.push_back({e[p], -1.0});
-            for (const Column &col : x[p]) {
-                terms.push_back({col.var,
-                    -static_cast<double>(col.mode->duration)});
-            }
-            problem.addConstraint(std::move(terms),
-                                  lp::Relation::GreaterEqual, 0.0);
+            std::vector<lp::Term> terms{{f[p], 1.0}, {f[t], -1.0}};
+            addExtra(terms, p);
+            problem.addConstraint(
+                std::move(terms), lp::Relation::LessEqual,
+                head[t] - head[p] - fastest[p]->duration);
         }
-        // Start lags: e_t - e_p >= lag.
+        // Start lags: f_p - f_t <= h_t - h_p - lag.
         for (const Model::LagEdge &edge : model.lagSuccessors(p)) {
-            problem.addConstraint({{e[edge.other], 1.0}, {e[p], -1.0}},
-                                  lp::Relation::GreaterEqual,
-                                  static_cast<double>(edge.lag));
+            problem.addConstraint({{f[p], 1.0}, {f[edge.other], -1.0}},
+                                  lp::Relation::LessEqual,
+                                  head[edge.other] - head[p] - edge.lag);
         }
     }
-    // Completion: M - e_t - sum d_tm x_tm >= 0.
-    for (int t = 0; t < model.numTasks(); ++t) {
+    // Completion of each task without a finish-to-start successor:
+    // f_t + (D_t - dmin_t) - M' <= M0 - h_t - dmin_t.
+    for (int t = 0; t < n; ++t) {
+        if (!model.successors(t).empty())
+            continue;
+        std::vector<lp::Term> terms{{f[t], 1.0}};
+        addExtra(terms, t);
+        terms.push_back({extra_m, -1.0});
+        problem.addConstraint(std::move(terms), lp::Relation::LessEqual,
+                              m0 - head[t] - fastest[t]->duration);
+    }
+    // Load rows, sum_{t,m} w(m) x_tm <= cap * M, with w a mode's
+    // duration on one group (cap 1) or its energy on one resource.
+    // With every task on r(t) the load is `base`, and y_tm adds
+    // w(m) - w(r(t)); so the row reads
+    // sum (w(m) - w(r(t))) y_tm - cap M' <= cap M0 - base. A row
+    // whose usable modes all have zero load holds everywhere.
+    auto addLoadRow = [&](auto load, double cap) {
+        bool loaded = false;
+        double base = 0.0;
         std::vector<lp::Term> terms;
-        terms.push_back({big_m, 1.0});
-        terms.push_back({e[t], -1.0});
-        for (const Column &col : x[t]) {
-            terms.push_back({col.var,
-                -static_cast<double>(col.mode->duration)});
+        for (int t = 0; t < n; ++t) {
+            const double w0 = load(*fastest[t]);
+            loaded = loaded || w0 > 0.0;
+            base += w0;
+            for (const Column &col : y[t]) {
+                const double w = load(*col.mode);
+                loaded = loaded || w > 0.0;
+                if (w != w0)
+                    terms.push_back({col.var, w - w0});
+            }
         }
-        problem.addConstraint(std::move(terms),
-                              lp::Relation::GreaterEqual, 0.0);
-    }
-    // Group load: sum d x - M <= 0.
+        if (!loaded)
+            return;
+        terms.push_back({extra_m, -cap});
+        problem.addConstraint(std::move(terms), lp::Relation::LessEqual,
+                              cap * m0 - base);
+    };
     for (int g = 0; g < model.numGroups(); ++g) {
-        std::vector<lp::Term> terms;
-        for (int t = 0; t < model.numTasks(); ++t) {
-            for (const Column &col : x[t]) {
-                if (col.mode->group == g) {
-                    terms.push_back({col.var,
-                        static_cast<double>(col.mode->duration)});
-                }
-            }
-        }
-        if (terms.empty())
-            continue;
-        terms.push_back({big_m, -1.0});
-        problem.addConstraint(std::move(terms),
-                              lp::Relation::LessEqual, 0.0);
+        addLoadRow(
+            [g](const Mode &mode) {
+                return mode.group == g
+                    ? static_cast<double>(mode.duration) : 0.0;
+            },
+            1.0);
     }
-    // Resource energy: sum d u x - cap * M <= 0.
     for (int r = 0; r < model.numResources(); ++r) {
-        double cap = model.capacity(r);
-        if (cap <= 0.0)
+        if (model.capacity(r) <= 0.0)
             continue;
-        std::vector<lp::Term> terms;
-        for (int t = 0; t < model.numTasks(); ++t) {
-            for (const Column &col : x[t]) {
-                double coeff = col.mode->usage[r] *
-                    static_cast<double>(col.mode->duration);
-                if (coeff > 0.0)
-                    terms.push_back({col.var, coeff});
-            }
-        }
-        if (terms.empty())
-            continue;
-        terms.push_back({big_m, -cap});
-        problem.addConstraint(std::move(terms),
-                              lp::Relation::LessEqual, 0.0);
+        addLoadRow(
+            [r](const Mode &mode) {
+                return mode.usage[r] * static_cast<double>(mode.duration);
+            },
+            model.capacity(r));
     }
 
     lp::Solver solver;
     lp::Solution sol = solver.solve(problem);
     if (!sol.optimal())
         return 0; // Infeasible relaxation cases are caught elsewhere.
-    return static_cast<Time>(std::ceil(sol.objective - 1e-6));
+    return static_cast<Time>(std::ceil(m0 + sol.objective - 1e-6));
 }
 
 } // anonymous namespace

@@ -68,6 +68,10 @@ ListScheduler::choose(const Trace &trace, int t, int only_mode,
         if (only_mode >= 0 && static_cast<int>(m) != only_mode)
             continue;
         const Mode &mode = task.modes[m];
+        // It completes at est + duration or later, so past
+        // best_complete it can neither beat nor tie the best mode.
+        if (best_mode >= 0 && est + mode.duration > best_complete)
+            continue;
         Time start = profile_.earliestStart(mode, est);
         if (start < 0)
             continue;

@@ -168,10 +168,11 @@ ListResult bestGreedy(const Model &model, int random_restarts = 8,
  *
  * Cost: each pass is one ListScheduler run against the accepted
  * order's run. Setting it up and picking a task at each step cost
- * O(n) and O(eligible) as in a full list schedule; a step costs a
- * profile query per allowed mode and a place() only from the first
- * task the perturbation moves, and the copied steps before it are
- * replayed into the profile once, there. A pass that moves nothing
+ * O(n) and O(eligible) as in a full list schedule; a step costs at
+ * most one profile query per allowed mode (none for a mode that
+ * cannot complete by the best so far) and a place() only from the
+ * first task the perturbation moves, and the copied steps before it
+ * are replayed into the profile once, there. A pass that moves nothing
  * queries nothing, and a pass stops at the first task that completes
  * after the incumbent, as it could not be accepted.
  */

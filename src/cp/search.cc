@@ -773,6 +773,9 @@ class Worker
             ub = currentUb();
             for (size_t m = 0; m < task.modes.size(); ++m) {
                 const Mode &mode = task.modes[m];
+                // start >= est: the test below would drop it anyway.
+                if (est + mode.duration + tail_after >= ub)
+                    continue;
                 Time start = profile.earliestStart(mode, est);
                 if (start < 0)
                     continue;

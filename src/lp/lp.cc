@@ -1,9 +1,3 @@
-// Unaligned, the simplex loops run up to ~35% slower (Intel Xeon)
-// whenever unrelated code shifts them across a 32-byte boundary, and
-// with only the loops aligned, ~25% slower when it shifts the
-// functions holding them by 32 bytes mod 64.
-#pragma GCC optimize("align-loops=32", "align-functions=64")
-
 #include "lp.hh"
 
 #include <algorithm>

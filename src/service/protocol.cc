@@ -339,7 +339,9 @@ parseRequest(const std::string &line, Request *out, std::string *error)
             *error = "request must be a JSON object";
         return false;
     }
-    std::string op = stringOr(json, "op", "");
+    std::string op;
+    if (!readField(json, "op", &op))
+        return fail(error, "\"op\" must be a string");
     if (op == "eval")
         out->op = Op::Eval;
     else if (op == "sweep")
@@ -367,21 +369,18 @@ parseRequest(const std::string &line, Request *out, std::string *error)
 
     if (out->op == Op::Lease || out->op == Op::Submit ||
         out->op == Op::Heartbeat) {
-        out->worker = stringOr(json, "worker", "");
-        if (out->worker.empty()) {
-            if (error)
-                *error = "request needs a \"worker\" identity";
-            return false;
-        }
+        out->worker.clear();
+        if (!readField(json, "worker", &out->worker))
+            return fail(error, "\"worker\" must be a string");
+        if (out->worker.empty())
+            return fail(error, "request needs a \"worker\" identity");
         if (out->op == Op::Lease)
             return true;
-        out->leaseId =
-            static_cast<uint64_t>(intOr(json, "lease", 0));
-        if (out->leaseId == 0) {
-            if (error)
-                *error = "request needs a nonzero \"lease\" id";
-            return false;
-        }
+        int64_t lease = 0;
+        if (!readField(json, "lease", &lease) || lease <= 0)
+            return fail(error,
+                        "request needs a positive integer \"lease\" id");
+        out->leaseId = static_cast<uint64_t>(lease);
         if (out->op == Op::Heartbeat)
             return true;
         out->records.clear();
@@ -399,7 +398,9 @@ parseRequest(const std::string &line, Request *out, std::string *error)
             }
             out->records.push_back(records->at(i));
         }
-        out->complete = boolOr(json, "complete", false);
+        out->complete = false;
+        if (!readField(json, "complete", &out->complete))
+            return fail(error, "\"complete\" must be a boolean");
         return true;
     }
 

@@ -186,8 +186,10 @@ TEST_P(NogoodDiff, NeverPrunesTheCertifiedOptimum)
     EXPECT_TRUE(checkSchedule(m, search.best).empty());
 }
 
+// Forty seeds: a no-good key that ignored a placement's start misses
+// the optimum on two of seeds 1-40 but on none of seeds 1-20.
 INSTANTIATE_TEST_SUITE_P(RandomInstances, NogoodDiff,
-                         ::testing::Range<uint64_t>(1, 21));
+                         ::testing::Range<uint64_t>(1, 41));
 
 TEST(Nogood, DiffModelsPruneByNogoods)
 {
@@ -195,7 +197,7 @@ TEST(Nogood, DiffModelsPruneByNogoods)
     // prunes: some of its models must revisit a placement set whose
     // recorded bound cuts the revisit.
     int pruned = 0;
-    for (uint64_t seed = 1; seed <= 20; ++seed)
+    for (uint64_t seed = 1; seed <= 40; ++seed)
         if (searchExhaustively(oracleSizedModel(seed)).nogoodHits > 0)
             ++pruned;
     EXPECT_GT(pruned, 0);

@@ -712,6 +712,71 @@ TEST(DaemonProtocol, PriorityIsRangeChecked)
     }
 }
 
+TEST(DaemonProtocol, DistributedSweepFieldsOfTheWrongKindAreRejected)
+{
+    // Heartbeat, submit and lease lines as a remote worker could send
+    // them. Before the kind checks, "lease":2.5 heartbeat lease 2,
+    // "lease":-1 became lease 2^64-1, "complete":"true" submitted a
+    // unit as incomplete, and a non-string op or worker came back as
+    // an unknown op "" or a missing identity.
+    struct Case
+    {
+        const char *line;
+        const char *error;
+    };
+    const char *lease = "request needs a positive integer \"lease\" id";
+    const char *complete = "\"complete\" must be a boolean";
+    const Case cases[] = {
+        {R"({"op":"heartbeat","worker":"w1","lease":2.5})", lease},
+        {R"({"op":"heartbeat","worker":"w1","lease":-1})", lease},
+        {R"({"op":"heartbeat","worker":"w1","lease":"3"})", lease},
+        {R"({"op":"heartbeat","worker":"w1","lease":0})", lease},
+        {R"({"op":"heartbeat","worker":"w1"})", lease},
+        {R"({"op":"submit","worker":"w1","lease":3,"records":[],)"
+         R"("complete":"true"})",
+         complete},
+        {R"({"op":"submit","worker":"w1","lease":3,"records":[],)"
+         R"("complete":1})",
+         complete},
+        {R"({"op":1})", "\"op\" must be a string"},
+        {R"({"op":["heartbeat"],"worker":"w1","lease":3})",
+         "\"op\" must be a string"},
+        {R"({"op":"heartbeat","worker":7,"lease":3})",
+         "\"worker\" must be a string"},
+        {R"({"op":"lease","worker":{"id":"w1"}})",
+         "\"worker\" must be a string"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.line);
+        protocol::Request decoded;
+        std::string error;
+        EXPECT_FALSE(protocol::parseRequest(c.line, &decoded, &error));
+        EXPECT_EQ(error, c.error);
+    }
+
+    // Well-formed lines still parse; an absent "complete" is false.
+    protocol::Request decoded;
+    std::string error;
+    ASSERT_TRUE(protocol::parseRequest(
+        R"({"op":"heartbeat","worker":"w1","lease":3})", &decoded,
+        &error))
+        << error;
+    EXPECT_EQ(decoded.op, protocol::Op::Heartbeat);
+    EXPECT_EQ(decoded.worker, "w1");
+    EXPECT_EQ(decoded.leaseId, 3u);
+    ASSERT_TRUE(protocol::parseRequest(
+        R"({"op":"submit","worker":"w1","lease":3,"records":[],)"
+        R"("complete":true})",
+        &decoded, &error))
+        << error;
+    EXPECT_TRUE(decoded.complete);
+    ASSERT_TRUE(protocol::parseRequest(
+        R"({"op":"submit","worker":"w1","lease":3,"records":[]})",
+        &decoded, &error))
+        << error;
+    EXPECT_FALSE(decoded.complete);
+}
+
 TEST(DaemonProtocol, OversizedLabelCountIsRejectedNotFatal)
 {
     // 4294967295 GPU SMs, wrapped to -1, is an invalid SoC the
