@@ -26,24 +26,23 @@ run_suite() {
 run_suite build
 run_suite build-asan -DHILP_SANITIZE=ON
 
-# No-good, fallback-LNS, LP-bound and list-scheduler soundness under
-# ASan: the no-good store's tests and differential (the search, which
+# No-good, LP-bound, list-scheduler and engine soundness under ASan:
+# the no-good store's tests and differential (the search, which
 # always records no-goods, proves the exhaustive oracle's optimum),
-# the pinned single-thread trees, the deadline fallback's LNS tests
-# (it never regresses its incumbent, and a retry's seed salt changes
-# its trajectory), the LP bound between the combinatorial bounds and
-# the exhaustive optimum, the LP bound against the direct relaxation
-# in tests/oracles (random models here, the Figure 7 models in
-# hilp_test_core), the incremental list scheduler against the
-# from-scratch reference, and the LP solver's own tests run again on
-# their own, so a heap bug in the solver hot path (such as a stale
-# index into the list scheduler's per-run arrays) or an unsound bound
-# fails this stage by name even when the tier1 sweep above is
-# trimmed or filtered.
-echo "==> no-good/fallback-LNS/LP-bound/LP-bound-differential/list-scheduler soundness (ASan)"
+# the pinned single-thread trees, the LP bound between the
+# combinatorial bounds and the exhaustive optimum, the LP bound
+# against the direct relaxation in tests/oracles (random models here,
+# the Figure 7 models in hilp_test_core), the incremental list
+# scheduler against the from-scratch reference, the engine's
+# adaptive-resolution ladder (a late point included), and the LP
+# solver's own tests run again on their own, so a heap bug in the
+# solver hot path (such as a stale index into the list scheduler's
+# per-run arrays) or an unsound bound fails this stage by name even
+# when the tier1 sweep above is trimmed or filtered.
+echo "==> no-good/LP-bound/LP-bound-differential/list-scheduler/engine soundness (ASan)"
 ./build-asan/tests/hilp_test_cp \
-    --gtest_filter='Nogood.*:*/NogoodDiff.*:*/SearchPinned.*:Lns.*:*/LnsMonotone.*:LnsTrajectory.*:*/ExhaustiveLpBound.*:LpBoundDiff.*:*/ListSchedulerDiff.*:ListSchedulerEngine.*'
-./build-asan/tests/hilp_test_core --gtest_filter='LpBoundDiffFig7.*'
+    --gtest_filter='Nogood.*:*/NogoodDiff.*:*/SearchPinned.*:*/ExhaustiveLpBound.*:LpBoundDiff.*:*/ListSchedulerDiff.*:ListSchedulerEngine.*'
+./build-asan/tests/hilp_test_core --gtest_filter='LpBoundDiffFig7.*:Engine.*'
 ./build-asan/tests/hilp_test_lp
 
 # Thread-sanitizer stage: build only the concurrency test binary

@@ -36,8 +36,8 @@ struct ListResult
  * per-run array (ranks, remaining predecessor counts, the eligible
  * set, and two run traces), all sized for the model once, so a run
  * after the first allocates nothing: Profile::clear() empties the
- * occupancy and keeps its storage. bestGreedy, improveGreedy and the
- * LNS repair build one engine per call and run it once per candidate.
+ * occupancy and keeps its storage. bestGreedy and improveGreedy build
+ * one engine per call and run it once per candidate.
  *
  * A run records its trace: the task picked at each step, that task's
  * forced mode, and its (mode, start). keep() makes the last run the

@@ -247,10 +247,7 @@ class PrecedencePropagator final : public Propagator
                     : ctx.est[edge.task];
                 est = std::max(est, p_start + edge.minDur);
             }
-            if (ctx.est[t] != est) {
-                ctx.est[t] = est;
-                out.changedEst = true;
-            }
+            ctx.est[t] = est;
             out.bound = std::max(out.bound, est + ctx.cp.tail[t]);
         }
         return out;
@@ -315,8 +312,7 @@ makeDisjunctivePropagator(const Model &model)
 
 PropagationEngine::PropagationEngine(const Model &model)
     : profile_(model),
-      trail_(&stateArena_),
-      queue_(&stateArena_)
+      trail_(&stateArena_)
 {}
 
 void
@@ -326,7 +322,6 @@ PropagationEngine::add(std::unique_ptr<Propagator> propagator)
     stats.name = propagator->name();
     stats_.push_back(std::move(stats));
     propagators_.push_back(std::move(propagator));
-    queued_.push_back(0);
 }
 
 void
@@ -356,20 +351,11 @@ Time
 PropagationEngine::fixpoint(PropagationContext &ctx)
 {
     Time bound = std::max(ctx.makespan, ctx.externalLowerBound);
-    const int n = static_cast<int>(propagators_.size());
-    queue_.clear();
-    for (int i = 0; i < n; ++i) {
-        queue_.push_back(i);
-        queued_[i] = 1;
-    }
-    size_t head = 0;
-    while (head < queue_.size()) {
+    for (size_t i = 0; i < propagators_.size(); ++i) {
         // The base bound (or an earlier propagator) may already have
         // proven the cutoff; don't charge it to the next rule.
         if (bound >= ctx.ub)
             break;
-        int i = queue_[head++];
-        queued_[i] = 0;
         PropagatorStats &stats = stats_[i];
         Propagator::Outcome out;
         // Every kTraceSample-th invocation of a rule becomes a span
@@ -393,15 +379,6 @@ PropagationEngine::fixpoint(PropagationContext &ctx)
         bound = std::max(bound, out.bound);
         if (out.bound >= ctx.ub)
             ++stats.prunings;
-        if (out.changedEst) {
-            for (int j = 0; j < n; ++j) {
-                if (j != i && !queued_[j] &&
-                    propagators_[j]->wantsEstUpdates()) {
-                    queued_[j] = 1;
-                    queue_.push_back(j);
-                }
-            }
-        }
     }
     return bound;
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * The propagation layer of the CP core: modular pruning rules behind
- * one Propagator interface, driven to fixpoint by a PropagationEngine
- * with trail-based exact undo.
+ * one Propagator interface, run at every search node by a
+ * PropagationEngine with trail-based exact undo.
  *
  * Historically the branch-and-bound search fused all of its bound and
  * feasibility reasoning into the recursion (one nodeBound pass):
@@ -22,11 +22,11 @@
  * The engine owns the shared interval Profile, notifies every
  * propagator of each placement, records placements on a trail so
  * backtracking unwinds *exactly* (integer state throughout), and runs
- * the propagators through a fixpoint queue: a propagator that
- * tightens the shared earliest-start vector re-activates the
- * propagators that subscribe to it. Each propagator carries its own
- * telemetry (invocations, prunings, sampled time) which flows through
- * SearchResult/SolveStats into the DSE reports.
+ * the propagators once per node, in the order they were added: only
+ * the precedence rule writes the shared earliest-start vector and no
+ * other rule reads it, so one pass is the fixpoint. Each propagator
+ * carries its own telemetry (invocations, prunings, sampled time)
+ * which flows through SearchResult/SolveStats into the DSE reports.
  *
  * New pruning rules plug in without touching search control flow:
  * implement Propagator, add it to the engine, done.
@@ -77,9 +77,9 @@ struct PropagationContext
     Time externalLowerBound = 0;
     Time ub = 0;
     /**
-     * Scratch earliest-start per task, recomputed inside the
-     * fixpoint; only meaningful for unscheduled tasks and only after
-     * the precedence propagator has run in the current fixpoint.
+     * Scratch earliest-start per task, recomputed at every node;
+     * only meaningful for unscheduled tasks and only after the
+     * precedence propagator has run at the current node.
      */
     std::vector<Time> &est;
 };
@@ -109,15 +109,10 @@ class Propagator
     {
         /** Lower bound on any completion of this partial schedule. */
         Time bound = 0;
-        /** The shared est vector changed (wakes subscribers). */
-        bool changedEst = false;
     };
 
     /** Run the rule against the current node. */
     virtual Outcome propagate(const PropagationContext &ctx) = 0;
-
-    /** Re-queue this propagator when another one changes est. */
-    virtual bool wantsEstUpdates() const { return false; }
 };
 
 /** The built-in propagators (see file comment for their rules). */
@@ -156,10 +151,11 @@ class PropagationEngine
     size_t depth() const { return trail_.size(); }
 
     /**
-     * Run all propagators to fixpoint and return the node's makespan
-     * lower bound (at least max(ctx.makespan, externalLowerBound)).
-     * Stops early once the bound reaches ctx.ub - the cutoff is
-     * attributed to the propagator that proved it.
+     * Run every propagator once, in add order, and return the node's
+     * makespan lower bound (at least max(ctx.makespan,
+     * externalLowerBound)); one pass is the fixpoint (see the file
+     * comment). Stops early once the bound reaches ctx.ub - the
+     * cutoff is attributed to the propagator that proved it.
      */
     Time fixpoint(PropagationContext &ctx);
 
@@ -167,9 +163,9 @@ class PropagationEngine
     std::vector<PropagatorStats> stats() const;
 
     /**
-     * Arena backing the trail and fixpoint queue once they outgrow
-     * their inline storage. Never rewound while the engine lives, so
-     * spilled storage stays valid; exposed for scratch accounting.
+     * Arena backing the trail once it outgrows its inline storage.
+     * Never rewound while the engine lives, so spilled storage stays
+     * valid; exposed for scratch accounting.
      */
     const support::Arena &stateArena() const { return stateArena_; }
 
@@ -185,15 +181,12 @@ class PropagationEngine
     std::vector<std::unique_ptr<Propagator>> propagators_;
     std::vector<PropagatorStats> stats_;
     /**
-     * Spill arena for trail_/queue_ (declared first so it outlives
-     * them). Depth is bounded by the task count, so after one spill
-     * past the inline storage the steady state allocates nothing.
+     * Spill arena for trail_ (declared first so it outlives it).
+     * Depth is bounded by the task count, so after one spill past
+     * the inline storage the steady state allocates nothing.
      */
     support::Arena stateArena_;
     support::SmallVector<TrailEntry, 64> trail_;
-    /** Fixpoint scratch: queued flag per propagator. */
-    std::vector<uint8_t> queued_;
-    support::SmallVector<int, 8> queue_;
 };
 
 } // namespace cp

@@ -66,22 +66,22 @@ struct SolverOptions
     /**
      * The hill climber's budget: priority-order hill-climbing passes
      * that tighten the greedy incumbent before the search (see
-     * improveGreedy in list_scheduler.hh). The name, and the wire
-     * field `lns_iterations`, stay from when an LNS pass shared it.
+     * improveGreedy in list_scheduler.hh). The name is historical;
+     * it stays because the wire field `lns_iterations` and perfbench
+     * use it.
      */
     int lnsIterations = 400;
     /** Seed for the greedy restarts. */
     uint64_t seed = 1;
     /**
      * Diversification salt mixed into `seed` for every stochastic
-     * heuristic (greedy restarts, hill climbing, and the engine's
-     * deadline-fallback LNS destroy moves).
+     * heuristic (greedy restarts and hill climbing).
      * 0 (the default) reproduces the historical unsalted seeding bit
      * for bit. The engine salts it with the problem fingerprint so
      * different instances sharing a seed explore different heuristic
      * trajectories, and the sweep's fault-isolation retry salts it
      * with the attempt index so a retried point never replays the
-     * exact destroy sequence that preceded the failure. The salt
+     * exact restarts and moves that preceded the failure. The salt
      * only diversifies heuristics: bounds, statuses, and gap
      * certificates are unaffected.
      */
@@ -122,9 +122,9 @@ inline constexpr OptionField<SolverOptions> kSolverOptionFields[] = {
 };
 
 /**
- * The seed every stochastic heuristic of a solve (and the engine's
- * list-scheduler fallback) derives from: `seed` itself when no salt
- * is set, otherwise `seed` mixed with `seedSalt`.
+ * The seed every stochastic heuristic of a solve derives from:
+ * `seed` itself when no salt is set, otherwise `seed` mixed with
+ * `seedSalt`.
  */
 uint64_t heuristicSeed(const SolverOptions &options);
 

@@ -1,5 +1,6 @@
 #include "checkpoint.hh"
 
+#include <climits>
 #include <cmath>
 
 #include <unistd.h>
@@ -99,17 +100,23 @@ scheduleJson(const Schedule &schedule)
     return out;
 }
 
-/** Inverse of scheduleJson; false on any structural mismatch. */
+/**
+ * Inverse of scheduleJson; false on any structural mismatch or a
+ * member of the wrong kind. Columns 2 and 4 are strings, the other
+ * columns up to 7 integers that fit an int, the rest numbers.
+ */
 bool
 parseSchedule(const Json &entry, Schedule *out)
 {
     if (!entry.isObject())
         return false;
     *out = Schedule{};
-    out->stepS = numberOr(entry, "step_s", 0.0);
-    out->cpuCores = numberOr(entry, "cpu_cores", 0.0);
-    const Json *devices = entry.find("devices");
-    if (devices && devices->isArray()) {
+    if (!readField(entry, "step_s", &out->stepS) ||
+        !readField(entry, "cpu_cores", &out->cpuCores))
+        return false;
+    if (const Json *devices = entry.find("devices")) {
+        if (!devices->isArray())
+            return false;
         for (size_t i = 0; i < devices->size(); ++i) {
             if (!devices->at(i).isString())
                 return false;
@@ -123,11 +130,16 @@ parseSchedule(const Json &entry, Schedule *out)
         const Json &row = phases->at(i);
         if (!row.isArray() || row.size() != 13)
             return false;
-        for (size_t f = 0; f < row.size(); ++f)
-            if (f != 2 && f != 4 && !row.at(f).isNumber())
+        for (size_t f = 0; f < row.size(); ++f) {
+            const Json &cell = row.at(f);
+            bool fits = f == 2 || f == 4 ? cell.isString()
+                : f <= 7 ? cell.isInteger() &&
+                           cell.intValue() >= INT_MIN &&
+                           cell.intValue() <= INT_MAX
+                : cell.isNumber();
+            if (!fits)
                 return false;
-        if (!row.at(2).isString() || !row.at(4).isString())
-            return false;
+        }
         ScheduledPhase phase;
         phase.app = static_cast<int>(row.at(0).intValue());
         phase.phase = static_cast<int>(row.at(1).intValue());
@@ -168,10 +180,59 @@ parsePointRecord(const Json &entry, uint64_t *key, DsePoint *point,
 {
     if (!entry.isObject())
         return false;
-    if (!parseKeyText(stringOr(entry, "key"), key))
+    // An absent member keeps its default; a present one of the wrong
+    // kind or out of range drops the whole record, so a record this
+    // program would not have written is never read as a default or a
+    // truncated value.
+    std::string key_text;
+    std::string config;
+    if (!readField(entry, "key", &key_text) ||
+        !parseKeyText(key_text, key) ||
+        !readField(entry, "config", &config))
         return false;
+
+    *point = DsePoint{};
+    // Absent, these two keep the defaults they are set to here.
+    std::string fingerprint = "0";
+    std::string status = cp::toString(point->status);
+    if (!readField(entry, "fingerprint", &fingerprint) ||
+        !parseKeyText(fingerprint, &point->fingerprint) ||
+        !readField(entry, "status", &status) ||
+        !statusFromString(status, &point->status) ||
+        !readField(entry, "note", &point->note))
+        return false;
+    if (!readField(entry, "ok", &point->ok) ||
+        !readField(entry, "degraded", &point->degraded) ||
+        !readField(entry, "cache_hit", &point->cacheHit) ||
+        !readField(entry, "warm_start", &point->warmStarted) ||
+        !readField(entry, "pruned", &point->pruned))
+        return false;
+    if (!readField(entry, "makespan_s", &point->makespanS) ||
+        point->makespanS < 0.0 ||
+        !readField(entry, "speedup", &point->speedup) ||
+        point->speedup < 0.0 ||
+        !readField(entry, "gap", &point->gap) || point->gap < 0.0 ||
+        point->gap > 1.0 ||
+        !readField(entry, "avg_wlp", &point->averageWlp) ||
+        point->averageWlp < 0.0 ||
+        !readField(entry, "solve_s", &point->solveSeconds) ||
+        point->solveSeconds < 0.0)
+        return false;
+    int64_t solves = 0;
+    // The trace id is a uint64 carried as an int64.
+    int64_t trace_id = 0;
+    if (!readField(entry, "nodes", &point->nodes) ||
+        point->nodes < 0 ||
+        !readField(entry, "backtracks", &point->backtracks) ||
+        point->backtracks < 0 ||
+        !readField(entry, "solves", &solves) || solves < 0 ||
+        solves > INT_MAX ||
+        !readField(entry, "trace_id", &trace_id))
+        return false;
+    point->solves = static_cast<int>(solves);
+    point->traceId = static_cast<uint64_t>(trace_id);
     if (config_name)
-        *config_name = stringOr(entry, "config");
+        *config_name = std::move(config);
 
     // The schedule is optional (older records and the analytic
     // models have none); a malformed one degrades to "no schedule"
@@ -182,29 +243,6 @@ parsePointRecord(const Json &entry, uint64_t *key, DsePoint *point,
         *has_schedule =
             parseSchedule(*sched, schedule ? schedule : &discard);
     }
-
-    *point = DsePoint{};
-    if (!parseKeyText(stringOr(entry, "fingerprint"),
-                      &point->fingerprint))
-        point->fingerprint = 0;
-    point->ok = boolOr(entry, "ok", false);
-    if (!statusFromString(stringOr(entry, "status"), &point->status))
-        point->status = cp::SolveStatus::NoSolution;
-    point->makespanS = numberOr(entry, "makespan_s", 0.0);
-    point->speedup = numberOr(entry, "speedup", 0.0);
-    point->gap = numberOr(entry, "gap", 0.0);
-    point->averageWlp = numberOr(entry, "avg_wlp", 0.0);
-    point->note = stringOr(entry, "note");
-    point->degraded = boolOr(entry, "degraded", false);
-    point->nodes = intOr(entry, "nodes", 0);
-    point->backtracks = intOr(entry, "backtracks", 0);
-    point->solves = static_cast<int>(intOr(entry, "solves", 0));
-    point->solveSeconds = numberOr(entry, "solve_s", 0.0);
-    point->cacheHit = boolOr(entry, "cache_hit", false);
-    point->warmStarted = boolOr(entry, "warm_start", false);
-    point->pruned = boolOr(entry, "pruned", false);
-    point->traceId =
-        static_cast<uint64_t>(intOr(entry, "trace_id", 0));
     return true;
 }
 

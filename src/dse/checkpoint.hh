@@ -61,13 +61,17 @@ Json pointRecordJson(uint64_t key, ModelKind kind,
 /**
  * Decode one record line into (key, point[, schedule]). Returns
  * false on any structural problem - most importantly the torn final
- * line a SIGKILL can leave in a checkpoint. A malformed embedded
- * schedule degrades to *has_schedule == false rather than dropping
- * the record. Structural fields derived from the config being
- * evaluated (config, area, mix) and the resumed flag are the
- * caller's to fill. A non-null config_name receives the record's
- * "config" label - the handle a coordinator merges worker-submitted
- * records by.
+ * line a SIGKILL can leave in a checkpoint - and on any member of the
+ * wrong JSON kind or out of range: `nodes` and `backtracks` must be
+ * integers >= 0, `solves` an integer in [0, INT_MAX], `gap` in
+ * [0, 1], `makespan_s`, `speedup`, `avg_wlp` and `solve_s` >= 0, and
+ * `status` a cp::toString name. An absent member keeps its default.
+ * A malformed embedded schedule degrades to *has_schedule == false
+ * rather than dropping the record. Structural fields derived from
+ * the config being evaluated (config, area, mix) and the resumed
+ * flag are the caller's to fill. A non-null config_name receives the
+ * record's "config" label - the handle a coordinator merges
+ * worker-submitted records by.
  */
 bool parsePointRecord(const std::string &line, uint64_t *key,
                       DsePoint *point, Schedule *schedule,

@@ -209,7 +209,7 @@ runPoint(const arch::SocConfig &config,
             engine.solver.maxNodes = std::max<int64_t>(
                 1000, options.engine.solver.maxNodes / 4);
             // Salt the heuristic seed with the attempt index: an
-            // unsalted retry replays the exact greedy/LNS destroy
+            // unsalted retry replays the exact greedy and hill-climbing
             // trajectory that preceded the failure (the engine adds
             // the per-instance fingerprint on top; see
             // SolverOptions::seedSalt).

@@ -74,9 +74,8 @@ struct DsePoint
     // Robustness outcome flags (see DESIGN.md section 10).
     /**
      * The per-point deadline expired mid-evaluation: the makespan and
-     * gap come from the best incumbent (or the list-scheduler
-     * fallback), still certified but possibly wider than an
-     * unconstrained evaluation's.
+     * gap come from the best incumbent, still certified but possibly
+     * wider than an unconstrained evaluation's.
      */
     bool degraded = false;
     /**

@@ -24,9 +24,9 @@ csvSafe(std::string text)
 
 /**
  * A numeric CSV cell. Result-derived fields can be non-finite (an
- * infeasible point's gap is inf; a degraded fallback can report nan
- * WLP); printf would render those as "inf"/"nan", which most CSV
- * consumers choke on. An empty cell is the CSV idiom for "no value".
+ * infeasible point's gap is inf); printf would render those as
+ * "inf"/"nan", which most CSV consumers choke on. An empty cell is
+ * the CSV idiom for "no value".
  */
 std::string
 csvNum(double value, int precision)

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "cp/list_scheduler.hh"
-#include "cp/lns.hh"
 #include "cp/profile.hh"
 #include "options.hh"
 #include "support/hash.hh"
@@ -551,77 +549,6 @@ solveAtResolution(const ProblemSpec &spec, double step_s,
     return eval;
 }
 
-/**
- * Last-resort degradation when the point deadline expires before any
- * CP solve produced a schedule: run the (millisecond-cheap) greedy
- * list scheduler over the remaining coarsening ladder and certify its
- * makespan against the combinatorial lower bounds. The result keeps
- * the engine's contract - a schedule with a certified gap - just a
- * wider gap than a full solve would earn.
- */
-EvalResult
-listSchedulerFallback(const ProblemSpec &spec, double step_s,
-                      int coarsenings_left,
-                      const EngineOptions &options)
-{
-    TRACE_SPAN("hilp.fallback");
-    EvalResult eval;
-    eval.degraded = true;
-    // Same salted seeding as the solver facade: the fallback's
-    // greedy and LNS passes must diversify across instances and
-    // retry attempts too.
-    const uint64_t heuristic_seed = cp::heuristicSeed(options.solver);
-    double step = step_s;
-    for (int i = 0; i <= coarsenings_left;
-         ++i, step *= options.refineFactor) {
-        DiscretizedProblem problem =
-            discretize(spec, step, options.horizonSteps);
-        cp::ListResult greedy =
-            cp::bestGreedy(problem.model, 2, heuristic_seed);
-        if (!greedy.feasible)
-            continue; // Horizon too tight; coarsen and retry.
-        cp::LowerBounds bounds =
-            cp::computeLowerBounds(problem.model, false);
-        if (options.fallbackLnsIterations > 0) {
-            // The degradation tier between "return the incumbent"
-            // and raw greedy: a short, strictly-bounded LNS pass
-            // tightens the greedy schedule. Monotone, so the result
-            // replaces it unconditionally.
-            cp::LnsOptions lns;
-            lns.iterations = options.fallbackLnsIterations;
-            lns.maxSeconds = 0.25;
-            lns.seed = heuristic_seed + 3;
-            lns.polishNodes = 512;
-            lns.targetGap = options.solver.targetGap;
-            lns.lowerBound = bounds.best();
-            cp::LnsResult polished =
-                cp::lnsImprove(problem.model, greedy.schedule, lns);
-            greedy.schedule = polished.schedule;
-            greedy.makespan = polished.makespan;
-            metrics::counter("hilp.fallback.lns").add(1);
-            metrics::counter("cp.lns.iterations")
-                .add(polished.iterations);
-            metrics::counter("cp.lns.improvements")
-                .add(polished.improvements);
-        }
-        eval.ok = true;
-        eval.status = cp::SolveStatus::Feasible;
-        eval.stepS = step;
-        eval.makespanS = greedy.makespan * step;
-        eval.lowerBoundS = bounds.best() * step;
-        eval.gap = greedy.makespan > 0
-            ? static_cast<double>(greedy.makespan - bounds.best()) /
-              static_cast<double>(greedy.makespan)
-            : 0.0;
-        eval.schedule = liftSchedule(spec, problem, greedy.schedule);
-        eval.averageWlp = eval.schedule.averageWlp();
-        metrics::counter("hilp.fallback.schedules").add(1);
-        return eval;
-    }
-    eval.status = cp::SolveStatus::NoSolution;
-    return eval;
-}
-
 } // anonymous namespace
 
 EvalResult
@@ -660,12 +587,13 @@ evaluate(const ProblemSpec &spec, const EngineOptions &request_options,
 
     // Salt the heuristic seed with the instance identity before any
     // solve: distinct problems sharing SolverOptions::seed must not
-    // share greedy/LNS trajectories, and a sweep retry that bumps
-    // seedSalt by the attempt index gets a genuinely different
-    // destroy sequence instead of replaying the failing one. The
-    // seed salt is applied below the memo (the memo salt digests the
-    // *request* options) and is a pure function of the fingerprint,
-    // so cached and fresh evaluations of an instance still agree.
+    // share greedy and hill-climbing trajectories, and a sweep retry
+    // that bumps seedSalt by the attempt index gets genuinely
+    // different restarts and moves instead of replaying the failing
+    // ones. The seed salt is applied below the memo (the memo salt
+    // digests the *request* options) and is a pure function of the
+    // fingerprint, so cached and fresh evaluations of an instance
+    // still agree.
     EngineOptions options = request_options;
     {
         Hasher seed_salt;
@@ -724,30 +652,21 @@ evaluate(const ProblemSpec &spec, const EngineOptions &request_options,
     };
 
     // Find a resolution at which a schedule exists, coarsening when
-    // the initial horizon is too tight.
+    // the initial horizon is too tight. This is also the one way a
+    // late point degrades: past the deadline a solve costs only its
+    // bounds, its greedy and one node, so the ladder stays cheap and
+    // every rung still certifies its own bound.
     double step = options.initialStepS;
     EvalResult best = solve_at(step);
     int coarsenings = 0;
-    while (!best.ok && coarsenings < options.maxCoarsenings &&
-           !expired()) {
+    while (!best.ok && coarsenings < options.maxCoarsenings) {
         step *= options.refineFactor;
         ++coarsenings;
         best = solve_at(step);
         best.refinements = -coarsenings;
     }
-    if (!best.ok) {
-        // Out of deadline with no schedule: degrade to the greedy
-        // list scheduler over the remaining coarsening ladder rather
-        // than reporting a hard failure.
-        if (expired()) {
-            EvalResult fallback = listSchedulerFallback(
-                spec, step, options.maxCoarsenings - coarsenings,
-                options);
-            fallback.refinements = -coarsenings;
-            return finish(std::move(fallback));
-        }
+    if (!best.ok)
         return finish(std::move(best));
-    }
 
     // When the sweep already holds a point that dominates anything
     // this instance can achieve at *any* resolution (the continuous

@@ -57,21 +57,13 @@ struct EngineOptions
      * monotonic deadline threaded through SolverOptions into the
      * search. On expiry the engine degrades gracefully instead of
      * failing: it returns the best incumbent found so far with its
-     * certified gap (falling back to a cheap list-scheduler schedule
-     * when no solve produced one) and sets EvalResult::degraded.
+     * certified gap, and sets EvalResult::degraded when that gap
+     * misses the target or planned refinements were cut. A point
+     * with no schedule yet keeps coarsening; past the deadline each
+     * solve costs only its bounds, its greedy and one node.
      * 0 (the default) means no ceiling.
      */
     double pointTimeoutS = 0.0;
-    /**
-     * Destroy/repair LNS iterations (see cp/lns.hh) polishing the
-     * list-scheduler fallback's greedy schedule - the degradation
-     * tier between "return the incumbent" and "raw greedy": when a
-     * deadline expires with no solver incumbent, a short LNS pass
-     * tightens the greedy schedule before it is certified and
-     * returned. Monotone (never returns a worse schedule), so it is
-     * on by default; 0 disables it.
-     */
-    int fallbackLnsIterations = 64;
 
     /**
      * The paper's validation-mode parameters (Section III-D): 2 s
@@ -104,8 +96,6 @@ inline constexpr OptionField<EngineOptions> kEngineOptionFields[] = {
     {"escalations", &EngineOptions::escalations, 0, 4},
     {"escalation_factor", &EngineOptions::escalationFactor, 1.0, 8.0},
     {"point_timeout_s", &EngineOptions::pointTimeoutS, 0.0, 1e6},
-    {"fallback_lns_iterations", &EngineOptions::fallbackLnsIterations,
-     0, 1 << 16},
 };
 
 /** The outcome of evaluating a workload on an SoC. */

@@ -1,7 +1,6 @@
 #include "protocol.hh"
 
 #include <limits>
-#include <type_traits>
 
 #include "arch/parse.hh"
 #include "hilp/options.hh"
@@ -26,41 +25,6 @@ fail(std::string *error, const std::string &message)
     if (error)
         *error = message;
     return false;
-}
-
-/**
- * Read an optional request field into *out. An absent field leaves
- * *out as it is; a present one must have the JSON kind of *out (an
- * integer for int64_t) or the read fails, so a value of the wrong
- * kind is never replaced by a default or truncated. `object` must be
- * a JSON object.
- */
-template <typename T>
-bool
-readField(const Json &object, const char *key, T *out)
-{
-    const Json *value = object.find(key);
-    if (!value)
-        return true;
-    if constexpr (std::is_same_v<T, bool>) {
-        if (!value->isBool())
-            return false;
-        *out = value->boolValue();
-    } else if constexpr (std::is_same_v<T, int64_t>) {
-        if (!value->isInteger())
-            return false;
-        *out = value->intValue();
-    } else if constexpr (std::is_same_v<T, double>) {
-        if (!value->isNumber())
-            return false;
-        *out = value->numberValue();
-    } else {
-        static_assert(std::is_same_v<T, std::string>);
-        if (!value->isString())
-            return false;
-        *out = value->stringValue();
-    }
-    return true;
 }
 
 } // anonymous namespace

@@ -176,13 +176,6 @@ member(const Json &object, const char *key)
 
 } // anonymous namespace
 
-double
-numberOr(const Json &object, const char *key, double fallback)
-{
-    const Json *value = member(object, key);
-    return value && value->isNumber() ? value->numberValue() : fallback;
-}
-
 int64_t
 intOr(const Json &object, const char *key, int64_t fallback)
 {

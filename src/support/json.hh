@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -126,16 +127,50 @@ class Json
 /** Escape a string for inclusion in JSON text (without quotes). */
 std::string jsonEscape(const std::string &text);
 
-// Typed member reads for decoding wire and checkpoint objects: the
-// value of `key` when `object` is an object holding it with the
-// right kind, else the fallback (also for a non-object, so a reply
-// line of any shape can be probed).
+// Lenient member reads for probing reply lines: the value of `key`
+// when `object` is an object holding it with the right kind, else
+// the fallback (also for a non-object, so a line of any shape can be
+// probed). Requests and point records use readField below.
 
-double numberOr(const Json &object, const char *key, double fallback);
 int64_t intOr(const Json &object, const char *key, int64_t fallback);
 bool boolOr(const Json &object, const char *key, bool fallback);
 std::string stringOr(const Json &object, const char *key,
                      const std::string &fallback = "");
+
+/**
+ * Read an optional member into *out, for decoding wire requests and
+ * point records. An absent member leaves *out as it is; a present one
+ * must have the JSON kind of *out (an integer for int64_t) or the
+ * read fails, so a value of the wrong kind is never replaced by a
+ * default or truncated. `object` must be a JSON object.
+ */
+template <typename T>
+bool
+readField(const Json &object, const char *key, T *out)
+{
+    const Json *value = object.find(key);
+    if (!value)
+        return true;
+    if constexpr (std::is_same_v<T, bool>) {
+        if (!value->isBool())
+            return false;
+        *out = value->boolValue();
+    } else if constexpr (std::is_same_v<T, int64_t>) {
+        if (!value->isInteger())
+            return false;
+        *out = value->intValue();
+    } else if constexpr (std::is_same_v<T, double>) {
+        if (!value->isNumber())
+            return false;
+        *out = value->numberValue();
+    } else {
+        static_assert(std::is_same_v<T, std::string>);
+        if (!value->isString())
+            return false;
+        *out = value->stringValue();
+    }
+    return true;
+}
 
 } // namespace hilp
 

@@ -243,6 +243,19 @@ TEST(Solver, RepeatedSolvesAreDeterministic)
     }
 }
 
+TEST(Solver, SeedSaltGivesTheRetryAFreshHeuristicSeed)
+{
+    // The sweep's fault-isolation retry salts seedSalt with the
+    // attempt index, so its greedy restarts and hill climbing must
+    // start from another seed than the attempt that failed; an
+    // unsalted solve keeps `seed` itself, bit for bit.
+    SolverOptions options;
+    EXPECT_EQ(heuristicSeed(options), options.seed);
+    SolverOptions retry = options;
+    retry.seedSalt = 0x9e3779b97f4a7c15ull;
+    EXPECT_NE(heuristicSeed(retry), options.seed);
+}
+
 TEST(Solver, FeasibleHintIsAcceptedAndNeverWorsened)
 {
     Model m = contendedModel(10);

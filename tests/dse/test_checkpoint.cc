@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 
 #include "dse/checkpoint.hh"
+#include "dse/distribute.hh"
 #include "dse/explore.hh"
 #include "hilp/builder.hh"
 #include "sim/replay.hh"
@@ -223,16 +225,114 @@ TEST_F(Checkpoint, MalformedScheduleDegradesToNoSchedule)
     std::fputs("{\"key\":\"0000000000000002\",\"kind\":\"HILP\","
                "\"ok\":true,\"makespan_s\":4.0,"
                "\"schedule\":{\"phases\":[[1,2]]}}\n", file);
+    // Integer columns (here the start step, then the app) that are
+    // not integers, or do not fit an int, damage the schedule too.
+    std::fputs("{\"key\":\"0000000000000003\",\"ok\":true,"
+               "\"schedule\":{\"phases\":[[0,1,\"a\",2,\"GPU\",0,"
+               "2.5,5,6,10,12.5,3.25,0.5]]}}\n", file);
+    std::fputs("{\"key\":\"0000000000000004\",\"ok\":true,"
+               "\"schedule\":{\"phases\":[[4294967298,1,\"a\",2,"
+               "\"GPU\",0,3,5,6,10,12.5,3.25,0.5]]}}\n", file);
     std::fclose(file);
 
     SweepCheckpoint resumed;
     ASSERT_TRUE(resumed.open(path_, true));
-    EXPECT_EQ(resumed.loaded(), 2u);
+    EXPECT_EQ(resumed.loaded(), 4u);
+    for (uint64_t key : {2, 3, 4}) {
+        DsePoint point;
+        ASSERT_TRUE(resumed.lookup(key, &point)) << key;
+        EXPECT_TRUE(point.ok) << key;
+        Schedule restored;
+        EXPECT_FALSE(resumed.lookupSchedule(key, &restored)) << key;
+    }
+}
+
+/**
+ * Members of the wrong JSON kind or outside their range. Read
+ * leniently, each would load as a default or a truncated value (not
+ * ok, 2 solves, 2 nodes, a 0 s makespan, ...).
+ */
+struct BadMember
+{
+    const char *field;
+    const char *json;
+};
+
+const BadMember kBadMembers[] = {
+    {"ok", "\"true\""},
+    {"solves", "4294967298"},
+    {"nodes", "2.5"},
+    {"makespan_s", "\"1388.4\""},
+    {"degraded", "\"yes\""},
+    {"gap", "-3"},
+    {"gap", "1.5"},
+    {"status", "\"done\""},
+    {"backtracks", "-1"},
+    {"solve_s", "-0.5"},
+};
+
+/** samplePoint's record line under `key`, with `bad` applied. */
+std::string
+recordLine(uint64_t key, const arch::SocConfig &config,
+           const BadMember *bad = nullptr)
+{
+    DsePoint point = samplePoint(2.0);
+    point.config = config;
+    Json record = pointRecordJson(key, ModelKind::Hilp, point);
+    if (bad) {
+        Json value;
+        EXPECT_TRUE(Json::parse(bad->json, &value)) << bad->json;
+        record.set(bad->field, value);
+    }
+    return record.dump();
+}
+
+TEST_F(Checkpoint, MistypedOrOutOfRangeRecordsAreDroppedOnResume)
+{
+    arch::SocConfig config;
+    std::FILE *file = std::fopen(path_.c_str(), "w");
+    ASSERT_NE(file, nullptr);
+    std::fputs((recordLine(1, config) + "\n").c_str(), file);
+    for (size_t i = 0; i < std::size(kBadMembers); ++i)
+        std::fputs((recordLine(2 + i, config, &kBadMembers[i]) + "\n")
+                       .c_str(),
+                   file);
+    std::fclose(file);
+
+    SweepCheckpoint resumed;
+    ASSERT_TRUE(resumed.open(path_, true));
+    EXPECT_EQ(resumed.loaded(), 1u);
+    EXPECT_EQ(resumed.dropped(), std::size(kBadMembers));
     DsePoint point;
-    ASSERT_TRUE(resumed.lookup(2, &point));
-    EXPECT_TRUE(point.ok);
-    Schedule restored;
-    EXPECT_FALSE(resumed.lookupSchedule(2, &restored));
+    EXPECT_TRUE(resumed.lookup(1, &point));
+    for (size_t i = 0; i < std::size(kBadMembers); ++i)
+        EXPECT_FALSE(resumed.lookup(2 + i, &point))
+            << kBadMembers[i].field << ":" << kBadMembers[i].json;
+}
+
+TEST_F(Checkpoint, MistypedOrOutOfRangeRecordsAreRejectedBySubmit)
+{
+    // A worker's submit goes through the same reader: the coordinator
+    // rejects each bad record, merges none, and still merges the
+    // intact one.
+    arch::SocConfig config;
+    Coordinator coordinator({config}, ModelKind::Hilp);
+    LeaseGrant grant;
+    ASSERT_EQ(coordinator.lease("w1", &grant), LeaseOutcome::Granted);
+    for (size_t i = 0; i < std::size(kBadMembers); ++i) {
+        std::string error;
+        EXPECT_FALSE(coordinator.submitRecord(
+            "w1", grant.leaseId,
+            recordLine(2 + i, config, &kBadMembers[i]), &error))
+            << kBadMembers[i].field << ":" << kBadMembers[i].json;
+        EXPECT_FALSE(error.empty());
+    }
+    EXPECT_EQ(coordinator.progress().pointsMerged, 0u);
+    std::string error;
+    EXPECT_TRUE(coordinator.submitRecord("w1", grant.leaseId,
+                                         recordLine(1, config), &error))
+        << error;
+    EXPECT_EQ(coordinator.progress().pointsMerged, 1u);
 }
 
 TEST_F(Checkpoint, TornFinalLineIsDroppedNotFatal)

@@ -128,10 +128,10 @@ TEST(Engine, ExpiredPointDeadlineDegradesGracefully)
 {
     // A deadline that is already over when the evaluation starts:
     // the engine must still hand back a certified schedule (the
-    // greedy fallback or a budget-capped incumbent), flagged
-    // degraded, never a hard failure. The power-constrained Figure 3
-    // instance guarantees a positive certified gap (the lower bounds
-    // are power-blind), so the cut is always observable.
+    // budget-capped incumbent), flagged degraded, never a hard
+    // failure. The power-constrained Figure 3 instance guarantees a
+    // positive certified gap (the lower bounds are power-blind), so
+    // the cut is always observable.
     ProblemSpec spec = makeTwoAppExample();
     spec.powerBudgetW = 3.0;
     EngineOptions options = exampleOptions();
@@ -146,6 +146,50 @@ TEST(Engine, ExpiredPointDeadlineDegradesGracefully)
     EXPECT_LT(result.gap, 1.0);
     EXPECT_LE(result.lowerBoundS, result.makespanS + 1e-9);
     EXPECT_FALSE(result.schedule.phases.empty());
+}
+
+TEST(Engine, LateCoarseningRunsTheLadder)
+{
+    // The tight horizon of CoarseningRecoversFromTightHorizon with a
+    // deadline already over: the late point climbs the same
+    // coarsening ladder, each rung an ordinary solve, and its result
+    // carries the rung's own status and certified bound.
+    EngineOptions options;
+    options.initialStepS = 1.0;
+    options.horizonSteps = 6;
+    options.refineFactor = 2.0;
+    options.maxRefinements = 0;
+    options.maxCoarsenings = 4;
+    options.solver.targetGap = 0.0;
+    options.pointTimeoutS = 1e-9;
+
+    // With no power budget the 2 s rung proves its 10 s schedule
+    // optimal, just as it does with no deadline.
+    EvalResult free_power = evaluate(makeTwoAppExample(), options);
+    ASSERT_TRUE(free_power.ok);
+    EXPECT_EQ(free_power.status, cp::SolveStatus::Optimal);
+    EXPECT_EQ(free_power.refinements, -1);
+    EXPECT_EQ(free_power.solves, 2);
+    EXPECT_FALSE(free_power.degraded);
+    EXPECT_DOUBLE_EQ(free_power.stepS, 2.0);
+    EXPECT_DOUBLE_EQ(free_power.makespanS, 10.0);
+    EXPECT_DOUBLE_EQ(free_power.lowerBoundS, 10.0);
+    EngineOptions untimed = options;
+    untimed.pointTimeoutS = 0.0;
+    EvalResult reference = evaluate(makeTwoAppExample(), untimed);
+    EXPECT_EQ(reference.status, free_power.status);
+    EXPECT_DOUBLE_EQ(reference.makespanS, free_power.makespanS);
+
+    // Under 3 W the power-blind bounds stay at 10 s, so the 12 s
+    // greedy schedule misses the target gap: degraded, not failed.
+    ProblemSpec capped = makeTwoAppExample();
+    capped.powerBudgetW = 3.0;
+    EvalResult late = evaluate(capped, options);
+    ASSERT_TRUE(late.ok);
+    EXPECT_EQ(late.refinements, -1);
+    EXPECT_DOUBLE_EQ(late.makespanS, 12.0);
+    EXPECT_DOUBLE_EQ(late.lowerBoundS, 10.0);
+    EXPECT_TRUE(late.degraded);
 }
 
 TEST(Engine, GenerousDeadlineDoesNotDegrade)

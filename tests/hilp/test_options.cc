@@ -204,11 +204,12 @@ TEST(OptionTables, EveryFieldIsDigestedRoundTrippedAndRangeChecked)
 TEST(OptionTables, UnknownKeysAreIgnored)
 {
     // A client may send fields this build no longer knows, the
-    // retired solver knobs included, even with values their old
-    // range checks rejected.
+    // retired engine and solver knobs included, even with values
+    // their old range checks rejected.
     EngineOptions options;
     std::string error;
-    ASSERT_TRUE(parseText("{\"retired_knob\":true,\"solver\":"
+    ASSERT_TRUE(parseText("{\"retired_knob\":true,"
+                          "\"fallback_lns_iterations\":-1,\"solver\":"
                           "{\"retired_depth\":3,\"use_nogoods\":true,"
                           "\"nogood_capacity\":-1,\"lns\":true,"
                           "\"lns_polish_nodes\":\"many\",\"threads\":2}}",
