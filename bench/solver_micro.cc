@@ -419,7 +419,8 @@ emitReport(const std::vector<Measurement> &measurements,
     report.set("totals", std::move(totals));
     if (total_nodes > 0) {
         // Search scratch grown during the tree walks, amortized over
-        // their nodes: ~0 once the arenas and slabs have warmed up.
+        // their nodes: ~0 once each depth's branching vectors and the
+        // profile slabs have warmed up.
         double per_node = static_cast<double>(total_scratch) /
                           static_cast<double>(total_nodes);
         report.set("alloc_bytes_per_node", Json::number(per_node));

@@ -53,9 +53,9 @@ struct Mode
     std::vector<double> usage;
     /**
      * Model-wide dense mode index, assigned by Model::addTask in
-     * task/mode order. The Profile keys its precomputed
-     * per-mode resource-unit rows on it; -1 on modes never added to
-     * a model (those fall back to per-query conversion).
+     * task/mode order. The Profile keys its precomputed per-mode
+     * resource-unit rows on it, so it queries only modes of its own
+     * model; -1 on modes never added to a model.
      */
     int id = -1;
 };

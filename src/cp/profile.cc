@@ -76,8 +76,6 @@ Profile::Profile(const Model &model)
     capUnits_.reserve(static_cast<size_t>(nr));
     for (int r = 0; r < nr; ++r)
         capUnits_.push_back(toUnits(model.capacity(r)));
-    unitsScratch_.resize(static_cast<size_t>(nr), 0);
-    nzScratch_.reserve(static_cast<size_t>(nr));
     sweepScratch_.resize(static_cast<size_t>(nr));
 
     // Slab regions sized for the common case (a full schedule
@@ -143,49 +141,24 @@ void
 Profile::modeRow(const Mode &mode, const Units **units,
                  const int32_t **nz, int32_t *nnz) const
 {
-    const int nr = model_.numResources();
-    if (mode.id >= 0 &&
-        static_cast<size_t>(mode.id) < modeNzOff_.size()) {
-        *units = modeUnits_.data() +
-                 static_cast<size_t>(mode.id) *
-                     static_cast<size_t>(nr);
-        *nz = nzRes_.data() + modeNzOff_[mode.id];
-        *nnz = modeNzLen_[mode.id];
-        return;
-    }
-    // Hand-built mode (never added to a model): convert per query.
-    nzScratch_.clear();
-    for (int r = 0; r < nr; ++r) {
-        unitsScratch_[r] = toUnits(mode.usage[r]);
-        if (unitsScratch_[r] > 0)
-            nzScratch_.push_back(r);
-    }
-    *units = unitsScratch_.data();
-    *nz = nzScratch_.data();
-    *nnz = static_cast<int32_t>(nzScratch_.size());
+    hilp_assert(mode.id >= 0 &&
+                static_cast<size_t>(mode.id) < modeNzOff_.size());
+    *units = modeUnits_.data() +
+             static_cast<size_t>(mode.id) *
+                 static_cast<size_t>(model_.numResources());
+    *nz = nzRes_.data() + modeNzOff_[mode.id];
+    *nnz = modeNzLen_[mode.id];
 }
 
 void
 Profile::modeSweepRow(const Mode &mode, const int32_t **nz,
                       const Units **limits, int32_t *nnz) const
 {
-    if (mode.id >= 0 &&
-        static_cast<size_t>(mode.id) < modeNzOff_.size()) {
-        *nz = nzRes_.data() + modeNzOff_[mode.id];
-        *limits = nzLimit_.data() + modeNzOff_[mode.id];
-        *nnz = modeNzLen_[mode.id];
-        return;
-    }
-    // Hand-built mode: convert per query via the units scratch.
-    const Units *units;
-    modeRow(mode, &units, nz, nnz);
-    limScratch_.clear();
-    for (int32_t k = 0; k < *nnz; ++k) {
-        const int r = (*nz)[k];
-        limScratch_.push_back(capUnits_[r] + kCapacitySlack -
-                              units[r]);
-    }
-    *limits = limScratch_.data();
+    hilp_assert(mode.id >= 0 &&
+                static_cast<size_t>(mode.id) < modeNzOff_.size());
+    *nz = nzRes_.data() + modeNzOff_[mode.id];
+    *limits = nzLimit_.data() + modeNzOff_[mode.id];
+    *nnz = modeNzLen_[mode.id];
 }
 
 size_t

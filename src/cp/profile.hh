@@ -58,7 +58,9 @@ double fromUnits(Units units);
 
 /**
  * Interval-based occupancy of the model's resources and groups.
- * Drop-in contract-compatible with the dense Timetable.
+ * Drop-in contract-compatible with the dense Timetable. Every mode
+ * passed in must be a mode of that model: its Mode::id selects the
+ * precomputed rows.
  */
 class Profile
 {
@@ -152,9 +154,9 @@ class Profile
     void growGroup(int g);
 
     /**
-     * Resolve the mode's per-resource units and the list of
-     * resources it actually consumes: the precomputed row for modes
-     * with an id, a scratch conversion for hand-built ones.
+     * Resolve the mode's precomputed per-resource units and the list
+     * of resources it actually consumes. The mode must belong to the
+     * profile's model (its id indexes the rows).
      */
     void modeRow(const Mode &mode, const Units **units,
                  const int32_t **nz, int32_t *nnz) const;
@@ -172,12 +174,6 @@ class Profile
 
     /** Per-resource capacity in units. */
     std::vector<Units> capUnits_;
-    /** Scratch: per-resource units for id-less modes. */
-    mutable std::vector<Units> unitsScratch_;
-    /** Scratch: non-zero resource list for id-less modes. */
-    mutable std::vector<int32_t> nzScratch_;
-    /** Scratch: per-resource sweep limits for id-less modes. */
-    mutable std::vector<Units> limScratch_;
     /**
      * Per-resource sweep state for earliestStart: segment base
      * pointers, length, current containing-segment cursor, and the

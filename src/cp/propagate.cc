@@ -311,9 +311,10 @@ makeDisjunctivePropagator(const Model &model)
 }
 
 PropagationEngine::PropagationEngine(const Model &model)
-    : profile_(model),
-      trail_(&stateArena_)
-{}
+    : profile_(model)
+{
+    trail_.reserve(static_cast<size_t>(model.numTasks()));
+}
 
 void
 PropagationEngine::add(std::unique_ptr<Propagator> propagator)

@@ -43,7 +43,6 @@
 #include "bounds.hh"
 #include "model.hh"
 #include "profile.hh"
-#include "support/arena.hh"
 
 namespace hilp {
 namespace cp {
@@ -162,13 +161,6 @@ class PropagationEngine
     /** Per-propagator telemetry accumulated so far. */
     std::vector<PropagatorStats> stats() const;
 
-    /**
-     * Arena backing the trail once it outgrows its inline storage.
-     * Never rewound while the engine lives, so spilled storage stays
-     * valid; exposed for scratch accounting.
-     */
-    const support::Arena &stateArena() const { return stateArena_; }
-
   private:
     struct TrailEntry
     {
@@ -181,12 +173,10 @@ class PropagationEngine
     std::vector<std::unique_ptr<Propagator>> propagators_;
     std::vector<PropagatorStats> stats_;
     /**
-     * Spill arena for trail_ (declared first so it outlives it).
-     * Depth is bounded by the task count, so after one spill past
-     * the inline storage the steady state allocates nothing.
+     * One entry per placed task, so reserving the task count in the
+     * constructor means the trail never grows.
      */
-    support::Arena stateArena_;
-    support::SmallVector<TrailEntry, 64> trail_;
+    std::vector<TrailEntry> trail_;
 };
 
 } // namespace cp

@@ -17,7 +17,6 @@
 #include "nogood.hh"
 #include "profile.hh"
 #include "propagate.hh"
-#include "support/arena.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/str.hh"
@@ -386,6 +385,7 @@ class Worker
             if (remainingPreds_[t] == 0)
                 addEligible(t);
         path_.reserve(static_cast<size_t>(n_));
+        depths_.resize(static_cast<size_t>(n_));
 
         privUb_ = shared.incumbent.ub();
         privFound_ = shared.incumbent.found();
@@ -407,26 +407,6 @@ class Worker
     /** Scratch heap growth since construction (steady state: 0). */
     int64_t scratchBytes() const
     { return scratchHeapBytes() - scratchBaseline_; }
-
-    int64_t arenaHighWater() const
-    {
-        return static_cast<int64_t>(
-            nodeArena_.highWater() +
-            engine_.stateArena().highWater());
-    }
-
-    int64_t arenaRewinds() const
-    {
-        return nodeArena_.rewinds() +
-               engine_.stateArena().rewinds();
-    }
-
-    int64_t arenaHeapBytes() const
-    {
-        return static_cast<int64_t>(
-            nodeArena_.heapBytes() +
-            engine_.stateArena().heapBytes());
-    }
 
     // -- Private incumbent (single thread). ------------------------
     bool privateFound() const { return privFound_; }
@@ -480,7 +460,7 @@ class Worker
     /**
      * O(1) swap-remove from the eligible set. The set's internal
      * order is irrelevant: every node copies and re-sorts it into
-     * branch_tasks, so the branch order stays deterministic.
+     * its branch order, so the branch order stays deterministic.
      */
     void
     removeEligible(int t)
@@ -735,14 +715,12 @@ class Worker
         }
 
         // Branch over all eligible tasks, longest tail first. The
-        // branch order and per-task option lists live in arena
-        // scratch released wholesale when the node unwinds, so no
-        // node allocates in steady state.
-        const size_t num_branch = eligible_.size();
-        support::Arena::Scope scope(nodeArena_);
-        int *branch_tasks = nodeArena_.allocArray<int>(num_branch);
-        std::copy(eligible_.begin(), eligible_.end(), branch_tasks);
-        std::sort(branch_tasks, branch_tasks + num_branch,
+        // branch order and option list reuse this depth's vectors,
+        // so no node allocates once every depth has been visited.
+        Depth &depth = depths_[static_cast<size_t>(scheduled_)];
+        std::vector<int> &order = depth.order;
+        order.assign(eligible_.begin(), eligible_.end());
+        std::sort(order.begin(), order.end(),
                   [this](int a, int b) {
                       if (shared_.cp.tail[a] != shared_.cp.tail[b])
                           return shared_.cp.tail[a] >
@@ -752,8 +730,8 @@ class Worker
 
         bool spill = shouldSpill();
         const Profile &profile = engine_.profile();
-        for (size_t bi = 0; bi < num_branch; ++bi) {
-            int t = branch_tasks[bi];
+        std::vector<Option> &options = depth.options;
+        for (int t : order) {
             Time est = 0;
             for (int p : model_.predecessors(t))
                 est = std::max(est, end_[p]);
@@ -765,9 +743,8 @@ class Worker
             const Task &task = model_.task(t);
             // Enumerate feasible (mode, start) options; sort by
             // completion time so promising branches go first.
-            Option *options =
-                nodeArena_.allocArray<Option>(task.modes.size());
-            size_t num_options = 0;
+            options.clear();
+            options.reserve(task.modes.size());
             Time tail_after =
                 shared_.cp.tail[t] - model_.minDuration(t);
             ub = currentUb();
@@ -782,16 +759,15 @@ class Worker
                 Time complete = start + mode.duration;
                 if (complete + tail_after >= ub)
                     continue; // Cannot beat the incumbent.
-                options[num_options++] =
-                    {static_cast<int>(m), start, complete};
+                options.push_back(
+                    {static_cast<int>(m), start, complete});
             }
-            std::sort(options, options + num_options,
+            std::sort(options.begin(), options.end(),
                       [](const Option &a, const Option &b) {
                           return a.complete < b.complete;
                       });
 
-            for (size_t oi = 0; oi < num_options; ++oi) {
-                const Option &opt = options[oi];
+            for (const Option &opt : options) {
                 Decision d{t, opt.mode, opt.start};
                 if (spill) {
                     publish(d, std::max(node_bound,
@@ -931,16 +907,25 @@ class Worker
         Time complete;
     };
 
+    /** One depth's branching scratch (see dfs). */
+    struct Depth
+    {
+        std::vector<int> order;
+        std::vector<Option> options;
+    };
+
     /**
      * Heap bytes currently committed to this worker's scratch: the
-     * node and engine-state arenas and the profile's occupancy slabs.
+     * per-depth vectors and the profile's occupancy slabs.
      */
     int64_t
     scratchHeapBytes() const
     {
-        return static_cast<int64_t>(nodeArena_.heapBytes() +
-                                    engine_.stateArena().heapBytes() +
-                                    engine_.profile().heapBytes());
+        size_t bytes = engine_.profile().heapBytes();
+        for (const Depth &depth : depths_)
+            bytes += depth.order.capacity() * sizeof(int) +
+                     depth.options.capacity() * sizeof(Option);
+        return static_cast<int64_t>(bytes);
     }
 
     Shared &shared_;
@@ -953,11 +938,11 @@ class Worker
 
     PropagationEngine engine_;
     /**
-     * Per-node scratch: every dfs() call opens a Scope and the whole
-     * node's scratch releases as one pointer rewind, including on the
-     * early-exit paths.
+     * Branching scratch indexed by scheduled_: a node refills its
+     * depth's vectors and never shrinks them, and its children use
+     * the next depth's, so a refill never touches a live frame's.
      */
-    support::Arena nodeArena_;
+    std::vector<Depth> depths_;
     int64_t scratchBaseline_ = 0;
     std::vector<Assignment> assign_;
     std::vector<Time> end_;
@@ -994,8 +979,7 @@ class Worker
 
 /** Fold one worker's counters into the result. */
 void
-mergeWorker(SearchResult &result, const Worker &worker,
-            int64_t *arena_heap)
+mergeWorker(SearchResult &result, const Worker &worker)
 {
     result.nodes += worker.nodes();
     result.backtracks += worker.backtracks();
@@ -1005,15 +989,12 @@ mergeWorker(SearchResult &result, const Worker &worker,
     result.nogoodHits += worker.nogoodHits();
     result.nogoodsRecorded += worker.nogoodsRecorded();
     result.scratchBytes += worker.scratchBytes();
-    result.arenaHighWater += worker.arenaHighWater();
-    result.arenaRewinds += worker.arenaRewinds();
-    *arena_heap += worker.arenaHeapBytes();
     mergePropagatorStats(result.propagators, worker.propagators());
 }
 
 /** Per-search metrics flush, once per search (not per node). */
 void
-flushMetrics(const SearchResult &result, int64_t arena_heap)
+flushMetrics(const SearchResult &result)
 {
     metrics::counter("cp.search.nodes").add(result.nodes);
     metrics::counter("cp.search.backtracks").add(result.backtracks);
@@ -1033,11 +1014,6 @@ flushMetrics(const SearchResult &result, int64_t arena_heap)
     }
     metrics::counter("cp.propagations").add(invocations);
     metrics::counter("cp.prunings").add(prunings);
-    metrics::gauge("hilp.arena.bytes")
-        .set(static_cast<double>(arena_heap));
-    metrics::gauge("hilp.arena.highwater")
-        .set(static_cast<double>(result.arenaHighWater));
-    metrics::counter("hilp.arena.rewinds").add(result.arenaRewinds);
 }
 
 /**
@@ -1046,11 +1022,11 @@ flushMetrics(const SearchResult &result, int64_t arena_heap)
  * strict improvement over it carries a schedule.
  */
 SearchResult
-runSerial(Shared &shared, SearchResult result, int64_t *arena_heap)
+runSerial(Shared &shared, SearchResult result)
 {
     Worker worker(shared, 0);
     worker.searchFromRoot();
-    mergeWorker(result, worker, arena_heap);
+    mergeWorker(result, worker);
     if (worker.privateFound() &&
         (!result.foundSolution ||
          worker.privateUb() < result.bestMakespan)) {
@@ -1065,7 +1041,7 @@ runSerial(Shared &shared, SearchResult result, int64_t *arena_heap)
 
 /** Two or more threads: a work-stealing crew from the root. */
 SearchResult
-runParallel(Shared &shared, SearchResult result, int64_t *arena_heap)
+runParallel(Shared &shared, SearchResult result)
 {
     int threads = shared.threads;
     shared.nogoods = std::make_unique<NogoodStore>();
@@ -1094,7 +1070,7 @@ runParallel(Shared &shared, SearchResult result, int64_t *arena_heap)
         thread.join();
 
     for (const auto &worker : workers)
-        mergeWorker(result, *worker, arena_heap);
+        mergeWorker(result, *worker);
     if (shared.incumbent.found()) {
         result.foundSolution = true;
         result.bestMakespan = shared.incumbent.ub();
@@ -1132,15 +1108,14 @@ branchAndBound(const Model &model, const ScheduleVec *warm_start,
         result.bestMakespan = initial_ub;
     }
 
-    int64_t arena_heap = 0;
     if (result.foundSolution && gapReached(initial_ub, limits)) {
         // A warm start already inside the target gap means no tree
         // walk at all; the telemetry still names every propagator.
         Worker idle(shared, 0);
-        mergeWorker(result, idle, &arena_heap);
+        mergeWorker(result, idle);
         result.exhausted = false;
     } else if (threads == 1) {
-        result = runSerial(shared, std::move(result), &arena_heap);
+        result = runSerial(shared, std::move(result));
     } else if (Clock::now() >= limits.deadline ||
                limits.maxSeconds <= 0.0) {
         // A deadline that has already passed (or a zero wall-clock
@@ -1151,7 +1126,7 @@ branchAndBound(const Model &model, const ScheduleVec *warm_start,
         // treats as an optimality proof.
         result.exhausted = false;
     } else {
-        result = runParallel(shared, std::move(result), &arena_heap);
+        result = runParallel(shared, std::move(result));
     }
 
     span.arg(trace::Arg::intArg("nodes", result.nodes));
@@ -1159,7 +1134,7 @@ branchAndBound(const Model &model, const ScheduleVec *warm_start,
         span.arg(trace::Arg::intArg("steals", result.steals));
     else
         span.arg(trace::Arg::intArg("backtracks", result.backtracks));
-    flushMetrics(result, arena_heap);
+    flushMetrics(result);
     return result;
 }
 

@@ -131,15 +131,11 @@ struct SearchResult
     int64_t nogoodsRecorded = 0;
     /**
      * Heap bytes the search scratch grew by *during* the tree walk
-     * (arenas and profile slabs). Near zero in steady state: all
-     * scratch is committed up front or during the first few nodes of
-     * warm-up.
+     * (per-depth branching vectors and profile slabs). Near zero in
+     * steady state: each depth's vectors grow on its first few visits
+     * and are reused after that.
      */
     int64_t scratchBytes = 0;
-    /** Peak live bytes across the search's arenas (all workers). */
-    int64_t arenaHighWater = 0;
-    /** Arena rewinds performed (about one per expanded node). */
-    int64_t arenaRewinds = 0;
     /**
      * Per-propagator telemetry, aggregated (by rule name) across
      * every worker's propagation engine.

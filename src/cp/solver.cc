@@ -162,8 +162,6 @@ Solver::solve(const Model &model, const ScheduleVec *hint) const
     result.stats.nogoodHits = search.nogoodHits;
     result.stats.nogoodsRecorded = search.nogoodsRecorded;
     result.stats.scratchBytes = search.scratchBytes;
-    result.stats.arenaHighWater = search.arenaHighWater;
-    result.stats.arenaRewinds = search.arenaRewinds;
 
     if (search.foundSolution) {
         result.schedule = search.best;
@@ -186,7 +184,10 @@ Solver::solve(const Model &model, const ScheduleVec *hint) const
         if (!violation.empty())
             panic("solver produced an invalid schedule: %s",
                   violation.c_str());
-    } else if (search.exhausted) {
+    } else if (search.exhausted ||
+               result.lowerBound > model.horizon()) {
+        // A certified bound past the horizon proves infeasibility
+        // even when a deadline cut the search to one node.
         result.status = SolveStatus::Infeasible;
     } else {
         result.status = SolveStatus::NoSolution;

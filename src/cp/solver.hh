@@ -154,10 +154,6 @@ struct SolveStats
     int64_t nogoodsRecorded = 0;
     /** Scratch heap growth during the tree walk, in bytes. */
     int64_t scratchBytes = 0;
-    /** Peak live bytes across the search arenas. */
-    int64_t arenaHighWater = 0;
-    /** Arena rewinds performed by the search. */
-    int64_t arenaRewinds = 0;
     /** Per-propagator telemetry from the propagation engine. */
     std::vector<PropagatorStats> propagators;
 };

@@ -221,18 +221,6 @@ EvalService::statsJson() const
     stats.set("latency", std::move(latency));
     stats.set("flight_recorder", recorder_.statsJson());
 
-    // Solver-arena footprint published by the last search (see
-    // hilp.arena.* in src/cp/search.cc): heap held by the arenas,
-    // peak live scratch, and cumulative rewinds.
-    Json arena = Json::object();
-    arena.set("bytes", Json::number(
-        metrics::gauge("hilp.arena.bytes").value()));
-    arena.set("highwater", Json::number(
-        metrics::gauge("hilp.arena.highwater").value()));
-    arena.set("rewinds", Json::number(
-        metrics::counter("hilp.arena.rewinds").value()));
-    stats.set("arena", std::move(arena));
-
     Json budget = Json::object();
     budget.set("total_slots",
                Json::number(static_cast<int64_t>(

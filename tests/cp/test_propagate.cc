@@ -40,11 +40,7 @@ smallModel()
     return m;
 }
 
-/**
- * Install the three always-on propagators. (The engine is pinned in
- * place - its trail spills into an internal arena - so it cannot be
- * returned by value.)
- */
+/** Install the three always-on propagators. */
 void
 addDefaultPropagators(PropagationEngine &engine, const Model &m)
 {

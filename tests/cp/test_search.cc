@@ -289,11 +289,60 @@ TEST_P(SearchPinned, SerialSearchMatchesRecordedTree)
     EXPECT_EQ(r.exhausted, pin.exhausted);
     EXPECT_EQ(scheduleString(r.best), pin.schedule);
     EXPECT_EQ(r.threadsUsed, 1);
-    // The walk rewinds its node arena as it backtracks, and steady
-    // state allocates nothing per node.
-    EXPECT_GT(r.arenaRewinds, 0);
-    EXPECT_GT(r.arenaHighWater, 0);
-    EXPECT_GE(r.scratchBytes, 0);
+}
+
+/**
+ * Random model with no precedence edges: every unscheduled task is
+ * eligible at every node, so depth k always branches over n - k
+ * tasks of `modes` modes each.
+ */
+Model
+independentModel(uint64_t seed, int n, int modes)
+{
+    Rng rng(seed * 40503u + 7);
+    Model m;
+    m.addResource(rng.uniformDouble(1.0, 2.5), "power");
+    int g1 = m.addGroup("A");
+    int g2 = m.addGroup("B");
+    for (int i = 0; i < n; ++i) {
+        Task t;
+        t.name = format("t%d", i);
+        for (int k = 0; k < modes; ++k) {
+            double which = rng.uniformDouble();
+            int g = which < 0.4 ? g1 : which < 0.8 ? g2 : kNoGroup;
+            t.modes.push_back(
+                {g, static_cast<Time>(rng.uniformInt(1, 6)),
+                 {rng.uniformDouble(0.0, 1.2)}});
+        }
+        m.addTask(t);
+    }
+    m.setHorizon(6 * n);
+    return m;
+}
+
+/**
+ * Each depth's branching vectors reach their size on the first visit
+ * and are reused after that, so the scratch a walk grows is the same
+ * at any budget past the first dive: a hundred times more nodes
+ * allocate nothing more.
+ */
+TEST(Search, ScratchStopsGrowingOnceWarm)
+{
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(seed);
+        Model m = independentModel(seed, 14, 3);
+        int64_t warm = -1;
+        for (int64_t budget : {2000, 20000, 200000}) {
+            SearchLimits limits;
+            limits.maxNodes = budget;
+            limits.maxSeconds = 1e9;
+            SearchResult r = branchAndBound(m, nullptr, limits);
+            EXPECT_GT(r.scratchBytes, 0) << budget;
+            if (warm < 0)
+                warm = r.scratchBytes;
+            EXPECT_EQ(r.scratchBytes, warm) << budget;
+        }
+    }
 }
 
 /**

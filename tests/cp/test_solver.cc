@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <vector>
 
 #include "cp/model.hh"
@@ -129,6 +130,34 @@ TEST(Solver, ResourceInfeasibilityIsProven)
     m.setHorizon(10);
     Result r = Solver(exactOptions()).solve(m);
     EXPECT_EQ(r.status, SolveStatus::Infeasible);
+}
+
+TEST(Solver, LateSolveOverTheHorizonIsInfeasible)
+{
+    // Three 3-step tasks on one device need 9 steps; the horizon is
+    // 8. The certified lower bound proves that before any search, so
+    // an expired deadline (a one-node search that cannot exhaust)
+    // must report the same status as an untimed solve.
+    Model m;
+    int g = m.addGroup("G");
+    for (int i = 0; i < 3; ++i) {
+        Task t;
+        t.modes.push_back({g, 3, {}});
+        m.addTask(t);
+    }
+    m.setHorizon(8);
+    Result untimed = Solver(exactOptions()).solve(m);
+    EXPECT_EQ(untimed.status, SolveStatus::Infeasible);
+    EXPECT_EQ(untimed.lowerBound, 9);
+
+    SolverOptions options = exactOptions();
+    options.deadline = std::chrono::steady_clock::now();
+    Result late = Solver(options).solve(m);
+    EXPECT_EQ(late.status, SolveStatus::Infeasible);
+    EXPECT_EQ(late.lowerBound, 9);
+    EXPECT_EQ(late.stats.nodes, untimed.stats.nodes);
+    EXPECT_FALSE(late.stats.exhausted);
+    EXPECT_FALSE(late.hasSchedule());
 }
 
 TEST(Solver, ZeroTaskModelIsTrivial)

@@ -192,6 +192,29 @@ TEST(Engine, LateCoarseningRunsTheLadder)
     EXPECT_TRUE(late.degraded);
 }
 
+TEST(Engine, LatePointOverTheHorizonIsInfeasible)
+{
+    // No coarsening rung: the 6 s horizon is below the example's
+    // certified 7 s bound, so the point is infeasible whether or not
+    // its deadline has passed, after the same one-node search.
+    EngineOptions options;
+    options.initialStepS = 1.0;
+    options.horizonSteps = 6;
+    options.maxRefinements = 0;
+    options.maxCoarsenings = 0;
+    options.solver.targetGap = 0.0;
+    EvalResult untimed = evaluate(makeTwoAppExample(), options);
+    EXPECT_FALSE(untimed.ok);
+    EXPECT_EQ(untimed.status, cp::SolveStatus::Infeasible);
+
+    options.pointTimeoutS = 1e-9;
+    EvalResult late = evaluate(makeTwoAppExample(), options);
+    EXPECT_FALSE(late.ok);
+    EXPECT_EQ(late.status, cp::SolveStatus::Infeasible);
+    EXPECT_EQ(late.solves, untimed.solves);
+    EXPECT_EQ(late.totalNodes, untimed.totalNodes);
+}
+
 TEST(Engine, GenerousDeadlineDoesNotDegrade)
 {
     EngineOptions options = exampleOptions();
