@@ -68,29 +68,19 @@ fromUnits(Units units)
 }
 
 Profile::Profile(const Model &model)
-    : model_(model),
-      horizon_(model.horizon())
+    : horizon_(model.horizon()),
+      nr_(model.numResources())
 {
     hilp_assert(horizon_ > 0);
-    const int nr = model.numResources();
-    capUnits_.reserve(static_cast<size_t>(nr));
-    for (int r = 0; r < nr; ++r)
-        capUnits_.push_back(toUnits(model.capacity(r)));
-    sweepScratch_.resize(static_cast<size_t>(nr));
 
-    // Slab regions sized for the common case (a full schedule
-    // contributes at most two breakpoints per task and one interval
-    // per task); growResource/growGroup doubles on overflow.
-    const int32_t res_cap =
-        std::max<int32_t>(8, 2 * model.numTasks() + 4);
-    resOff_.resize(static_cast<size_t>(nr));
-    resLen_.assign(static_cast<size_t>(nr), 1);
-    resCap_.assign(static_cast<size_t>(nr), res_cap);
-    segStart_.assign(static_cast<size_t>(nr) *
-                         static_cast<size_t>(res_cap), 0);
-    segLevel_.assign(segStart_.size(), 0);
-    for (int r = 0; r < nr; ++r)
-        resOff_[r] = r * res_cap; // Region r starts as one {0, 0}.
+    // Axis and group regions sized for the common case (a full
+    // schedule contributes at most two breakpoints per task and one
+    // interval per task); addRow/growGroup double on overflow. The
+    // axis starts as one all-zero segment at time 0.
+    const size_t seg_cap = static_cast<size_t>(
+        std::max<int32_t>(8, 2 * model.numTasks() + 4));
+    segStart_.assign(seg_cap, 0);
+    segLevel_.assign(seg_cap * static_cast<size_t>(nr_), 0);
 
     const int ng = model.numGroups();
     const int32_t grp_cap =
@@ -104,30 +94,27 @@ Profile::Profile(const Model &model)
     for (int g = 0; g < ng; ++g)
         grpOff_[g] = g * grp_cap;
 
-    // Precompute each mode's resource-unit row and non-zero resource
-    // list once, so the hot queries never call llround again.
+    // Precompute each mode's non-zero resources, their units and the
+    // level limit it tolerates on each (a constant of the pair), so
+    // the hot queries never call llround or gather capacities.
+    std::vector<Units> cap_units(static_cast<size_t>(nr_));
+    for (int r = 0; r < nr_; ++r)
+        cap_units[r] = toUnits(model.capacity(r));
     const int nm = model.numModes();
-    modeUnits_.assign(static_cast<size_t>(nm) *
-                          static_cast<size_t>(nr), 0);
     modeNzOff_.assign(static_cast<size_t>(nm), 0);
     modeNzLen_.assign(static_cast<size_t>(nm), 0);
     for (int t = 0; t < model.numTasks(); ++t) {
         for (const Mode &mode : model.task(t).modes) {
             hilp_assert(mode.id >= 0 && mode.id < nm);
-            Units *row = modeUnits_.data() +
-                         static_cast<size_t>(mode.id) *
-                             static_cast<size_t>(nr);
             modeNzOff_[mode.id] =
                 static_cast<int32_t>(nzRes_.size());
-            for (int r = 0; r < nr; ++r) {
-                row[r] = toUnits(mode.usage[r]);
-                if (row[r] > 0) {
+            for (int r = 0; r < nr_; ++r) {
+                const Units units = toUnits(mode.usage[r]);
+                if (units > 0) {
                     nzRes_.push_back(r);
-                    // The level limit this mode tolerates on r is a
-                    // constant of the (mode, resource) pair; bake it
-                    // so earliestStart never gathers capacities.
-                    nzLimit_.push_back(capUnits_[r] +
-                                       kCapacitySlack - row[r]);
+                    nzUnits_.push_back(units);
+                    nzLimit_.push_back(cap_units[r] +
+                                       kCapacitySlack - units);
                 }
             }
             modeNzLen_[mode.id] =
@@ -137,28 +124,14 @@ Profile::Profile(const Model &model)
     }
 }
 
-void
-Profile::modeRow(const Mode &mode, const Units **units,
-                 const int32_t **nz, int32_t *nnz) const
+Profile::ModeRow
+Profile::modeRow(const Mode &mode) const
 {
     hilp_assert(mode.id >= 0 &&
                 static_cast<size_t>(mode.id) < modeNzOff_.size());
-    *units = modeUnits_.data() +
-             static_cast<size_t>(mode.id) *
-                 static_cast<size_t>(model_.numResources());
-    *nz = nzRes_.data() + modeNzOff_[mode.id];
-    *nnz = modeNzLen_[mode.id];
-}
-
-void
-Profile::modeSweepRow(const Mode &mode, const int32_t **nz,
-                      const Units **limits, int32_t *nnz) const
-{
-    hilp_assert(mode.id >= 0 &&
-                static_cast<size_t>(mode.id) < modeNzOff_.size());
-    *nz = nzRes_.data() + modeNzOff_[mode.id];
-    *limits = nzLimit_.data() + modeNzOff_[mode.id];
-    *nnz = modeNzLen_[mode.id];
+    const int32_t off = modeNzOff_[mode.id];
+    return {nzRes_.data() + off, nzUnits_.data() + off,
+            nzLimit_.data() + off, modeNzLen_[mode.id]};
 }
 
 size_t
@@ -168,36 +141,9 @@ Profile::heapBytes() const
            segLevel_.capacity() * sizeof(Units) +
            ivStart_.capacity() * sizeof(Time) +
            ivEnd_.capacity() * sizeof(Time) +
-           modeUnits_.capacity() * sizeof(Units) +
            nzRes_.capacity() * sizeof(int32_t) +
+           nzUnits_.capacity() * sizeof(Units) +
            nzLimit_.capacity() * sizeof(Units);
-}
-
-void
-Profile::growResource(int r)
-{
-    // Rebuild the slab with this resource's region doubled. Rare:
-    // amortized by the doubling, and the initial capacity already
-    // covers a full schedule's worth of breakpoints.
-    std::vector<int32_t> new_off(resOff_.size());
-    int32_t total = 0;
-    for (size_t k = 0; k < resCap_.size(); ++k) {
-        new_off[k] = total;
-        total += k == static_cast<size_t>(r) ? resCap_[k] * 2
-                                             : resCap_[k];
-    }
-    std::vector<Time> new_starts(static_cast<size_t>(total), 0);
-    std::vector<Units> new_levels(static_cast<size_t>(total), 0);
-    for (size_t k = 0; k < resCap_.size(); ++k) {
-        std::copy_n(segStart_.begin() + resOff_[k], resLen_[k],
-                    new_starts.begin() + new_off[k]);
-        std::copy_n(segLevel_.begin() + resOff_[k], resLen_[k],
-                    new_levels.begin() + new_off[k]);
-    }
-    resCap_[r] *= 2;
-    resOff_ = std::move(new_off);
-    segStart_ = std::move(new_starts);
-    segLevel_ = std::move(new_levels);
 }
 
 void
@@ -237,76 +183,90 @@ Profile::groupBlock(int g, Time start, Time end) const
     return -1;
 }
 
-Time
-Profile::resourceBlock(int r, Units need, Time start, Time end) const
+int32_t
+Profile::firstOverRow(const ModeRow &row, int32_t from, Time end) const
 {
-    const Units limit = capUnits_[r] + kCapacitySlack - need;
-    const Time *starts = segStart_.data() + resOff_[r];
-    const Units *levels = segLevel_.data() + resOff_[r];
-    const int32_t len = resLen_[r];
-    for (int32_t i = gallopLast(starts, len, start);
-         i < len && starts[i] < end; ++i) {
-        if (levels[i] > limit)
-            return i + 1 < len ? starts[i + 1] : horizon_;
+    for (int32_t i = from; i < segLen_ && segStart_[i] < end; ++i) {
+        const Units *level =
+            segLevel_.data() + static_cast<size_t>(i) * nr_;
+        for (int32_t k = 0; k < row.nnz; ++k)
+            if (level[row.nz[k]] > row.limits[k])
+                return i;
     }
     return -1;
 }
 
 void
-Profile::addUsage(int r, Time start, Time end, Units delta)
+Profile::addRow(const ModeRow &row, Time start, Time end, Units sign)
 {
-    if (delta == 0 || start >= end)
-        return;
-    // At most two segments get inserted below; reserving up front
-    // keeps the region pointers stable for the whole operation.
-    if (resLen_[r] + 2 > resCap_[r])
-        growResource(r);
-    Time *starts = segStart_.data() + resOff_[r];
-    Units *levels = segLevel_.data() + resOff_[r];
-    int32_t len = resLen_[r];
+    if (row.nnz == 0)
+        return; // No usage: the axis stays as it is.
+    // At most two segments get inserted below; growing up front
+    // keeps the pointers stable for the whole operation.
+    if (static_cast<size_t>(segLen_) + 2 > segStart_.size()) {
+        segStart_.resize(2 * segStart_.size(), 0);
+        segLevel_.resize(segStart_.size() * static_cast<size_t>(nr_),
+                         0);
+    }
+    const size_t nr = static_cast<size_t>(nr_);
+    Time *starts = segStart_.data();
+    Units *levels = segLevel_.data();
+    int32_t len = segLen_;
+    auto row_at = [&](int32_t i) {
+        return levels + static_cast<size_t>(i) * nr;
+    };
 
-    auto insert_at = [&](int32_t pos, Time s, Units level) {
+    // Open segment pos at time s with segment pos - 1's levels.
+    auto split = [&](int32_t pos, Time s) {
+        const size_t tail = static_cast<size_t>(len - pos);
         std::memmove(starts + pos + 1, starts + pos,
-                     static_cast<size_t>(len - pos) * sizeof(Time));
-        std::memmove(levels + pos + 1, levels + pos,
-                     static_cast<size_t>(len - pos) * sizeof(Units));
+                     tail * sizeof(Time));
+        std::memmove(row_at(pos + 1), row_at(pos),
+                     tail * nr * sizeof(Units));
+        std::memcpy(row_at(pos), row_at(pos - 1), nr * sizeof(Units));
         starts[pos] = s;
-        levels[pos] = level;
         ++len;
     };
-    auto erase_at = [&](int32_t pos) {
+    // Fold segment pos into segment pos - 1 when their rows are equal.
+    auto merge = [&](int32_t pos) {
+        const Units *a = row_at(pos - 1);
+        const Units *b = row_at(pos);
+        for (size_t r = 0; r < nr; ++r)
+            if (a[r] != b[r])
+                return;
+        const size_t tail = static_cast<size_t>(len - pos - 1);
         std::memmove(starts + pos, starts + pos + 1,
-                     static_cast<size_t>(len - pos - 1) *
-                         sizeof(Time));
-        std::memmove(levels + pos, levels + pos + 1,
-                     static_cast<size_t>(len - pos - 1) *
-                         sizeof(Units));
+                     tail * sizeof(Time));
+        std::memmove(row_at(pos), row_at(pos + 1),
+                     tail * nr * sizeof(Units));
         --len;
     };
 
     // Ensure breakpoints at start and end (the tail keeps the old
-    // level), shift the covered levels, then restore canonical form
-    // at the two junctions. Interior junctions cannot collapse: both
-    // sides moved by the same delta.
+    // levels), add the row over the covered segments, then restore
+    // canonical form at the two junctions. Interior junctions cannot
+    // collapse: both sides moved by the same row.
     int32_t i = gallopLast(starts, len, start);
     if (starts[i] != start) {
-        insert_at(i + 1, start, levels[i]);
+        split(i + 1, start);
         ++i;
     }
     int32_t j = i;
     while (j + 1 < len && starts[j + 1] < end)
         ++j;
-    Time j_end = j + 1 < len ? starts[j + 1] : horizon_;
-    if (j_end > end)
-        insert_at(j + 1, end, levels[j]);
-    for (int32_t k = i; k <= j; ++k)
-        levels[k] += delta;
+    if ((j + 1 < len ? starts[j + 1] : horizon_) > end)
+        split(j + 1, end);
+    for (int32_t k = i; k <= j; ++k) {
+        Units *level = row_at(k);
+        for (int32_t q = 0; q < row.nnz; ++q)
+            level[row.nz[q]] += sign * row.units[q];
+    }
 
-    if (j + 1 < len && levels[j + 1] == levels[j])
-        erase_at(j + 1);
-    if (i > 0 && levels[i] == levels[i - 1])
-        erase_at(i);
-    resLen_[r] = len;
+    if (j + 1 < len)
+        merge(j + 1);
+    if (i > 0)
+        merge(i);
+    segLen_ = len;
 }
 
 bool
@@ -321,14 +281,11 @@ Profile::fits(const Mode &mode, Time start) const
     if (mode.group != kNoGroup &&
         groupBlock(mode.group, start, end) >= 0)
         return false;
-    const Units *units;
-    const int32_t *nz;
-    int32_t nnz;
-    modeRow(mode, &units, &nz, &nnz);
-    for (int32_t k = 0; k < nnz; ++k)
-        if (resourceBlock(nz[k], units[nz[k]], start, end) >= 0)
-            return false;
-    return true;
+    const ModeRow row = modeRow(mode);
+    return row.nnz == 0 ||
+           firstOverRow(row, gallopLast(segStart_.data(), segLen_,
+                                        start),
+                        end) < 0;
 }
 
 Time
@@ -338,24 +295,20 @@ Profile::earliestStart(const Mode &mode, Time est) const
     if (mode.duration == 0)
         return est <= horizon_ ? est : -1;
 
-    const int32_t *nz;
-    const Units *limits;
-    int32_t nnz;
-    modeSweepRow(mode, &nz, &limits, &nnz);
-
     const Time dur = mode.duration;
     Time start = est;
     if (start + dur > horizon_)
         return -1;
+    const ModeRow row = modeRow(mode);
 
     // Monotone-cursor sweep. No window that contains any step of a
     // blocking interval or over-capacity segment can be feasible, so
     // a bump restarts the scan directly after the whole blocker. The
-    // candidate start only ever moves forward, so each resource's
-    // containing segment (and the group's first still-open interval)
-    // is located once at entry and then advanced in-place; a bump
-    // never re-searches from the front. The returned start is the
-    // least feasible one - independent of blocker iteration order.
+    // candidate start only ever moves forward, so the containing
+    // segment (and the group's first still-open interval) is located
+    // once at entry and then advanced in place; a bump never
+    // re-searches from the front. The returned start is the least
+    // feasible one - independent of blocker iteration order.
     const Time *gs = nullptr;
     const Time *ge = nullptr;
     int32_t glen = 0;
@@ -366,26 +319,7 @@ Profile::earliestStart(const Mode &mode, Time est) const
         glen = grpLen_[mode.group];
         gi = gallopUpper(ge, glen, start);
     }
-    // A mode's non-zero resource count never exceeds the resource
-    // count the scratch was sized for in the constructor.
-    hilp_assert(static_cast<size_t>(nnz) <= sweepScratch_.size());
-    int32_t ns = 0;
-    for (int32_t k = 0; k < nnz; ++k) {
-        const int r = nz[k];
-        const Time *starts = segStart_.data() + resOff_[r];
-        const Units *levels = segLevel_.data() + resOff_[r];
-        const int32_t len = resLen_[r];
-        const Units limit = limits[k];
-        const int32_t cur = gallopLast(starts, len, start);
-        // The candidate start only moves forward, so a resource
-        // whose containing segment is already its last one can never
-        // block any later window if that segment has room - the
-        // common case for queries at the schedule frontier. Keep it
-        // out of the sweep set entirely.
-        if (cur == len - 1 && levels[cur] <= limit)
-            continue;
-        sweepScratch_[ns++] = {starts, levels, len, cur, limit};
-    }
+    int32_t seg = gallopLast(segStart_.data(), segLen_, start);
 
     while (true) {
         const Time end = start + dur;
@@ -396,33 +330,19 @@ Profile::earliestStart(const Mode &mode, Time est) const
             if (gi < glen && gs[gi] < end)
                 bump = ge[gi];
         }
-        if (bump < 0) {
-            for (int32_t k = 0; k < ns; ++k) {
-                SweepCursor &c = sweepScratch_[k];
-                int32_t i = c.cur;
-                while (i + 1 < c.len && c.starts[i + 1] <= start)
-                    ++i;
-                // Remember only the containing segment: the window
-                // scan below may overrun segments a later (smaller)
-                // bump still needs to inspect.
-                c.cur = i;
-                for (; i < c.len && c.starts[i] < end; ++i) {
-                    if (c.levels[i] > c.limit) {
-                        bump = i + 1 < c.len ? c.starts[i + 1]
-                                             : horizon_;
-                        break;
-                    }
-                }
-                if (bump >= 0) {
-                    // Adaptive ordering: the binding resource (the
-                    // shared power cap, typically) tends to bump
-                    // again, so front-load it and spare the other
-                    // cursors. The returned start is unchanged: the
-                    // sweep's fixpoint is blocker-order independent.
-                    if (k != 0)
-                        std::swap(sweepScratch_[0], sweepScratch_[k]);
-                    break;
-                }
+        if (bump < 0 && row.nnz > 0) {
+            while (seg + 1 < segLen_ && segStart_[seg + 1] <= start)
+                ++seg;
+            const int32_t over = firstOverRow(row, seg, end);
+            if (over >= 0) {
+                // The last segment runs to the horizon, so no later
+                // window clears it.
+                if (over + 1 == segLen_)
+                    return -1;
+                // The next candidate starts exactly at segment
+                // over + 1, so that is the cursor's new segment.
+                seg = over + 1;
+                bump = segStart_[seg];
             }
         }
         if (bump < 0)
@@ -460,12 +380,7 @@ Profile::place(const Mode &mode, Time start)
         ive[pos] = end;
         grpLen_[g] = len + 1;
     }
-    const Units *units;
-    const int32_t *nz;
-    int32_t nnz;
-    modeRow(mode, &units, &nz, &nnz);
-    for (int32_t k = 0; k < nnz; ++k)
-        addUsage(nz[k], start, end, units[nz[k]]);
+    addRow(modeRow(mode), start, end, 1);
 }
 
 void
@@ -491,25 +406,17 @@ Profile::remove(const Mode &mode, Time start)
                          sizeof(Time));
         grpLen_[g] = len - 1;
     }
-    const Units *units;
-    const int32_t *nz;
-    int32_t nnz;
-    modeRow(mode, &units, &nz, &nnz);
-    for (int32_t k = 0; k < nnz; ++k)
-        addUsage(nz[k], start, end, -units[nz[k]]);
+    addRow(modeRow(mode), start, end, -1);
 }
 
 void
 Profile::clear()
 {
-    // Region r back to its single {0, 0} segment; regions keep their
-    // offsets and capacities, so a cleared profile is canonical and
-    // answers every query exactly as a fresh one.
-    for (size_t r = 0; r < resLen_.size(); ++r) {
-        resLen_[r] = 1;
-        segStart_[resOff_[r]] = 0;
-        segLevel_[resOff_[r]] = 0;
-    }
+    // Back to the single all-zero segment; the capacities stay, so a
+    // cleared profile is canonical and answers every query exactly as
+    // a fresh one.
+    segLen_ = 1;
+    std::fill_n(segLevel_.begin(), nr_, 0);
     std::fill(grpLen_.begin(), grpLen_.end(), 0);
 }
 
@@ -523,9 +430,10 @@ Units
 Profile::usageUnits(int r, Time step) const
 {
     hilp_assert(step >= 0 && step < horizon_);
-    const Time *starts = segStart_.data() + resOff_[r];
-    return segLevel_[resOff_[r] +
-                     gallopLast(starts, resLen_[r], step)];
+    const size_t seg = static_cast<size_t>(
+        gallopLast(segStart_.data(), segLen_, step));
+    return segLevel_[seg * static_cast<size_t>(nr_) +
+                     static_cast<size_t>(r)];
 }
 
 bool

@@ -3,19 +3,22 @@
  * Profile: interval-based resource/group occupancy, the compact
  * replacement for the dense step-indexed Timetable.
  *
- * A Profile stores, per cumulative resource, a piecewise-constant
- * usage function as sorted breakpoints (time, level), and per
- * disjunctive group a sorted list of disjoint busy intervals.
- * Memory is O(placed intervals) instead of O(resources x horizon),
- * and the earliest-feasible-start query jumps over entire busy
- * intervals/segments instead of advancing one step past each
- * conflicting step.
+ * A Profile stores every cumulative resource on one shared time axis:
+ * sorted segments, each holding one row of per-resource levels that
+ * stays constant until the next segment starts. Each disjunctive
+ * group keeps a sorted list of disjoint busy intervals. Memory is
+ * O(segments x resources + placed intervals) instead of
+ * O(resources x horizon), and the earliest-feasible-start query
+ * jumps over entire busy intervals/segments instead of advancing one
+ * step past each conflicting step.
  *
- * The storage is one structure-of-arrays slab: flat contiguous
- * start[]/level[] arrays with per-resource offset ranges (groups
- * likewise), searched with branch-light galloping, plus per-mode
- * resource-unit rows precomputed once (keyed on Mode::id) so the hot
- * earliestStart path never converts doubles.
+ * The axis is two flat arrays, segment starts and level rows, that
+ * double in place when full; groups keep one slab with per-group
+ * regions. Both are searched with branch-light galloping. Each
+ * mode's non-zero resources, its units on each and its level limits
+ * are precomputed once (keyed on Mode::id), so the hot earliestStart
+ * path never converts doubles and tests only the resources a mode
+ * uses.
  *
  * Resource levels are held in scaled integer units (see toUnits),
  * so place()/remove() round-trips are *exact*: no floating-point
@@ -87,8 +90,8 @@ class Profile
 
     /**
      * Empty every resource and group, as a fresh Profile of the same
-     * model. The slab storage (grown regions included) and the
-     * per-mode unit rows stay, so refilling allocates nothing.
+     * model. The storage (grown capacity included) and the per-mode
+     * rows stay, so refilling allocates nothing.
      */
     void clear();
 
@@ -104,11 +107,8 @@ class Profile
     /** The model's horizon. */
     Time horizon() const { return horizon_; }
 
-    /** Breakpoints currently stored for resource r (diagnostics). */
-    size_t breakpoints(int r) const
-    {
-        return static_cast<size_t>(resLen_[r]);
-    }
+    /** Segments currently on the shared time axis (diagnostics). */
+    size_t segments() const { return static_cast<size_t>(segLen_); }
 
     /** Busy intervals currently stored for group g (diagnostics). */
     size_t intervals(int g) const
@@ -117,10 +117,10 @@ class Profile
     }
 
     /**
-     * Heap bytes currently committed to occupancy storage (the slab
-     * capacities). Sampled around a search, the growth is the
-     * profile's contribution to scratch allocation — near zero in
-     * steady state.
+     * Heap bytes currently committed to occupancy storage (the axis
+     * and slab capacities). Sampled around a search, the growth is
+     * the profile's contribution to scratch allocation — near zero
+     * in steady state.
      */
     size_t heapBytes() const;
 
@@ -132,83 +132,62 @@ class Profile
      */
     Time groupBlock(int g, Time start, Time end) const;
 
-    /**
-     * First candidate start after a capacity conflict of resource r
-     * in [start, end) given `need` extra units: the end of the first
-     * over-committed segment, or -1 when the window has room.
-     */
-    Time resourceBlock(int r, Units need, Time start, Time end) const;
+    /** A mode's non-zero resources, their units and level limits. */
+    struct ModeRow
+    {
+        const int32_t *nz;
+        const Units *units;
+        /** Per nz[k]: capacity + slack - units[k]. */
+        const Units *limits;
+        int32_t nnz;
+    };
 
     /**
-     * Add delta to resource r over [start, end). A resource's
-     * segments stay canonical: sorted, the first starting at 0, and
-     * adjacent levels distinct, so an exact place/remove round-trip
-     * restores the identical representation.
+     * Resolve the mode's precomputed row. The mode must belong to the
+     * profile's model (its id indexes the rows).
      */
-    void addUsage(int r, Time start, Time end, Units delta);
+    ModeRow modeRow(const Mode &mode) const;
 
-    /** Grow resource r's slab region (rebuilds the slab). */
-    void growResource(int r);
+    /**
+     * First segment k >= from starting before end whose row exceeds
+     * one of the mode's limits, or -1 when every such row has room.
+     */
+    int32_t firstOverRow(const ModeRow &row, int32_t from,
+                         Time end) const;
+
+    /**
+     * Add sign * the mode's units over [start, end). The axis stays
+     * canonical: sorted, the first segment starting at 0, and
+     * adjacent rows distinct, so equal placement sets give the
+     * identical axis and a place/remove round-trip restores it.
+     */
+    void addRow(const ModeRow &row, Time start, Time end, Units sign);
 
     /** Grow group g's slab region (rebuilds the slab). */
     void growGroup(int g);
 
-    /**
-     * Resolve the mode's precomputed per-resource units and the list
-     * of resources it actually consumes. The mode must belong to the
-     * profile's model (its id indexes the rows).
-     */
-    void modeRow(const Mode &mode, const Units **units,
-                 const int32_t **nz, int32_t *nnz) const;
-
-    /**
-     * Resolve the mode's non-zero resources and the precomputed
-     * per-resource level limits (capacity + slack - need) that
-     * earliestStart sweeps against.
-     */
-    void modeSweepRow(const Mode &mode, const int32_t **nz,
-                      const Units **limits, int32_t *nnz) const;
-
-    const Model &model_;
     Time horizon_;
+    /** Levels per axis row: the model's resource count. */
+    int32_t nr_;
 
-    /** Per-resource capacity in units. */
-    std::vector<Units> capUnits_;
-    /**
-     * Per-resource sweep state for earliestStart: segment base
-     * pointers, length, current containing-segment cursor, and the
-     * precomputed level limit, gathered contiguously so the window
-     * scan touches a single small array.
-     */
-    struct SweepCursor
-    {
-        const Time *starts;
-        const Units *levels;
-        int32_t len;
-        int32_t cur;
-        Units limit;
-    };
-    /** Scratch: earliestStart's active sweep cursors. */
-    mutable std::vector<SweepCursor> sweepScratch_;
-
-    // One slab per array family, with per-resource (per-group)
-    // offset/length/capacity ranges. Within a resource's range,
-    // segment i holds level segLevel_[i] from segStart_[i] until the
-    // next segment's start (or the horizon); a group's busy
-    // intervals [ivStart_, ivEnd_) are sorted and disjoint. Regions
-    // grow by doubling, which rebuilds the slab — rare after warm-up.
-    std::vector<int32_t> resOff_, resLen_, resCap_;
+    // The shared axis. Segment i covers [segStart_[i],
+    // segStart_[i + 1]) (the last one runs to the horizon) and holds
+    // resource r at level segLevel_[i * nr_ + r]. Only the first
+    // segLen_ segments are live; the vectors are sized to the
+    // capacity and double in place.
+    int32_t segLen_ = 1;
     std::vector<Time> segStart_;
     std::vector<Units> segLevel_;
+    // One slab of per-group regions: group g's busy intervals
+    // [ivStart_, ivEnd_) are sorted and disjoint. Regions grow by
+    // doubling, which rebuilds the slab — rare after warm-up.
     std::vector<int32_t> grpOff_, grpLen_, grpCap_;
     std::vector<Time> ivStart_, ivEnd_;
-    /** Mode id -> row of numResources() precomputed units. */
-    std::vector<Units> modeUnits_;
     /** Mode id -> its non-zero resource indices (ascending). */
     std::vector<int32_t> modeNzOff_, modeNzLen_;
     std::vector<int32_t> nzRes_;
-    /** Parallel to nzRes_: the mode's level limit on that resource. */
-    std::vector<Units> nzLimit_;
+    /** Parallel to nzRes_: the mode's units and level limit there. */
+    std::vector<Units> nzUnits_, nzLimit_;
 };
 
 } // namespace cp

@@ -244,6 +244,14 @@ struct Shared
     const SearchLimits &limits;
     int threads;
     CriticalPathData cp;
+    /**
+     * Per task t, the two terms of the option prune: an option of t
+     * over [start, complete) admits no schedule shorter than
+     * max(complete + succTail[t], start + lagTail[t]). succTail is
+     * the longest tail of a precedence successor and lagTail the
+     * longest lag plus tail of a lag successor (0 when t has none).
+     */
+    std::vector<Time> succTail, lagTail;
     SharedIncumbent incumbent;
     BoundAggregator aggregator;
     /** One per worker of a parallel search; empty at one thread. */
@@ -318,7 +326,17 @@ struct Shared
           deques(threads_in > 1 ? static_cast<size_t>(threads_in) : 0),
           startTime(Clock::now()),
           lowWater(threads_in)
-    {}
+    {
+        succTail.assign(static_cast<size_t>(model.numTasks()), 0);
+        lagTail.assign(succTail.size(), 0);
+        for (int t = 0; t < model.numTasks(); ++t) {
+            for (int s : model.successors(t))
+                succTail[t] = std::max(succTail[t], cp.tail[s]);
+            for (const Model::LagEdge &edge : model.lagSuccessors(t))
+                lagTail[t] = std::max(lagTail[t],
+                                      edge.lag + cp.tail[edge.other]);
+        }
+    }
 
     /** True once the wall-clock budget or the deadline has passed. */
     bool
@@ -492,6 +510,9 @@ class Worker
         for (int s : model_.successors(d.task))
             if (--remainingPreds_[s] == 0)
                 addEligible(s);
+        for (const Model::LagEdge &edge : model_.lagSuccessors(d.task))
+            if (--remainingPreds_[edge.other] == 0)
+                addEligible(edge.other);
         path_.push_back(d);
         return end_[d.task];
     }
@@ -507,6 +528,9 @@ class Worker
         for (int s : model_.successors(t))
             if (remainingPreds_[s]++ == 0)
                 removeEligible(s);
+        for (const Model::LagEdge &edge : model_.lagSuccessors(t))
+            if (remainingPreds_[edge.other]++ == 0)
+                removeEligible(edge.other);
         addEligible(t);
         --scheduled_;
         assign_[t] = Assignment{};
@@ -741,38 +765,42 @@ class Worker
                                     edge.lag);
 
             const Task &task = model_.task(t);
-            // Enumerate feasible (mode, start) options; sort by
-            // completion time so promising branches go first.
+            // Enumerate feasible (mode, start) options; sort by their
+            // makespan bound (on a lag-free model, completion plus a
+            // constant) so promising branches go first.
             options.clear();
             options.reserve(task.modes.size());
-            Time tail_after =
-                shared_.cp.tail[t] - model_.minDuration(t);
+            const Time succ_tail = shared_.succTail[t];
+            const Time lag_tail = shared_.lagTail[t];
+            auto option_bound = [&](Time start, Time complete) {
+                return std::max(complete + succ_tail,
+                                start + lag_tail);
+            };
             ub = currentUb();
             for (size_t m = 0; m < task.modes.size(); ++m) {
                 const Mode &mode = task.modes[m];
                 // start >= est: the test below would drop it anyway.
-                if (est + mode.duration + tail_after >= ub)
+                if (option_bound(est, est + mode.duration) >= ub)
                     continue;
                 Time start = profile.earliestStart(mode, est);
                 if (start < 0)
                     continue;
                 Time complete = start + mode.duration;
-                if (complete + tail_after >= ub)
+                Time bound = option_bound(start, complete);
+                if (bound >= ub)
                     continue; // Cannot beat the incumbent.
                 options.push_back(
-                    {static_cast<int>(m), start, complete});
+                    {static_cast<int>(m), start, complete, bound});
             }
             std::sort(options.begin(), options.end(),
                       [](const Option &a, const Option &b) {
-                          return a.complete < b.complete;
+                          return a.bound < b.bound;
                       });
 
             for (const Option &opt : options) {
                 Decision d{t, opt.mode, opt.start};
                 if (spill) {
-                    publish(d, std::max(node_bound,
-                                        static_cast<Time>(
-                                            opt.complete + tail_after)));
+                    publish(d, std::max(node_bound, opt.bound));
                     continue;
                 }
                 apply(d);
@@ -782,8 +810,8 @@ class Worker
                     return;
                 // Re-check the prune: the incumbent may have
                 // improved (here or on another worker).
-                if (opt.complete + tail_after >= currentUb())
-                    break; // Options are completion-sorted.
+                if (opt.bound >= currentUb())
+                    break; // Options are bound-sorted.
             }
         }
         // Record only when this node's subtree was really explored:
@@ -905,6 +933,8 @@ class Worker
         int mode;
         Time start;
         Time complete;
+        /** No schedule through this option ends before it. */
+        Time bound;
     };
 
     /** One depth's branching scratch (see dfs). */
@@ -916,7 +946,7 @@ class Worker
 
     /**
      * Heap bytes currently committed to this worker's scratch: the
-     * per-depth vectors and the profile's occupancy slabs.
+     * per-depth vectors and the profile's occupancy storage.
      */
     int64_t
     scratchHeapBytes() const

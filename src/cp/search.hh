@@ -14,7 +14,9 @@
  * propagation engine and trail plus the branching state (eligible
  * set, assignment, Zobrist key), and branches the same way
  * everywhere: eligible tasks sorted longest tail first, options
- * sorted by completion, the completion-plus-tail prune. How many
+ * sorted by their makespan bound, max(completion + the longest
+ * successor tail, start + the longest lag plus tail), and pruned
+ * when that bound cannot beat the incumbent. How many
  * workers run and how they share work is the only thing the
  * thread count changes:
  *
@@ -131,7 +133,7 @@ struct SearchResult
     int64_t nogoodsRecorded = 0;
     /**
      * Heap bytes the search scratch grew by *during* the tree walk
-     * (per-depth branching vectors and profile slabs). Near zero in
+     * (per-depth branching vectors and profile storage). Near zero in
      * steady state: each depth's vectors grow on its first few visits
      * and are reused after that.
      */

@@ -187,12 +187,12 @@ TEST(Profile, RepresentationIsCompact)
     addModes(m, {Mode{0, 10, {1.0}}, Mode{0, 20, {3.5}},
                  Mode{0, 20, {3.5}}});
     Profile profile(m);
-    EXPECT_EQ(profile.breakpoints(0), 1u); // the constant-zero segment.
+    EXPECT_EQ(profile.segments(), 1u); // the constant-zero segment.
     const Mode &mode = modeOf(m, 0);
     profile.place(mode, 50000);
-    // One placed interval costs at most two extra breakpoints and
-    // one busy interval, regardless of the horizon.
-    EXPECT_LE(profile.breakpoints(0), 3u);
+    // One placed interval costs at most two extra segments and one
+    // busy interval, regardless of the horizon.
+    EXPECT_EQ(profile.segments(), 3u);
     EXPECT_EQ(profile.intervals(0), 1u);
     // earliestStart over an empty prefix of a 1e5 horizon is a jump,
     // not a 50000-step scan; just confirm correctness here.
@@ -201,7 +201,7 @@ TEST(Profile, RepresentationIsCompact)
     const Mode &heavy = modeOf(m, 2);
     EXPECT_EQ(profile.earliestStart(heavy, 49990), 50010);
     profile.remove(mode, 50000);
-    EXPECT_EQ(profile.breakpoints(0), 1u);
+    EXPECT_EQ(profile.segments(), 1u);
     EXPECT_EQ(profile.intervals(0), 0u);
 }
 
@@ -248,8 +248,7 @@ TEST(Profile, LongPlaceRemoveRoundTripIsExact)
         ASSERT_FALSE(profile.groupBusy(g, s)) << "step " << s;
     }
     // Canonical form: an empty profile is exactly one zero segment.
-    EXPECT_EQ(profile.breakpoints(0), 1u);
-    EXPECT_EQ(profile.breakpoints(1), 1u);
+    EXPECT_EQ(profile.segments(), 1u);
     EXPECT_EQ(profile.intervals(g), 0u);
     // And a full-capacity mode fits at 0 again.
     EXPECT_EQ(profile.earliestStart(modeOf(m, 3), 0), 0);

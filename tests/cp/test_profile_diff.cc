@@ -8,10 +8,11 @@
  * obviously-correct reference; any disagreement is a Profile bug.
  *
  * Every probed mode is registered with the model, exercising the
- * precomputed Mode::id rows and the slab's region growth under many
- * placements. Between rounds the profile is cleared (the table
- * emptied by removes) and refilled, and a cleared profile whose
- * regions grew must answer exactly as a fresh one.
+ * precomputed Mode::id rows and the growth of the shared axis and
+ * the group regions under many placements. The modes touch one, two
+ * or all three resources, or none at all. Between rounds the profile
+ * is cleared (the table emptied by removes) and refilled, and a
+ * cleared profile that grew must answer exactly as a fresh one.
  */
 
 #include <gtest/gtest.h>
@@ -29,16 +30,24 @@ namespace cp {
 namespace {
 
 /**
- * Number of maximal constant-usage runs of resource r in the dense
- * table: a canonical Profile stores exactly one breakpoint per run.
+ * Number of maximal runs of the dense table over which every
+ * resource's usage is constant: a canonical Profile stores exactly
+ * one segment per run on its shared axis. A redundant segment (two
+ * adjacent equal rows) leaves every answer right, so only this count
+ * sees a junction merge that stops firing.
  */
 size_t
-usageRuns(const Model &m, const Timetable &table, int r)
+axisRuns(const Model &m, const Timetable &table)
 {
     size_t runs = 1;
-    for (Time s = 1; s < m.horizon(); ++s)
-        if (table.usageUnits(r, s) != table.usageUnits(r, s - 1))
-            ++runs;
+    for (Time s = 1; s < m.horizon(); ++s) {
+        for (int r = 0; r < m.numResources(); ++r) {
+            if (table.usageUnits(r, s) != table.usageUnits(r, s - 1)) {
+                ++runs;
+                break;
+            }
+        }
+    }
     return runs;
 }
 
@@ -61,12 +70,10 @@ expectSameState(const Model &m, const Profile &profile,
         }
     }
     // Representation invariant: place/remove round-trips keep the
-    // profile canonical (adjacent segments differ in level), so its
-    // breakpoint count is the dense table's count of usage runs.
-    for (int r = 0; r < m.numResources(); ++r)
-        ASSERT_EQ(profile.breakpoints(r), usageRuns(m, table, r))
-            << "breakpoint count mismatch r=" << r << " at op "
-            << step;
+    // axis canonical (adjacent rows differ), so its segment count is
+    // the dense table's count of runs.
+    ASSERT_EQ(profile.segments(), axisRuns(m, table))
+        << "segment count mismatch at op " << step;
 }
 
 class ProfileDiff : public ::testing::TestWithParam<uint64_t>
@@ -78,12 +85,17 @@ TEST_P(ProfileDiff, AgreesWithDenseTimetable)
     Model m;
     m.addResource(rng.uniformDouble(1.0, 3.0), "r0");
     m.addResource(rng.uniformDouble(0.5, 2.0), "r1");
+    m.addResource(rng.uniformDouble(0.5, 1.5), "r2");
     int g1 = m.addGroup("A");
     int g2 = m.addGroup("B");
     m.setHorizon(static_cast<Time>(rng.uniformInt(16, 48)));
 
-    // A pool of candidate modes, including zero-duration,
-    // zero-usage, and capacity-saturating shapes.
+    // A pool of candidate modes, including zero-duration and
+    // capacity-saturating shapes. Bit r of touches[i % 8] says
+    // whether mode i uses resource r: one, two or all three of them,
+    // or none (a group-only mode, the empty-row path).
+    const int touches[8] = {0b001, 0b010, 0b100, 0b011,
+                            0b110, 0b101, 0b111, 0b000};
     std::vector<Mode> modes;
     for (int i = 0; i < 16; ++i) {
         Mode mode;
@@ -91,9 +103,15 @@ TEST_P(ProfileDiff, AgreesWithDenseTimetable)
         mode.group = which < 0.3 ? g1 : which < 0.6 ? g2 : kNoGroup;
         mode.duration = static_cast<Time>(rng.uniformInt(0, 6));
         mode.usage = {rng.uniformDouble(0.0, 1.5),
+                      rng.uniformDouble(0.0, 1.0),
                       rng.uniformDouble(0.0, 1.0)};
-        if (i % 5 == 0)
-            mode.usage[0] = 0.0;
+        for (int r = 0; r < 3; ++r)
+            if ((touches[i % 8] & (1 << r)) == 0)
+                mode.usage[r] = 0.0;
+        if (touches[i % 8] == 0) {
+            mode.group = i < 8 ? g1 : g2;
+            mode.duration = static_cast<Time>(rng.uniformInt(1, 6));
+        }
         modes.push_back(mode);
     }
 
@@ -168,13 +186,13 @@ TEST_P(ProfileDiff, AgreesWithDenseTimetable)
     expectSameState(m, profile, table, 1500);
 }
 
-/** Same breakpoints, intervals, usage and earliestStart answers. */
+/** Same segments, intervals, usage and earliestStart answers. */
 void
 expectSameProfile(const Model &m, const Profile &got,
                   const Profile &want)
 {
+    ASSERT_EQ(got.segments(), want.segments());
     for (int r = 0; r < m.numResources(); ++r) {
-        ASSERT_EQ(got.breakpoints(r), want.breakpoints(r)) << "r=" << r;
         for (Time s = 0; s < m.horizon(); ++s)
             ASSERT_EQ(got.usageUnits(r, s), want.usageUnits(r, s))
                 << "r=" << r << " t=" << s;
@@ -216,7 +234,7 @@ TEST_P(ProfileDiff, ClearedProfileMatchesFresh)
         task.modes = {mode};
         m.addTask(std::move(task));
     }
-    // One-step modes that grow r0's and group A's regions.
+    // One-step modes that grow the axis and group A's region.
     Task tick;
     tick.name = "tick";
     tick.modes = {Mode{kNoGroup, 1, {0.01, 0.0}}};
@@ -231,13 +249,13 @@ TEST_P(ProfileDiff, ClearedProfileMatchesFresh)
 
     Profile profile(m);
     const size_t fresh_bytes = profile.heapBytes();
-    // A tick on every other step: one breakpoint per step, more than
-    // the 2n + 4 a region starts with.
+    // A tick on every other step: one segment per step, more than
+    // the 2n + 4 the axis starts with.
     for (Time s = 0; s + 1 < m.horizon(); s += 2) {
         profile.place(tick_mode, s);
         profile.place(blip_mode, s);
     }
-    ASSERT_GT(profile.breakpoints(0), 2 * n + 4);
+    ASSERT_GT(profile.segments(), 2 * n + 4);
     ASSERT_GT(profile.intervals(g1), n + 2);
     ASSERT_GT(profile.heapBytes(), fresh_bytes);
 
