@@ -26,26 +26,30 @@ run_suite() {
 run_suite build
 run_suite build-asan -DHILP_SANITIZE=ON
 
-# No-good, LP-bound, list-scheduler, profile, start-lag and engine
-# soundness under ASan: the no-good store's tests and differential
-# (the search, which always records no-goods, proves the exhaustive
-# oracle's optimum), the pinned single-thread trees, the LP bound
-# between the combinatorial bounds and the exhaustive optimum, the LP
-# bound against the direct relaxation in tests/oracles (random models
-# here, the Figure 7 models in hilp_test_core), the incremental list
-# scheduler against the from-scratch reference, the resource profile
-# (row shifts over one shared axis) against the dense timetable, the
-# start-lag tests and the search's start-lag differential against the
-# exhaustive oracle, the engine's adaptive-resolution ladder (a late
-# point included), and the LP solver's own tests run again on their
-# own, so a heap bug in the solver hot path (such as a stale index
-# into the list scheduler's per-run arrays or a row shift past the
-# profile's axis) or an unsound bound fails this stage by name even
-# when the tier1 sweep above is trimmed or filtered.
-echo "==> no-good/LP-bound/LP-bound-differential/list-scheduler/profile/start-lag/engine soundness (ASan)"
+# No-good, node-bound, LP-bound, list-scheduler, profile, start-lag,
+# transfer and engine soundness under ASan: the no-good store's tests
+# and differential (the search, which always records no-goods, proves
+# the exhaustive oracle's optimum), the node bound's rules (a model
+# with no cumulative resource included), the pinned single-thread
+# trees, the LP bound between the combinatorial bounds and the
+# exhaustive optimum, the LP bound against the direct relaxation in
+# tests/oracles (random models here, the Figure 7 models in
+# hilp_test_core), the incremental list scheduler against the
+# from-scratch reference, the resource profile (row shifts over one
+# shared axis) against the dense timetable, the start-lag tests and
+# the search's start-lag differential against the exhaustive oracle,
+# the cross-config schedule transfer (the list scheduler run on a
+# hint), the engine's adaptive-resolution ladder (a late point
+# included), and the LP solver's own tests run again on their own, so
+# a heap bug in the solver hot path (such as a stale index into the
+# list scheduler's per-run arrays or a row shift past the profile's
+# axis) or an unsound bound fails this stage by name even when the
+# tier1 sweep above is trimmed or filtered.
+echo "==> no-good/node-bound/LP-bound/LP-bound-differential/list-scheduler/profile/start-lag/transfer/engine soundness (ASan)"
 ./build-asan/tests/hilp_test_cp \
-    --gtest_filter='Nogood.*:*/NogoodDiff.*:*/SearchPinned.*:*/ExhaustiveLpBound.*:LpBoundDiff.*:*/ListSchedulerDiff.*:ListSchedulerEngine.*:Profile.*:*/ProfileDiff.*:StartLags.*:*/StartLagsDiff.*'
-./build-asan/tests/hilp_test_core --gtest_filter='LpBoundDiffFig7.*:Engine.*'
+    --gtest_filter='Nogood.*:*/NogoodDiff.*:Propagate.*:*/SearchPinned.*:*/ExhaustiveLpBound.*:LpBoundDiff.*:*/ListSchedulerDiff.*:ListSchedulerEngine.*:Profile.*:*/ProfileDiff.*:StartLags.*:*/StartLagsDiff.*'
+./build-asan/tests/hilp_test_core \
+    --gtest_filter='LpBoundDiffFig7.*:TransferSchedule.*:Engine.*'
 ./build-asan/tests/hilp_test_lp
 
 # Thread-sanitizer stage: build only the concurrency test binary

@@ -2,6 +2,8 @@
 
 #include "nogood.hh"
 
+#include <algorithm>
+
 namespace hilp {
 namespace cp {
 namespace {
@@ -47,7 +49,7 @@ NogoodStore::lookup(uint64_t key) const
         shards_[(base / kWays) & (kShards - 1)]);
     for (size_t w = 0; w < kWays; ++w) {
         const Entry &e = entries_[base + w];
-        if (e.placed != 0 && e.key == key)
+        if (live(e) && e.key == key)
             return e.bound;
     }
     return kNoBound;
@@ -66,17 +68,18 @@ NogoodStore::record(uint64_t key, Time bound, int placed)
     Entry *victim = nullptr;
     for (size_t w = 0; w < kWays; ++w) {
         Entry &e = entries_[base + w];
-        if (e.placed != 0 && e.key == key) {
+        const bool used = live(e);
+        if (used && e.key == key) {
             // Re-proved the same set: keep the stronger bound.
             if (bound > e.bound)
                 e.bound = bound;
             return;
         }
-        if (e.placed == 0) {
-            if (victim == nullptr || victim->placed != 0)
+        if (!used) {
+            if (victim == nullptr || live(*victim))
                 victim = &e;
         } else if (victim == nullptr ||
-                   (victim->placed != 0 &&
+                   (live(*victim) &&
                     (e.placed > victim->placed ||
                      (e.placed == victim->placed &&
                       e.bound < victim->bound)))) {
@@ -88,6 +91,7 @@ NogoodStore::record(uint64_t key, Time bound, int placed)
     victim->key = key;
     victim->bound = bound;
     victim->placed = depth;
+    victim->generation = generation_;
 }
 
 int64_t
@@ -98,10 +102,19 @@ NogoodStore::size() const
         std::lock_guard<std::mutex> lock(
             shards_[(base / kWays) & (kShards - 1)]);
         for (size_t w = 0; w < kWays; ++w)
-            if (entries_[base + w].placed != 0)
+            if (live(entries_[base + w]))
                 ++n;
     }
     return n;
+}
+
+void
+NogoodStore::reset()
+{
+    // On the wrap, entries of the generation about to be reused
+    // would come back to life: clear the table instead.
+    if (++generation_ == 0)
+        std::fill(entries_.begin(), entries_.end(), Entry{});
 }
 
 } // namespace cp

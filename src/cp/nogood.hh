@@ -4,17 +4,17 @@
  *
  * The serial-SGS search keeps rediscovering the same subtrees: two
  * different decision *orders* that place the same (task, mode, start)
- * set reach bit-identical search states (profile, eligible set,
- * earliest starts are all functions of the placement set, and the
- * engine's placements commute). A no-good caches what exploring such
- * a state proved - "every completion of this placement set has
- * makespan >= bound" - keyed by an order-independent Zobrist hash of
- * the set, so a revisit through a different permutation prunes
- * instantly when the recorded bound cannot beat the incumbent.
+ * set reach the same search state (profile, eligible set, earliest
+ * starts and node bound are all functions of the placement set). A
+ * no-good caches what exploring such a state proved - "every
+ * completion of this placement set has makespan >= bound" - keyed by
+ * an order-independent Zobrist hash of the set, so a revisit through
+ * a different permutation prunes instantly when the recorded bound
+ * cannot beat the incumbent.
  *
  * Soundness of the recorded bounds:
- *  - A node cut by propagation records the fixpoint bound, which the
- *    propagators certify against any completion of the placements.
+ *  - A node cut by its node bound records that bound, which the
+ *    pruning rules certify against any completion of the placements.
  *  - A fully explored node records the incumbent upper bound at
  *    backtrack time: every completion inside the subtree was either
  *    enumerated (and thus >= the final incumbent) or pruned against
@@ -62,8 +62,8 @@ uint64_t nogoodCode(int task, int mode, Time start);
  * Bounded transposition-table store of no-goods. Thread-safe: the
  * parallel search shares one store across its workers (a recorded
  * bound is globally valid, see the file comment), while the
- * single-thread search keeps a private store so its node counts stay
- * exactly reproducible.
+ * single-thread search resets its thread's own table, so its node
+ * counts stay exactly reproducible.
  */
 class NogoodStore
 {
@@ -98,14 +98,27 @@ class NogoodStore
     /** Occupied entries (linear scan; telemetry and tests only). */
     int64_t size() const;
 
+    /**
+     * Forget every entry, so the store behaves exactly like a fresh
+     * one. O(1) but once per 65,536 calls: it starts a new
+     * generation, and entries of older generations read as empty.
+     * Not thread-safe against concurrent lookups or records.
+     */
+    void reset();
+
   private:
-    /** placed == 0 marks an empty slot (real sets are non-empty). */
+    /**
+     * placed == 0 marks an empty slot (real sets are non-empty), and
+     * so does a generation other than the store's.
+     */
     struct Entry
     {
         uint64_t key = 0;
         Time bound = 0;
         uint16_t placed = 0;
+        uint16_t generation = 0;
     };
+    static_assert(sizeof(Entry) == 16, "the table must stay 1 MiB");
 
     static constexpr size_t kWays = 4;
     static constexpr size_t kShards = 64;
@@ -119,7 +132,14 @@ class NogoodStore
         return (static_cast<size_t>(key) & kBucketMask) * kWays;
     }
 
+    bool
+    live(const Entry &e) const
+    {
+        return e.placed != 0 && e.generation == generation_;
+    }
+
     std::vector<Entry> entries_;
+    uint16_t generation_ = 0;
     mutable std::mutex shards_[kShards];
 };
 

@@ -1,182 +1,126 @@
 /**
  * @file
- * The propagation layer of the CP core: modular pruning rules behind
- * one Propagator interface, run at every search node by a
- * PropagationEngine with trail-based exact undo.
+ * The node bound of the branch-and-bound search: three fixed pruning
+ * rules, kept incrementally across placements and run once per node.
  *
- * Historically the branch-and-bound search fused all of its bound and
- * feasibility reasoning into the recursion (one nodeBound pass):
- * resource-energy accounting, disjunctive-group load, and the
- * critical-path pass were inlined and hand-undone on backtrack. This
- * layer extracts each rule into a Propagator:
- *
- *  - "precedence":  critical-path earliest-start propagation over the
- *                   precedence/lag DAG (head/tail bounds).
  *  - "timetable":   timetable-cumulative reasoning - committed plus
  *                   minimum remaining resource energy against each
  *                   capacity.
  *  - "disjunctive": per-group load - busy time already scheduled on a
  *                   device plus the minimum durations still pinned to
  *                   it.
+ *  - "precedence":  critical-path earliest-start propagation over the
+ *                   precedence/lag DAG (head/tail bounds).
  *
- * The engine owns the shared interval Profile, notifies every
- * propagator of each placement, records placements on a trail so
- * backtracking unwinds *exactly* (integer state throughout), and runs
- * the propagators once per node, in the order they were added: only
- * the precedence rule writes the shared earliest-start vector and no
- * other rule reads it, so one pass is the fixpoint. Each propagator
- * carries its own telemetry (invocations, prunings, sampled time)
+ * The search owns the decision stack and the occupancy Profile; it
+ * tells the bound of every placement and of its exact undo (integer
+ * state throughout, except the timetable's double accumulators, which
+ * see the same additions and subtractions in LIFO order). Each rule
+ * carries its own telemetry (invocations, prunings, sampled time),
  * which flows through SearchResult/SolveStats into the DSE reports.
- *
- * New pruning rules plug in without touching search control flow:
- * implement Propagator, add it to the engine, done.
  */
 
 #ifndef HILP_CP_PROPAGATE_HH
 #define HILP_CP_PROPAGATE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bounds.hh"
 #include "model.hh"
-#include "profile.hh"
 
 namespace hilp {
 namespace cp {
 
-/** Telemetry one propagator accumulates over a search. */
+/** Telemetry one pruning rule accumulates over a search. */
 struct PropagatorStats
 {
     std::string name;
-    int64_t invocations = 0; //!< propagate() calls.
-    int64_t prunings = 0;    //!< Cutoffs this propagator caused.
-    double seconds = 0.0;    //!< Sampled propagate() wall time.
+    int64_t invocations = 0; //!< Times the rule ran.
+    int64_t prunings = 0;    //!< Cutoffs this rule caused.
+    double seconds = 0.0;    //!< Sampled wall time of its runs.
 };
 
-/** Merge per-propagator stats into an accumulator, matched by name. */
+/** Merge per-rule stats into an accumulator, matched by name. */
 void mergePropagatorStats(std::vector<PropagatorStats> &into,
                           const std::vector<PropagatorStats> &from);
 
 /**
- * Everything a propagator may read (and the earliest-start vector it
- * may tighten) about the current search node. The assignment/end
- * vectors belong to the search; makespan is the partial schedule's
- * completion time, ub the incumbent to prune against.
+ * The makespan lower bound of a search node. place()/remove() keep
+ * the timetable and disjunctive summaries in step with the search's
+ * placements (remove() must undo the latest place()); bound() turns
+ * them, and one topological pass over the partial schedule, into the
+ * node's bound.
  */
-struct PropagationContext
-{
-    const Model &model;
-    const CriticalPathData &cp;
-    const std::vector<Assignment> &assign;
-    const std::vector<Time> &end;
-    Time makespan = 0;
-    Time externalLowerBound = 0;
-    Time ub = 0;
-    /**
-     * Scratch earliest-start per task, recomputed at every node;
-     * only meaningful for unscheduled tasks and only after the
-     * precedence propagator has run at the current node.
-     */
-    std::vector<Time> &est;
-};
-
-/**
- * One pruning rule. Propagators see every placement (onPlace) and
- * its exact undo (onUnplace, driven by the engine's trail), so they
- * can keep incremental summaries; propagate() turns the summary into
- * a makespan lower bound for the current node.
- */
-class Propagator
+class NodeBound
 {
   public:
-    virtual ~Propagator() = default;
+    /** `cp` must outlive the bound. */
+    NodeBound(const Model &model, const CriticalPathData &cp);
 
-    /** Stable identifier used in telemetry and reports. */
-    virtual const char *name() const = 0;
+    /** Account for task placed in mode. */
+    void place(int task, const Mode &mode);
 
-    /** Incorporate the placement of task t. */
-    virtual void onPlace(int task, const Mode &mode, Time start) = 0;
-
-    /** Exactly undo the matching onPlace (reverse order). */
-    virtual void onUnplace(int task, const Mode &mode, Time start) = 0;
-
-    /** What one propagate() invocation produced. */
-    struct Outcome
-    {
-        /** Lower bound on any completion of this partial schedule. */
-        Time bound = 0;
-    };
-
-    /** Run the rule against the current node. */
-    virtual Outcome propagate(const PropagationContext &ctx) = 0;
-};
-
-/** The built-in propagators (see file comment for their rules). */
-std::unique_ptr<Propagator> makePrecedencePropagator(const Model &model);
-std::unique_ptr<Propagator> makeTimetablePropagator(const Model &model);
-std::unique_ptr<Propagator> makeDisjunctivePropagator(const Model &model);
-
-/**
- * Owns the shared interval Profile, the propagator set, and the
- * trail. The search places and unwinds decisions exclusively through
- * this engine, so propagator state can never drift out of sync with
- * the profile.
- */
-class PropagationEngine
-{
-  public:
-    explicit PropagationEngine(const Model &model);
-
-    /** Register a propagator (fixpoint runs them in add order). */
-    void add(std::unique_ptr<Propagator> propagator);
-
-    /** The shared occupancy profile. */
-    Profile &profile() { return profile_; }
-    const Profile &profile() const { return profile_; }
+    /** Exactly undo the latest place(task, mode). */
+    void remove(int task, const Mode &mode);
 
     /**
-     * Commit a placement: updates the profile, notifies every
-     * propagator, and pushes a trail entry.
+     * A lower bound on every completion of the partial schedule
+     * (assign/end per task, completion `makespan`), at least
+     * max(makespan, lowerBound). The rules run in the fixed order
+     * timetable, disjunctive, precedence, and the pass stops once the
+     * bound reaches ub; that cutoff is credited to the rule that
+     * proved it.
      */
-    void place(int task, const Mode &mode, Time start);
+    Time bound(const std::vector<Assignment> &assign,
+               const std::vector<Time> &end, Time makespan,
+               Time lowerBound, Time ub);
 
-    /** Unwind the most recent placement exactly. */
-    void undo();
-
-    /** Current trail depth (placements not yet undone). */
-    size_t depth() const { return trail_.size(); }
-
-    /**
-     * Run every propagator once, in add order, and return the node's
-     * makespan lower bound (at least max(ctx.makespan,
-     * externalLowerBound)); one pass is the fixpoint (see the file
-     * comment). Stops early once the bound reaches ctx.ub - the
-     * cutoff is attributed to the propagator that proved it.
-     */
-    Time fixpoint(PropagationContext &ctx);
-
-    /** Per-propagator telemetry accumulated so far. */
-    std::vector<PropagatorStats> stats() const;
+    /** Per-rule telemetry accumulated so far, in rule order. */
+    const std::vector<PropagatorStats> &stats() const
+    { return stats_; }
 
   private:
-    struct TrailEntry
+    Time timetable() const;
+    Time disjunctive() const;
+    Time precedence(const std::vector<Assignment> &assign,
+                    const std::vector<Time> &end);
+
+    /** A predecessor and its min duration, or a lag source and lag. */
+    struct Pred
     {
-        int task;
-        const Mode *mode;
-        Time start;
+        int32_t task;
+        Time minDur;
     };
 
-    Profile profile_;
-    std::vector<std::unique_ptr<Propagator>> propagators_;
+    const Model &model_;
+    const CriticalPathData &cp_;
     std::vector<PropagatorStats> stats_;
-    /**
-     * One entry per placed task, so reserving the task count in the
-     * constructor means the trail never grows.
-     */
-    std::vector<TrailEntry> trail_;
+
+    // Timetable: per task and resource (task-major) the least energy
+    // any mode commits, and per resource the energy still owed by
+    // unplaced tasks and the energy placed.
+    std::vector<double> minEnergy_;
+    std::vector<double> remainingEnergy_;
+    std::vector<double> placedEnergy_;
+
+    // Disjunctive: the group every mode of a task is pinned to (or
+    // kNoGroup), and per group the busy time placed and the minimum
+    // durations of unplaced pinned tasks.
+    std::vector<int> pinnedGroup_;
+    std::vector<Time> groupBusy_;
+    std::vector<Time> remainingPinned_;
+
+    // Precedence: the topological order, the predecessor and lag
+    // lists as CSR arrays, and each unplaced task's earliest start,
+    // recomputed by every pass.
+    std::vector<int> topo_;
+    std::vector<int32_t> predOff_;
+    std::vector<Pred> preds_;
+    std::vector<int32_t> lagOff_;
+    std::vector<Pred> lags_;
+    std::vector<Time> est_;
 };
 
 } // namespace cp

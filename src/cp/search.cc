@@ -291,10 +291,10 @@ struct Shared
 
     /**
      * No-good store shared by the parallel workers (a recorded bound
-     * is valid for every worker: it is certified either by
-     * propagation or against the shared incumbent, which only
+     * is valid for every worker: it is certified either by the
+     * node bound or against the shared incumbent, which only
      * decreases — see nogood.hh). Created when a crew starts; null
-     * at one thread, where the worker keeps a private store.
+     * at one thread, where the worker resets its thread's table.
      */
     std::unique_ptr<NogoodStore> nogoods;
 
@@ -366,12 +366,12 @@ gapReached(Time ub, const SearchLimits &limits)
 }
 
 /**
- * One worker: a private propagation engine plus the branching state,
- * driven from the root (single thread) or by the shared deques
- * (parallel search). Both branch through the same dfs(), so the union
- * of the subtrees covers the same schedule space and the returned
- * optima agree (the differential test in
- * tests/cp/test_parallel_search.cc holds this).
+ * One worker: a private profile and node bound plus the branching
+ * state, with path_ its only decision stack, driven from the root
+ * (single thread) or by the shared deques (parallel search). Both
+ * branch through the same dfs(), so the union of the subtrees covers
+ * the same schedule space and the returned optima agree (the
+ * differential test in tests/cp/test_parallel_search.cc holds this).
  */
 class Worker
 {
@@ -383,15 +383,11 @@ class Worker
           id_(id),
           private_(shared.threads == 1),
           n_(shared.model.numTasks()),
-          engine_(shared.model)
+          profile_(shared.model),
+          bound_(shared.model, shared.cp)
     {
-        engine_.add(makeTimetablePropagator(model_));
-        engine_.add(makeDisjunctivePropagator(model_));
-        engine_.add(makePrecedencePropagator(model_));
-
         assign_.assign(n_, Assignment{});
         end_.assign(n_, 0);
-        est_.assign(n_, 0);
         remainingPreds_.assign(n_, 0);
         for (int t = 0; t < n_; ++t) {
             remainingPreds_[t] =
@@ -419,8 +415,8 @@ class Worker
     int64_t published() const { return published_; }
     int64_t nogoodHits() const { return nogoodHits_; }
     int64_t nogoodsRecorded() const { return nogoodsRecorded_; }
-    std::vector<PropagatorStats> propagators() const
-    { return engine_.stats(); }
+    const std::vector<PropagatorStats> &propagators() const
+    { return bound_.stats(); }
 
     /** Scratch heap growth since construction (steady state: 0). */
     int64_t scratchBytes() const
@@ -493,15 +489,16 @@ class Worker
     }
 
     /**
-     * Commit one decision: the engine updates the profile, every
-     * propagator's incremental state, and the trail.
+     * Commit one decision: the profile, the node bound's summaries
+     * and the branching state take it, and path_ records it.
      */
     Time
     apply(const Decision &d)
     {
         const Mode &mode = model_.task(d.task).modes[
             static_cast<size_t>(d.mode)];
-        engine_.place(d.task, mode, d.start);
+        profile_.place(mode, d.start);
+        bound_.place(d.task, mode);
         assign_[d.task] = {d.mode, d.start};
         end_[d.task] = d.start + mode.duration;
         hash_ ^= nogoodCode(d.task, d.mode, d.start);
@@ -517,14 +514,15 @@ class Worker
         return end_[d.task];
     }
 
+    /** Unwind the latest decision exactly. */
     void
     undo()
     {
         hilp_assert(!path_.empty());
-        const Decision &d = path_.back();
-        int t = d.task;
-        hash_ ^= nogoodCode(d.task, d.mode, d.start);
+        const Decision d = path_.back();
         path_.pop_back();
+        const int t = d.task;
+        hash_ ^= nogoodCode(d.task, d.mode, d.start);
         for (int s : model_.successors(t))
             if (remainingPreds_[s]++ == 0)
                 removeEligible(s);
@@ -535,22 +533,27 @@ class Worker
         --scheduled_;
         assign_[t] = Assignment{};
         end_[t] = 0;
-        engine_.undo();
+        const Mode &mode = model_.task(t).modes[
+            static_cast<size_t>(d.mode)];
+        bound_.remove(t, mode);
+        profile_.remove(mode, d.start);
     }
 
     /**
      * Record "every completion of the current placement set has
-     * makespan >= bound". The single-thread worker creates its
-     * private store here, at its first record, so a search that
-     * records nothing allocates nothing; a private store keeps its
-     * pruning a function of its own tree only.
+     * makespan >= bound". The single-thread worker takes its
+     * thread's table here, at its first record, and resets it: a
+     * reset table prunes exactly like a fresh one, so the search's
+     * pruning stays a function of its own tree only, and a thread
+     * allocates the table once rather than once per search.
      */
     void
     recordNogood(Time bound)
     {
         if (!nogoods_) {
-            privateNogoods_ = std::make_unique<NogoodStore>();
-            nogoods_ = privateNogoods_.get();
+            static thread_local NogoodStore table;
+            table.reset();
+            nogoods_ = &table;
         }
         nogoods_->record(hash_, bound, scheduled_);
         ++nogoodsRecorded_;
@@ -727,12 +730,10 @@ class Worker
             }
         }
         Time ub = currentUb();
-        PropagationContext ctx{model_, shared_.cp, assign_, end_,
-                               makespan, limits_.lowerBound, ub,
-                               est_};
-        Time node_bound = engine_.fixpoint(ctx);
+        Time node_bound = bound_.bound(assign_, end_, makespan,
+                                       limits_.lowerBound, ub);
         if (node_bound >= ub) {
-            // Certified by propagation alone.
+            // Certified by the node bound alone.
             if (scheduled_ > 0)
                 recordNogood(node_bound);
             return;
@@ -753,7 +754,6 @@ class Worker
                   });
 
         bool spill = shouldSpill();
-        const Profile &profile = engine_.profile();
         std::vector<Option> &options = depth.options;
         for (int t : order) {
             Time est = 0;
@@ -782,7 +782,7 @@ class Worker
                 // start >= est: the test below would drop it anyway.
                 if (option_bound(est, est + mode.duration) >= ub)
                     continue;
-                Time start = profile.earliestStart(mode, est);
+                Time start = profile_.earliestStart(mode, est);
                 if (start < 0)
                     continue;
                 Time complete = start + mode.duration;
@@ -900,7 +900,7 @@ class Worker
             // Poll the wall-clock budgets while starving: a parked
             // worker otherwise only learns of the deadline from a
             // busy worker's nodeAdmission, and when every busy
-            // worker is deep inside a slow propagation fixpoint the
+            // worker is deep inside a slow node-bound pass the
             // cut can arrive arbitrarily late.
             if (shared_.expired()) {
                 shared_.limitHit.store(true,
@@ -951,7 +951,7 @@ class Worker
     int64_t
     scratchHeapBytes() const
     {
-        size_t bytes = engine_.profile().heapBytes();
+        size_t bytes = profile_.heapBytes();
         for (const Depth &depth : depths_)
             bytes += depth.order.capacity() * sizeof(int) +
                      depth.options.capacity() * sizeof(Option);
@@ -966,7 +966,8 @@ class Worker
     const bool private_;
     const int n_;
 
-    PropagationEngine engine_;
+    Profile profile_;
+    NodeBound bound_;
     /**
      * Branching scratch indexed by scheduled_: a node refills its
      * depth's vectors and never shrinks them, and its children use
@@ -976,8 +977,6 @@ class Worker
     int64_t scratchBaseline_ = 0;
     std::vector<Assignment> assign_;
     std::vector<Time> end_;
-    /** Earliest-start scratch shared with the propagators. */
-    std::vector<Time> est_;
     std::vector<int> remainingPreds_;
     std::vector<int> eligible_;
     /** Position of each task inside eligible_, or -1 when absent. */
@@ -987,9 +986,8 @@ class Worker
 
     /** Zobrist key of the current placement set (see nogood.hh). */
     uint64_t hash_ = 0;
-    /** Shared or private store; null until a private one is needed. */
+    /** The crew's store, or the thread's table once recorded into. */
     NogoodStore *nogoods_ = nullptr;
-    std::unique_ptr<NogoodStore> privateNogoods_;
     int64_t nogoodHits_ = 0;
     int64_t nogoodsRecorded_ = 0;
 
@@ -1140,7 +1138,7 @@ branchAndBound(const Model &model, const ScheduleVec *warm_start,
 
     if (result.foundSolution && gapReached(initial_ub, limits)) {
         // A warm start already inside the target gap means no tree
-        // walk at all; the telemetry still names every propagator.
+        // walk at all; the telemetry still names every rule.
         Worker idle(shared, 0);
         mergeWorker(result, idle);
         result.exhausted = false;

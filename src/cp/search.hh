@@ -11,20 +11,21 @@
  * per-node critical-path bounds.
  *
  * One worker implementation walks the tree. Each worker owns a
- * propagation engine and trail plus the branching state (eligible
- * set, assignment, Zobrist key), and branches the same way
- * everywhere: eligible tasks sorted longest tail first, options
- * sorted by their makespan bound, max(completion + the longest
- * successor tail, start + the longest lag plus tail), and pruned
- * when that bound cannot beat the incumbent. How many
- * workers run and how they share work is the only thing the
- * thread count changes:
+ * profile, a node bound (propagate.hh) and the branching state
+ * (decision stack, eligible set, assignment, Zobrist key), and
+ * branches the same way everywhere: eligible tasks sorted longest
+ * tail first, options sorted by their makespan bound,
+ * max(completion + the longest successor tail, start + the longest
+ * lag plus tail), and pruned when that bound cannot beat the
+ * incumbent. How many workers run and how they share work is the
+ * only thing the thread count changes:
  *
  *  - threads <= 1: one worker searches the whole tree from the root
- *    against a private incumbent and a private no-good store, created
- *    at its first record. There is no frontier, no deque and no crew
- *    thread; the node budget is exact (checked on every node), so
- *    node counts and incumbents are reproducible.
+ *    against a private incumbent and a private no-good store (its
+ *    thread's table, reset at its first record). There is no
+ *    frontier, no deque and no crew thread; the node budget is
+ *    exact (checked on every node), so node counts and incumbents
+ *    are reproducible.
  *  - threads >= 2: the tree is decomposed into *subproblems* -
  *    decision prefixes from the root - that a crew of workers
  *    searches.
@@ -139,8 +140,8 @@ struct SearchResult
      */
     int64_t scratchBytes = 0;
     /**
-     * Per-propagator telemetry, aggregated (by rule name) across
-     * every worker's propagation engine.
+     * Per-rule telemetry, aggregated (by rule name) across every
+     * worker's node bound.
      */
     std::vector<PropagatorStats> propagators;
 };

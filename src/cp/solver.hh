@@ -154,7 +154,7 @@ struct SolveStats
     int64_t nogoodsRecorded = 0;
     /** Scratch heap growth during the tree walk, in bytes. */
     int64_t scratchBytes = 0;
-    /** Per-propagator telemetry from the propagation engine. */
+    /** Per-rule telemetry from the search's node bounds. */
     std::vector<PropagatorStats> propagators;
 };
 

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <limits>
 
-#include "cp/profile.hh"
+#include "cp/list_scheduler.hh"
 #include "options.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"
@@ -369,14 +369,10 @@ transferSchedule(const ProblemSpec &spec,
     // Map every hint phase onto this problem's task and a mode:
     // the same unit option when the label still exists, otherwise
     // the fastest available mode.
-    struct Placement
-    {
-        int task;
-        int mode;
-        double startS;
-    };
-    std::vector<Placement> order;
-    order.reserve(n);
+    std::vector<int> priority;
+    priority.reserve(n);
+    std::vector<int> forced_mode(n);
+    std::vector<double> start_s(n);
     std::vector<char> seen(n, 0);
     for (const ScheduledPhase &phase : hint.phases) {
         if (phase.app < 0 ||
@@ -408,49 +404,30 @@ transferSchedule(const ProblemSpec &spec,
                     modes[m].duration < modes[pick].duration)
                     pick = m;
         }
-        order.push_back({task, pick, phase.startS});
+        priority.push_back(task);
+        forced_mode[task] = pick;
+        start_s[task] = phase.startS;
     }
 
-    // Serial schedule generation in hint start order; topological
-    // position breaks ties so predecessors are always placed first.
+    // Serial schedule generation in hint start order, each task in
+    // its hint mode. Topological position breaks ties, so a hint that
+    // meets its own dependencies sorts into a linear extension and
+    // the SGS places its tasks in exactly this order; any other hint
+    // the SGS repairs, placing a task only once it is eligible.
     std::vector<int> topo = model.topologicalOrder();
     std::vector<int> topo_pos(n, 0);
     for (int i = 0; i < n; ++i)
         topo_pos[topo[i]] = i;
-    std::sort(order.begin(), order.end(),
-              [&](const Placement &a, const Placement &b) {
-                  if (a.startS != b.startS)
-                      return a.startS < b.startS;
-                  return topo_pos[a.task] < topo_pos[b.task];
-              });
+    std::sort(priority.begin(), priority.end(), [&](int a, int b) {
+        if (start_s[a] != start_s[b])
+            return start_s[a] < start_s[b];
+        return topo_pos[a] < topo_pos[b];
+    });
 
-    cp::Profile table(model);
-    std::vector<cp::Assignment> assign(n);
-    std::vector<cp::Time> end(n, 0);
-    for (const Placement &placement : order) {
-        cp::Time est = 0;
-        for (int pred : model.predecessors(placement.task)) {
-            if (!assign[pred].scheduled())
-                return false; // Hint order breaks a dependency.
-            est = std::max(est, end[pred]);
-        }
-        for (const cp::Model::LagEdge &edge :
-             model.lagPredecessors(placement.task)) {
-            if (!assign[edge.other].scheduled())
-                return false;
-            est = std::max(est, assign[edge.other].start + edge.lag);
-        }
-        const cp::Mode &mode =
-            model.task(placement.task).modes[placement.mode];
-        cp::Time start = table.earliestStart(mode, est);
-        if (start < 0)
-            return false; // Does not fit within the horizon.
-        table.place(mode, start);
-        assign[placement.task] = {placement.mode, start};
-        end[placement.task] = start + mode.duration;
-    }
-
-    out->tasks = std::move(assign);
+    cp::ListScheduler sgs(model);
+    if (!sgs.run(priority, forced_mode))
+        return false; // Does not fit within the horizon.
+    *out = sgs.result().schedule;
     return checkSchedule(model, *out).empty();
 }
 

@@ -328,7 +328,9 @@ double continuousLowerBoundS(const ProblemSpec &spec);
  * Re-time a schedule produced for a *similar* problem onto this
  * problem: each scheduled phase keeps its unit choice (matched by
  * option label, falling back to the fastest mode) and phases are
- * re-placed in hint start order at their earliest feasible starts.
+ * re-placed by the serial SGS (cp::ListScheduler) in hint start
+ * order at their earliest feasible starts; a phase the hint starts
+ * before one of its dependencies waits until they are placed.
  * Returns true and fills *out with a schedule that satisfies every
  * model constraint, or false when the hint does not transfer (e.g.
  * different phase structure or no feasible placement).

@@ -9,8 +9,8 @@
  * (https://ui.perfetto.dev) or chrome://tracing.
  *
  * Tracing is off by default: every trace point compiles to a single
- * relaxed-load branch, so instrumented hot paths (the solver's
- * propagation fixpoint, the search recursion) pay nothing measurable
+ * relaxed-load branch, so instrumented hot paths (the solver's node
+ * bound, the search recursion) pay nothing measurable
  * until setEnabled(true) - typically via the bench harness's
  * --trace-out flag. Per-thread buffers are capped; events past the
  * cap are counted as dropped (reported in the export) rather than

@@ -84,6 +84,37 @@ TEST(Nogood, EvictionDropsDeepestEntryInFullBucket)
     EXPECT_EQ(store.lookup(key(5)), 14);
 }
 
+TEST(Nogood, ResetForgetsEveryEntry)
+{
+    NogoodStore store;
+    auto key = [](uint64_t i) { return (i << 14) | 0x3f; };
+    for (uint64_t i = 1; i <= 4; ++i)
+        store.record(key(i), 10, 1); // Fills one bucket.
+    store.record(nogoodCode(3, 1, 7), 42, 5);
+    ASSERT_EQ(store.size(), 5);
+
+    store.reset();
+    EXPECT_EQ(store.size(), 0);
+    for (uint64_t i = 1; i <= 4; ++i)
+        EXPECT_EQ(store.lookup(key(i)), NogoodStore::kNoBound);
+    EXPECT_EQ(store.lookup(nogoodCode(3, 1, 7)), NogoodStore::kNoBound);
+
+    // The stale ways read as empty: four new keys all fit the bucket,
+    // however deep, as they would in a fresh store.
+    for (uint64_t i = 5; i <= 8; ++i)
+        store.record(key(i), 20, 9);
+    for (uint64_t i = 5; i <= 8; ++i)
+        EXPECT_EQ(store.lookup(key(i)), 20);
+    EXPECT_EQ(store.size(), 4);
+
+    // One full wrap of the generation counter must not revive them.
+    for (int i = 0; i < 65536; ++i)
+        store.reset();
+    EXPECT_EQ(store.size(), 0);
+    for (uint64_t i = 5; i <= 8; ++i)
+        EXPECT_EQ(store.lookup(key(i)), NogoodStore::kNoBound);
+}
+
 /** A contended multi-mode instance (same shape as the solver tests). */
 Model
 contendedModel(int tasks, uint64_t seed)

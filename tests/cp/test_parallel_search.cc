@@ -226,8 +226,8 @@ TEST(ParallelSearch, ReportsWorkDistributionTelemetry)
     // with more than one feasible first decision.
     EXPECT_GT(r.subproblems, 0);
     EXPECT_GT(r.nodes, 0);
-    // Propagator stats aggregate across workers: the engine rules
-    // are registered once per name, with summed counters.
+    // Rule stats aggregate across workers: each node-bound rule is
+    // reported once per name, with summed counters.
     ASSERT_FALSE(r.propagators.empty());
     for (size_t i = 0; i < r.propagators.size(); ++i)
         for (size_t j = i + 1; j < r.propagators.size(); ++j)

@@ -367,8 +367,9 @@ TEST(Search, LargerBudgetNeverReturnsWorseIncumbent)
             ASSERT_TRUE(r.foundSolution || !found) << budget;
             if (!r.foundSolution)
                 continue;
-            if (found)
+            if (found) {
                 ASSERT_LE(r.bestMakespan, best) << budget;
+            }
             EXPECT_EQ(r.best.makespan(m), r.bestMakespan) << budget;
             found = true;
             best = r.bestMakespan;

@@ -115,8 +115,9 @@ TEST(Builder, DsaPerformsLikeAdvantageTimesPes)
     double gpu64_time =
         workload::acceleratorTimeS(hs_profile, 64, 765);
     for (const UnitOption &option : hs.options) {
-        if (option.label.rfind("DSA", 0) == 0)
+        if (option.label.rfind("DSA", 0) == 0) {
             EXPECT_NEAR(option.timeS, gpu64_time, 1e-9);
+        }
     }
 }
 

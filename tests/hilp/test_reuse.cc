@@ -303,6 +303,35 @@ TEST(TransferSchedule, AdaptsToAFasterNeighborConfig)
     EXPECT_TRUE(cp::checkSchedule(problem.model, transferred).empty());
 }
 
+TEST(TransferSchedule, RepairsAHintOutOfDependencyOrder)
+{
+    ProblemSpec spec = makeTwoAppExample();
+    EvalResult solved = evaluate(spec, exampleOptions());
+    ASSERT_TRUE(solved.ok);
+
+    // Start app 0's last phase before everything else, ahead of the
+    // phases it depends on.
+    Schedule broken = solved.schedule;
+    const int last = static_cast<int>(spec.apps[0].phases.size()) - 1;
+    ASSERT_GT(last, 0);
+    ScheduledPhase *moved = nullptr;
+    for (ScheduledPhase &phase : broken.phases)
+        if (phase.app == 0 && phase.phase == last)
+            moved = &phase;
+    ASSERT_NE(moved, nullptr);
+    moved->startS = -1.0;
+
+    DiscretizedProblem problem = discretize(spec, 1.0, 64);
+    cp::ScheduleVec transferred;
+    ASSERT_TRUE(transferSchedule(spec, problem, broken, &transferred));
+    EXPECT_TRUE(cp::checkSchedule(problem.model, transferred).empty());
+    // The SGS places the moved phase once its dependencies are done,
+    // which is where the solved schedule had it.
+    EXPECT_EQ(transferred.makespan(problem.model), 7);
+    EXPECT_DOUBLE_EQ(transferred.makespan(problem.model) * problem.stepS,
+                     solved.makespanS);
+}
+
 TEST(TransferSchedule, RejectsMismatchedPhaseStructure)
 {
     ProblemSpec spec = makeTwoAppExample();
