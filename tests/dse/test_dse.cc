@@ -12,6 +12,8 @@
 #include "arch/design_space.hh"
 #include "dse/explore.hh"
 #include "dse/pareto.hh"
+#include "hilp/builder.hh"
+#include "hilp/options.hh"
 #include "workload/rodinia.hh"
 
 namespace hilp {
@@ -286,6 +288,39 @@ TEST(Explore, SharedMemoServesRepeatSweep)
         EXPECT_EQ(second[i].solves, 0) << i;
         EXPECT_DOUBLE_EQ(second[i].makespanS, first[i].makespanS) << i;
     }
+}
+
+TEST(Dse, SweepMemoIsKeyedByEachPointsFingerprint)
+{
+    // The sweep hands each point's fingerprint to the engine: a
+    // wrong key would file one point's result under another's.
+    auto wl = workload::makeWorkload(workload::Variant::Default);
+    auto configs = smallHilpSpace();
+    SolveMemo memo;
+    DseOptions options = fastHilpOptions();
+    ASSERT_TRUE(options.reuse);
+    options.memo = &memo;
+    auto points = exploreSpace(configs, wl, arch::Constraints{},
+                               ModelKind::Hilp, options);
+
+    const uint64_t salt = engineOptionsDigest(options.engine);
+    int ok = 0;
+    for (const DsePoint &point : points) {
+        if (!point.ok)
+            continue;
+        ++ok;
+        EXPECT_EQ(point.fingerprint,
+                  buildProblem(wl, point.config, arch::Constraints{},
+                               options.build)
+                      .fingerprint())
+            << point.config.name();
+        EvalResult cached;
+        ASSERT_TRUE(memo.lookup(point.fingerprint, salt, &cached))
+            << point.config.name();
+        EXPECT_EQ(cached.makespanS, point.makespanS)
+            << point.config.name();
+    }
+    EXPECT_EQ(ok, static_cast<int>(configs.size()));
 }
 
 /**

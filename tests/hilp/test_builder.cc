@@ -5,9 +5,11 @@
 #include <string>
 #include <vector>
 
+#include "arch/design_space.hh"
 #include "arch/dvfs.hh"
 #include "arch/parse.hh"
 #include "hilp/builder.hh"
+#include "support/hash.hh"
 #include "workload/rodinia.hh"
 #include "workload/scaling.hh"
 
@@ -265,6 +267,26 @@ TEST(Builder, FingerprintsAndLabelsArePinned)
     EXPECT_EQ(labels, (std::vector<std::string>{
                           "CPUx1", "CPUx2", "CPUx4", "GPU@765",
                           "DSA1@765"}));
+}
+
+TEST(Builder, Fig7FingerprintsArePinned)
+{
+    // Every option of every fig7 instance under three budgets, in
+    // sweep order: a lowered number that moves by one ulp moves the
+    // seed salts, the memo keys and every checkpoint key.
+    const workload::Workload rodinia = makeWorkload(Variant::Default);
+    const std::vector<arch::SocConfig> space = arch::enumerateDesignSpace(
+        arch::DesignSpace{}, workload::dsaPriorityOrder());
+    ASSERT_EQ(space.size(), 372u);
+    Hasher hasher;
+    for (double budget_w : {600.0, 100.0, 50.0}) {
+        arch::Constraints constraints;
+        constraints.powerBudgetW = budget_w;
+        for (const arch::SocConfig &config : space)
+            hasher.u64(
+                buildProblem(rodinia, config, constraints).fingerprint());
+    }
+    EXPECT_EQ(hasher.digest(), 0x4ba2d681ca11e498ull);
 }
 
 } // anonymous namespace
