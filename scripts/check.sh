@@ -27,9 +27,10 @@ run_suite build
 run_suite build-asan -DHILP_SANITIZE=ON
 
 # No-good, node-bound, LP-bound, list-scheduler, profile, start-lag,
-# transfer and engine soundness under ASan: the no-good store's tests
-# and differential (the search, which always records no-goods, proves
-# the exhaustive oracle's optimum), the node bound's rules (a model
+# transfer, engine, lowering and JSON soundness under ASan: the
+# no-good store's tests and differential (the search, which always
+# records no-goods, proves the exhaustive oracle's optimum), the node
+# bound's rules (a model
 # with no cumulative resource included), the pinned single-thread
 # trees, the LP bound between the combinatorial bounds and the
 # exhaustive optimum, the LP bound against the direct relaxation in
@@ -40,16 +41,22 @@ run_suite build-asan -DHILP_SANITIZE=ON
 # the search's start-lag differential against the exhaustive oracle,
 # the cross-config schedule transfer (the list scheduler run on a
 # hint), the engine's adaptive-resolution ladder (a late point
-# included), and the LP solver's own tests run again on their own, so
-# a heap bug in the solver hot path (such as a stale index into the
-# list scheduler's per-run arrays or a row shift past the profile's
-# axis) or an unsound bound fails this stage by name even when the
-# tier1 sweep above is trimmed or filtered.
-echo "==> no-good/node-bound/LP-bound/LP-bound-differential/list-scheduler/profile/start-lag/transfer/engine soundness (ASan)"
+# included), lowering (`Builder.*`, the pin over every fig7 instance
+# included), the JSON value and parser (a 16-byte tagged union that
+# owns its string, members or elements by hand, so a double free, a
+# leak or a stale pointer after a move shows here), and the LP
+# solver's own tests run again on their own, so a heap bug in the
+# solver hot path (such as a stale index into the list
+# scheduler's per-run arrays or a row shift past the profile's axis),
+# in the JSON DOM, or an unsound bound fails this stage by name even
+# when the tier1 sweep above is trimmed or filtered.
+echo "==> no-good/node-bound/LP-bound/LP-bound-differential/list-scheduler/profile/start-lag/transfer/engine/lowering/JSON soundness (ASan)"
 ./build-asan/tests/hilp_test_cp \
     --gtest_filter='Nogood.*:*/NogoodDiff.*:Propagate.*:*/SearchPinned.*:*/ExhaustiveLpBound.*:LpBoundDiff.*:*/ListSchedulerDiff.*:ListSchedulerEngine.*:Profile.*:*/ProfileDiff.*:StartLags.*:*/StartLagsDiff.*'
 ./build-asan/tests/hilp_test_core \
-    --gtest_filter='LpBoundDiffFig7.*:TransferSchedule.*:Engine.*'
+    --gtest_filter='LpBoundDiffFig7.*:TransferSchedule.*:Engine.*:Builder.*'
+./build-asan/tests/hilp_test_support \
+    --gtest_filter='JsonTest.*:JsonParseTest.*'
 ./build-asan/tests/hilp_test_lp
 
 # Thread-sanitizer stage: build only the concurrency test binary

@@ -101,7 +101,9 @@ class Heartbeat
  * evaluatePoint. A point a previous run completed comes back from the
  * checkpoint; any other is lowered and evaluated under `kind`. For
  * HILP, `reuse` carries the sweep's cross-config state into the
- * engine and `schedule_out` (nullable) receives the solved schedule.
+ * engine, plus the fingerprint computed here for the checkpoint key,
+ * so each point hashes its instance once; `schedule_out` (nullable)
+ * receives the solved schedule.
  * A throwing evaluation is retried once with a quarter of the node
  * budget (transients such as allocation pressure often clear under a
  * smaller footprint); a second failure comes back as an errored
@@ -112,7 +114,7 @@ DsePoint
 runPoint(const arch::SocConfig &config,
          const workload::Workload &workload,
          const arch::Constraints &constraints, ModelKind kind,
-         const DseOptions &options, const EvalReuse &reuse,
+         const DseOptions &options, EvalReuse reuse,
          Schedule *schedule_out)
 {
     trace::Span span("dse.point");
@@ -165,6 +167,9 @@ runPoint(const arch::SocConfig &config,
             point.gap = 0.0;
             point.status = cp::SolveStatus::Optimal;
         } else {
+            // The engine keys its memo and seeds by the fingerprint
+            // computed above; it need not hash the instance again.
+            reuse.fingerprint = point.fingerprint;
             EvalResult result = kind == ModelKind::Hilp
                 ? evaluate(spec, engine, reuse)
                 : baselines::evaluateGables(spec, engine);
@@ -350,7 +355,7 @@ exploreSpace(const std::vector<arch::SocConfig> &configs,
             Schedule schedule;
             DsePoint &point = points[idx];
             point = runPoint(configs[idx], workload, constraints, kind,
-                             options, point_reuse, &schedule);
+                             options, std::move(point_reuse), &schedule);
             point.traceId = trace_id;
             auto key = [&] {
                 return checkpointKey(point.fingerprint,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 
 #include "arch/dvfs.hh"
@@ -69,33 +70,57 @@ dominates(const UnitOption &a, const UnitOption &b, bool power_binds,
     return true;
 }
 
-/** Remove options dominated by another option of the same phase. */
+/**
+ * Remove options dominated by another option of the same phase,
+ * moving the kept ones into place. `dominated` is scratch, reused
+ * across phases.
+ */
 void
-pruneDominated(PhaseSpec &phase, bool power_binds, bool bw_binds)
+pruneDominated(PhaseSpec &phase, bool power_binds, bool bw_binds,
+               std::vector<char> &dominated)
 {
-    std::vector<UnitOption> kept;
-    for (size_t i = 0; i < phase.options.size(); ++i) {
-        bool dominated = false;
-        for (size_t j = 0; j < phase.options.size() && !dominated;
-             ++j) {
+    std::vector<UnitOption> &options = phase.options;
+    dominated.assign(options.size(), 0);
+    for (size_t i = 0; i < options.size(); ++i) {
+        for (size_t j = 0; j < options.size() && !dominated[i]; ++j) {
             if (i == j)
                 continue;
-            if (!dominates(phase.options[j], phase.options[i],
-                           power_binds, bw_binds))
+            if (!dominates(options[j], options[i], power_binds,
+                           bw_binds))
                 continue;
             // Symmetric (equal) options: keep only the first.
-            if (dominates(phase.options[i], phase.options[j],
-                          power_binds, bw_binds) && i < j)
+            if (dominates(options[i], options[j], power_binds,
+                          bw_binds) && i < j)
                 continue;
-            dominated = true;
+            dominated[i] = 1;
         }
-        if (!dominated)
-            kept.push_back(phase.options[i]);
     }
     // A phase whose options were all filtered out by the budgets is
     // left empty here; ProblemSpec::validate reports it to the user.
-    phase.options = std::move(kept);
+    size_t kept = 0;
+    for (size_t i = 0; i < options.size(); ++i) {
+        if (dominated[i])
+            continue;
+        if (kept != i)
+            options[kept] = std::move(options[i]);
+        ++kept;
+    }
+    options.erase(options.begin() + static_cast<ptrdiff_t>(kept),
+                  options.end());
 }
+
+/**
+ * One accelerator of the SoC as lowering offers it: its device, the
+ * unit count it performs like, its option labels' prefix, and its
+ * power at each clock of the lowering, looked up once.
+ */
+struct Accelerator
+{
+    int device = 0;
+    int units = 0;
+    std::string labelPrefix;
+    std::vector<double> powerW;
+};
 
 } // anonymous namespace
 
@@ -125,24 +150,65 @@ buildProblem(const workload::Workload &workload,
     // memory term.
     const std::vector<int> clocks = clockList(options);
     const std::vector<int> cores = coreList(options, soc.cpuCores);
+    // Option labels are "CPUx<cores>" and "<device>@<clock>"; render
+    // each number once per lowering.
+    std::vector<std::string> core_labels;
+    core_labels.reserve(cores.size());
+    for (int c : cores)
+        core_labels.push_back("CPUx" + std::to_string(c));
+    std::vector<std::string> clock_labels;
+    clock_labels.reserve(clocks.size());
+    for (int clock : clocks)
+        clock_labels.push_back(std::to_string(clock));
 
-    // Device table: GPU first (if present), then the DSAs.
-    int gpu_device = -1;
+    // Device table: GPU first (if present), then the DSAs. An
+    // accelerator's power depends on its clock only.
+    spec.deviceNames.reserve((soc.gpuSms > 0 ? 1 : 0) + soc.dsas.size());
+    auto accelerator = [&](int units, std::string label_prefix,
+                           std::string device_name, auto &&power_w) {
+        Accelerator unit;
+        unit.device = static_cast<int>(spec.deviceNames.size());
+        unit.units = units;
+        unit.labelPrefix = std::move(label_prefix);
+        unit.powerW.reserve(clocks.size());
+        for (int clock : clocks)
+            unit.powerW.push_back(power_w(clock));
+        spec.deviceNames.push_back(std::move(device_name));
+        return unit;
+    };
+    std::optional<Accelerator> gpu;
     if (soc.gpuSms > 0) {
-        gpu_device = static_cast<int>(spec.deviceNames.size());
-        spec.deviceNames.push_back(format("GPU%d", soc.gpuSms));
+        gpu = accelerator(soc.gpuSms, "GPU@",
+                          "GPU" + std::to_string(soc.gpuSms),
+                          [&](int clock) {
+                              return arch::gpuPowerW(soc.gpuSms, clock);
+                          });
     }
-    std::vector<int> dsa_devices;
+    std::vector<Accelerator> dsas;
+    dsas.reserve(soc.dsas.size());
     for (size_t d = 0; d < soc.dsas.size(); ++d) {
-        dsa_devices.push_back(static_cast<int>(spec.deviceNames.size()));
-        spec.deviceNames.push_back(
-            format("DSA%zu[t%d]", d, soc.dsas[d].target));
+        const arch::DsaSpec &dsa = soc.dsas[d];
+        // A PE performs like `advantage` SMs but draws the power of
+        // one SM (see arch::DsaSpec).
+        int effective_sms = std::max(1, static_cast<int>(std::lround(
+            dsa.pes * soc.dsaAdvantage)));
+        const std::string name = "DSA" + std::to_string(d);
+        dsas.push_back(accelerator(
+            effective_sms, name + "@",
+            name + "[t" + std::to_string(dsa.target) + "]",
+            [&](int clock) { return arch::dsaPowerW(dsa.pes, clock); }));
     }
 
+    // Per compute phase: the accelerators that can run it and the
+    // clock factors their options share.
+    std::vector<const Accelerator *> targets;
+    std::vector<double> clock_factors;
+    spec.apps.reserve(workload.apps.size());
     for (const workload::Application &app : workload.apps) {
         AppSpec app_spec;
         app_spec.name = app.name;
         app_spec.deps = app.deps;
+        app_spec.phases.reserve(app.phases.size());
         for (const PhaseProfile &phase : app.phases) {
             PhaseSpec phase_spec;
             phase_spec.name = phase.name;
@@ -155,59 +221,58 @@ buildProblem(const workload::Workload &workload,
                 option.bwGBs = options.sequentialBwGBs;
                 option.powerW = arch::kCpuCorePowerW;
                 option.cpuCores = 1.0;
-                phase_spec.options.push_back(option);
+                phase_spec.options.push_back(std::move(option));
             } else {
+                // The accelerators that can run this phase, each at
+                // every operating point: the GPU, and the phase's DSA
+                // if this SoC provides one.
+                targets.clear();
+                if (gpu && phase.gpuCompatible)
+                    targets.push_back(&*gpu);
+                for (size_t d = 0; d < soc.dsas.size(); ++d)
+                    if (soc.dsas[d].target == phase.dsaTarget &&
+                        phase.dsaTarget >= 0 && phase.gpuCompatible)
+                        targets.push_back(&dsas[d]);
+                phase_spec.options.reserve(
+                    cores.size() + targets.size() * clocks.size());
+
                 // CPU executions at the offered core counts.
-                for (int c : cores) {
-                    UnitOption option;
-                    option.label = "CPUx" + std::to_string(c);
+                const double traffic_gb = workload::cpuTrafficGB(phase);
+                for (size_t k = 0; k < cores.size(); ++k) {
+                    const int c = cores[k];
+                    UnitOption &option = phase_spec.options.emplace_back();
+                    option.label = core_labels[k];
                     option.device = kCpuPool;
                     option.timeS = workload::cpuTimeS(phase, c);
-                    option.bwGBs = workload::cpuBwGBs(phase, c);
+                    option.bwGBs =
+                        workload::cpuBwGBs(phase, traffic_gb, option.timeS);
                     option.powerW = arch::kCpuCorePowerW * c;
                     option.cpuCores = c;
-                    phase_spec.options.push_back(option);
                 }
-                // GPU executions at every operating point.
-                if (gpu_device >= 0 && phase.gpuCompatible) {
-                    for (int clock : clocks) {
-                        UnitOption option;
-                        option.label = "GPU@" + std::to_string(clock);
-                        option.device = gpu_device;
-                        option.timeS = workload::acceleratorTimeS(
-                            phase, soc.gpuSms, clock);
-                        option.bwGBs = workload::acceleratorBwGBs(
-                            phase, soc.gpuSms, clock);
-                        option.powerW =
-                            arch::gpuPowerW(soc.gpuSms, clock);
-                        option.cpuCores = 0.0;
-                        phase_spec.options.push_back(option);
-                    }
+
+                if (!targets.empty()) {
+                    clock_factors.clear();
+                    for (int clock : clocks)
+                        clock_factors.push_back(
+                            workload::clockFactor(phase, clock));
                 }
-                // The phase's DSA, if this SoC provides one.
-                for (size_t d = 0; d < soc.dsas.size(); ++d) {
-                    const arch::DsaSpec &dsa = soc.dsas[d];
-                    if (dsa.target != phase.dsaTarget ||
-                        phase.dsaTarget < 0 || !phase.gpuCompatible)
-                        continue;
-                    // A PE performs like `advantage` SMs but draws
-                    // the power of one SM (see arch::DsaSpec).
-                    int effective_sms = std::max(1,
-                        static_cast<int>(std::lround(
-                            dsa.pes * soc.dsaAdvantage)));
-                    for (int clock : clocks) {
-                        UnitOption option;
-                        option.label = "DSA" + std::to_string(d) + "@" +
-                                       std::to_string(clock);
-                        option.device = dsa_devices[d];
-                        option.timeS = workload::acceleratorTimeS(
-                            phase, effective_sms, clock);
-                        option.bwGBs = workload::acceleratorBwGBs(
-                            phase, effective_sms, clock);
-                        option.powerW =
-                            arch::dsaPowerW(dsa.pes, clock);
+                for (const Accelerator *target : targets) {
+                    const double base_time_s =
+                        workload::acceleratorBaseTimeS(phase,
+                                                       target->units);
+                    const double base_bw_gbs =
+                        workload::acceleratorBaseBwGBs(phase,
+                                                       target->units);
+                    for (size_t k = 0; k < clocks.size(); ++k) {
+                        UnitOption &option =
+                            phase_spec.options.emplace_back();
+                        option.label = target->labelPrefix;
+                        option.label += clock_labels[k];
+                        option.device = target->device;
+                        option.timeS = base_time_s * clock_factors[k];
+                        option.bwGBs = base_bw_gbs / clock_factors[k];
+                        option.powerW = target->powerW[k];
                         option.cpuCores = 0.0;
-                        phase_spec.options.push_back(option);
                     }
                 }
             }
@@ -291,9 +356,10 @@ buildProblem(const workload::Workload &workload,
         // pruning sound whenever cache levels are modeled.
         bool bw_binds = worst_bw > spec.bandwidthGBs ||
                         !constraints.cacheLevels.empty();
+        std::vector<char> dominated;
         for (AppSpec &app : spec.apps)
             for (PhaseSpec &phase : app.phases)
-                pruneDominated(phase, power_binds, bw_binds);
+                pruneDominated(phase, power_binds, bw_binds, dominated);
     }
 
     return spec;

@@ -549,7 +549,8 @@ evaluate(const ProblemSpec &spec, const EngineOptions &request_options,
     // a result computed under the other's. On a miss, the instance's
     // schedule under any other options still warm-starts the solve
     // when the caller brought no hint of its own.
-    const uint64_t fingerprint = spec.fingerprint();
+    const uint64_t fingerprint =
+        reuse.fingerprint ? *reuse.fingerprint : spec.fingerprint();
     uint64_t salt = 0;
     Schedule memo_hint;
     const Schedule *hint = reuse.hint;

@@ -20,6 +20,7 @@
 #include <functional>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -295,12 +296,21 @@ struct EvalReuse
      * engine options it was called with. May be null.
      */
     SolveMemo *memo = nullptr;
+    /**
+     * The spec's fingerprint, when the caller already holds it (the
+     * sweep computes it once per point for its checkpoint key). It
+     * must equal spec.fingerprint(): it keys the memo and salts the
+     * heuristic seeds, so a wrong value serves another instance's
+     * result. Empty, evaluate() computes it.
+     */
+    std::optional<uint64_t> fingerprint;
 };
 
 /**
  * Evaluate the problem with the adaptive engine. The spec must
  * validate; a spec that cannot be scheduled at any attempted
- * resolution yields ok == false.
+ * resolution yields ok == false. Computes the spec's fingerprint
+ * itself.
  */
 EvalResult evaluate(const ProblemSpec &spec,
                     const EngineOptions &options);
@@ -308,8 +318,10 @@ EvalResult evaluate(const ProblemSpec &spec,
 /**
  * As above, with cross-instance reuse: a warm-start hint schedule, a
  * dominance oracle over the caller's completed points, and a solve
- * memo (any of which may be null). Reuse only affects effort, not correctness: the returned
- * makespan always carries its certified bound and gap.
+ * memo (any of which may be null), plus the spec's fingerprint when
+ * the caller has it (EvalReuse::fingerprint), so a sweep hashes each
+ * instance once. Reuse only affects effort, not correctness: the
+ * returned makespan always carries its certified bound and gap.
  */
 EvalResult evaluate(const ProblemSpec &spec,
                     const EngineOptions &options,

@@ -90,6 +90,28 @@ parseFields(const Json &json, const OptionField<Options> (&fields)[N],
     return true;
 }
 
+/**
+ * Mix every table field of `options` into the hasher: its name, then
+ * its value, a double through Hasher::f64 and any other type as a
+ * u64.
+ */
+template <typename Options, size_t N>
+void
+digestFields(Hasher &hasher, const Options &options,
+             const OptionField<Options> (&fields)[N])
+{
+    for (const OptionField<Options> &field : fields) {
+        hasher.str(field.name);
+        std::visit([&](auto member) {
+            using T = std::remove_cvref_t<decltype(options.*member)>;
+            if constexpr (std::is_same_v<T, double>)
+                hasher.f64(options.*member);
+            else
+                hasher.u64(static_cast<uint64_t>(options.*member));
+        }, field.member);
+    }
+}
+
 } // anonymous namespace
 
 Json
@@ -116,10 +138,10 @@ parseEngineOptions(const Json &json, EngineOptions *out,
 uint64_t
 engineOptionsDigest(const EngineOptions &options)
 {
-    // The wire form holds every table field exactly (doubles print
-    // with round-trip precision), so hashing it digests them all.
     Hasher hasher;
-    hasher.str(engineOptionsJson(options).dump());
+    digestFields(hasher, options, kEngineOptionFields);
+    hasher.str(kSolverKey);
+    digestFields(hasher, options.solver, cp::kSolverOptionFields);
     return hasher.digest();
 }
 

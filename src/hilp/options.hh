@@ -32,9 +32,11 @@ bool parseEngineOptions(const Json &json, EngineOptions *out,
                         std::string *error);
 
 /**
- * Digest of every table field of the options. Evaluations with equal
- * digests may soundly share memo entries: evaluate() salts every
- * SolveMemo key with it.
+ * Digest of every table field of the options (each row's name and
+ * value, straight from the tables; no wire text is built). Evaluations
+ * with equal digests may soundly share memo entries: evaluate() salts
+ * every SolveMemo key with it. The digest lives only in memory, so its
+ * value is not a stable format.
  */
 uint64_t engineOptionsDigest(const EngineOptions &options);
 

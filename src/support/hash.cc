@@ -33,7 +33,7 @@ Hasher::f64(double value)
 }
 
 void
-Hasher::str(const std::string &value)
+Hasher::str(std::string_view value)
 {
     u64(value.size());
     bytes(value.data(), value.size());

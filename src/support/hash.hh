@@ -11,7 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace hilp {
 
@@ -43,7 +43,7 @@ class Hasher
     void boolean(bool value) { u64(value ? 1 : 0); }
 
     /** Mix a string (length-prefixed). */
-    void str(const std::string &value);
+    void str(std::string_view value);
 
     /** The current digest. */
     uint64_t digest() const { return state_; }

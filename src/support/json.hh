@@ -5,16 +5,30 @@
  * HILP's results (schedules, DSE sweeps, traces) feed external
  * plotting and analysis pipelines; this writer produces
  * standards-compliant JSON without pulling in a dependency. The
- * reader (Json::parse) exists so tests and tooling can round-trip
- * HILP's own output - e.g. validating an exported Chrome trace -
- * not as a general configuration format; HILP's input formats remain
- * CSV (workload/io.hh) and code-level builders.
+ * reader (Json::parse) takes the JSON that crosses HILP's process
+ * boundaries: hilpd's requests, the point records it streams back,
+ * sweep checkpoints and distributed-sweep traffic, besides test and
+ * tooling output such as exported Chrome traces. Every such line is
+ * untrusted and up to net::kMaxLineBytes long, so the reader bounds
+ * its nesting and the DOM it builds stays small per input byte (see
+ * DESIGN.md §12). HILP's input formats remain CSV (workload/io.hh)
+ * and code-level builders.
  *
- * A double is written as printf's "%.17g" text, produced by
- * std::to_chars (general format, precision 17), and the reader takes
- * it back with std::from_chars: every finite double, subnormals
- * included, reads back equal to what was written ("-0" reads as the
- * integer 0). NaN and infinities are written as null.
+ * A value is 16 bytes: a kind tag and one 8-byte payload, which is
+ * the bool, double or int64 itself, or an owning pointer to the
+ * string, the object's members or the array's elements (null while
+ * that string or container is empty). Copies are deep; moves are
+ * noexcept and leave null behind, so containers of values grow by
+ * moving them.
+ *
+ * A double is written as printf's "%.17g" text. An integral double
+ * of magnitude below 1e17 takes the integer formatter, whose digits
+ * are exactly that text (-0.0 keeps the general path and prints
+ * "-0"); any other is produced by std::to_chars (general format,
+ * precision 17). The reader takes the text back with
+ * std::from_chars: every finite double, subnormals included, reads
+ * back equal to what was written ("-0" reads as the integer 0). NaN
+ * and infinities are written as null.
  */
 
 #ifndef HILP_SUPPORT_JSON_HH
@@ -37,7 +51,12 @@ class Json
 {
   public:
     /** Construct null. */
-    Json();
+    Json() noexcept = default;
+    Json(const Json &other);
+    Json(Json &&other) noexcept;
+    Json &operator=(const Json &other);
+    Json &operator=(Json &&other) noexcept;
+    ~Json();
 
     static Json null();
     static Json boolean(bool value);
@@ -110,18 +129,29 @@ class Json
     std::string dump(int indent = -1) const;
 
   private:
-    enum class Kind { Null, Bool, Number, Integer, String, Object,
-                      Array };
+    class Parser;
+    enum class Kind : uint8_t { Null, Bool, Number, Integer, String,
+                                Object, Array };
+    using Members = std::vector<std::pair<std::string, Json>>;
+    using Elements = std::vector<Json>;
 
+    /** The payload of kind_; a pointer owns its target. */
+    union Payload
+    {
+        int64_t integer;
+        double number;
+        bool boolean;
+        std::string *string;
+        Members *members;
+        Elements *elements;
+    };
+
+    /** Free the owned payload; the kind and payload stay as they are. */
+    void release() noexcept;
     void write(std::string &out, int indent, int depth) const;
 
     Kind kind_ = Kind::Null;
-    bool bool_ = false;
-    double number_ = 0.0;
-    int64_t integer_ = 0;
-    std::string string_;
-    std::vector<std::pair<std::string, Json>> members_;
-    std::vector<Json> elements_;
+    Payload payload_{};
 };
 
 /** Escape a string for inclusion in JSON text (without quotes). */

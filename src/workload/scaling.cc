@@ -9,9 +9,6 @@
 namespace hilp {
 namespace workload {
 
-namespace {
-
-/** Clock-derating factor (f_base / f)^gamma for execution time. */
 double
 clockFactor(const PhaseProfile &phase, int clock_mhz)
 {
@@ -21,28 +18,40 @@ clockFactor(const PhaseProfile &phase, int clock_mhz)
     return std::pow(ratio, phase.freqGamma);
 }
 
-} // anonymous namespace
-
 double
-acceleratorTimeS(const PhaseProfile &phase, int units, int clock_mhz)
+acceleratorBaseTimeS(const PhaseProfile &phase, int units)
 {
     hilp_assert(phase.kind == PhaseKind::Compute);
     hilp_assert(phase.gpuCompatible);
     hilp_assert(units >= 1);
     double sm_scale = phase.timeLaw.scaleFrom(kProfileSms, units);
-    return phase.gpuTime98 * sm_scale * clockFactor(phase, clock_mhz);
+    return phase.gpuTime98 * sm_scale;
 }
 
 double
-acceleratorBwGBs(const PhaseProfile &phase, int units, int clock_mhz)
+acceleratorBaseBwGBs(const PhaseProfile &phase, int units)
 {
     hilp_assert(phase.kind == PhaseKind::Compute);
     hilp_assert(phase.gpuCompatible);
     hilp_assert(units >= 1);
     double sm_scale = phase.bwLaw.scaleFrom(kBwBaseSms, units);
+    return phase.gpuBwBase * sm_scale;
+}
+
+double
+acceleratorTimeS(const PhaseProfile &phase, int units, int clock_mhz)
+{
+    return acceleratorBaseTimeS(phase, units) *
+           clockFactor(phase, clock_mhz);
+}
+
+double
+acceleratorBwGBs(const PhaseProfile &phase, int units, int clock_mhz)
+{
     // Same bytes, longer time at lower clocks: demand divides by the
     // clock derating factor.
-    return phase.gpuBwBase * sm_scale / clockFactor(phase, clock_mhz);
+    return acceleratorBaseBwGBs(phase, units) /
+           clockFactor(phase, clock_mhz);
 }
 
 double
@@ -62,14 +71,28 @@ cpuBwGBs(const PhaseProfile &phase, int cores)
 {
     if (phase.kind == PhaseKind::Sequential || !phase.gpuCompatible)
         return 1.0;
-    // Conserve the traffic observed on the full GPU.
-    double bytes_gb = phase.gpuBwBase *
-                      phase.bwLaw.scaleFrom(kBwBaseSms, kProfileSms) *
-                      phase.gpuTime98;
-    double time = cpuTimeS(phase, cores);
-    if (time <= 0.0)
+    return cpuBwGBs(phase, cpuTrafficGB(phase), cpuTimeS(phase, cores));
+}
+
+double
+cpuTrafficGB(const PhaseProfile &phase)
+{
+    if (phase.kind == PhaseKind::Sequential || !phase.gpuCompatible)
+        return 0.0;
+    // The traffic observed on the full GPU.
+    return phase.gpuBwBase *
+           phase.bwLaw.scaleFrom(kBwBaseSms, kProfileSms) *
+           phase.gpuTime98;
+}
+
+double
+cpuBwGBs(const PhaseProfile &phase, double traffic_gb, double time_s)
+{
+    if (phase.kind == PhaseKind::Sequential || !phase.gpuCompatible)
         return 1.0;
-    return std::max(1.0, bytes_gb / time);
+    if (time_s <= 0.0)
+        return 1.0;
+    return std::max(1.0, traffic_gb / time_s);
 }
 
 double
