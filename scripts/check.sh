@@ -27,13 +27,13 @@ run_suite build
 run_suite build-asan -DHILP_SANITIZE=ON
 
 # No-good, node-bound, LP-bound, list-scheduler, profile, start-lag,
-# transfer, engine, lowering and JSON soundness under ASan: the
-# no-good store's tests and differential (the search, which always
-# records no-goods, proves the exhaustive oracle's optimum), the node
-# bound's rules (a model
-# with no cumulative resource included), the pinned single-thread
-# trees, the LP bound between the combinatorial bounds and the
-# exhaustive optimum, the LP bound against the direct relaxation in
+# transfer, engine, lowering, memo-index and JSON soundness under
+# ASan: the no-good store's tests and differential (the search, which
+# always records no-goods, proves the exhaustive oracle's optimum), the
+# node bound's rules (a model with no cumulative resource included),
+# the pinned single-thread trees, the LP bound between the
+# combinatorial bounds and the exhaustive optimum, the LP bound
+# against the direct relaxation in
 # tests/oracles (random models here, the Figure 7 models in
 # hilp_test_core), the incremental list scheduler against the
 # from-scratch reference, the resource profile (row shifts over one
@@ -42,7 +42,11 @@ run_suite build-asan -DHILP_SANITIZE=ON
 # the cross-config schedule transfer (the list scheduler run on a
 # hint), the engine's adaptive-resolution ladder (a late point
 # included), lowering (`Builder.*`, the pin over every fig7 instance
-# included), the JSON value and parser (a 16-byte tagged union that
+# included, and the lowering digest that indexes the solve memo),
+# the memo's byte-capped LRU with its lowering index and the sweep
+# that serves points through that index (`SolveMemoLru.*`, `Dse.*`,
+# `IndexedCheckpoint.*`, and the one-worker sweep on the caller's
+# thread), the JSON value and parser (a 16-byte tagged union that
 # owns its string, members or elements by hand, so a double free, a
 # leak or a stale pointer after a move shows here), and the LP
 # solver's own tests run again on their own, so a heap bug in the
@@ -50,11 +54,13 @@ run_suite build-asan -DHILP_SANITIZE=ON
 # scheduler's per-run arrays or a row shift past the profile's axis),
 # in the JSON DOM, or an unsound bound fails this stage by name even
 # when the tier1 sweep above is trimmed or filtered.
-echo "==> no-good/node-bound/LP-bound/LP-bound-differential/list-scheduler/profile/start-lag/transfer/engine/lowering/JSON soundness (ASan)"
+echo "==> no-good/node-bound/LP-bound/LP-bound-differential/list-scheduler/profile/start-lag/transfer/engine/lowering/memo-index/JSON soundness (ASan)"
 ./build-asan/tests/hilp_test_cp \
     --gtest_filter='Nogood.*:*/NogoodDiff.*:Propagate.*:*/SearchPinned.*:*/ExhaustiveLpBound.*:LpBoundDiff.*:*/ListSchedulerDiff.*:ListSchedulerEngine.*:Profile.*:*/ProfileDiff.*:StartLags.*:*/StartLagsDiff.*'
 ./build-asan/tests/hilp_test_core \
-    --gtest_filter='LpBoundDiffFig7.*:TransferSchedule.*:Engine.*:Builder.*'
+    --gtest_filter='LpBoundDiffFig7.*:TransferSchedule.*:Engine.*:Builder.*:SolveMemoLru.*'
+./build-asan/tests/hilp_test_dse \
+    --gtest_filter='Dse.*:IndexedCheckpoint.*:Explore.OneWorkerSweepRunsOnTheCallersThread'
 ./build-asan/tests/hilp_test_support \
     --gtest_filter='JsonTest.*:JsonParseTest.*'
 ./build-asan/tests/hilp_test_lp
@@ -220,9 +226,17 @@ if ! diff build/check_fig7_daemon.cmp build/check_fig7_local.cmp; then
 fi
 
 # Warm re-run: the daemon's memo outlives the first request, so the
-# second identical sweep must record hits.
+# second identical sweep must record hits. Its points are served by
+# their lowering digests without being lowered, and its figure must
+# still match the in-process run.
 "${fig7}" --max-configs=40 "--connect=unix:${daemon_sock}" \
-    --benchmark_filter=none > /dev/null
+    --benchmark_filter=none > build/check_fig7_warm_daemon.out
+grep -v "solver effort" build/check_fig7_warm_daemon.out \
+    > build/check_fig7_warm_daemon.cmp
+if ! diff build/check_fig7_warm_daemon.cmp build/check_fig7_local.cmp; then
+    echo "warm daemon sweep output differs from in-process run" >&2
+    exit 1
+fi
 "${hilpd}" "--connect=unix:${daemon_sock}" stats \
     > build/check_hilpd_stats.json
 memo_hits=$(sed -n '/"memo"/,/}/s/.*"hits": \([0-9][0-9]*\).*/\1/p' \

@@ -218,11 +218,14 @@ checkSchedule(const Model &model, const ScheduleVec &schedule)
             }
         }
     }
-    // Disjunctive groups and cumulative resources, step by step.
+    // Disjunctive groups and cumulative resources, step by step, on
+    // one set of per-step tallies.
     Time makespan = schedule.makespan(model);
+    std::vector<int> group_busy(model.numGroups());
+    std::vector<double> res_used(model.numResources());
     for (Time step = 0; step < makespan; ++step) {
-        std::vector<int> group_busy(model.numGroups(), -1);
-        std::vector<double> res_used(model.numResources(), 0.0);
+        std::fill(group_busy.begin(), group_busy.end(), -1);
+        std::fill(res_used.begin(), res_used.end(), 0.0);
         for (int t = 0; t < model.numTasks(); ++t) {
             const Assignment &a = schedule.tasks[t];
             const Mode &mode = model.task(t).modes[a.mode];

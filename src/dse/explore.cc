@@ -12,12 +12,15 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <optional>
+#include <thread>
 #include <tuple>
 #include <utility>
 
 #include "baselines/gables.hh"
 #include "baselines/multiamdahl.hh"
 #include "checkpoint.hh"
+#include "hilp/options.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -97,13 +100,52 @@ class Heartbeat
 };
 
 /**
+ * Fill a point from its engine result (HILP or Gables): the one
+ * result-to-point step, for a solved point and for one the memo
+ * serves by its lowering digest. A HILP schedule goes to
+ * schedule_out (nullable); Gables solves a rewritten spec, so its
+ * schedule is not one of this instance. Returns result.ok.
+ */
+bool
+takeResult(DsePoint &point, EvalResult &&result, ModelKind kind,
+           Schedule *schedule_out)
+{
+    point.status = result.status;
+    point.gap = result.gap;
+    point.nodes = result.totalNodes;
+    point.backtracks = result.totalBacktracks;
+    point.solves = result.solves;
+    point.solveSeconds = result.totalSeconds;
+    point.cacheHit = result.cacheHit;
+    point.warmStarted = result.warmStarted;
+    point.pruned = result.prunedEarly;
+    point.degraded = result.degraded;
+    point.propagators = std::move(result.propagators);
+    if (!result.ok) {
+        point.note = format("solver gave up: %s",
+                            cp::toString(result.status));
+        return false;
+    }
+    point.makespanS = result.makespanS;
+    point.averageWlp = result.averageWlp;
+    if (kind == ModelKind::Hilp && schedule_out)
+        *schedule_out = std::move(result.schedule);
+    return true;
+}
+
+/**
  * Evaluate one design point: the step of both exploreSpace and
  * evaluatePoint. A point a previous run completed comes back from the
- * checkpoint; any other is lowered and evaluated under `kind`. For
- * HILP, `reuse` carries the sweep's cross-config state into the
- * engine, plus the fingerprint computed here for the checkpoint key,
- * so each point hashes its instance once; `schedule_out` (nullable)
- * receives the solved schedule.
+ * checkpoint; any other is evaluated under `kind`. For HILP, `reuse`
+ * carries the sweep's cross-config state into the engine, plus the
+ * fingerprint computed here for the checkpoint key, so each point
+ * hashes its instance once; `schedule_out` (nullable) receives the
+ * solved schedule.
+ * `lowering_digest` (hilp::loweringDigest of the point's inputs;
+ * given only with reuse.memo) finds an instance the memo holds
+ * without lowering it: a point the memo can serve under the engine
+ * options is filled from it, and only a point it cannot serve is
+ * lowered.
  * A throwing evaluation is retried once with a quarter of the node
  * budget (transients such as allocation pressure often clear under a
  * smaller footprint); a second failure comes back as an errored
@@ -115,20 +157,38 @@ runPoint(const arch::SocConfig &config,
          const workload::Workload &workload,
          const arch::Constraints &constraints, ModelKind kind,
          const DseOptions &options, EvalReuse reuse,
-         Schedule *schedule_out)
+         std::optional<uint64_t> lowering_digest, Schedule *schedule_out)
 {
     trace::Span span("dse.point");
     if (trace::enabled())
         span.arg(trace::Arg::strArg("config", config.name()));
+
+    auto solved = [&](DsePoint &point) {
+        point.ok = true;
+        if (point.makespanS > 0.0)
+            point.speedup =
+                workload::sequentialCpuTimeS(workload) / point.makespanS;
+    };
 
     // One attempt under the given engine options; it throws whatever
     // the evaluation throws.
     auto evaluateOnce = [&](const EngineOptions &engine) {
         DsePoint point;
         point.setConfig(config);
-        ProblemSpec spec =
-            buildProblem(workload, config, constraints, options.build);
-        point.fingerprint = spec.fingerprint();
+        const std::optional<uint64_t> indexed = lowering_digest
+            ? reuse.memo->loweredInstance(*lowering_digest)
+            : std::nullopt;
+        ProblemSpec spec;
+        auto lower = [&] {
+            spec = buildProblem(workload, config, constraints,
+                                options.build);
+        };
+        if (indexed) {
+            point.fingerprint = *indexed;
+        } else {
+            lower();
+            point.fingerprint = spec.fingerprint();
+        }
 
         // The certified result of a resumed point comes back, and a
         // HILP record's persisted schedule stays available via
@@ -146,6 +206,21 @@ runPoint(const arch::SocConfig &config,
         // never reaches.
         if (options.injectFault)
             options.injectFault(config);
+
+        if (indexed) {
+            // The instance was solved and validated before; its
+            // result under these options is the evaluation's.
+            EvalResult cached;
+            if (reuse.memo->probe(point.fingerprint,
+                                  engineOptionsDigest(engine), &cached)) {
+                if (takeResult(point, std::move(cached), kind,
+                               schedule_out))
+                    solved(point);
+                return point;
+            }
+            // Evicted since, or solved under other options only.
+            lower();
+        }
 
         std::string invalid = spec.validate();
         if (!invalid.empty()) {
@@ -166,40 +241,20 @@ runPoint(const arch::SocConfig &config,
             point.averageWlp = ma.averageWlp();
             point.gap = 0.0;
             point.status = cp::SolveStatus::Optimal;
-        } else {
-            // The engine keys its memo and seeds by the fingerprint
-            // computed above; it need not hash the instance again.
-            reuse.fingerprint = point.fingerprint;
-            EvalResult result = kind == ModelKind::Hilp
-                ? evaluate(spec, engine, reuse)
-                : baselines::evaluateGables(spec, engine);
-            point.status = result.status;
-            point.gap = result.gap;
-            point.nodes = result.totalNodes;
-            point.backtracks = result.totalBacktracks;
-            point.solves = result.solves;
-            point.solveSeconds = result.totalSeconds;
-            point.cacheHit = result.cacheHit;
-            point.warmStarted = result.warmStarted;
-            point.pruned = result.prunedEarly;
-            point.degraded = result.degraded;
-            point.propagators = result.propagators;
-            if (!result.ok) {
-                point.note = format("solver gave up: %s",
-                                    cp::toString(result.status));
-                return point;
-            }
-            point.makespanS = result.makespanS;
-            point.averageWlp = result.averageWlp;
-            // Gables solves a rewritten spec, so only a HILP
-            // schedule is one of this instance.
-            if (kind == ModelKind::Hilp && schedule_out)
-                *schedule_out = std::move(result.schedule);
+            solved(point);
+            return point;
         }
-        point.ok = true;
-        if (point.makespanS > 0.0)
-            point.speedup =
-                workload::sequentialCpuTimeS(workload) / point.makespanS;
+        // The engine keys its memo and seeds by the fingerprint
+        // computed above; it need not hash the instance again.
+        reuse.fingerprint = point.fingerprint;
+        EvalResult result = kind == ModelKind::Hilp
+            ? evaluate(spec, engine, reuse)
+            : baselines::evaluateGables(spec, engine);
+        if (lowering_digest)
+            reuse.memo->recordLowering(*lowering_digest,
+                                       point.fingerprint);
+        if (takeResult(point, std::move(result), kind, schedule_out))
+            solved(point);
         return point;
     };
 
@@ -288,7 +343,7 @@ evaluatePoint(const arch::SocConfig &config,
               const DseOptions &options)
 {
     return runPoint(config, workload, constraints, kind, options,
-                    EvalReuse{}, nullptr);
+                    EvalReuse{}, std::nullopt, nullptr);
 }
 
 std::vector<DsePoint>
@@ -299,12 +354,8 @@ exploreSpace(const std::vector<arch::SocConfig> &configs,
              uint64_t trace_id)
 {
     std::vector<DsePoint> points(configs.size());
-    // The sweep pool shares the process-wide thread budget with the
-    // solver's parallel search: an outer worker holds a CPU slot
-    // only while evaluating a point, so inner solves that ask the
-    // budget for helpers (SolverOptions::threads == 0) pick up
-    // exactly the slots the sweep is not using.
-    ThreadPool pool(options.threads, &ThreadBudget::global());
+    if (configs.empty())
+        return points;
     Heartbeat heartbeat(configs.size());
 
     // MA is analytic and Gables rewrites the spec internally, so the
@@ -315,8 +366,14 @@ exploreSpace(const std::vector<arch::SocConfig> &configs,
     SolveMemo local_memo;
     SolveMemo *memo = options.memo ? options.memo : &local_memo;
     std::vector<std::vector<size_t>> chains;
+    // The memo finds a point's instance by its lowering inputs: the
+    // workload, constraints and build options are hashed once here,
+    // each config once per point.
+    uint64_t lowering_inputs = 0;
     if (reuse) {
         chains = similarityChains(configs);
+        lowering_inputs =
+            loweringDigest(workload, constraints, options.build);
     } else {
         chains.resize(configs.size());
         for (size_t i = 0; i < configs.size(); ++i)
@@ -331,7 +388,7 @@ exploreSpace(const std::vector<arch::SocConfig> &configs,
     // The completed points it is checked against are its own chain's:
     // they ran before it on the same thread, so whether a point is
     // pruned does not depend on thread timing.
-    pool.parallelFor(chains.size(), [&](size_t c) {
+    auto runChain = [&](size_t c) {
         trace::ContextScope requestScope(trace_id);
         Schedule hint;
         bool have_hint = false;
@@ -339,8 +396,11 @@ exploreSpace(const std::vector<arch::SocConfig> &configs,
         for (size_t idx : chains[c]) {
             double area = configs[idx].areaMm2();
             EvalReuse point_reuse;
+            std::optional<uint64_t> lowering_digest;
             if (reuse) {
                 point_reuse.memo = memo;
+                lowering_digest =
+                    loweringDigest(lowering_inputs, configs[idx]);
                 point_reuse.hint = have_hint ? &hint : nullptr;
                 point_reuse.dominated = [&completed,
                                          area](double lower_bound_s) {
@@ -355,7 +415,8 @@ exploreSpace(const std::vector<arch::SocConfig> &configs,
             Schedule schedule;
             DsePoint &point = points[idx];
             point = runPoint(configs[idx], workload, constraints, kind,
-                             options, std::move(point_reuse), &schedule);
+                             options, std::move(point_reuse),
+                             lowering_digest, &schedule);
             point.traceId = trace_id;
             auto key = [&] {
                 return checkpointKey(point.fingerprint,
@@ -391,7 +452,29 @@ exploreSpace(const std::vector<arch::SocConfig> &configs,
                 metrics::counter("dse.chain.rehydrated").add(1);
             }
         }
-    });
+    };
+
+    // Sweep workers share the process-wide thread budget with the
+    // solver's parallel search: a worker holds a CPU slot only while
+    // it runs chains, so inner solves that ask the budget for helpers
+    // (SolverOptions::threads == 0) pick up exactly the slots the
+    // sweep is not using.
+    size_t workers = options.threads > 0
+        ? static_cast<size_t>(options.threads)
+        : std::max(1u, std::thread::hardware_concurrency());
+    workers = std::min(workers, chains.size());
+    if (workers > 1) {
+        ThreadPool pool(workers, &ThreadBudget::global());
+        pool.parallelFor(chains.size(), runChain);
+        return points;
+    }
+    // One worker runs on this thread, holding a slot as a pool worker
+    // does, rather than spawning and joining a thread per sweep.
+    ThreadBudget &budget = ThreadBudget::global();
+    budget.acquire(1);
+    ThreadBudget::Lease slot(budget, 1);
+    for (size_t c = 0; c < chains.size(); ++c)
+        runChain(c);
     return points;
 }
 

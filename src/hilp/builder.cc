@@ -1,11 +1,13 @@
 #include "builder.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <optional>
 #include <string>
 
 #include "arch/dvfs.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/str.hh"
 #include "workload/scaling.hh"
@@ -121,6 +123,17 @@ struct Accelerator
     std::string labelPrefix;
     std::vector<double> powerW;
 };
+
+/**
+ * Mix a double by its exact bits. Unlike Hasher::f64 this keeps 0.0
+ * and -0.0 apart: an input divides or compares its way into several
+ * lowered numbers, and a signed zero can lower differently.
+ */
+void
+mixExact(Hasher &hasher, double value)
+{
+    hasher.u64(std::bit_cast<uint64_t>(value));
+}
 
 } // anonymous namespace
 
@@ -363,6 +376,74 @@ buildProblem(const workload::Workload &workload,
     }
 
     return spec;
+}
+
+uint64_t
+loweringDigest(const workload::Workload &workload,
+               const arch::Constraints &constraints,
+               const BuildOptions &options)
+{
+    // The workload's name only names the spec, which the fingerprint
+    // does not hash, so instances of renamed workloads share results.
+    Hasher hasher;
+    hasher.u64(workload.apps.size());
+    for (const workload::Application &app : workload.apps) {
+        hasher.str(app.name);
+        hasher.u64(app.deps.size());
+        for (auto [from, to] : app.deps) {
+            hasher.i64(from);
+            hasher.i64(to);
+        }
+        hasher.u64(app.phases.size());
+        for (const PhaseProfile &phase : app.phases) {
+            hasher.str(phase.name);
+            hasher.i64(static_cast<int64_t>(phase.kind));
+            mixExact(hasher, phase.cpuTime1);
+            hasher.boolean(phase.gpuCompatible);
+            mixExact(hasher, phase.gpuTime98);
+            mixExact(hasher, phase.gpuBwBase);
+            // The scaling model reads only each law's exponent
+            // (PowerLaw::scaleFrom does not depend on the coefficient,
+            // and r2 describes the fit).
+            mixExact(hasher, phase.timeLaw.b);
+            mixExact(hasher, phase.bwLaw.b);
+            mixExact(hasher, phase.freqGamma);
+            hasher.i64(phase.dsaTarget);
+        }
+    }
+    mixExact(hasher, constraints.powerBudgetW);
+    mixExact(hasher, constraints.memory.bandwidthGBs);
+    hasher.u64(constraints.cacheLevels.size());
+    for (const arch::CacheLevel &level : constraints.cacheLevels) {
+        hasher.str(level.name);
+        mixExact(hasher, level.bandwidthGBs);
+        mixExact(hasher, level.trafficAmplification);
+    }
+    hasher.u64(options.clocksMhz.size());
+    for (int clock : options.clocksMhz)
+        hasher.i64(clock);
+    hasher.boolean(options.pruneDominated);
+    mixExact(hasher, options.sequentialBwGBs);
+    hasher.u64(options.cpuCoreOptions.size());
+    for (int cores : options.cpuCoreOptions)
+        hasher.i64(cores);
+    return hasher.digest();
+}
+
+uint64_t
+loweringDigest(uint64_t inputs, const arch::SocConfig &soc)
+{
+    Hasher hasher;
+    hasher.u64(inputs);
+    hasher.i64(soc.cpuCores);
+    hasher.i64(soc.gpuSms);
+    hasher.u64(soc.dsas.size());
+    for (const arch::DsaSpec &dsa : soc.dsas) {
+        hasher.i64(dsa.pes);
+        hasher.i64(dsa.target);
+    }
+    mixExact(hasher, soc.dsaAdvantage);
+    return hasher.digest();
 }
 
 } // namespace hilp

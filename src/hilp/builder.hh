@@ -22,6 +22,7 @@
 #ifndef HILP_HILP_BUILDER_HH
 #define HILP_HILP_BUILDER_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "arch/soc.hh"
@@ -57,6 +58,28 @@ ProblemSpec buildProblem(const workload::Workload &workload,
                          const arch::SocConfig &soc,
                          const arch::Constraints &constraints,
                          const BuildOptions &options = {});
+
+/**
+ * A digest of every input buildProblem reads except the SoC: each
+ * application's name, dependency edges and the phase-profile fields
+ * the scaling model reads; the power budget, memory bandwidth and
+ * cache levels; and the options. Doubles are hashed by bit pattern,
+ * so inputs that could lower differently never share a digest (up to
+ * 64-bit collisions). A sweep computes this once and adds each
+ * point's SoC with the overload below.
+ */
+uint64_t loweringDigest(const workload::Workload &workload,
+                        const arch::Constraints &constraints,
+                        const BuildOptions &options = {});
+
+/**
+ * The digest of all of buildProblem's inputs: `inputs` (the digest
+ * above) plus the SoC's cores, SMs, DSAs and DSA advantage. Equal
+ * digests lower to instances with equal fingerprints, so a solve
+ * memo can find a point's instance without lowering it
+ * (SolveMemo::loweredInstance).
+ */
+uint64_t loweringDigest(uint64_t inputs, const arch::SocConfig &soc);
 
 } // namespace hilp
 

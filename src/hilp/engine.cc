@@ -22,7 +22,7 @@ SolveMemo::findLocked(uint64_t fingerprint, uint64_t salt)
     auto it = instances_.find(fingerprint);
     if (it == instances_.end())
         return nullptr;
-    for (Entry &entry : it->second)
+    for (Entry &entry : it->second.entries)
         if (entry.salt == salt)
             return &entry;
     return nullptr;
@@ -31,14 +31,21 @@ SolveMemo::findLocked(uint64_t fingerprint, uint64_t salt)
 bool
 SolveMemo::lookup(uint64_t fingerprint, uint64_t salt, EvalResult *out)
 {
+    if (probe(fingerprint, salt, out))
+        return true;
+    ++misses_;
+    metrics::counter("hilp.cache.misses").add(1);
+    return false;
+}
+
+bool
+SolveMemo::probe(uint64_t fingerprint, uint64_t salt, EvalResult *out)
+{
     {
         std::lock_guard<std::mutex> lock(mutex_);
         Entry *entry = findLocked(fingerprint, salt);
-        if (!entry) {
-            ++misses_;
-            metrics::counter("hilp.cache.misses").add(1);
+        if (!entry)
             return false;
-        }
         // Refresh recency: a hit entry moves to the front of the
         // LRU order so hot specs survive eviction pressure.
         lru_.splice(lru_.begin(), lru_, entry->lruIt);
@@ -64,7 +71,7 @@ SolveMemo::hint(uint64_t fingerprint, Schedule *out)
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = instances_.find(fingerprint);
     if (it != instances_.end()) {
-        for (Entry &entry : it->second) {
+        for (Entry &entry : it->second.entries) {
             if (!entry.result.ok || entry.result.schedule.phases.empty())
                 continue;
             lru_.splice(lru_.begin(), lru_, entry.lruIt);
@@ -75,6 +82,33 @@ SolveMemo::hint(uint64_t fingerprint, Schedule *out)
     }
     ++hintMisses_;
     return false;
+}
+
+std::optional<uint64_t>
+SolveMemo::loweredInstance(uint64_t digest) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = lowered_.find(digest);
+    if (it == lowered_.end())
+        return std::nullopt;
+    return it->second;
+}
+
+void
+SolveMemo::recordLowering(uint64_t digest, uint64_t fingerprint)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto instance = instances_.find(fingerprint);
+    if (instance == instances_.end())
+        return;
+    // Lowering is deterministic: a recorded digest already names
+    // this instance.
+    if (!lowered_.try_emplace(digest, fingerprint).second)
+        return;
+    instance->second.digests.push_back(digest);
+    bytes_ += kLoweringRecordBytes;
+    evictToCapLocked();
+    publishBytesLocked();
 }
 
 namespace {
@@ -141,8 +175,8 @@ SolveMemo::resultFootprintBytes(const EvalResult &result)
 {
     // Per-entry bookkeeping: the Entry around the result, its LRU
     // list node, and its share of the by-instance hash-map node
-    // (charged in full to every entry, so the cap also bounds the
-    // index).
+    // (charged in full to every entry, so the cap also bounds that
+    // map).
     size_t bytes = sizeof(Entry) + 128;
     const Schedule &schedule = result.schedule;
     bytes += schedule.phases.capacity() * sizeof(ScheduledPhase);
@@ -177,16 +211,21 @@ SolveMemo::evictToCapLocked()
         lru_.pop_back();
         auto it = instances_.find(slot.first);
         hilp_assert(it != instances_.end());
-        std::vector<Entry> &entries = it->second;
+        std::vector<Entry> &entries = it->second.entries;
         auto victim = std::find_if(
             entries.begin(), entries.end(),
             [&slot](const Entry &e) { return e.salt == slot.second; });
         hilp_assert(victim != entries.end());
         bytes_ -= victim->bytes;
         entries.erase(victim);
-        // The instance's hint goes with its last entry.
-        if (entries.empty())
+        // The instance's hint and index records go with its last
+        // entry.
+        if (entries.empty()) {
+            for (uint64_t digest : it->second.digests)
+                lowered_.erase(digest);
+            bytes_ -= it->second.digests.size() * kLoweringRecordBytes;
             instances_.erase(it);
+        }
         ++evictions_;
         metrics::counter("hilp.memo.evictions").add(1);
     }
@@ -206,7 +245,7 @@ SolveMemo::insert(uint64_t fingerprint, uint64_t salt,
         fresh.bytes = resultFootprintBytes(result);
         fresh.lruIt = lru_.begin();
         bytes_ += fresh.bytes;
-        instances_[fingerprint].push_back(std::move(fresh));
+        instances_[fingerprint].entries.push_back(std::move(fresh));
     } else if (betterResult(result, entry->result)) {
         bytes_ -= entry->bytes;
         entry->result = result;
@@ -263,6 +302,7 @@ SolveMemo::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     instances_.clear();
+    lowered_.clear();
     lru_.clear();
     bytes_ = 0;
     publishBytesLocked();

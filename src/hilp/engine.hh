@@ -156,13 +156,22 @@ struct EvalResult
  * *any* salt. A hint only seeds a solve, which still certifies its
  * own bound, so crossing options there is sound.
  *
+ * The memo also indexes its instances by their lowering inputs
+ * (hilp::loweringDigest), so a sweep point whose instance it holds is
+ * served without being lowered. The entries stay keyed by the
+ * fingerprint: configs that lower to one instance share its result,
+ * hints cross salts per instance, and checkpoint records carry the
+ * fingerprint as their key. An index record lives only as long as
+ * its instance has an entry, and is never persisted.
+ *
  * The memo is optionally bounded: with a positive byte cap, entries
  * are byte-accounted (resultFootprintBytes, which covers the
- * by-instance index too) and evicted in least-recently-used order -
- * lookups and hints refresh recency - so a long-running daemon's
- * cache cannot grow without limit. Eviction only ever costs a
- * recompute, never correctness: an evicted entry simply misses, and
- * stops serving as a hint, until it is solved again.
+ * by-instance index too, and kLoweringRecordBytes per index record)
+ * and evicted in least-recently-used order - lookups and hints
+ * refresh recency - so a long-running daemon's cache cannot grow
+ * without limit. Eviction only ever costs a recompute, never
+ * correctness: an evicted entry simply misses, and stops serving as a
+ * hint, until it is solved again.
  */
 class SolveMemo
 {
@@ -177,6 +186,36 @@ class SolveMemo
      * most recently used.
      */
     bool lookup(uint64_t fingerprint, uint64_t salt, EvalResult *out);
+
+    /**
+     * lookup() for a caller that falls back to a counted lookup when
+     * this misses (a sweep point served by its lowering digest, which
+     * is lowered and evaluated on a miss): a hit counts as one, a
+     * miss is not counted, so each point counts one hit or one miss.
+     */
+    bool probe(uint64_t fingerprint, uint64_t salt, EvalResult *out);
+
+    /**
+     * The instance that lowering inputs with this digest produce (see
+     * hilp::loweringDigest), while the memo holds an entry for it.
+     * Counted neither as a hit nor as a miss.
+     */
+    std::optional<uint64_t> loweredInstance(uint64_t digest) const;
+
+    /**
+     * Record that lowering inputs with this digest produce the
+     * instance `fingerprint`. Nothing is recorded for an instance
+     * without an entry, and the record leaves with the instance's
+     * last entry (eviction, setMaxBytes, clear). Each record counts
+     * kLoweringRecordBytes in bytes().
+     */
+    void recordLowering(uint64_t digest, uint64_t fingerprint);
+
+    /**
+     * The bytes one index record is accounted as: its hash-map node
+     * and bucket plus its slot in the instance's list of digests.
+     */
+    static constexpr size_t kLoweringRecordBytes = 64;
 
     /**
      * Copy out the schedule of a retained successful entry for the
@@ -246,6 +285,14 @@ class SolveMemo
         std::list<Slot>::iterator lruIt;
     };
 
+    /** One instance: its entries and the digests that name it. */
+    struct Instance
+    {
+        std::vector<Entry> entries; //!< One per salt.
+        /** Lowering digests recorded for it (keys of lowered_). */
+        std::vector<uint64_t> digests;
+    };
+
     /** The entry for (fingerprint, salt), or null. Lock held. */
     Entry *findLocked(uint64_t fingerprint, uint64_t salt);
     /** Evict LRU entries until bytes_ <= maxBytes_. Lock held. */
@@ -253,8 +300,10 @@ class SolveMemo
     void publishBytesLocked();
 
     mutable std::mutex mutex_;
-    /** Entries by instance; each instance holds one per salt. */
-    std::unordered_map<uint64_t, std::vector<Entry>> instances_;
+    /** Instances by fingerprint. */
+    std::unordered_map<uint64_t, Instance> instances_;
+    /** Lowering digest -> fingerprint of a retained instance. */
+    std::unordered_map<uint64_t, uint64_t> lowered_;
     /** Every entry, most recently used first. */
     std::list<Slot> lru_;
     size_t maxBytes_ = 0;

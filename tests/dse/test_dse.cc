@@ -4,16 +4,22 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "arch/design_space.hh"
+#include "arch/dvfs.hh"
+#include "dse/checkpoint.hh"
 #include "dse/explore.hh"
 #include "dse/pareto.hh"
 #include "hilp/builder.hh"
 #include "hilp/options.hh"
+#include "support/trace.hh"
 #include "workload/rodinia.hh"
 
 namespace hilp {
@@ -417,6 +423,201 @@ TEST(Explore, ParallelSweepsPruneAndSolveAlike)
                                             nodeBudgetedOptions(4)));
         EXPECT_EQ(parallel, reference) << "repeat " << repeat;
     }
+}
+
+TEST(Explore, OneWorkerSweepRunsOnTheCallersThread)
+{
+    auto wl = workload::makeWorkload(workload::Variant::Default);
+    std::vector<arch::SocConfig> configs = threeChainSlice();
+    const auto pooled = effort(exploreSpace(configs, wl,
+                                            arch::Constraints{},
+                                            ModelKind::Hilp,
+                                            nodeBudgetedOptions(3)));
+
+    // One sweep thread, and one chain (the slice's first four
+    // configs) under four threads: both run on the caller's thread
+    // and return what the pooled sweep does.
+    for (const auto &[count, threads] :
+         {std::pair<size_t, int>{configs.size(), 1}, {4, 4}}) {
+        std::vector<arch::SocConfig> sweep(
+            configs.begin(), configs.begin() + static_cast<ptrdiff_t>(count));
+        std::mutex mutex;
+        std::vector<std::thread::id> callers;
+        auto points = exploreSpace(
+            sweep, wl, arch::Constraints{}, ModelKind::Hilp,
+            nodeBudgetedOptions(threads),
+            [&](const DsePoint &, const Schedule *) {
+                std::lock_guard<std::mutex> lock(mutex);
+                callers.push_back(std::this_thread::get_id());
+            });
+        ASSERT_EQ(callers.size(), count);
+        for (const std::thread::id &id : callers)
+            EXPECT_EQ(id, std::this_thread::get_id());
+        EXPECT_EQ(effort(points),
+                  decltype(pooled)(pooled.begin(),
+                                   pooled.begin() +
+                                       static_cast<ptrdiff_t>(count)));
+    }
+}
+
+/** The records a sweep streams, as their bytes. */
+std::vector<std::string>
+recordBytes(const std::vector<DsePoint> &points)
+{
+    std::vector<std::string> records;
+    for (const DsePoint &point : points)
+        records.push_back(
+            pointRecordJson(point.fingerprint, ModelKind::Hilp, point)
+                .dump());
+    return records;
+}
+
+/** Begin events named `name` in a trace export. */
+int
+spansNamed(const Json &exported, const std::string &name)
+{
+    const Json *events = exported.find("traceEvents");
+    int count = 0;
+    for (size_t i = 0; events && i < events->size(); ++i) {
+        const Json &event = events->at(i);
+        if (event.find("ph")->stringValue() == "B" &&
+            event.find("name")->stringValue() == name)
+            ++count;
+    }
+    return count;
+}
+
+TEST(Dse, WarmSweepServesEveryPointThroughTheLoweringIndex)
+{
+    auto wl = workload::makeWorkload(workload::Variant::Default);
+    std::vector<arch::SocConfig> configs = threeChainSlice();
+    const int64_t n = static_cast<int64_t>(configs.size());
+    SolveMemo memo;
+    DseOptions options = nodeBudgetedOptions(1);
+    options.memo = &memo;
+
+    // The cold sweep spells out every clock: its instances are the
+    // default options' instances, under other lowering digests.
+    DseOptions spelled = options;
+    for (const arch::GpuOperatingPoint &point :
+         arch::gpuOperatingPoints())
+        spelled.build.clocksMhz.push_back(point.clockMhz);
+    auto cold = exploreSpace(configs, wl, arch::Constraints{},
+                             ModelKind::Hilp, spelled);
+    EXPECT_EQ(memo.hits(), 0);
+    EXPECT_EQ(memo.misses(), n);
+
+    // A traced sweep: how many points it evaluated (lowered and
+    // handed to the engine), and its points. Both traced sweeps run
+    // under one trace id, which their records carry.
+    const bool was_enabled = trace::enabled();
+    trace::setEnabled(true);
+    const uint64_t id = trace::newTraceId();
+    auto tracedSweep = [&](int *evaluations) {
+        trace::clearAll();
+        auto points = exploreSpace(configs, wl, arch::Constraints{},
+                                   ModelKind::Hilp, options, {}, id);
+        Json exported = trace::toJsonForContext(id);
+        EXPECT_EQ(spansNamed(exported, "dse.point"), n);
+        *evaluations = spansNamed(exported, "hilp.evaluate");
+        return points;
+    };
+
+    // Its digests are not indexed yet: each point is lowered and the
+    // engine serves it from the memo.
+    int lowered = 0;
+    auto by_lowering = tracedSweep(&lowered);
+    EXPECT_EQ(lowered, n);
+    EXPECT_EQ(memo.hits(), n);
+    EXPECT_EQ(memo.misses(), n);
+
+    // Now every digest names its instance: no point is lowered.
+    int evaluated = 0;
+    auto by_index = tracedSweep(&evaluated);
+    trace::setEnabled(was_enabled);
+    trace::clearAll();
+    EXPECT_EQ(evaluated, 0);
+    EXPECT_EQ(memo.hits(), 2 * n);
+    EXPECT_EQ(memo.misses(), n);
+
+    const uint64_t inputs = loweringDigest(wl, arch::Constraints{});
+    for (size_t i = 0; i < configs.size(); ++i) {
+        EXPECT_EQ(memo.loweredInstance(loweringDigest(inputs, configs[i])),
+                  cold[i].fingerprint)
+            << configs[i].name();
+        EXPECT_EQ(by_index[i].fingerprint, cold[i].fingerprint);
+        EXPECT_TRUE(by_index[i].ok && by_index[i].cacheHit)
+            << configs[i].name();
+    }
+    EXPECT_EQ(recordBytes(by_index), recordBytes(by_lowering));
+}
+
+/** A checkpoint path under gtest's temp dir, removed afterwards. */
+class IndexedCheckpoint : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        path_ = ::testing::TempDir() + "hilp_indexed_checkpoint.jsonl";
+        std::remove(path_.c_str());
+    }
+
+    void
+    TearDown() override
+    {
+        std::remove(path_.c_str());
+    }
+
+    std::string path_;
+};
+
+TEST_F(IndexedCheckpoint, ResumeAndFaultsComeBeforeTheMemo)
+{
+    // A point served through the index meets the checkpoint and the
+    // injected fault where a lowered point does: resumed points count
+    // no memo lookup, and a fault preempts the memo.
+    auto wl = workload::makeWorkload(workload::Variant::Default);
+    std::vector<arch::SocConfig> configs = threeChainSlice();
+    const int64_t n = static_cast<int64_t>(configs.size());
+    SolveMemo memo;
+    DseOptions options = nodeBudgetedOptions(1);
+    options.memo = &memo;
+    {
+        SweepCheckpoint checkpoint;
+        ASSERT_TRUE(checkpoint.open(path_, false));
+        options.checkpoint = &checkpoint;
+        exploreSpace(configs, wl, arch::Constraints{}, ModelKind::Hilp,
+                     options);
+    }
+    ASSERT_EQ(memo.misses(), n);
+
+    SweepCheckpoint resumed;
+    ASSERT_TRUE(resumed.open(path_, true));
+    options.checkpoint = &resumed;
+    auto points = exploreSpace(configs, wl, arch::Constraints{},
+                               ModelKind::Hilp, options);
+    for (const DsePoint &point : points)
+        EXPECT_TRUE(point.resumed) << point.config.name();
+    EXPECT_EQ(memo.hits(), 0);
+    EXPECT_EQ(memo.misses(), n);
+
+    options.checkpoint = nullptr;
+    const std::string poisoned = configs[5].name();
+    options.injectFault = [&poisoned](const arch::SocConfig &config) {
+        if (config.name() == poisoned)
+            throw std::runtime_error("injected");
+    };
+    points = exploreSpace(configs, wl, arch::Constraints{},
+                          ModelKind::Hilp, options);
+    for (const DsePoint &point : points) {
+        EXPECT_EQ(point.errored, point.config.name() == poisoned)
+            << point.config.name();
+        EXPECT_EQ(point.cacheHit, point.config.name() != poisoned)
+            << point.config.name();
+    }
+    EXPECT_EQ(memo.hits(), n - 1);
+    EXPECT_EQ(memo.misses(), n);
 }
 
 TEST(Explore, SolverTelemetryIsPopulated)

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/design_space.hh"
@@ -287,6 +292,210 @@ TEST(Builder, Fig7FingerprintsArePinned)
                 buildProblem(rodinia, config, constraints).fingerprint());
     }
     EXPECT_EQ(hasher.digest(), 0x4ba2d681ca11e498ull);
+}
+
+/** Everything buildProblem reads, as one value to mutate. */
+struct LoweringInputs
+{
+    workload::Workload workload;
+    arch::SocConfig soc;
+    arch::Constraints constraints;
+    BuildOptions options;
+
+    uint64_t
+    digest() const
+    {
+        return loweringDigest(
+            loweringDigest(workload, constraints, options), soc);
+    }
+
+    uint64_t
+    fingerprint() const
+    {
+        return buildProblem(workload, soc, constraints, options)
+            .fingerprint();
+    }
+};
+
+TEST(Builder, LoweringDigestSeparatesEveryInput)
+{
+    // A memo serves a point by its lowering digest without lowering
+    // it, so two inputs that lower to different instances must never
+    // share a digest. The base makes every field reach the instance:
+    // a budget that keeps low clocks (so freqGamma counts), a cache
+    // level, and a DSA on the mutated phase's target.
+    LoweringInputs base;
+    base.workload = makeWorkload(Variant::Default);
+    base.soc = paperSoc();
+    // The first application's chain, spelled out, so that an edge's
+    // ends can change one at a time.
+    base.workload.apps[0].deps = {{0, 1}, {1, 2}};
+    base.constraints.powerBudgetW = 100.0;
+    base.constraints.cacheLevels.push_back({"L2", 4000.0, 2.0});
+    // The default clocks and core counts, spelled out likewise.
+    for (const arch::GpuOperatingPoint &point : arch::gpuOperatingPoints())
+        base.options.clocksMhz.push_back(point.clockMhz);
+    base.options.cpuCoreOptions = {1, 2, 4};
+    const std::vector<int> priority = workload::dsaPriorityOrder();
+    size_t app_index = 0;
+    while (base.workload.apps[app_index].phases[1].dsaTarget !=
+           priority[0])
+        ++app_index;
+    auto app = [](LoweringInputs &in) -> workload::Application & {
+        return in.workload.apps[0];
+    };
+    auto phase = [app_index](LoweringInputs &in)
+        -> workload::PhaseProfile & {
+        return in.workload.apps[app_index].phases[1];
+    };
+    ASSERT_EQ(phase(base).kind, workload::PhaseKind::Compute);
+
+    using Mutation = std::pair<const char *,
+                               std::function<void(LoweringInputs &)>>;
+    // Each field lowering reads, changed on its own.
+    const std::vector<Mutation> read = {
+        {"app name", [&](LoweringInputs &in) { app(in).name += "x"; }},
+        {"dep source",
+         [&](LoweringInputs &in) { app(in).deps[1].first = 0; }},
+        {"dep target",
+         [&](LoweringInputs &in) { app(in).deps[0].second = 2; }},
+        {"app phase count",
+         [&](LoweringInputs &in) { app(in).phases.pop_back(); }},
+        {"app count",
+         [](LoweringInputs &in) { in.workload.apps.pop_back(); }},
+        {"phase name",
+         [&](LoweringInputs &in) { phase(in).name += "x"; }},
+        {"phase kind",
+         [&](LoweringInputs &in) {
+             phase(in).kind = workload::PhaseKind::Sequential;
+         }},
+        {"cpuTime1",
+         [&](LoweringInputs &in) { phase(in).cpuTime1 *= 1.5; }},
+        {"sequential cpuTime1",
+         [&](LoweringInputs &in) {
+             in.workload.apps[app_index].phases[0].cpuTime1 *= 1.5;
+         }},
+        {"gpuCompatible",
+         [&](LoweringInputs &in) { phase(in).gpuCompatible = false; }},
+        {"gpuTime98",
+         [&](LoweringInputs &in) { phase(in).gpuTime98 *= 1.5; }},
+        {"gpuBwBase",
+         [&](LoweringInputs &in) { phase(in).gpuBwBase *= 1.5; }},
+        {"timeLaw.b",
+         [&](LoweringInputs &in) { phase(in).timeLaw.b -= 0.1; }},
+        {"bwLaw.b",
+         [&](LoweringInputs &in) { phase(in).bwLaw.b += 0.1; }},
+        {"freqGamma",
+         [&](LoweringInputs &in) { phase(in).freqGamma *= 0.5; }},
+        {"dsaTarget",
+         [&](LoweringInputs &in) { phase(in).dsaTarget = -1; }},
+        {"powerBudgetW",
+         [](LoweringInputs &in) { in.constraints.powerBudgetW = 90.0; }},
+        {"memory bandwidth",
+         [](LoweringInputs &in) {
+             in.constraints.memory.bandwidthGBs = 700.0;
+         }},
+        {"cache level count",
+         [](LoweringInputs &in) { in.constraints.cacheLevels.clear(); }},
+        {"cache level name",
+         [](LoweringInputs &in) {
+             in.constraints.cacheLevels[0].name = "L3";
+         }},
+        {"cache level bandwidth",
+         [](LoweringInputs &in) {
+             in.constraints.cacheLevels[0].bandwidthGBs = 3000.0;
+         }},
+        {"cache level amplification",
+         [](LoweringInputs &in) {
+             in.constraints.cacheLevels[0].trafficAmplification = 3.0;
+         }},
+        {"clocksMhz",
+         [](LoweringInputs &in) {
+             std::reverse(in.options.clocksMhz.begin(),
+                          in.options.clocksMhz.end());
+         }},
+        {"pruneDominated",
+         [](LoweringInputs &in) { in.options.pruneDominated = false; }},
+        {"sequentialBwGBs",
+         [](LoweringInputs &in) { in.options.sequentialBwGBs = 2.0; }},
+        {"cpuCoreOptions",
+         [](LoweringInputs &in) { in.options.cpuCoreOptions = {1, 2, 3}; }},
+        {"cpuCores", [](LoweringInputs &in) { in.soc.cpuCores = 8; }},
+        {"gpuSms", [](LoweringInputs &in) { in.soc.gpuSms = 64; }},
+        {"DSA count", [](LoweringInputs &in) { in.soc.dsas.pop_back(); }},
+        {"DSA pes", [](LoweringInputs &in) { in.soc.dsas[0].pes = 64; }},
+        {"DSA target",
+         [&](LoweringInputs &in) { in.soc.dsas[0].target = priority[2]; }},
+        {"dsaAdvantage",
+         [](LoweringInputs &in) { in.soc.dsaAdvantage = 2.0; }},
+    };
+    // Inputs that lowering does not read, or that lower alike: they
+    // may keep the digest, but must not split one digest across two
+    // instances either.
+    const std::vector<Mutation> unread = {
+        {"implicit chain", [&](LoweringInputs &in) { app(in).deps.clear(); }},
+        {"default clocks",
+         [](LoweringInputs &in) { in.options.clocksMhz.clear(); }},
+        {"default core counts",
+         [](LoweringInputs &in) { in.options.cpuCoreOptions.clear(); }},
+        {"workload name",
+         [](LoweringInputs &in) { in.workload.name += "x"; }},
+        {"timeLaw.a",
+         [&](LoweringInputs &in) { phase(in).timeLaw.a *= 2.0; }},
+        {"timeLaw.r2",
+         [&](LoweringInputs &in) { phase(in).timeLaw.r2 = 0.5; }},
+        {"bwLaw.a", [&](LoweringInputs &in) { phase(in).bwLaw.a *= 2.0; }},
+        {"bwLaw.r2", [&](LoweringInputs &in) { phase(in).bwLaw.r2 = 0.5; }},
+        {"memory pJ/bit",
+         [](LoweringInputs &in) { in.constraints.memory.pjPerBit = 3.0; }},
+    };
+
+    const uint64_t base_fingerprint = base.fingerprint();
+    std::map<uint64_t, uint64_t> instance_of{
+        {base.digest(), base_fingerprint}};
+    auto expectOneInstancePerDigest = [&](const char *name,
+                                          const LoweringInputs &in) {
+        auto it =
+            instance_of.try_emplace(in.digest(), in.fingerprint()).first;
+        EXPECT_EQ(it->second, in.fingerprint())
+            << name << ": one digest names two instances";
+    };
+    for (const auto &[name, mutate] : read) {
+        LoweringInputs in = base;
+        mutate(in);
+        EXPECT_NE(in.fingerprint(), base_fingerprint)
+            << name << " does not reach the lowered instance";
+        expectOneInstancePerDigest(name, in);
+    }
+    for (const auto &[name, mutate] : unread) {
+        LoweringInputs in = base;
+        mutate(in);
+        EXPECT_EQ(in.fingerprint(), base_fingerprint) << name;
+        expectOneInstancePerDigest(name, in);
+    }
+
+    // The sweep-constant part and the SoC part combine as one digest,
+    // and the fig7 space maps digests to instances one to one.
+    const workload::Workload rodinia = makeWorkload(Variant::Default);
+    const std::vector<arch::SocConfig> space = arch::enumerateDesignSpace(
+        arch::DesignSpace{}, workload::dsaPriorityOrder());
+    std::map<uint64_t, uint64_t> by_digest;
+    std::map<uint64_t, uint64_t> by_fingerprint;
+    for (double budget_w : {600.0, 100.0, 50.0}) {
+        arch::Constraints constraints;
+        constraints.powerBudgetW = budget_w;
+        const uint64_t inputs = loweringDigest(rodinia, constraints);
+        for (const arch::SocConfig &config : space) {
+            const uint64_t digest = loweringDigest(inputs, config);
+            const uint64_t fingerprint =
+                buildProblem(rodinia, config, constraints).fingerprint();
+            EXPECT_TRUE(by_digest.emplace(digest, fingerprint).second)
+                << config.name() << " at " << budget_w << " W";
+            EXPECT_TRUE(by_fingerprint.emplace(fingerprint, digest).second)
+                << config.name() << " at " << budget_w << " W";
+        }
+    }
+    EXPECT_EQ(by_digest.size(), 3 * space.size());
 }
 
 } // anonymous namespace

@@ -6,12 +6,15 @@
  * TSan-covered concurrency binary: many threads insert, look up and
  * ask for warm-start hints on overlapping keys under two salts,
  * against a cap small enough that eviction fires constantly, and
- * every hit and hint must still be self-consistent.
+ * every hit and hint must still be self-consistent. The lowering
+ * index races the same way: its records are added and read while
+ * eviction removes them with their instances.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -126,6 +129,76 @@ TEST(SolveMemoEvictRace, ConcurrentTrafficUnderTinyCap)
     EXPECT_EQ(hint.phases.size(), 1u);
 }
 
+/** The lowering digest the race test records for a key. */
+uint64_t
+digestForKey(uint64_t key)
+{
+    return key * 0x9e3779b97f4a7c15ull + 1;
+}
+
+TEST(SolveMemoEvictRace, LoweringIndexRacesEviction)
+{
+    size_t one = SolveMemo::resultFootprintBytes(resultForKey(0));
+    SolveMemo memo(8 * one);
+
+    constexpr int kThreads = 8;
+    constexpr int kKeys = 64;
+    constexpr int kIterations = 400;
+    std::atomic<int64_t> served{0};
+    std::atomic<int64_t> lowered{0};
+
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kIterations; ++i) {
+                uint64_t key =
+                    static_cast<uint64_t>((i * 5 + t * 11) % kKeys);
+                uint64_t salt = static_cast<uint64_t>(t % 2);
+                // The sweep's step: a digest that names an instance
+                // is probed; anything else is "lowered", looked up,
+                // solved if missing, and recorded.
+                std::optional<uint64_t> instance =
+                    memo.loweredInstance(digestForKey(key));
+                EvalResult out;
+                if (instance) {
+                    EXPECT_EQ(*instance, key);
+                    if (memo.probe(*instance, salt, &out)) {
+                        EXPECT_DOUBLE_EQ(
+                            out.makespanS,
+                            1.0 + static_cast<double>(key));
+                        EXPECT_TRUE(out.cacheHit);
+                        served.fetch_add(1, std::memory_order_relaxed);
+                        continue;
+                    }
+                }
+                lowered.fetch_add(1, std::memory_order_relaxed);
+                if (!memo.lookup(key, salt, &out))
+                    memo.insert(key, salt, resultForKey(key));
+                memo.recordLowering(digestForKey(key), key);
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    // Every point counted one hit or one miss, whichever path it
+    // took, and the cap held with the records charged.
+    EXPECT_EQ(served.load() + lowered.load(),
+              static_cast<int64_t>(kThreads) * kIterations);
+    EXPECT_EQ(memo.hits() + memo.misses(),
+              static_cast<int64_t>(kThreads) * kIterations);
+    EXPECT_GT(memo.evictions(), 0);
+    EXPECT_LE(memo.bytes(), memo.maxBytes());
+    // A record survives only with an entry of its instance.
+    for (uint64_t key = 0; key < kKeys; ++key) {
+        if (memo.loweredInstance(digestForKey(key))) {
+            Schedule hint;
+            EXPECT_TRUE(memo.hint(key, &hint)) << key;
+        }
+    }
+}
+
 TEST(SolveMemoEvictRace, RacingSetMaxBytesStaysBounded)
 {
     size_t one = SolveMemo::resultFootprintBytes(resultForKey(0));
@@ -145,8 +218,10 @@ TEST(SolveMemoEvictRace, RacingSetMaxBytesStaysBounded)
             uint64_t key = static_cast<uint64_t>(t);
             while (!stop.load()) {
                 memo.insert(key, 0, resultForKey(key));
+                memo.recordLowering(digestForKey(key), key);
                 EvalResult out;
                 memo.lookup(key, 0, &out);
+                memo.loweredInstance(digestForKey(key));
                 Schedule hint;
                 memo.hint(key, &hint);
                 key = (key + 4) % 32;

@@ -5,10 +5,13 @@
  * recency), evicted keys recompute (miss, then re-insert fine), and
  * the unbounded default retains everything as before. Also covers
  * warm-start hints: served across salts, counted apart from hits and
- * misses, and dropped with their entry.
+ * misses, and dropped with their entry; and the lowering index,
+ * whose records are byte-accounted and leave with their instance.
  */
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "hilp/engine.hh"
 
@@ -154,6 +157,91 @@ TEST(SolveMemoLru, ClearDropsEntriesButKeepsAccounting)
     EXPECT_EQ(memo.bytes(), 0u);
     EXPECT_FALSE(memo.lookup(1, 0, &out));
     EXPECT_EQ(memo.hits(), hits);
+}
+
+TEST(SolveMemoLru, LoweringRecordsNeedAnEntryAndCountInBytes)
+{
+    constexpr size_t kRecord = SolveMemo::kLoweringRecordBytes;
+    const size_t one = SolveMemo::resultFootprintBytes(
+        resultWithMakespan(1.0));
+    SolveMemo memo;
+
+    // No entry for instance 5 yet: nothing to index.
+    memo.recordLowering(100, 5);
+    EXPECT_EQ(memo.loweredInstance(100), std::nullopt);
+    EXPECT_EQ(memo.bytes(), 0u);
+
+    memo.insert(5, 1, resultWithMakespan(1.0));
+    memo.recordLowering(100, 5);
+    memo.recordLowering(100, 5); // Already recorded.
+    memo.recordLowering(101, 5); // A second input set, same instance.
+    EXPECT_EQ(memo.loweredInstance(100), 5u);
+    EXPECT_EQ(memo.loweredInstance(101), 5u);
+    EXPECT_EQ(memo.loweredInstance(102), std::nullopt);
+    EXPECT_EQ(memo.bytes(), one + 2 * kRecord);
+    EXPECT_EQ(memo.entries(), 1u);
+
+    // Index lookups are no hits or misses, and a probe counts only
+    // its hits.
+    EXPECT_EQ(memo.hits(), 0);
+    EXPECT_EQ(memo.misses(), 0);
+    EvalResult out;
+    EXPECT_FALSE(memo.probe(5, 2, &out));
+    EXPECT_EQ(memo.misses(), 0);
+    ASSERT_TRUE(memo.probe(5, 1, &out));
+    EXPECT_TRUE(out.cacheHit);
+    EXPECT_EQ(memo.hits(), 1);
+}
+
+TEST(SolveMemoLru, LoweringRecordsLeaveWithTheirInstance)
+{
+    constexpr size_t kRecord = SolveMemo::kLoweringRecordBytes;
+    const size_t one = SolveMemo::resultFootprintBytes(
+        resultWithMakespan(1.0));
+
+    // Eviction: the least recently used instance takes its record
+    // along, and an instance keeps its records while any salt stays.
+    SolveMemo memo(2 * one + 2 * kRecord);
+    memo.insert(1, 0, resultWithMakespan(1.0));
+    memo.recordLowering(11, 1);
+    memo.insert(2, 0, resultWithMakespan(2.0));
+    memo.recordLowering(12, 2);
+    EXPECT_EQ(memo.bytes(), 2 * one + 2 * kRecord);
+    memo.insert(3, 0, resultWithMakespan(3.0)); // Evicts 1/0.
+    EXPECT_EQ(memo.loweredInstance(11), std::nullopt);
+    EXPECT_EQ(memo.loweredInstance(12), 2u);
+    EXPECT_EQ(memo.bytes(), 2 * one + kRecord);
+    memo.insert(2, 1, resultWithMakespan(2.0)); // Evicts 2/0.
+    EXPECT_EQ(memo.loweredInstance(12), 2u);
+    EXPECT_EQ(memo.bytes(), 2 * one + kRecord);
+
+    // setMaxBytes: 3/0 is now the least recently used entry.
+    memo.setMaxBytes(one + kRecord);
+    EXPECT_EQ(memo.entries(), 1u);
+    EXPECT_EQ(memo.loweredInstance(12), 2u);
+    EXPECT_EQ(memo.bytes(), one + kRecord);
+    memo.setMaxBytes(one);
+    EXPECT_EQ(memo.entries(), 0u);
+    EXPECT_EQ(memo.loweredInstance(12), std::nullopt);
+    EXPECT_EQ(memo.bytes(), 0u);
+
+    // A record is charged like an entry: one that does not fit
+    // evicts, and its instance and the record itself go.
+    memo.insert(4, 0, resultWithMakespan(4.0));
+    EXPECT_EQ(memo.bytes(), one);
+    memo.recordLowering(14, 4);
+    EXPECT_EQ(memo.entries(), 0u);
+    EXPECT_EQ(memo.loweredInstance(14), std::nullopt);
+    EXPECT_EQ(memo.bytes(), 0u);
+
+    // clear drops every record.
+    memo.setMaxBytes(0);
+    memo.insert(5, 0, resultWithMakespan(5.0));
+    memo.recordLowering(15, 5);
+    ASSERT_EQ(memo.loweredInstance(15), 5u);
+    memo.clear();
+    EXPECT_EQ(memo.loweredInstance(15), std::nullopt);
+    EXPECT_EQ(memo.bytes(), 0u);
 }
 
 TEST(SolveMemoHint, IsServedUnderAnyOtherSalt)
