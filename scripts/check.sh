@@ -44,30 +44,36 @@ run_suite build-asan -DHILP_SANITIZE=ON
 # included), lowering (`Builder.*`, the pin over every fig7 instance
 # included, and the lowering digest that indexes the solve memo),
 # the memo's byte-capped LRU with its lowering index and the sweep
-# that serves points through that index (`SolveMemoLru.*`, `Dse.*`,
+# that serves points through that index (`SolveMemoLru.*`, `Dse.*`
+# with `Dse.WarmSweepServesEveryPointThroughTheLoweringIndex` and
+# `Dse.SharedInstanceIsServedAcrossDsaAdvantages`,
 # `IndexedCheckpoint.*`, and the one-worker sweep on the caller's
-# thread), the JSON value and parser (a 16-byte tagged union that
-# owns its string, members or elements by hand, so a double free, a
-# leak or a stale pointer after a move shows here), and the LP
-# solver's own tests run again on their own, so a heap bug in the
-# solver hot path (such as a stale index into the list
+# thread), the sweep loop's threads (`SweepLoop.*`: a helper's
+# exception, the thread budget, concurrent sweeps; their lambdas
+# share the caller's stack), the JSON value and parser (a 16-byte
+# tagged union that owns its string, members or elements by hand, so
+# a double free, a leak or a stale pointer after a move shows here),
+# and the LP solver's own tests run again on their own, so a heap bug
+# in the solver hot path (such as a stale index into the list
 # scheduler's per-run arrays or a row shift past the profile's axis),
-# in the JSON DOM, or an unsound bound fails this stage by name even
-# when the tier1 sweep above is trimmed or filtered.
-echo "==> no-good/node-bound/LP-bound/LP-bound-differential/list-scheduler/profile/start-lag/transfer/engine/lowering/memo-index/JSON soundness (ASan)"
+# in the sweep loop or the JSON DOM, or an unsound bound fails this
+# stage by name even when the tier1 sweep above is trimmed or
+# filtered.
+echo "==> no-good/node-bound/LP-bound/LP-bound-differential/list-scheduler/profile/start-lag/transfer/engine/lowering/memo-index/sweep-loop/JSON soundness (ASan)"
 ./build-asan/tests/hilp_test_cp \
     --gtest_filter='Nogood.*:*/NogoodDiff.*:Propagate.*:*/SearchPinned.*:*/ExhaustiveLpBound.*:LpBoundDiff.*:*/ListSchedulerDiff.*:ListSchedulerEngine.*:Profile.*:*/ProfileDiff.*:StartLags.*:*/StartLagsDiff.*'
 ./build-asan/tests/hilp_test_core \
     --gtest_filter='LpBoundDiffFig7.*:TransferSchedule.*:Engine.*:Builder.*:SolveMemoLru.*'
 ./build-asan/tests/hilp_test_dse \
     --gtest_filter='Dse.*:IndexedCheckpoint.*:Explore.OneWorkerSweepRunsOnTheCallersThread'
+./build-asan/tests/hilp_test_concurrency --gtest_filter='SweepLoop.*'
 ./build-asan/tests/hilp_test_support \
     --gtest_filter='JsonTest.*:JsonParseTest.*'
 ./build-asan/tests/hilp_test_lp
 
 # Thread-sanitizer stage: build only the concurrency test binary
-# (thread pool + budget + parallel branch-and-bound) under TSan and
-# run it. TSan is incompatible with ASan, so this is a third build
+# (thread budget, the sweep loop, parallel branch-and-bound, memo
+# races) under TSan and run it. TSan is incompatible with ASan, so this is a third build
 # tree; benches and examples are skipped to keep it fast.
 echo "==> configure build-tsan"
 cmake -B build-tsan -S . -DHILP_TSAN=ON \

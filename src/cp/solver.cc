@@ -7,7 +7,7 @@
 #include "search.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"
-#include "support/thread_pool.hh"
+#include "support/thread_budget.hh"
 #include "support/metrics.hh"
 #include "support/trace.hh"
 

@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <tuple>
@@ -25,7 +27,7 @@
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/str.hh"
-#include "support/thread_pool.hh"
+#include "support/thread_budget.hh"
 #include "support/trace.hh"
 
 namespace hilp {
@@ -135,17 +137,19 @@ takeResult(DsePoint &point, EvalResult &&result, ModelKind kind,
 
 /**
  * Evaluate one design point: the step of both exploreSpace and
- * evaluatePoint. A point a previous run completed comes back from the
+ * evaluatePoint, and the only code that reads or fills the solve
+ * memo. A point a previous run completed comes back from the
  * checkpoint; any other is evaluated under `kind`. For HILP, `reuse`
- * carries the sweep's cross-config state into the engine, plus the
- * fingerprint computed here for the checkpoint key, so each point
- * hashes its instance once; `schedule_out` (nullable) receives the
- * solved schedule.
- * `lowering_digest` (hilp::loweringDigest of the point's inputs;
- * given only with reuse.memo) finds an instance the memo holds
- * without lowering it: a point the memo can serve under the engine
- * options is filled from it, and only a point it cannot serve is
- * lowered.
+ * carries the sweep's warm-start hint and dominance oracle into the
+ * engine, plus the fingerprint computed here for the memo and
+ * checkpoint keys, so each point hashes its instance once;
+ * `schedule_out` (nullable) receives the solved schedule.
+ * With a memo (HILP reuse only), `lowering_digest`
+ * (hilp::loweringDigest of the point's inputs) finds an instance the
+ * memo holds without lowering it. Each point then makes one counted
+ * memo lookup under the engine options; a miss is lowered if it was
+ * not, warm-started from the memo's hint when the chain has none,
+ * evaluated and inserted, and a lowered point's digest is recorded.
  * A throwing evaluation is retried once with a quarter of the node
  * budget (transients such as allocation pressure often clear under a
  * smaller footprint); a second failure comes back as an errored
@@ -156,8 +160,9 @@ DsePoint
 runPoint(const arch::SocConfig &config,
          const workload::Workload &workload,
          const arch::Constraints &constraints, ModelKind kind,
-         const DseOptions &options, EvalReuse reuse,
-         std::optional<uint64_t> lowering_digest, Schedule *schedule_out)
+         const DseOptions &options, const EvalReuse &reuse,
+         SolveMemo *memo, uint64_t lowering_digest,
+         Schedule *schedule_out)
 {
     trace::Span span("dse.point");
     if (trace::enabled())
@@ -175,9 +180,8 @@ runPoint(const arch::SocConfig &config,
     auto evaluateOnce = [&](const EngineOptions &engine) {
         DsePoint point;
         point.setConfig(config);
-        const std::optional<uint64_t> indexed = lowering_digest
-            ? reuse.memo->loweredInstance(*lowering_digest)
-            : std::nullopt;
+        const std::optional<uint64_t> indexed =
+            memo ? memo->loweredInstance(lowering_digest) : std::nullopt;
         ProblemSpec spec;
         auto lower = [&] {
             spec = buildProblem(workload, config, constraints,
@@ -207,27 +211,16 @@ runPoint(const arch::SocConfig &config,
         if (options.injectFault)
             options.injectFault(config);
 
-        if (indexed) {
-            // The instance was solved and validated before; its
-            // result under these options is the evaluation's.
-            EvalResult cached;
-            if (reuse.memo->probe(point.fingerprint,
-                                  engineOptionsDigest(engine), &cached)) {
-                if (takeResult(point, std::move(cached), kind,
-                               schedule_out))
-                    solved(point);
+        // An indexed instance validated when it was first lowered.
+        if (!indexed) {
+            std::string invalid = spec.validate();
+            if (!invalid.empty()) {
+                // Unschedulable under these budgets; keep the reason
+                // so the report can tell this apart from a solver
+                // failure.
+                point.note = invalid;
                 return point;
             }
-            // Evicted since, or solved under other options only.
-            lower();
-        }
-
-        std::string invalid = spec.validate();
-        if (!invalid.empty()) {
-            // Unschedulable under these budgets; keep the reason so
-            // the report can tell this apart from a solver failure.
-            point.note = invalid;
-            return point;
         }
 
         if (kind == ModelKind::MultiAmdahl) {
@@ -244,15 +237,38 @@ runPoint(const arch::SocConfig &config,
             solved(point);
             return point;
         }
-        // The engine keys its memo and seeds by the fingerprint
-        // computed above; it need not hash the instance again.
-        reuse.fingerprint = point.fingerprint;
-        EvalResult result = kind == ModelKind::Hilp
-            ? evaluate(spec, engine, reuse)
-            : baselines::evaluateGables(spec, engine);
-        if (lowering_digest)
-            reuse.memo->recordLowering(*lowering_digest,
-                                       point.fingerprint);
+
+        // Identical instances solve once per memo and option set: the
+        // salt is the digest of this attempt's options, so a memo
+        // shared by callers with differing options never serves one a
+        // result computed under the other's.
+        const uint64_t salt = memo ? engineOptionsDigest(engine) : 0;
+        EvalResult result;
+        const bool hit =
+            memo && memo->lookup(point.fingerprint, salt, &result);
+        if (!hit) {
+            // Evicted since, or solved under other options only.
+            if (indexed)
+                lower();
+            // The engine salts its seeds by the fingerprint computed
+            // above, and the instance's schedule under any other
+            // options warm-starts it when the chain brought no hint.
+            EvalReuse attempt = reuse;
+            attempt.fingerprint = point.fingerprint;
+            Schedule memo_hint;
+            if (memo && !attempt.hint &&
+                memo->hint(point.fingerprint, &memo_hint))
+                attempt.hint = &memo_hint;
+            result = kind == ModelKind::Hilp
+                ? evaluate(spec, engine, attempt)
+                : baselines::evaluateGables(spec, engine);
+            if (memo)
+                memo->insert(point.fingerprint, salt, result);
+        }
+        // The index names the instance by this point's digest, unless
+        // it served the point already.
+        if (memo && !(indexed && hit))
+            memo->recordLowering(lowering_digest, point.fingerprint);
         if (takeResult(point, std::move(result), kind, schedule_out))
             solved(point);
         return point;
@@ -343,7 +359,7 @@ evaluatePoint(const arch::SocConfig &config,
               const DseOptions &options)
 {
     return runPoint(config, workload, constraints, kind, options,
-                    EvalReuse{}, std::nullopt, nullptr);
+                    EvalReuse{}, nullptr, 0, nullptr);
 }
 
 std::vector<DsePoint>
@@ -364,7 +380,9 @@ exploreSpace(const std::vector<arch::SocConfig> &configs,
     // dominance bound or hint: the cold reference.
     const bool reuse = options.reuse && kind == ModelKind::Hilp;
     SolveMemo local_memo;
-    SolveMemo *memo = options.memo ? options.memo : &local_memo;
+    SolveMemo *memo = !reuse         ? nullptr
+                      : options.memo ? options.memo
+                                     : &local_memo;
     std::vector<std::vector<size_t>> chains;
     // The memo finds a point's instance by its lowering inputs: the
     // workload, constraints and build options are hashed once here,
@@ -396,9 +414,8 @@ exploreSpace(const std::vector<arch::SocConfig> &configs,
         for (size_t idx : chains[c]) {
             double area = configs[idx].areaMm2();
             EvalReuse point_reuse;
-            std::optional<uint64_t> lowering_digest;
+            uint64_t lowering_digest = 0;
             if (reuse) {
-                point_reuse.memo = memo;
                 lowering_digest =
                     loweringDigest(lowering_inputs, configs[idx]);
                 point_reuse.hint = have_hint ? &hint : nullptr;
@@ -415,8 +432,8 @@ exploreSpace(const std::vector<arch::SocConfig> &configs,
             Schedule schedule;
             DsePoint &point = points[idx];
             point = runPoint(configs[idx], workload, constraints, kind,
-                             options, std::move(point_reuse),
-                             lowering_digest, &schedule);
+                             options, point_reuse, memo, lowering_digest,
+                             &schedule);
             point.traceId = trace_id;
             auto key = [&] {
                 return checkpointKey(point.fingerprint,
@@ -454,27 +471,63 @@ exploreSpace(const std::vector<arch::SocConfig> &configs,
         }
     };
 
-    // Sweep workers share the process-wide thread budget with the
-    // solver's parallel search: a worker holds a CPU slot only while
-    // it runs chains, so inner solves that ask the budget for helpers
-    // (SolverOptions::threads == 0) pick up exactly the slots the
-    // sweep is not using.
+    // The calling thread and workers - 1 helpers claim chains from
+    // one counter. Sweep threads share the process-wide thread budget
+    // with the solver's parallel search: each holds a CPU slot only
+    // while it runs chains, so inner solves that ask the budget for
+    // helpers (SolverOptions::threads == 0) pick up exactly the slots
+    // the sweep is not using. The caller takes its slot before it
+    // starts a helper and gives it back before it joins them, since
+    // they may still be waiting for one.
     size_t workers = options.threads > 0
         ? static_cast<size_t>(options.threads)
         : std::max(1u, std::thread::hardware_concurrency());
     workers = std::min(workers, chains.size());
-    if (workers > 1) {
-        ThreadPool pool(workers, &ThreadBudget::global());
-        pool.parallelFor(chains.size(), runChain);
-        return points;
-    }
-    // One worker runs on this thread, holding a slot as a pool worker
-    // does, rather than spawning and joining a thread per sweep.
     ThreadBudget &budget = ThreadBudget::global();
+    std::atomic<size_t> next{0};
+    std::mutex error_mutex;
+    std::exception_ptr error;
+    auto runChains = [&] {
+        try {
+            for (size_t c = next++; c < chains.size(); c = next++)
+                runChain(c);
+        } catch (...) {
+            // The sweep fails: no thread claims another chain.
+            next.store(chains.size());
+            std::lock_guard<std::mutex> lock(error_mutex);
+            if (!error)
+                error = std::current_exception();
+        }
+    };
     budget.acquire(1);
     ThreadBudget::Lease slot(budget, 1);
-    for (size_t c = 0; c < chains.size(); ++c)
-        runChain(c);
+    std::vector<std::thread> helpers;
+    helpers.reserve(workers - 1);
+    for (size_t i = 1; i < workers; ++i) {
+        try {
+            helpers.emplace_back([&, i] {
+                // A name registers a trace buffer for good.
+                if (trace::enabled())
+                    trace::setThreadName(format("worker-%zu", i));
+                if (next.load() >= chains.size())
+                    return;
+                budget.acquire(1);
+                ThreadBudget::Lease helper_slot(budget, 1);
+                runChains();
+            });
+        } catch (const std::exception &e) {
+            // The threads that did start take its chains.
+            warn("dse: sweep thread %zu did not start (%s)", i,
+                 e.what());
+            break;
+        }
+    }
+    runChains();
+    slot.reset();
+    for (std::thread &helper : helpers)
+        helper.join();
+    if (error)
+        std::rethrow_exception(error);
     return points;
 }
 

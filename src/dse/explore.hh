@@ -116,9 +116,11 @@ struct DsePoint
 };
 
 /**
- * Sees every completed point of a sweep, from its worker threads, in
- * arbitrary order. The schedule is non-null for ok HILP points the
- * sweep solved itself, reuse on or off.
+ * Sees every completed point of a sweep, from the sweep's threads
+ * (the calling thread and its helpers), in arbitrary order. The
+ * schedule is non-null for ok HILP points the sweep solved itself,
+ * reuse on or off. A throw from the sink fails the sweep:
+ * exploreSpace rethrows it once every sweep thread has joined.
  */
 using PointSink =
     std::function<void(const DsePoint &point, const Schedule *schedule)>;
@@ -128,7 +130,7 @@ struct DseOptions
 {
     EngineOptions engine = EngineOptions::explorationMode();
     BuildOptions build;
-    /** Worker threads; 0 = hardware concurrency. */
+    /** Sweep threads, the caller's included; 0 = hardware concurrency. */
     int threads = 0;
     /**
      * Enable cross-config solver reuse for HILP sweeps (warm-start
@@ -168,7 +170,7 @@ struct DseOptions
  * configurations come back with ok == false and a diagnostic note,
  * and a point that throws twice comes back errored. `on_point` (may
  * be empty) sees every completed point; `trace_id` (0 = none) is the
- * owning request's trace context, which the sweep workers re-enter
+ * owning request's trace context, which the sweep threads re-enter
  * so their spans and points carry it.
  */
 std::vector<DsePoint> exploreSpace(

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "cp/list_scheduler.hh"
-#include "options.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -31,21 +30,14 @@ SolveMemo::findLocked(uint64_t fingerprint, uint64_t salt)
 bool
 SolveMemo::lookup(uint64_t fingerprint, uint64_t salt, EvalResult *out)
 {
-    if (probe(fingerprint, salt, out))
-        return true;
-    ++misses_;
-    metrics::counter("hilp.cache.misses").add(1);
-    return false;
-}
-
-bool
-SolveMemo::probe(uint64_t fingerprint, uint64_t salt, EvalResult *out)
-{
     {
         std::lock_guard<std::mutex> lock(mutex_);
         Entry *entry = findLocked(fingerprint, salt);
-        if (!entry)
+        if (!entry) {
+            ++misses_;
+            metrics::counter("hilp.cache.misses").add(1);
             return false;
+        }
         // Refresh recency: a hit entry moves to the front of the
         // LRU order so hot specs survive eviction pressure.
         lru_.splice(lru_.begin(), lru_, entry->lruIt);
@@ -583,40 +575,20 @@ evaluate(const ProblemSpec &spec, const EngineOptions &request_options,
     hilp_assert(request_options.initialStepS > 0.0);
     hilp_assert(request_options.refineFactor > 1.0);
 
-    // Identical lowered instances solve once per memo and option set:
-    // the salt is the digest of the options this call was given, so a
-    // memo shared by callers with differing options never serves one
-    // a result computed under the other's. On a miss, the instance's
-    // schedule under any other options still warm-starts the solve
-    // when the caller brought no hint of its own.
-    const uint64_t fingerprint =
-        reuse.fingerprint ? *reuse.fingerprint : spec.fingerprint();
-    uint64_t salt = 0;
-    Schedule memo_hint;
-    const Schedule *hint = reuse.hint;
-    if (reuse.memo) {
-        salt = engineOptionsDigest(request_options);
-        EvalResult cached;
-        if (reuse.memo->lookup(fingerprint, salt, &cached))
-            return cached;
-        if (!hint && reuse.memo->hint(fingerprint, &memo_hint))
-            hint = &memo_hint;
-    }
-
     // Salt the heuristic seed with the instance identity before any
     // solve: distinct problems sharing SolverOptions::seed must not
     // share greedy and hill-climbing trajectories, and a sweep retry
     // that bumps seedSalt by the attempt index gets genuinely
     // different restarts and moves instead of replaying the failing
-    // ones. The seed salt is applied below the memo (the memo salt
-    // digests the *request* options) and is a pure function of the
-    // fingerprint, so cached and fresh evaluations of an instance
-    // still agree.
+    // ones. The sweep's memo salt digests the *request* options, and
+    // this seed salt is a pure function of the fingerprint, so cached
+    // and fresh evaluations of an instance still agree.
     EngineOptions options = request_options;
     {
         Hasher seed_salt;
         seed_salt.u64(request_options.solver.seedSalt);
-        seed_salt.u64(fingerprint);
+        seed_salt.u64(reuse.fingerprint ? *reuse.fingerprint
+                                        : spec.fingerprint());
         options.solver.seedSalt = seed_salt.digest();
     }
 
@@ -644,7 +616,7 @@ evaluate(const ProblemSpec &spec, const EngineOptions &request_options,
     std::vector<cp::PropagatorStats> propagators;
     auto solve_at = [&](double step_s) {
         EvalResult r =
-            solveAtResolution(spec, step_s, options, hint, deadline);
+            solveAtResolution(spec, step_s, options, reuse.hint, deadline);
         solves += r.solves;
         nodes += r.totalNodes;
         backtracks += r.totalBacktracks;
@@ -664,8 +636,6 @@ evaluate(const ProblemSpec &spec, const EngineOptions &request_options,
         r.propagators = propagators;
         if (r.degraded)
             metrics::counter("hilp.evals.degraded").add(1);
-        if (reuse.memo)
-            reuse.memo->insert(fingerprint, salt, r);
         return std::move(r);
     };
 

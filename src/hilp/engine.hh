@@ -145,8 +145,10 @@ struct EvalResult
 /**
  * Thread-safe memo of completed evaluations, keyed by the lowered
  * instance (ProblemSpec::fingerprint()) plus a salt naming the engine
- * options it was solved under (evaluate() passes
- * engineOptionsDigest, see hilp/options.hh). Identical instances
+ * options it was solved under (engineOptionsDigest, see
+ * hilp/options.hh). The design-space sweep (dse::exploreSpace) looks
+ * each point up once and inserts what it evaluates; evaluate()
+ * itself caches nothing. Identical instances
  * then solve once per memo lifetime, and one memo can serve callers
  * with differing options without ever returning a result computed
  * under other options.
@@ -186,14 +188,6 @@ class SolveMemo
      * most recently used.
      */
     bool lookup(uint64_t fingerprint, uint64_t salt, EvalResult *out);
-
-    /**
-     * lookup() for a caller that falls back to a counted lookup when
-     * this misses (a sweep point served by its lowering digest, which
-     * is lowered and evaluated on a miss): a hit counts as one, a
-     * miss is not counted, so each point counts one hit or one miss.
-     */
-    bool probe(uint64_t fingerprint, uint64_t salt, EvalResult *out);
 
     /**
      * The instance that lowering inputs with this digest produce (see
@@ -324,8 +318,7 @@ struct EvalReuse
     /**
      * A schedule from a similar problem (e.g. the neighboring SoC
      * config), re-timed onto this problem via transferSchedule() and
-     * fed to the solver as a warm start. May be null; the memo's
-     * hint for this instance then stands in when there is one.
+     * fed to the solver as a warm start. May be null.
      */
     const Schedule *hint = nullptr;
     /**
@@ -340,17 +333,11 @@ struct EvalReuse
      */
     std::function<bool(double lowerBoundS)> dominated;
     /**
-     * Result cache and warm-start store, shared as widely as the
-     * caller likes: evaluate() keys entries by the instance and the
-     * engine options it was called with. May be null.
-     */
-    SolveMemo *memo = nullptr;
-    /**
      * The spec's fingerprint, when the caller already holds it (the
-     * sweep computes it once per point for its checkpoint key). It
-     * must equal spec.fingerprint(): it keys the memo and salts the
-     * heuristic seeds, so a wrong value serves another instance's
-     * result. Empty, evaluate() computes it.
+     * sweep computes it once per point for its memo and checkpoint
+     * keys). It must equal spec.fingerprint(): it salts the heuristic
+     * seeds, which a wrong value would make another instance's.
+     * Empty, evaluate() computes it.
      */
     std::optional<uint64_t> fingerprint;
 };
@@ -365,11 +352,11 @@ EvalResult evaluate(const ProblemSpec &spec,
                     const EngineOptions &options);
 
 /**
- * As above, with cross-instance reuse: a warm-start hint schedule, a
- * dominance oracle over the caller's completed points, and a solve
- * memo (any of which may be null), plus the spec's fingerprint when
- * the caller has it (EvalReuse::fingerprint), so a sweep hashes each
- * instance once. Reuse only affects effort, not correctness: the
+ * As above, with cross-instance reuse: a warm-start hint schedule
+ * and a dominance oracle over the caller's completed points (either
+ * of which may be null), plus the spec's fingerprint when the caller
+ * has it (EvalReuse::fingerprint), so a sweep hashes each instance
+ * once. Reuse only affects effort, not correctness: the
  * returned makespan always carries its certified bound and gap.
  */
 EvalResult evaluate(const ProblemSpec &spec,

@@ -2,12 +2,13 @@
 
 #include <sys/socket.h>
 
+#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <future>
+#include <list>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "dse/checkpoint.hh"
 #include "dse/distribute.hh"
@@ -431,23 +432,47 @@ void
 Daemon::run(net::Listener &listener)
 {
     listenerFd_.store(listener.fd());
-    std::vector<std::thread> handlers;
+    // A handler marks itself done as it exits, and every accept joins
+    // the finished ones: a finished thread that is never joined keeps
+    // its stack mapped until the daemon stops.
+    struct Handler
+    {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+    std::list<Handler> handlers;
     while (!stop_.load()) {
         net::Socket connection = listener.accept();
+        handlers.remove_if([](Handler &handler) {
+            if (!handler.done.load())
+                return false;
+            handler.thread.join();
+            return true;
+        });
         if (!connection.valid()) {
             if (stop_.load())
                 break;
             continue; // Transient accept failure (e.g. EINTR).
         }
-        handlers.emplace_back(
-            [this, socket = std::move(connection)]() mutable {
-                serveConnection(std::move(socket));
-            });
+        Handler &handler = handlers.emplace_back();
+        try {
+            handler.thread = std::thread(
+                [this, &done = handler.done,
+                 socket = std::move(connection)]() mutable {
+                    serveConnection(std::move(socket));
+                    done.store(true);
+                });
+        } catch (const std::exception &e) {
+            // The connection closes with its handler's state.
+            warn("hilpd: cannot start a connection handler (%s); "
+                 "dropping the connection", e.what());
+            handlers.pop_back();
+        }
     }
     listenerFd_.store(-1);
     listener.close();
-    for (std::thread &handler : handlers)
-        handler.join();
+    for (Handler &handler : handlers)
+        handler.thread.join();
 }
 
 void

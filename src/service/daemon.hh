@@ -81,6 +81,7 @@ class Daemon
     /**
      * Accept-and-serve loop: one handler thread per connection,
      * until stop() is called or a connection requests shutdown. The
+     * loop joins finished handlers as it accepts new connections. The
      * listener is closed (and its unix socket path unlinked) before
      * returning; in-flight requests finish first.
      */

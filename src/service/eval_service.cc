@@ -6,7 +6,7 @@
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/str.hh"
-#include "support/thread_pool.hh"
+#include "support/thread_budget.hh"
 #include "support/version.hh"
 
 namespace hilp {

@@ -15,11 +15,12 @@
  * The sweep itself is dse::exploreSpace; sweep() only hands it the
  * service's memo, the request's point sink and its trace id.
  *
- * Threading: jobs run on a small executor crew; each sweep spins its
- * ThreadPool against the process-wide ThreadBudget exactly as the
- * batch path always has, so daemon sweeps and inner parallel solves
- * arbitrate cores instead of oversubscribing. Per-request deadlines
- * ride the existing EngineOptions::pointTimeoutS degradation path.
+ * Threading: jobs run on a small executor crew; each sweep runs on
+ * its executor thread plus helper threads, all drawing on the
+ * process-wide ThreadBudget exactly as the batch path does, so
+ * daemon sweeps and inner parallel solves arbitrate cores instead of
+ * oversubscribing. Per-request deadlines ride the existing
+ * EngineOptions::pointTimeoutS degradation path.
  */
 
 #ifndef HILP_SERVICE_EVAL_SERVICE_HH

@@ -45,8 +45,8 @@ constexpr int kHistogramBuckets = 65;
  * A monotonically increasing counter. add() lands in a thread-local
  * cell (a relaxed fetch_add on an uncontended cache line); value()
  * merges every thread's cell. The merged value is exact once the
- * writing threads have synchronized with the reader (e.g. a joined
- * thread or a drained ThreadPool::wait()).
+ * writing threads have synchronized with the reader (e.g. been
+ * joined, as a sweep's helper threads are before it returns).
  */
 class Counter
 {

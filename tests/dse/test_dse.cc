@@ -19,7 +19,6 @@
 #include "dse/pareto.hh"
 #include "hilp/builder.hh"
 #include "hilp/options.hh"
-#include "support/trace.hh"
 #include "workload/rodinia.hh"
 
 namespace hilp {
@@ -429,14 +428,14 @@ TEST(Explore, OneWorkerSweepRunsOnTheCallersThread)
 {
     auto wl = workload::makeWorkload(workload::Variant::Default);
     std::vector<arch::SocConfig> configs = threeChainSlice();
-    const auto pooled = effort(exploreSpace(configs, wl,
-                                            arch::Constraints{},
-                                            ModelKind::Hilp,
-                                            nodeBudgetedOptions(3)));
+    const auto threaded = effort(exploreSpace(configs, wl,
+                                              arch::Constraints{},
+                                              ModelKind::Hilp,
+                                              nodeBudgetedOptions(3)));
 
     // One sweep thread, and one chain (the slice's first four
-    // configs) under four threads: both run on the caller's thread
-    // and return what the pooled sweep does.
+    // configs) under four threads: neither starts a helper thread,
+    // and both return what the three-thread sweep does.
     for (const auto &[count, threads] :
          {std::pair<size_t, int>{configs.size(), 1}, {4, 4}}) {
         std::vector<arch::SocConfig> sweep(
@@ -454,9 +453,9 @@ TEST(Explore, OneWorkerSweepRunsOnTheCallersThread)
         for (const std::thread::id &id : callers)
             EXPECT_EQ(id, std::this_thread::get_id());
         EXPECT_EQ(effort(points),
-                  decltype(pooled)(pooled.begin(),
-                                   pooled.begin() +
-                                       static_cast<ptrdiff_t>(count)));
+                  decltype(threaded)(threaded.begin(),
+                                     threaded.begin() +
+                                         static_cast<ptrdiff_t>(count)));
     }
 }
 
@@ -470,21 +469,6 @@ recordBytes(const std::vector<DsePoint> &points)
             pointRecordJson(point.fingerprint, ModelKind::Hilp, point)
                 .dump());
     return records;
-}
-
-/** Begin events named `name` in a trace export. */
-int
-spansNamed(const Json &exported, const std::string &name)
-{
-    const Json *events = exported.find("traceEvents");
-    int count = 0;
-    for (size_t i = 0; events && i < events->size(); ++i) {
-        const Json &event = events->at(i);
-        if (event.find("ph")->stringValue() == "B" &&
-            event.find("name")->stringValue() == name)
-            ++count;
-    }
-    return count;
 }
 
 TEST(Dse, WarmSweepServesEveryPointThroughTheLoweringIndex)
@@ -507,49 +491,87 @@ TEST(Dse, WarmSweepServesEveryPointThroughTheLoweringIndex)
     EXPECT_EQ(memo.hits(), 0);
     EXPECT_EQ(memo.misses(), n);
 
-    // A traced sweep: how many points it evaluated (lowered and
-    // handed to the engine), and its points. Both traced sweeps run
-    // under one trace id, which their records carry.
-    const bool was_enabled = trace::enabled();
-    trace::setEnabled(true);
-    const uint64_t id = trace::newTraceId();
-    auto tracedSweep = [&](int *evaluations) {
-        trace::clearAll();
-        auto points = exploreSpace(configs, wl, arch::Constraints{},
-                                   ModelKind::Hilp, options, {}, id);
-        Json exported = trace::toJsonForContext(id);
-        EXPECT_EQ(spansNamed(exported, "dse.point"), n);
-        *evaluations = spansNamed(exported, "hilp.evaluate");
-        return points;
-    };
-
-    // Its digests are not indexed yet: each point is lowered and the
-    // engine serves it from the memo.
-    int lowered = 0;
-    auto by_lowering = tracedSweep(&lowered);
-    EXPECT_EQ(lowered, n);
+    // The default options' digests name no instance yet: each point
+    // is lowered, served from the memo, and its digest recorded.
+    const uint64_t inputs = loweringDigest(wl, arch::Constraints{});
+    for (const arch::SocConfig &config : configs)
+        EXPECT_EQ(memo.loweredInstance(loweringDigest(inputs, config)),
+                  std::nullopt)
+            << config.name();
+    auto by_lowering = exploreSpace(configs, wl, arch::Constraints{},
+                                    ModelKind::Hilp, options);
     EXPECT_EQ(memo.hits(), n);
     EXPECT_EQ(memo.misses(), n);
-
-    // Now every digest names its instance: no point is lowered.
-    int evaluated = 0;
-    auto by_index = tracedSweep(&evaluated);
-    trace::setEnabled(was_enabled);
-    trace::clearAll();
-    EXPECT_EQ(evaluated, 0);
-    EXPECT_EQ(memo.hits(), 2 * n);
-    EXPECT_EQ(memo.misses(), n);
-
-    const uint64_t inputs = loweringDigest(wl, arch::Constraints{});
-    for (size_t i = 0; i < configs.size(); ++i) {
+    for (size_t i = 0; i < configs.size(); ++i)
         EXPECT_EQ(memo.loweredInstance(loweringDigest(inputs, configs[i])),
                   cold[i].fingerprint)
             << configs[i].name();
+
+    // Now every digest names its instance, and a point served through
+    // the index streams the bytes a lowered point does.
+    auto by_index = exploreSpace(configs, wl, arch::Constraints{},
+                                 ModelKind::Hilp, options);
+    EXPECT_EQ(memo.hits(), 2 * n);
+    EXPECT_EQ(memo.misses(), n);
+    for (size_t i = 0; i < configs.size(); ++i) {
         EXPECT_EQ(by_index[i].fingerprint, cold[i].fingerprint);
+        EXPECT_TRUE(by_lowering[i].ok && by_lowering[i].cacheHit)
+            << configs[i].name();
         EXPECT_TRUE(by_index[i].ok && by_index[i].cacheHit)
             << configs[i].name();
     }
     EXPECT_EQ(recordBytes(by_index), recordBytes(by_lowering));
+}
+
+TEST(Dse, SharedInstanceIsServedAcrossDsaAdvantages)
+{
+    // A config without DSAs lowers to one instance at every DSA
+    // advantage, under a digest per advantage: fig8b's re-sweeps at
+    // 4x and 8x. The memo serves it by its fingerprint, and the new
+    // digest is recorded against the instance.
+    auto wl = workload::makeWorkload(workload::Variant::Default);
+    auto dsaFree = [](double advantage) {
+        arch::DesignSpace space;
+        space.dsaAdvantage = advantage;
+        std::vector<arch::SocConfig> slice;
+        for (const arch::SocConfig &config : arch::enumerateDesignSpace(
+                 space, workload::dsaPriorityOrder()))
+            if (config.dsas.empty())
+                slice.push_back(config);
+        return slice;
+    };
+    const std::vector<arch::SocConfig> at2 = dsaFree(2.0);
+    const std::vector<arch::SocConfig> at4 = dsaFree(4.0);
+    ASSERT_EQ(at2.size(), 12u);
+    ASSERT_EQ(at4.size(), at2.size());
+    const int64_t n = static_cast<int64_t>(at2.size());
+    SolveMemo memo;
+    DseOptions options = nodeBudgetedOptions(1);
+    options.memo = &memo;
+
+    auto first = exploreSpace(at2, wl, arch::Constraints{},
+                              ModelKind::Hilp, options);
+    EXPECT_EQ(memo.hits(), 0);
+    EXPECT_EQ(memo.misses(), n);
+    auto second = exploreSpace(at4, wl, arch::Constraints{},
+                               ModelKind::Hilp, options);
+    EXPECT_EQ(memo.hits(), n);
+    EXPECT_EQ(memo.misses(), n);
+
+    const uint64_t inputs = loweringDigest(wl, arch::Constraints{});
+    for (size_t i = 0; i < at2.size(); ++i) {
+        ASSERT_EQ(at4[i].name(), at2[i].name());
+        const uint64_t digest = loweringDigest(inputs, at4[i]);
+        EXPECT_NE(digest, loweringDigest(inputs, at2[i]))
+            << at4[i].name();
+        EXPECT_EQ(second[i].fingerprint, first[i].fingerprint)
+            << at4[i].name();
+        EXPECT_TRUE(second[i].cacheHit) << at4[i].name();
+        EXPECT_EQ(second[i].solves, 0) << at4[i].name();
+        EXPECT_EQ(second[i].ok, first[i].ok) << at4[i].name();
+        EXPECT_EQ(memo.loweredInstance(digest), first[i].fingerprint)
+            << at4[i].name();
+    }
 }
 
 /** A checkpoint path under gtest's temp dir, removed afterwards. */

@@ -181,14 +181,14 @@ TEST(SolveMemoLru, LoweringRecordsNeedAnEntryAndCountInBytes)
     EXPECT_EQ(memo.bytes(), one + 2 * kRecord);
     EXPECT_EQ(memo.entries(), 1u);
 
-    // Index lookups are no hits or misses, and a probe counts only
-    // its hits.
+    // Index lookups are no hits or misses; the lookup of the
+    // instance they name counts one or the other.
     EXPECT_EQ(memo.hits(), 0);
     EXPECT_EQ(memo.misses(), 0);
     EvalResult out;
-    EXPECT_FALSE(memo.probe(5, 2, &out));
-    EXPECT_EQ(memo.misses(), 0);
-    ASSERT_TRUE(memo.probe(5, 1, &out));
+    EXPECT_FALSE(memo.lookup(5, 2, &out));
+    EXPECT_EQ(memo.misses(), 1);
+    ASSERT_TRUE(memo.lookup(5, 1, &out));
     EXPECT_TRUE(out.cacheHit);
     EXPECT_EQ(memo.hits(), 1);
 }

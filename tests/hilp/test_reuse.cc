@@ -361,27 +361,6 @@ TEST(Evaluate, WarmStartNeverWorseThanCold)
     EXPECT_DOUBLE_EQ(warm.gap, cold.gap);
 }
 
-TEST(Evaluate, MemoServesTheSecondEvaluation)
-{
-    ProblemSpec spec = makeTwoAppExample();
-    SolveMemo memo;
-    EvalReuse reuse;
-    reuse.memo = &memo;
-
-    EvalResult first = evaluate(spec, exampleOptions(), reuse);
-    ASSERT_TRUE(first.ok);
-    EXPECT_FALSE(first.cacheHit);
-    EXPECT_GT(first.solves, 0);
-
-    EvalResult second = evaluate(spec, exampleOptions(), reuse);
-    ASSERT_TRUE(second.ok);
-    EXPECT_TRUE(second.cacheHit);
-    EXPECT_EQ(second.solves, 0);
-    EXPECT_DOUBLE_EQ(second.makespanS, first.makespanS);
-    EXPECT_EQ(memo.hits(), 1);
-    EXPECT_EQ(memo.misses(), 1);
-}
-
 TEST(Evaluate, ContinuousBoundHoldsAtEveryResolution)
 {
     // The dominance oracle's input must lower-bound the makespan at

@@ -318,6 +318,54 @@ TEST(DaemonProtocol, OverlongLineDropsPeerAndServingGoesOn)
     server.join();
 }
 
+/** Lines of this process's memory map, one per mapping. */
+size_t
+mappingCount()
+{
+    std::ifstream maps("/proc/self/maps");
+    EXPECT_TRUE(maps.is_open());
+    size_t lines = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++lines;
+    return lines;
+}
+
+TEST(DaemonProtocol, FinishedConnectionHandlersAreReaped)
+{
+    // A handler thread that finished but was never joined keeps its
+    // stack mapped, so a daemon that joined its handlers only on exit
+    // would run out of mappings, and then of threads, after enough
+    // connections. Sequential connections must leave the mapping
+    // count where it was.
+    EvalService service;
+    Daemon daemon(service);
+    net::Listener listener;
+    std::string error;
+    ASSERT_TRUE(listener.open("tcp:127.0.0.1:0", &error)) << error;
+    std::thread server([&daemon, &listener] { daemon.run(listener); });
+
+    // (EXPECT, not ASSERT: the server thread must be joined on every
+    // path.)
+    auto statsOverANewConnection = [&] {
+        ServiceClient client;
+        Json stats;
+        EXPECT_TRUE(client.connect(listener.address(), &error)) << error;
+        EXPECT_TRUE(client.stats(&stats, &error)) << error;
+    };
+    // The first connections map what later ones reuse (a thread stack
+    // cache, malloc arenas).
+    for (int i = 0; i < 10; ++i)
+        statsOverANewConnection();
+    const size_t before = mappingCount();
+    for (int i = 0; i < 200; ++i)
+        statsOverANewConnection();
+    const size_t after = mappingCount();
+    EXPECT_LT(after, before + 40) << before << " -> " << after;
+
+    daemon.stop();
+    server.join();
+}
+
 TEST(DaemonProtocol, TraceIdRidesPointsAndDoneLine)
 {
     DaemonHarness harness;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "support/metrics.hh"
-#include "support/thread_pool.hh"
 
 namespace hilp {
 namespace {
@@ -210,15 +209,17 @@ TEST(MetricsTest, ConcurrentCounterIncrementsMergeExactly)
     counter.reset();
     constexpr int kTasks = 64;
     constexpr int kAddsPerTask = 1000;
-    ThreadPool pool(4);
-    for (int t = 0; t < kTasks; ++t)
-        pool.submit([&counter] {
-            for (int i = 0; i < kAddsPerTask; ++i)
-                counter.add(1);
+    std::vector<std::thread> threads;
+    for (int w = 0; w < 4; ++w)
+        threads.emplace_back([&counter] {
+            for (int t = 0; t < kTasks / 4; ++t)
+                for (int i = 0; i < kAddsPerTask; ++i)
+                    counter.add(1);
         });
-    // wait() establishes the happens-before edge that makes the
+    // join() establishes the happens-before edge that makes the
     // merged value exact, matching how sweeps read metrics.
-    pool.wait();
+    for (std::thread &thread : threads)
+        thread.join();
     EXPECT_EQ(counter.value(),
               static_cast<int64_t>(kTasks) * kAddsPerTask);
     counter.reset();
@@ -231,13 +232,15 @@ TEST(MetricsTest, ConcurrentHistogramRecordsMergeExactly)
     histogram.reset();
     constexpr int kTasks = 32;
     constexpr int kSamplesPerTask = 500;
-    ThreadPool pool(4);
-    for (int t = 0; t < kTasks; ++t)
-        pool.submit([&histogram] {
-            for (int i = 0; i < kSamplesPerTask; ++i)
-                histogram.record(i + 1);
+    std::vector<std::thread> threads;
+    for (int w = 0; w < 4; ++w)
+        threads.emplace_back([&histogram] {
+            for (int t = 0; t < kTasks / 4; ++t)
+                for (int i = 0; i < kSamplesPerTask; ++i)
+                    histogram.record(i + 1);
         });
-    pool.wait();
+    for (std::thread &thread : threads)
+        thread.join();
     metrics::HistogramSnapshot snap = histogram.snapshot();
     EXPECT_EQ(snap.count,
               static_cast<int64_t>(kTasks) * kSamplesPerTask);
